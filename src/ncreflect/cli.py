@@ -79,6 +79,8 @@ def _load(path: str) -> presentation.InputSpec:
         return presentation.load(path)
     except OSError as e:
         raise CommandError(EXIT_INPUT, f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CommandError(EXIT_INPUT, f"{path}: not UTF-8 text: invalid byte at offset {e.start}")
     except presentation.SpecSyntaxError as e:
         raise CommandError(EXIT_INPUT, f"{path}: {e}")
     except presentation.SpecSchemaError as e:

@@ -24,6 +24,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from .linalg import vec_addto
 from .scalars import Cyc, I, ONE, ZERO, coerce, zeta
 
 Word = tuple  # tuple[int, ...]
@@ -53,28 +54,9 @@ def p_gen(i: int) -> FreePoly:
     return {(i,): ONE}
 
 
-def p_addto(acc: FreePoly, p: FreePoly, c: Cyc = ONE) -> None:
-    if c.is_zero():
-        return
-    for w, x in p.items():
-        cur = acc.get(w)
-        new = x * c if cur is None else cur + x * c
-        if new.is_zero():
-            if cur is not None:
-                del acc[w]
-        else:
-            acc[w] = new
-
-
 def p_add(a: FreePoly, b: FreePoly) -> FreePoly:
     out = dict(a)
-    p_addto(out, b)
-    return out
-
-
-def p_sub(a: FreePoly, b: FreePoly) -> FreePoly:
-    out = dict(a)
-    p_addto(out, b, Cyc.rational(-1))
+    vec_addto(out, b)
     return out
 
 
@@ -178,7 +160,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             t = self.term()
-            p_addto(acc, t, ONE if op == "+" else Cyc.rational(-1))
+            vec_addto(acc, t, ONE if op == "+" else Cyc.rational(-1))
         return acc
 
     def term(self) -> FreePoly:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
-from .exprs import FreePoly, Word, p_addto, p_mul
-from .linalg import Matrix, Vec, vec_addto
+from .exprs import FreePoly, Word, p_mul
+from .linalg import Matrix, Vec, apply_cols, vec_addto, vec_from_dense, vec_scale
 from .ncalg import GradedAlgebra
 from .scalars import Cyc, ONE, ZERO, zeta
 
@@ -205,12 +205,6 @@ class HopfAlgebra:
             acc = acc + a * self.counit[i]
         return acc
 
-    def antipode_vec(self, u: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in u.items():
-            vec_addto(out, self.antipode[i], a)
-        return out
-
     def basis_vec(self, i: int) -> Vec:
         return {i: ONE}
 
@@ -304,7 +298,7 @@ class HopfAlgebra:
             for j, k, c in self.comult[i]:
                 vec_addto(left_vec, self.mul_vec(self.antipode[j], self.basis_vec(k)), c)
                 vec_addto(right_vec, self.mul_vec(self.basis_vec(j), self.antipode[k]), c)
-            want = vec_scale_vec(self.unit, self.counit[i])
+            want = vec_scale(self.unit, self.counit[i])
             if left_vec != want:
                 bad.append(f"antipode (left): {lab[i]}")
             if right_vec != want:
@@ -330,13 +324,13 @@ class HopfAlgebra:
         kernel = Matrix(rows).kernel()
         if not kernel:
             raise ValueError("no left integral found")
-        lam = vec_from_list(kernel[0])
+        lam = vec_from_dense(kernel[0])
         eps = self.counit_vec(lam)
         if eps.is_zero():
             raise ValueError("integral is killed by the counit (algebra not semisimple?)")
-        lam = vec_scale_vec(lam, eps.inverse())
+        lam = vec_scale(lam, eps.inverse())
         for i in range(self.dim):
-            want = vec_scale_vec(lam, self.counit[i])
+            want = vec_scale(lam, self.counit[i])
             if self.mul_vec(self.basis_vec(i), lam) != want:
                 raise ValueError("computed integral is not a left integral")
             if self.mul_vec(lam, self.basis_vec(i)) != want:
@@ -360,23 +354,6 @@ def _tensor3_add(acc: dict, key: tuple[int, int, int], c: Cyc) -> None:
             del acc[key]
     else:
         acc[key] = new
-
-
-def vec_scale_vec(v: Vec, c: Cyc) -> Vec:
-    if c.is_zero():
-        return {}
-    return {k: x * c for k, x in v.items()}
-
-
-def vec_from_list(xs: Sequence[Cyc]) -> Vec:
-    return {k: x for k, x in enumerate(xs) if not x.is_zero()}
-
-
-def apply_columns(cols: Sequence[Vec], v: Vec) -> Vec:
-    out: Vec = {}
-    for k, c in v.items():
-        vec_addto(out, cols[k], c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +562,7 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
     lam = hopf.integral()
     out = []
     for ch in chars.chars:
-        p = apply_columns(winding_right_cols(hopf, ch.inverse()), lam)
+        p = apply_cols(winding_right_cols(hopf, ch.inverse()), lam)
         out.append(p)
     for i, p in enumerate(out):
         if hopf.mul_vec(p, p) != p:
@@ -773,10 +750,10 @@ class HopfAction:
     def act(self, h, vec: Vec, degree: int) -> Vec:
         """Apply h (a basis index or a coordinate vector on H) to vec."""
         if isinstance(h, int):
-            return apply_columns(self.columns(h, degree), vec)
+            return apply_cols(self.columns(h, degree), vec)
         out: Vec = {}
         for i, c in h.items():
-            vec_addto(out, apply_columns(self.columns(i, degree), vec), c)
+            vec_addto(out, apply_cols(self.columns(i, degree), vec), c)
         return out
 
     def matrix(self, h: int, degree: int) -> Matrix:
@@ -810,14 +787,14 @@ class HopfAction:
                 right = self.act_free_word(q, word[1:])
                 if not right:
                     continue
-                p_addto(out, p_mul(left, right), c)
+                vec_addto(out, p_mul(left, right), c)
         self._free_cache[key] = out
         return out
 
     def act_free(self, h: int, poly: FreePoly) -> FreePoly:
         out: FreePoly = {}
         for w, c in poly.items():
-            p_addto(out, self.act_free_word(h, w), c)
+            vec_addto(out, self.act_free_word(h, w), c)
         return out
 
     # -- verification -------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
-from .linalg import Matrix, Subspace, Vec, express, vec_from_dense
+from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_from_dense
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -574,7 +574,7 @@ def _right_augmentation(
             if w <= d:
                 cols = alg.right_letter(i, d - w)
                 for v in out[d - w].basis():
-                    acc.add(alg.apply_cols(cols, v))
+                    acc.add(apply_cols(cols, v))
         out.append(acc)
     return out
 

@@ -1,19 +1,20 @@
 """Exact linear algebra over cyclotomic scalars.
 
-Two layers:
-
-* ``Matrix`` — small dense matrices (action matrices on graded slices,
-  eigenspace kernels).  Column convention: ``M[i][j]`` is the coefficient
-  of basis vector *i* in the image of basis vector *j*.
-
-* ``SparseEch`` / ``Subspace`` — a row-reduced sparse span keyed by pivot
-  column.  This is the hot path: ideal slices and smash-product spans are
-  built by inserting thousands of mostly-sparse vectors, so the echelon is
-  maintained eagerly (every stored row has pivot coefficient 1 and is
-  reduced against every other pivot).  Intersections use the Zassenhaus
-  doubled-coordinate trick, which keeps everything sparse.
-
 Vectors are ``dict[int, Cyc]`` with no zero entries.
+
+``SparseEch`` is the one elimination engine: a row-reduced sparse span
+keyed by pivot column.  Ideal slices and smash-product spans are built by
+inserting thousands of mostly-sparse vectors, so the echelon is
+maintained eagerly (every stored row has pivot coefficient 1 and is
+reduced against every other pivot).  On top of it sit ``Subspace``
+(canonical bases, sums, and intersections by the Zassenhaus
+doubled-coordinate trick, which keeps everything sparse) and
+``Expressor`` (coefficients of a target over a generator list).
+
+``Matrix`` is a small dense value type for group elements and action
+matrices.  Column convention: ``M[i][j]`` is the coefficient of basis
+vector *i* in the image of basis vector *j*.  Its ``rref``, ``kernel``
+and ``rank`` go through ``SparseEch``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ Vec = dict  # dict[int, Cyc], zero entries omitted
 
 
 # ---------------------------------------------------------------------------
-# sparse vector helpers
+# sparse vector helpers; vec_addto and vec_scale take any dict keys, so
+# polynomials keyed by words or exponent tuples use them too
 
 
 def vec_addto(acc: Vec, v: Vec, c: Cyc = ONE) -> None:
@@ -47,6 +49,14 @@ def vec_scale(v: Vec, c: Cyc) -> Vec:
     if c.is_zero():
         return {}
     return {k: x * c for k, x in v.items()}
+
+
+def apply_cols(cols: Sequence[Vec], vec: Vec) -> Vec:
+    """Image of vec under the linear map whose k-th column is cols[k]."""
+    out: Vec = {}
+    for k, c in vec.items():
+        vec_addto(out, cols[k], c)
+    return out
 
 
 def vec_from_dense(xs: Sequence) -> Vec:
@@ -364,27 +374,19 @@ class Matrix:
         return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row-echelon form and the pivot column list."""
-        m = [list(row) for row in self.rows]
-        nrows, ncols = len(m), self.ncols
-        pivots: list[int] = []
-        r = 0
-        for col in range(ncols):
-            if r == nrows:
-                break
-            hit = next((i for i in range(r, nrows) if not m[i][col].is_zero()), None)
-            if hit is None:
-                continue
-            m[r], m[hit] = m[hit], m[r]
-            inv = m[r][col].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and not m[i][col].is_zero():
-                    f = m[i][col]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-        return Matrix(m), pivots
+        """Reduced row-echelon form and the pivot column list.
+
+        A ``SparseEch`` row has coefficient 1 at its pivot and no entry at
+        any other pivot, so its rows in pivot order are the unique RREF.
+        """
+        ncols = self.ncols
+        ech = SparseEch(ncols)
+        for row in self.rows:
+            ech.insert(vec_from_dense(row))
+        pivots = sorted(ech.rows)
+        red = [vec_to_dense(ech.rows[p], ncols) for p in pivots]
+        red.extend([ZERO] * ncols for _ in range(self.nrows - len(pivots)))
+        return Matrix(red), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -402,17 +404,6 @@ class Matrix:
                 v[p] = -red.rows[i][f]
             out.append(v)
         return out
-
-    def solve(self, b: Sequence) -> list | None:
-        """One solution of M x = b, or None if inconsistent."""
-        aug = Matrix([list(row) + [coerce(x)] for row, x in zip(self.rows, b)])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [ZERO] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = red.rows[i][self.ncols]
-        return x
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)

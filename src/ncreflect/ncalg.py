@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .exprs import FreePoly, Word, p_degree, parse, show
-from .linalg import SparseEch, Subspace, Vec, vec_addto
+from .linalg import SparseEch, Subspace, Vec, apply_cols, vec_addto
 from .scalars import Cyc, ONE, coerce
 
 
@@ -155,9 +155,6 @@ class GradedAlgebra:
             )
         return self._free_dim[degree]
 
-    def word_degree(self, word: Word) -> int:
-        return sum(self.weights[i] for i in word)
-
     # -- multiplication ---------------------------------------------------
 
     def left_letter(self, i: int, degree: int) -> list[Vec]:
@@ -188,18 +185,12 @@ class GradedAlgebra:
         self._right[key] = cols
         return cols
 
-    def apply_cols(self, cols: list[Vec], vec: Vec) -> Vec:
-        out: Vec = {}
-        for k, c in vec.items():
-            vec_addto(out, cols[k], c)
-        return out
-
     def nf_word(self, word: Word) -> Vec:
         """Coordinates of an arbitrary free word in its slice basis."""
         vec: Vec = {0: ONE}
         degree = 0
         for letter in reversed(word):
-            vec = self.apply_cols(self.left_letter(letter, degree), vec)
+            vec = apply_cols(self.left_letter(letter, degree), vec)
             degree += self.weights[letter]
             if not vec:
                 break
@@ -227,7 +218,7 @@ class GradedAlgebra:
             cur = w
             deg = dw
             for letter in reversed(words[k]):
-                cur = self.apply_cols(self.left_letter(letter, deg), cur)
+                cur = apply_cols(self.left_letter(letter, deg), cur)
                 deg += self.weights[letter]
                 if not cur:
                     break
@@ -328,7 +319,7 @@ def _push_left(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Sub
         if w <= degree:
             cols = alg.left_letter(i, degree - w)
             for v in spaces[degree - w].basis():
-                acc.add(alg.apply_cols(cols, v))
+                acc.add(apply_cols(cols, v))
 
 
 def _push_right(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
@@ -337,7 +328,7 @@ def _push_right(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Su
         if w <= degree:
             cols = alg.right_letter(i, degree - w)
             for v in spaces[degree - w].basis():
-                acc.add(alg.apply_cols(cols, v))
+                acc.add(apply_cols(cols, v))
 
 
 def left_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:

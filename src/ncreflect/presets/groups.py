@@ -89,6 +89,8 @@ def mystic_group(alpha: int, beta: int):
     """The mystic reflection group M(2, alpha, beta): all scalings
     diag(a, 1) with a^alpha = 1 together with all swaps x -> lam*y,
     y -> -lam^{-1}*x with lam^beta = 1."""
+    if alpha < 1 or beta < 2:
+        raise ValueError("mystic groups need alpha >= 1 and beta >= 2")
     if beta % 2 != 0 or beta % alpha != 0:
         raise ValueError("mystic groups need beta divisible by 2 and by alpha")
     gens = [off_diagonal_swap(ONE), off_diagonal_swap(zeta(beta, 1))]

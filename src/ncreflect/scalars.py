@@ -351,31 +351,10 @@ class Cyc:
 
 def _express_in_subfield(c: tuple[Fraction, ...], d: int, n: int) -> tuple[Fraction, ...] | None:
     """Solve for coefficients over the conductor-d basis inside Q(zeta_n)."""
-    emb = _embtab(d, n)
-    cols = len(emb)
-    rows = len(c)
-    aug = [[emb[j][t] for j in range(cols)] + [c[t]] for t in range(rows)]
-    piv = []
-    r = 0
-    for col in range(cols):
-        hit = next((i for i in range(r, rows) if aug[i][col]), None)
-        if hit is None:
-            continue
-        aug[r], aug[hit] = aug[hit], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(col)
-        r += 1
-    if any(row[-1] for row in aug[r:]):
-        return None
-    sol = [F0] * cols
-    for i, col in enumerate(piv):
-        sol[col] = aug[i][-1]
-    return tuple(sol)
+    from .linalg import express, vec_from_dense
+
+    sol = express(len(c), [vec_from_dense(row) for row in _embtab(d, n)], vec_from_dense(c))
+    return None if sol is None else tuple(x.c[0] for x in sol)
 
 
 def coerce(x) -> Cyc:

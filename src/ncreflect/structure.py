@@ -29,7 +29,7 @@ from .invariants import (
     series_is_polynomial,
     series_quotient,
 )
-from .linalg import Matrix, Subspace, Vec, express, vec_addto, vec_to_dense
+from .linalg import Matrix, Subspace, Vec, express, vec_addto, vec_scale, vec_to_dense
 from .ncalg import Elem, GradedAlgebra, mul_elem_space, mul_space_elem
 from .scalars import Cyc, ONE, ZERO
 
@@ -187,15 +187,6 @@ def frobenius_pairing(
 TPoly = dict[tuple[int, ...], Cyc]
 
 
-def tp_addto(acc: TPoly, p: TPoly, c: Cyc = ONE) -> None:
-    for e, x in p.items():
-        new = acc.get(e, ZERO) + x * c
-        if new.is_zero():
-            acc.pop(e, None)
-        else:
-            acc[e] = new
-
-
 def tp_mul(p: TPoly, q: TPoly) -> TPoly:
     out: TPoly = {}
     for e1, c1 in p.items():
@@ -207,19 +198,6 @@ def tp_mul(p: TPoly, q: TPoly) -> TPoly:
             else:
                 out[e] = new
     return out
-
-
-def tp_pow(p: TPoly, k: int, nvars: int) -> TPoly:
-    out: TPoly = {(0,) * nvars: ONE}
-    for _ in range(k):
-        out = tp_mul(out, p)
-    return out
-
-
-def tp_scale(p: TPoly, c: Cyc) -> TPoly:
-    if c.is_zero():
-        return {}
-    return {e: x * c for e, x in p.items()}
 
 
 def tp_proportional(p: TPoly, q: TPoly) -> bool:
@@ -247,7 +225,7 @@ def tp_divide(q: TPoly, p: TPoly) -> TPoly | None:
             return None
         c = rem[e] / p[lead]
         quot[diff] = c
-        tp_addto(rem, {tuple(a + b for a, b in zip(diff, e2)): x for e2, x in p.items()}, -c)
+        vec_addto(rem, {tuple(a + b for a, b in zip(diff, e2)): x for e2, x in p.items()}, -c)
     return quot
 
 
@@ -263,7 +241,7 @@ def tp_det(entries: list[list[TPoly | None]], nvars: int) -> TPoly:
         minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
         sub = tp_det(minor, nvars)
         term = tp_mul(entry, sub)
-        tp_addto(out, term, ONE if j % 2 == 0 else -ONE)
+        vec_addto(out, term, ONE if j % 2 == 0 else -ONE)
     return out
 
 
@@ -391,7 +369,7 @@ def trace_discriminant(
                 return TraceDiscriminantData(
                     False, notes, None, [], None, None, None, "not-computable"
                 )
-            entries[g][h] = tp_scale(poly, order)
+            entries[g][h] = vec_scale(poly, order)
     dis = tp_det(entries, model.nvars)
 
     pair = {(0,) * model.nvars: ONE}

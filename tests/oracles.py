@@ -1,5 +1,8 @@
 """Independent brute-force oracles used to pin down engine expectations.
 
+``dense_rref`` is the textbook dense Gauss-Jordan elimination that
+``Matrix.rref`` is checked against.
+
 The quotient oracle builds each graded slice the slow, obviously-correct
 way: enumerate every free word of the degree, span the full two-sided
 relation-ideal slice u * rho * v inside the free slice, and eliminate.
@@ -11,7 +14,31 @@ from __future__ import annotations
 
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.linalg import SparseEch
-from ncreflect.scalars import Cyc, ONE
+from ncreflect.scalars import Cyc, ONE, coerce
+
+
+def dense_rref(rows: list[list]) -> tuple[list[list[Cyc]], list[int]]:
+    """Reduced row-echelon form (zero rows last) and the pivot columns."""
+    m = [[coerce(x) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        hit = next((i for i in range(r, nrows) if not m[i][col].is_zero()), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = m[r][col].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][col].is_zero():
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m, pivots
 
 
 def free_words(nletters: int, weights: list[int], degree: int) -> list[Word]:

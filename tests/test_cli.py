@@ -44,6 +44,14 @@ def test_validate_syntax_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_validate_non_utf8_file_names_the_byte(tmp_path, capsys):
+    path = tmp_path / "latin1.spec"
+    path.write_bytes(b'{"name": "' + b"a" * 9000 + b'\xe9"}')
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "offset 9010" in err
+
+
 def test_validate_schema_error_carries_pointer(tmp_path, capsys):
     path = mutate_shipped(
         tmp_path, "e22-dualD8",
@@ -146,6 +154,12 @@ def test_preset_run_whole_catalogue(capsys):
 def test_preset_run_unknown_name(capsys):
     assert main(["preset", "run", "nope"]) == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["0,0", "0,2", "1,0"])
+def test_preset_run_rejects_degenerate_mystic_parameters(params, capsys):
+    assert main(["preset", "run", f"l41-mystic({params})"]) == 2
+    assert "alpha >= 1 and beta >= 2" in capsys.readouterr().err
 
 
 def test_preset_run_degree_override_skips_comparison(capsys):

@@ -9,7 +9,6 @@ from ncreflect.hopf import (
     Group,
     HopfAction,
     HopfAlgebra,
-    apply_columns,
     central_idempotents,
     dual_group_algebra,
     dual_group_characters,
@@ -18,7 +17,7 @@ from ncreflect.hopf import (
     winding_left_cols,
     winding_right_cols,
 )
-from ncreflect.linalg import Matrix
+from ncreflect.linalg import Matrix, apply_cols
 from ncreflect.ncalg import GradedAlgebra
 from ncreflect.presets.groups import cyclic_scaling_group, dihedral8, mystic_group
 from ncreflect.presets.kac import (
@@ -161,8 +160,8 @@ def test_winding_composition():
             cols_b = winding_right_cols(h, b)
             cols_ab = winding_right_cols(h, ab)
             for i in range(h.dim):
-                two_step = apply_columns(cols_a, apply_columns(cols_b, {i: ONE}))
-                assert two_step == apply_columns(cols_ab, {i: ONE})
+                two_step = apply_cols(cols_a, apply_cols(cols_b, {i: ONE}))
+                assert two_step == apply_cols(cols_ab, {i: ONE})
 
 
 def test_winding_left_right_agree_on_cocommutative():

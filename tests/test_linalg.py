@@ -15,6 +15,8 @@ from ncreflect.linalg import (
 )
 from ncreflect.scalars import Cyc, I, ONE, ZERO, zeta
 
+from oracles import dense_rref
+
 
 def test_vector_helpers():
     v = vec_from_dense([1, 0, Fraction(2, 3)])
@@ -103,11 +105,42 @@ def test_rref_rank_kernel():
         assert acc == expect
 
 
+@pytest.mark.parametrize("conductor", [1, 8, 12])
+def test_rref_matches_dense_gauss_jordan(conductor):
+    rng = random.Random(1000 + conductor)
+    units = [zeta(conductor, k) for k in range(conductor)]
+
+    def entry():
+        if rng.random() < 0.4:
+            return ZERO
+        return Cyc.rational(rng.randint(-3, 3), rng.randint(1, 2)) * rng.choice(units)
+
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 5)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:  # rank-deficient: a combination of two rows
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.choice(units)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [ZERO] * ncols)
+        red, pivots = Matrix(rows).rref()
+        want, want_pivots = dense_rref(rows)
+        assert pivots == want_pivots
+        nonzero = [row for row in red.rows if any(not x.is_zero() for x in row)]
+        assert nonzero == want[: len(want_pivots)]
+        assert red.nrows == len(rows)
+
+
 def test_solve():
-    m = Matrix([[1, 1], [1, -1]])
-    x = m.solve([2, 0])
-    assert x == [ONE, ONE]
-    assert Matrix([[1, 1], [1, 1]]).solve([0, 1]) is None
+    # the columns of M as generators: M x = b  <=>  b = sum x_j * col_j
+    def solve(m, b):
+        return express(m.nrows, [vec_from_dense(m.col(j)) for j in range(m.ncols)], vec_from_dense(b))
+
+    assert solve(Matrix([[1, 1], [1, -1]]), [2, 0]) == [ONE, ONE]
+    assert solve(Matrix([[1, 1], [1, 1]]), [0, 1]) is None
+    m = Matrix([[I, ONE], [ZERO, zeta(8, 1)]])
+    assert m.apply(solve(m, [1, 0])) == [ONE, ZERO]
 
 
 def test_cyclotomic_entries():
@@ -118,8 +151,6 @@ def test_cyclotomic_entries():
         assert len(ker) == 1
     m = Matrix([[I, ONE], [ZERO, zeta(8, 1)]])
     assert m.rank() == 2
-    inv_col = m.solve([1, 0])
-    assert m.apply(inv_col) == [ONE, ZERO]
 
 
 def test_shape_errors():

@@ -95,6 +95,19 @@ def test_minimal_conductor_key():
     r = zeta(8, 1) ** 4 + Cyc.rational(3)
     assert r == Cyc.rational(2)
     assert r.key() == (1, (Fraction(2),))
+    # products computed at conductor 12 or 8 that fall into a subfield
+    z12, z8 = zeta(12, 1), zeta(8, 1)
+    cases = [
+        (2 + 3 * z12 ** 4, (3, (2, 3))),  # 12 -> 3
+        (z12 ** 2, (3, (1, 1))),  # zeta6 = 1 + zeta3
+        (z12 ** 3 * Cyc.rational(1, 2) - 5, (4, (-5, Fraction(1, 2)))),  # 12 -> 4
+        (z8 ** 6 + Cyc.rational(-7, 3), (4, (Fraction(-7, 3), -1))),  # 8 -> 4
+        (z12 ** 4 + z12 ** 3, (12, (-1, 0, 1, 1))),  # in no proper subfield
+        (z8 + z8 ** 3, (8, (0, 1, 0, 1))),  # sqrt(-2) is not in Q(i)
+    ]
+    for value, want in cases:
+        assert value.n in (8, 12)
+        assert value.key() == want
 
 
 def test_power_and_negative_power():
