@@ -39,9 +39,8 @@ from fractions import Fraction
 
 from .divisors import DivisorReport, divisor_report
 from .exprs import show, show_scalar
-from .hopf import CharacterGroup, central_idempotents
+from .hopf import central_idempotents
 from .invariants import (
-    JacobianData,
     check_component_multiplicativity,
     component_report,
     covariant_data,

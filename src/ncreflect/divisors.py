@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Vec, express, vec_addto
-from .ncalg import Elem, GradedAlgebra
+from .ncalg import Elem, GradedAlgebra, cofactor, monic
 from .scalars import Cyc, ONE, ZERO, zeta
 from .structure import tp_det
 
@@ -136,12 +135,11 @@ def candidate_lines(
     seen: set = set()
 
     def push(e: Elem) -> None:
-        lead = min(e.vec)
-        vec = {k: c / e.vec[lead] for k, c in e.vec.items()}
-        key = tuple(sorted((k, c.key()) for k, c in vec.items()))
+        line = monic(alg, 1, e.vec)
+        key = _line_key(line)
         if key not in seen:
             seen.add(key)
-            out.append(Elem(alg, 1, vec))
+            out.append(line)
 
     ones = [i for i in range(alg.ngens) if alg.weights[i] == 1]
     for i in ones:
@@ -164,29 +162,10 @@ def _letter_of(alg: GradedAlgebra, pos: int) -> int:
     return alg.basis_words(1)[pos][0]
 
 
-def _mult_cols(alg: GradedAlgebra, v: Elem, lower: int, side: str) -> list[Vec]:
-    """Columns of (left or right) multiplication by v from degree `lower`."""
-    cols: list[Vec] = [{} for _ in range(alg.dim(lower))]
-    for pos, c in v.vec.items():
-        letter = _letter_of(alg, pos)
-        part = (
-            alg.left_letter(letter, lower)
-            if side == "left"
-            else alg.right_letter(letter, lower)
-        )
-        for b in range(alg.dim(lower)):
-            vec_addto(cols[b], part[b], c)
-    return cols
-
-
 def _solve_cofactor(alg: GradedAlgebra, v: Elem, f: Elem, side: str) -> Elem | None:
-    lower = f.degree - 1
-    cols = _mult_cols(alg, v, lower, side)
-    coeffs = express(alg.dim(f.degree), cols, f.vec)
-    if coeffs is None:
+    cof = cofactor(alg, v, f, side)
+    if cof is None:
         return None
-    vec = {b: c for b, c in enumerate(coeffs) if not c.is_zero()}
-    cof = Elem(alg, lower, vec)
     back = v * cof if side == "left" else cof * v
     if back != f:
         raise AssertionError("cofactor solve failed to reproduce the element")

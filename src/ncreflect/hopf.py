@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .exprs import FreePoly, Word, p_mul
-from .linalg import Matrix, Vec, apply_cols, vec_addto, vec_from_dense, vec_scale
+from .linalg import Matrix, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
 from .ncalg import GradedAlgebra
 from .scalars import Cyc, ONE, ZERO, zeta
 
@@ -312,19 +312,10 @@ class HopfAlgebra:
         """The two-sided integral normalised by counit(Λ) = 1."""
         if self._integral is not None:
             return dict(self._integral)
-        rows: list[list[Cyc]] = []
-        for i in range(self.dim):
-            block = [[ZERO] * self.dim for _ in range(self.dim)]
-            for c in range(self.dim):
-                img = self.mult[i][c]
-                for r, x in img.items():
-                    block[r][c] = x
-                block[c][c] = block[c][c] - self.counit[i]
-            rows.extend(block)
-        kernel = Matrix(rows).kernel()
+        kernel = eigenvectors(self.dim, [(self.mult[i], self.counit[i]) for i in range(self.dim)])
         if not kernel:
             raise ValueError("no left integral found")
-        lam = vec_from_dense(kernel[0])
+        lam = kernel[0]
         eps = self.counit_vec(lam)
         if eps.is_zero():
             raise ValueError("integral is killed by the counit (algebra not semisimple?)")
@@ -755,11 +746,6 @@ class HopfAction:
         for i, c in h.items():
             vec_addto(out, apply_cols(self.columns(i, degree), vec), c)
         return out
-
-    def matrix(self, h: int, degree: int) -> Matrix:
-        cols = self.columns(h, degree)
-        dim = self.alg.dim(degree)
-        return Matrix([[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)])
 
     # -- action on the free algebra ---------------------------------------------
 

@@ -23,16 +23,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
-from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_from_dense
+from .linalg import Matrix, Subspace, Vec, eigenvectors
 from .ncalg import (
     Elem,
     GradedAlgebra,
-    augmentation_module_slices,
+    cofactor,
+    left_ideal_slices,
+    monic,
     mul_elem_space,
     mul_space_elem,
+    products_inside,
+    right_ideal_slices,
     two_sided_ideal_slices,
 )
-from .scalars import Cyc, ONE, ZERO
+from .scalars import ONE, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +71,8 @@ def graded_components(
     for ch in chars.chars:
         slices = []
         for d in range(max_degree + 1):
-            dim = alg.dim(d)
-            rows: list[list[Cyc]] = []
-            for h in probes:
-                m = action.matrix(h, d)
-                lam = ch.values[h]
-                for r in range(dim):
-                    row = list(m.rows[r])
-                    row[r] = row[r] - lam
-                    rows.append(row)
-            if rows:
-                kernel = Matrix(rows).kernel()
-                slices.append(Subspace.span(dim, [vec_from_dense(v) for v in kernel]))
-            else:  # no constraints (trivial group): the whole slice
-                slices.append(alg.slice_space(d))
+            maps = [(action.columns(h, d), ch.values[h]) for h in probes]
+            slices.append(Subspace.span(alg.dim(d), eigenvectors(alg.dim(d), maps)))
         out.append(slices)
     return out
 
@@ -100,18 +92,12 @@ def check_component_multiplicativity(
             k = g0.table[i][j]
             for e in range(max_degree + 1):
                 for f in range(max_degree + 1 - e):
-                    target = comps[k][e + f]
-                    for u in comps[i][e].basis():
-                        for v in comps[j][f].basis():
-                            if not target.contains(alg.mul(u, e, v, f)):
-                                bad.append(
-                                    f"A_{g0.labels[i]} * A_{g0.labels[j]} leaves "
-                                    f"A_{g0.labels[k]} in degree {e + f}"
-                                )
-                                break
-                        else:
-                            continue
-                        break
+                    if not products_inside(alg, comps[i][e], e, comps[j][f], f,
+                                           comps[k][e + f]):
+                        bad.append(
+                            f"A_{g0.labels[i]} * A_{g0.labels[j]} leaves "
+                            f"A_{g0.labels[k]} in degree {e + f}"
+                        )
     return bad
 
 
@@ -128,10 +114,7 @@ def minimal_component_generator(
             continue
         if dim > 1:
             return None, f"minimal slice (degree {d}) has dimension {dim}"
-        vec = slices[d].basis()[0]
-        lead = min(vec)
-        scale = vec[lead].inverse()
-        return Elem(alg, d, {k: c * scale for k, c in vec.items()}), ""
+        return monic(alg, d, slices[d].basis()[0]), ""
     return None, "component is zero up to the degree bound"
 
 
@@ -245,10 +228,7 @@ def fixed_ring(
             for vec in slices[d].basis():
                 if span.add(vec):
                     gen_degrees.append(d)
-                    lead = min(vec)
-                    gens.append(
-                        Elem(alg, d, {k: c * vec[lead].inverse() for k, c in vec.items()})
-                    )
+                    gens.append(monic(alg, d, vec))
 
     polynomial = hilbert_poly_certificate(dims, gen_degrees, max_degree)
 
@@ -501,8 +481,8 @@ def jacobian_data(
     in_r = d <= len(fixed.slices) - 1 and fixed.slices[d].contains(dl.vec) and fixed.slices[
         d
     ].contains(dr.vec)
-    left = _divides(alg, a, j, side="left")
-    right = _divides(alg, a, j, side="right")
+    left = cofactor(alg, a, j, "left") is not None
+    right = cofactor(alg, a, j, "right") is not None
     return JacobianData(j, a, dl, dr, prop, in_r, left, right)
 
 
@@ -514,21 +494,6 @@ def proportional(x: Elem, y: Elem) -> bool:
     k = min(x.vec)
     ratio = y.vec[k] / x.vec[k]
     return all(y.vec[k2] == c * ratio for k2, c in x.vec.items())
-
-
-def _divides(alg: GradedAlgebra, d: Elem, m: Elem, side: str) -> bool:
-    """Does d divide m on the given side (m = d*q or m = q*d)?"""
-    qdeg = m.degree - d.degree
-    if qdeg < 0:
-        return False
-    dim = alg.dim(qdeg)
-    gens = []
-    for k in range(dim):
-        if side == "left":
-            gens.append(alg.mul(d.vec, d.degree, {k: ONE}, qdeg))
-        else:
-            gens.append(alg.mul({k: ONE}, qdeg, d.vec, d.degree))
-    return express(alg.dim(m.degree), gens, m.vec) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +513,11 @@ class CovariantData:
 def covariant_data(
     alg: GradedAlgebra, fixed: FixedRing, max_degree: int
 ) -> CovariantData:
-    left = augmentation_module_slices(alg, fixed.slices, max_degree)  # A * R_+
-    right = _right_augmentation(alg, fixed.slices, max_degree)  # R_+ * A
+    # R_+ is spanned by products of the detected generators, so A * R_+,
+    # R_+ * A and (R_+) are the ideals those generators generate
+    left = left_ideal_slices(alg, fixed.gens, max_degree)
+    right = right_ideal_slices(alg, fixed.gens, max_degree)
     two = two_sided_ideal_slices(alg, fixed.gens, max_degree)
-    # (R_+) as a two-sided ideal equals the ideal generated by the R-gens
     dims = [alg.dim(d) for d in range(max_degree + 1)]
     left_dims = [dims[d] - left[d].dim for d in range(max_degree + 1)]
     right_dims = [dims[d] - right[d].dim for d in range(max_degree + 1)]
@@ -559,24 +525,6 @@ def covariant_data(
     tepid = all(left[d] == right[d] for d in range(max_degree + 1))
     frob, reason = _graded_frobenius(alg, two, alg_dims, max_degree)
     return CovariantData(left_dims, right_dims, alg_dims, tepid, frob, reason)
-
-
-def _right_augmentation(
-    alg: GradedAlgebra, sub_slices: Sequence[Subspace], max_degree: int
-) -> list[Subspace]:
-    out: list[Subspace] = []
-    for d in range(max_degree + 1):
-        acc = Subspace(alg.dim(d))
-        if 1 <= d < len(sub_slices):
-            for v in sub_slices[d].basis():
-                acc.add(v)
-        for i, w in enumerate(alg.weights):
-            if w <= d:
-                cols = alg.right_letter(i, d - w)
-                for v in out[d - w].basis():
-                    acc.add(apply_cols(cols, v))
-        out.append(acc)
-    return out
 
 
 def _graded_frobenius(

@@ -9,12 +9,14 @@ maintained eagerly (every stored row has pivot coefficient 1 and is
 reduced against every other pivot).  On top of it sit ``Subspace``
 (canonical bases, sums, and intersections by the Zassenhaus
 doubled-coordinate trick, which keeps everything sparse) and
-``Expressor`` (coefficients of a target over a generator list).
+``Expressor`` (coefficients of a target over a generator list), and
+``eigenvectors`` (common eigenvectors of maps given by sparse columns,
+read off one echelon: the Hopf integral and the character components).
 
-``Matrix`` is a small dense value type for group elements and action
+``Matrix`` is a small dense value type for group elements and generator
 matrices.  Column convention: ``M[i][j]`` is the coefficient of basis
-vector *i* in the image of basis vector *j*.  Its ``rref``, ``kernel``
-and ``rank`` go through ``SparseEch``.
+vector *i* in the image of basis vector *j*.  Its ``rref`` and ``rank``
+go through ``SparseEch``.
 """
 
 from __future__ import annotations
@@ -288,6 +290,31 @@ def express(dim: int, gens: Sequence[Vec], target: Vec) -> list | None:
     return Expressor(dim, gens).coeffs(target)
 
 
+def eigenvectors(dim: int, maps: Iterable[tuple[Sequence[Vec], Cyc]]) -> list[Vec]:
+    """Basis of {x : C x = lam x for all (columns of C, lam) in maps}.
+
+    The rows of every C - lam go into one echelon; each free column f
+    gives one vector, in ascending order of f: 1 at f and, at each pivot
+    p, minus the f-entry of row p (the kernel basis an RREF yields).
+    """
+    ech = SparseEch(dim)
+    for cols, lam in maps:
+        rows: list[Vec] = [{} for _ in range(dim)]
+        for c, col in enumerate(cols):
+            for r, x in col.items():
+                rows[r][c] = x
+        for r, row in enumerate(rows):
+            vec_addto(row, {r: ONE}, -lam)
+            ech.insert(row)
+    out = []
+    for f in range(dim):
+        if f not in ech.rows:
+            vec = {p: -row[f] for p, row in ech.rows.items() if f in row}
+            vec[f] = ONE
+            out.append(dict(sorted(vec.items())))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense matrices
 
@@ -390,20 +417,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def kernel(self) -> list[list]:
-        """Basis of the right kernel, one dense vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        out = []
-        for f in free:
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                v[p] = -red.rows[i][f]
-            out.append(v)
-        return out
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)

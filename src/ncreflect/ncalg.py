@@ -20,6 +20,13 @@ canonical monomial basis of the slice, reported in ascending order.
 
 Elements of a slice are sparse coordinate vectors over that basis; `Elem`
 bundles a vector with its degree for convenience.
+
+On top of the slices sit the ideals generated by a list of elements
+(left, right, two-sided; the covariant ideals use them too) and the slice
+tests the other layers share: `monic` (the normalised generator of a
+line), `cofactor` (q with m = d * q or m = q * d), `products_inside`
+(U_e * V_f inside W_{e+f}) and `is_normal` (x * S_d = S_d * x in every
+degree).
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .exprs import FreePoly, Word, p_degree, parse, show
-from .linalg import SparseEch, Subspace, Vec, apply_cols, vec_addto
-from .scalars import Cyc, ONE, coerce
+from .linalg import SparseEch, Subspace, Vec, apply_cols, express, vec_addto
+from .scalars import ONE, coerce
 
 
 class DegreeOverflow(RuntimeError):
@@ -375,22 +382,6 @@ def subalgebra_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int)
     return out
 
 
-def augmentation_module_slices(
-    alg: GradedAlgebra, sub_slices: Sequence[Subspace], max_degree: int
-) -> list[Subspace]:
-    """Slices of A * S_{>=1} for a graded subspace S closed enough to make
-    the recursion valid (S a subalgebra slice list indexed by degree)."""
-    out: list[Subspace] = []
-    for d in range(max_degree + 1):
-        acc = Subspace(alg.dim(d))
-        if d >= 1 and d < len(sub_slices):
-            for v in sub_slices[d].basis():
-                acc.add(v)
-        _push_left(alg, out, d, acc)
-        out.append(acc)
-    return out
-
-
 def mul_space_elem(alg: GradedAlgebra, space: Subspace, sdeg: int, e: Elem) -> Subspace:
     """The image space * e inside degree sdeg + e.degree."""
     out = Subspace(alg.dim(sdeg + e.degree))
@@ -405,3 +396,48 @@ def mul_elem_space(alg: GradedAlgebra, e: Elem, space: Subspace, sdeg: int) -> S
     for v in space.basis():
         out.add(alg.mul(e.vec, e.degree, v, sdeg))
     return out
+
+
+# ---------------------------------------------------------------------------
+# slice tests shared by the invariant, structure and smash layers
+
+
+def monic(alg: GradedAlgebra, degree: int, vec: Vec) -> Elem:
+    """The multiple of a nonzero vec with coefficient 1 at its first basis word."""
+    scale = vec[min(vec)].inverse()
+    return Elem(alg, degree, {k: c * scale for k, c in vec.items()})
+
+
+def cofactor(alg: GradedAlgebra, d: Elem, m: Elem, side: str) -> Elem | None:
+    """q in A with m = d * q (side "left") or m = q * d (side "right");
+    None when d does not divide m on that side."""
+    qdeg = m.degree - d.degree
+    if qdeg < 0:
+        return None
+    if side == "left":
+        prods = [alg.mul(d.vec, d.degree, {k: ONE}, qdeg) for k in range(alg.dim(qdeg))]
+    else:
+        prods = [alg.mul({k: ONE}, qdeg, d.vec, d.degree) for k in range(alg.dim(qdeg))]
+    coeffs = express(alg.dim(m.degree), prods, m.vec)
+    if coeffs is None:
+        return None
+    return Elem(alg, qdeg, {k: c for k, c in enumerate(coeffs) if not c.is_zero()})
+
+
+def products_inside(
+    alg: GradedAlgebra, U: Subspace, e: int, V: Subspace, f: int, W: Subspace
+) -> bool:
+    """U_e * V_f lies inside W_{e+f}; a full target holds every product."""
+    if W.dim == alg.dim(e + f):
+        return True
+    return all(
+        W.contains(alg.mul(u, e, v, f)) for u in U.basis() for v in V.basis()
+    )
+
+
+def is_normal(alg: GradedAlgebra, x: Elem, slices: Sequence[Subspace], max_degree: int) -> bool:
+    """x * S_d = S_d * x for every d with d + deg x within the bound."""
+    return all(
+        mul_elem_space(alg, x, slices[d], d) == mul_space_elem(alg, slices[d], d, x)
+        for d in range(max_degree - x.degree + 1)
+    )

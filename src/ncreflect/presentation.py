@@ -492,6 +492,11 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
     D = max_degree if max_degree is not None else (spec.max_degree or 12)
     gen_names = spec.gen_names
     rels = [parse(t, gen_names) for t in spec.relations]
+    for i, rel in enumerate(rels):
+        deg = p_degree(rel, spec.weights) if rel else None
+        if deg is not None and deg > D:
+            raise SpecSchemaError(f"/algebra/relations/{i}",
+                                  f"degree {deg} exceeds the degree bound {D}")
     alg = GradedAlgebra(gen_names, rels, weights=spec.weights, max_degree=D)
     data = spec.action
     options: dict = {"hdet": spec.hdet, "nakayama": None}

@@ -117,6 +117,7 @@ def _powtab(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 _EMB: dict[tuple[int, int], tuple[tuple[Fraction, ...], ...]] = {}
+_SUBFIELD: dict[tuple[int, int], object] = {}  # (d, n) -> linalg.Expressor of _embtab(d, n)
 
 
 def _embtab(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -351,9 +352,13 @@ class Cyc:
 
 def _express_in_subfield(c: tuple[Fraction, ...], d: int, n: int) -> tuple[Fraction, ...] | None:
     """Solve for coefficients over the conductor-d basis inside Q(zeta_n)."""
-    from .linalg import express, vec_from_dense
+    from .linalg import Expressor, vec_from_dense
 
-    sol = express(len(c), [vec_from_dense(row) for row in _embtab(d, n)], vec_from_dense(c))
+    ex = _SUBFIELD.get((d, n))
+    if ex is None:
+        ex = Expressor(len(c), [vec_from_dense(row) for row in _embtab(d, n)])
+        _SUBFIELD[(d, n)] = ex
+    sol = ex.coeffs(vec_from_dense(c))
     return None if sol is None else tuple(x.c[0] for x in sol)
 
 

@@ -17,12 +17,13 @@ from .linalg import Subspace, Vec, intersect_all, vec_addto
 from .ncalg import (
     Elem,
     GradedAlgebra,
+    is_normal,
     left_ideal_slices,
+    monic,
     mul_elem_space,
-    mul_space_elem,
     two_sided_ideal_slices,
 )
-from .scalars import Cyc, ONE, ZERO
+from .scalars import ONE, ZERO
 
 
 class SmashProduct:
@@ -265,12 +266,8 @@ def rife_action_check(
 ) -> RifeData:
     alg = action.alg
     hopf_rife = rife_hopf_check(action.hopf, chars, idempotents)
-    j_normal = True
-    for d in range(max_degree - j.degree + 1):
-        s = alg.slice_space(d)
-        if mul_elem_space(alg, j, s, d) != mul_space_elem(alg, s, d, j):
-            j_normal = False
-            break
+    j_normal = is_normal(alg, j, [alg.slice_space(d) for d in range(max_degree + 1)],
+                         max_degree)
     ideal = two_sided_ideal_slices(alg, [j], max_degree)
     is_ideal = all(ideal[d] == radical[d] for d in range(max_degree + 1))
     contained = None
@@ -308,21 +305,11 @@ def dis_radical(
         return DisRadicalData(dims, None, None, False)
     if dims[first] != 1:
         return DisRadicalData(dims, first, None, False)
-    vec = slices[first].basis()[0]
-    lead = min(vec)
-    gen = Elem(alg, first, {k: c / vec[lead] for k, c in vec.items()})
-    principal = True
-    for d in range(max_degree + 1):
-        if d < first:
-            continue
-        got = Subspace.span(
-            alg.dim(d),
-            [alg.mul(gen.vec, first, b, d - first)
-             for b in fixed_slices[d - first].basis()],
-        )
-        if got != slices[d]:
-            principal = False
-            break
+    gen = monic(alg, first, slices[first].basis()[0])
+    principal = all(
+        mul_elem_space(alg, gen, fixed_slices[d - first], d - first) == slices[d]
+        for d in range(first, max_degree + 1)
+    )
     return DisRadicalData(dims, first, gen, principal)
 
 
@@ -347,16 +334,8 @@ def principal_radical(
             f"lowest nonzero slice (degree {first}) has dimension "
             f"{radical[first].dim}",
         )
-    vec = radical[first].basis()[0]
-    lead = min(vec)
-    w = Elem(alg, first, {k: c / vec[lead] for k, c in vec.items()})
-    normal = True
-    for d in range(max_degree - first + 1):
-        s = alg.slice_space(d)
-        if mul_elem_space(alg, w, s, d) != mul_space_elem(alg, s, d, w):
-            normal = False
-            break
-    if not normal:
+    w = monic(alg, first, radical[first].basis()[0])
+    if not is_normal(alg, w, [alg.slice_space(d) for d in range(max_degree + 1)], max_degree):
         return PrincipalRadicalData(w, False, "lowest generator is not normal")
     ideal = two_sided_ideal_slices(alg, [w], max_degree)
     for d in range(max_degree + 1):

@@ -3,7 +3,7 @@
 Building on the component table (f_g), this module computes
 
 * the cocycles c_{g,h} with f_g f_h = c_{g,h} f_{gh} (left coefficients
-  over the fixed ring) and their normality,
+  over the fixed ring, from ``fixed_coefficient``) and their normality,
 * the Frobenius pairing the f_g induce over the top component generator,
 * the trace discriminant of A over its fixed ring, evaluated in an
   abstract commutative polynomial model on the detected fixed-ring
@@ -25,28 +25,33 @@ from .hopf import CharacterGroup, HopfAction, central_idempotents, winding_left_
 from .invariants import (
     ComponentReport,
     FixedRing,
+    minimal_component_generator,
     proportional,
     series_is_polynomial,
     series_quotient,
 )
-from .linalg import Matrix, Subspace, Vec, express, vec_addto, vec_scale, vec_to_dense
-from .ncalg import Elem, GradedAlgebra, mul_elem_space, mul_space_elem
+from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_addto, vec_scale, vec_to_dense
+from .ncalg import Elem, GradedAlgebra, cofactor, is_normal, products_inside
 from .scalars import Cyc, ONE, ZERO
 
 
 # ---------------------------------------------------------------------------
-# left coefficients over the fixed ring
+# coefficients over the fixed ring
 
 
-def left_coefficient(
-    alg: GradedAlgebra, fixed_slices: Sequence[Subspace], f: Elem, target: Elem
+def fixed_coefficient(
+    alg: GradedAlgebra, fixed_slices: Sequence[Subspace], f: Elem, target: Elem, side: str
 ) -> Elem | None:
-    """Solve target = r * f with r in the fixed ring; None if impossible."""
+    """Solve target = r * f (side "left") or target = f * r (side "right")
+    with r in the fixed ring; None if impossible."""
     rdeg = target.degree - f.degree
     if rdeg < 0 or rdeg >= len(fixed_slices):
         return None
     basis = fixed_slices[rdeg].basis()
-    prods = [alg.mul(b, rdeg, f.vec, f.degree) for b in basis]
+    if side == "left":
+        prods = [alg.mul(b, rdeg, f.vec, f.degree) for b in basis]
+    else:
+        prods = [alg.mul(f.vec, f.degree, b, rdeg) for b in basis]
     coeffs = express(alg.dim(target.degree), prods, target.vec)
     if coeffs is None:
         return None
@@ -92,7 +97,7 @@ def cocycle_table(
                     f"product f_{g0.labels[g]} f_{g0.labels[h]} overflows the bound"
                 )
                 continue
-            c = left_coefficient(alg, fixed.slices, fk, fg * fh)
+            c = fixed_coefficient(alg, fixed.slices, fk, fg * fh, side="left")
             if c is None:
                 complete = False
                 failures.append(
@@ -101,22 +106,13 @@ def cocycle_table(
                 )
                 continue
             table[g][h] = c
-            if c.degree > 0 and not _normal_in(alg, fixed.slices, c, max_degree):
+            if c.degree > 0 and not is_normal(alg, c, fixed.slices, max_degree):
                 normal = False
                 failures.append(
                     f"cocycle at ({g0.labels[g]}, {g0.labels[h]}) is not normal "
                     f"in the fixed ring"
                 )
     return CocycleData(table, complete, normal, failures)
-
-
-def _normal_in(
-    alg: GradedAlgebra, slices: Sequence[Subspace], c: Elem, max_degree: int
-) -> bool:
-    for e in range(max_degree - c.degree + 1):
-        if mul_elem_space(alg, c, slices[e], e) != mul_space_elem(alg, slices[e], e, c):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +448,7 @@ class AlgebraEndo:
         return cols
 
     def apply_vec(self, vec: Vec, degree: int) -> Vec:
-        cols = self.columns(degree)
-        out: Vec = {}
-        for k, c in vec.items():
-            vec_addto(out, cols[k], c)
-        return out
+        return apply_cols(self.columns(degree), vec)
 
     def apply(self, e: Elem) -> Elem:
         return Elem(self.alg, e.degree, self.apply_vec(e.vec, e.degree))
@@ -564,21 +556,12 @@ def nakayama_check(
             induced.append((r, None))
             induced_id = False
             continue
-        target = endo.apply(r) * j
-        gens = [
-            alg.mul(j.vec, j.degree, b, r.degree)
-            for b in fixed.slices[r.degree].basis()
-        ]
-        coeffs = express(alg.dim(target.degree), gens, target.vec)
-        if coeffs is None:
+        s = fixed_coefficient(alg, fixed.slices, j, endo.apply(r) * j, side="right")
+        if s is None:
             induced.append((r, None))
             induced_id = False
             failures.append("induced map on the fixed ring is undefined")
             continue
-        vec: Vec = {}
-        for c, b in zip(coeffs, fixed.slices[r.degree].basis()):
-            vec_addto(vec, b, c)
-        s = Elem(alg, r.degree, vec)
         induced.append((r, s))
         if s != r:
             induced_id = False
@@ -662,19 +645,10 @@ def steinberg_factorization(
             nxt_g = g0.table[g0.inverse[s]][gamma]
             if lengths.get(nxt_g) != lengths[gamma] - 1:
                 continue
-            fs = comp.f[s]
-            gens = [
-                alg.mul(fs.vec, 1, {k: ONE}, degree - 1)
-                for k in range(alg.dim(degree - 1))
-            ]
-            coeffs = express(alg.dim(degree), gens, vec)
-            if coeffs is None:
+            q = cofactor(alg, comp.f[s], Elem(alg, degree, vec), "left")
+            if q is None:
                 continue
-            rest = peel(
-                {k: c for k, c in enumerate(coeffs) if not c.is_zero()},
-                degree - 1,
-                nxt_g,
-            )
+            rest = peel(q.vec, degree - 1, nxt_g)
             if rest is not None:
                 return [s] + rest[0], rest[1]
         return None
@@ -760,18 +734,11 @@ def jacobian_transfer(
     """Transfer of the Jacobian to the grouplike-isotypic subalgebra:
     compute its component generators, locate the top one through the
     Hilbert route, and compare with the Jacobian of the full algebra."""
-    closed = True
-    for e in range(max_degree + 1):
-        for f in range(max_degree + 1 - e):
-            target = grouplike[e + f]
-            for u in grouplike[e].basis():
-                for v in grouplike[f].basis():
-                    if not target.contains(alg.mul(u, e, v, f)):
-                        closed = False
-                        break
-                else:
-                    continue
-                break
+    closed = all(
+        products_inside(alg, grouplike[e], e, grouplike[f], f, grouplike[e + f])
+        for e in range(max_degree + 1)
+        for f in range(max_degree + 1 - e)
+    )
     gdims = [s.dim for s in grouplike]
     xi = series_quotient(gdims, fixed.dims, max_degree)
     ok, top = series_is_polynomial(xi)
@@ -779,20 +746,14 @@ def jacobian_transfer(
         return TransferData(closed, xi, None, None, None,
                             "isotypic series is not polynomial over the fixed ring")
     identity = chars.group.identity
-    f_prime: list[Elem | None] = []
-    for i in range(len(chars)):
-        slices = [comp.slices[i][d].intersect(grouplike[d]) for d in range(max_degree + 1)]
-        start = 0 if i == identity else 1
-        found = None
-        for d in range(start, max_degree + 1):
-            if slices[d].dim == 1:
-                vec = slices[d].basis()[0]
-                lead = min(vec)
-                found = Elem(alg, d, {k: c * vec[lead].inverse() for k, c in vec.items()})
-                break
-            if slices[d].dim > 1:
-                break
-        f_prime.append(found)
+    f_prime = [
+        minimal_component_generator(
+            alg,
+            [comp.slices[i][d].intersect(grouplike[d]) for d in range(max_degree + 1)],
+            i == identity,
+        )[0]
+        for i in range(len(chars))
+    ]
     hits = [i for i, f in enumerate(f_prime) if f is not None and f.degree == top]
     if len(hits) != 1:
         return TransferData(closed, xi, None, None, None,

@@ -1,7 +1,13 @@
 """Independent brute-force oracles used to pin down engine expectations.
 
 ``dense_rref`` is the textbook dense Gauss-Jordan elimination that
-``Matrix.rref`` is checked against.
+``Matrix.rref`` is checked against; ``dense_eigenvectors`` reads the
+kernel of stacked C - lam rows off it, the reference for
+``linalg.eigenvectors``.
+
+``augmentation_module`` builds A * S_+ or S_+ * A from every slice of a
+subalgebra S, the reference for the covariant ideals, which the engine
+builds from the generators of S alone.
 
 The quotient oracle builds each graded slice the slow, obviously-correct
 way: enumerate every free word of the degree, span the full two-sided
@@ -13,8 +19,8 @@ forms exactly.
 from __future__ import annotations
 
 from ncreflect.exprs import FreePoly, Word, p_degree
-from ncreflect.linalg import SparseEch
-from ncreflect.scalars import Cyc, ONE, coerce
+from ncreflect.linalg import SparseEch, Subspace, apply_cols
+from ncreflect.scalars import ZERO, Cyc, ONE, coerce
 
 
 def dense_rref(rows: list[list]) -> tuple[list[list[Cyc]], list[int]]:
@@ -39,6 +45,47 @@ def dense_rref(rows: list[list]) -> tuple[list[list[Cyc]], list[int]]:
         pivots.append(col)
         r += 1
     return m, pivots
+
+
+def dense_eigenvectors(dim: int, maps) -> list[dict]:
+    """Common eigenvectors of maps given as (columns, lam): the right
+    kernel of the stacked dense rows of every C - lam, one sparse vector
+    per free column of its RREF, in ascending order."""
+    rows = [
+        [cols[c].get(r, ZERO) - (lam if c == r else ZERO) for c in range(dim)]
+        for cols, lam in maps
+        for r in range(dim)
+    ]
+    red, pivots = dense_rref(rows) if rows else ([], [])
+    out = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        v = [ZERO] * dim
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        out.append({k: x for k, x in enumerate(v) if not x.is_zero()})
+    return out
+
+
+def augmentation_module(alg, sub_slices, max_degree: int, side: str) -> list[Subspace]:
+    """Slices of A * S_+ (side "left") or S_+ * A (side "right"), by the
+    recursion M_d = S_d + sum_i x_i M_{d - w_i} (or M_{d - w_i} x_i)."""
+    out: list[Subspace] = []
+    for d in range(max_degree + 1):
+        acc = Subspace(alg.dim(d))
+        if 1 <= d < len(sub_slices):
+            for v in sub_slices[d].basis():
+                acc.add(v)
+        for i, w in enumerate(alg.weights):
+            if w <= d:
+                letter = alg.left_letter if side == "left" else alg.right_letter
+                cols = letter(i, d - w)
+                for v in out[d - w].basis():
+                    acc.add(apply_cols(cols, v))
+        out.append(acc)
+    return out
 
 
 def free_words(nletters: int, weights: list[int], degree: int) -> list[Word]:

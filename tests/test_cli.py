@@ -62,6 +62,21 @@ def test_validate_schema_error_carries_pointer(tmp_path, capsys):
     assert "at offset 0" in err
 
 
+def test_validate_relation_above_degree_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NCREFLECT_MAX_DEGREE", raising=False)
+    path = mutate_shipped(
+        tmp_path, "trivial", lambda d: d["algebra"]["relations"].append("x^40"))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "/algebra/relations/1: degree 40 exceeds the degree bound 12" in err
+
+
+def test_analyze_degree_bound_below_a_relation(capsys):
+    assert main(["analyze", spec_file("trivial"), "--max-degree", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "/algebra/relations/0: degree 2 exceeds the degree bound 1" in err
+
+
 def test_validate_corrupted_coproduct(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "4")
     path = mutate_shipped(

@@ -17,7 +17,7 @@ from ncreflect.hopf import (
     winding_left_cols,
     winding_right_cols,
 )
-from ncreflect.linalg import Matrix, apply_cols
+from ncreflect.linalg import Matrix, apply_cols, eigenvectors
 from ncreflect.ncalg import GradedAlgebra
 from ncreflect.presets.groups import cyclic_scaling_group, dihedral8, mystic_group
 from ncreflect.presets.kac import (
@@ -28,6 +28,8 @@ from ncreflect.presets.kac import (
     skew_plane,
 )
 from ncreflect.scalars import Cyc, I, MINUS_ONE, ONE, ZERO, zeta
+
+from oracles import dense_eigenvectors
 
 
 # -- groups -------------------------------------------------------------------
@@ -204,16 +206,14 @@ def test_kac_palyutkin_action_on_generators():
     assert act.act(xz, alg.element("v").vec, 1) == {0: MINUS_ONE}
 
 
-def test_action_matrix_agrees_with_columns():
+def test_eigenvectors_of_action_columns_match_dense_kernel():
     h = kac_palyutkin_hopf()
     alg = skew_plane()
     act = kac_palyutkin_action(h, alg)
-    for hh in range(8):
-        m = act.matrix(hh, 3)
-        for k in range(alg.dim(3)):
-            col = act.columns(hh, 3)[k]
-            dense = m.col(k)
-            assert {i: c for i, c in enumerate(dense) if not c.is_zero()} == col
+    for ch in kac_palyutkin_characters(h).chars:
+        for d in range(5):
+            maps = [(act.columns(hh, d), ch.values[hh]) for hh in range(8)]
+            assert eigenvectors(alg.dim(d), maps) == dense_eigenvectors(alg.dim(d), maps)
 
 
 def test_module_algebra_violation_is_reported():

@@ -21,7 +21,10 @@ from ncreflect.invariants import (
     proportional,
     series_quotient,
 )
+from ncreflect.ncalg import left_ideal_slices, right_ideal_slices
 from ncreflect.presets import catalog
+
+from oracles import augmentation_module
 
 _CACHE: dict = {}
 
@@ -60,6 +63,16 @@ def test_kac_component_generators():
 def test_kac_component_multiplicativity():
     p, comp, _, _ = bundle("e42-kacpalyutkin")
     assert check_component_multiplicativity(p.algebra, p.chars, comp.slices, 6) == []
+
+
+def test_component_multiplicativity_failure_is_reported():
+    p, comp, _, _ = bundle("e42-kacpalyutkin")
+    swapped = list(comp.slices)
+    eps, g = cidx(p, "eps"), cidx(p, "g")
+    swapped[eps], swapped[g] = swapped[g], swapped[eps]
+    bad = check_component_multiplicativity(p.algebra, p.chars, swapped, 6)
+    # A_g * A_g lands in A_eps, not in the slot now holding A_g
+    assert "A_eps * A_eps leaves A_eps in degree 4" in bad
 
 
 def test_kac_fixed_ring():
@@ -249,3 +262,21 @@ def test_supplied_hdet_mismatch_raises():
     wrong = cidx(p, "g")
     with pytest.raises(ValueError, match="supplied homological determinant"):
         homological_determinant(p.action, p.chars, comp, fixed, 8, supplied=wrong)
+
+
+# ---------------------------------------------------------------------------
+# covariant ideals against the slice-by-slice augmentation recursion
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_covariant_ideals_match_augmentation_module(name):
+    p, _, fixed, _ = bundle(name)
+    alg = p.algebra
+    left = augmentation_module(alg, fixed.slices, 8, "left")
+    right = augmentation_module(alg, fixed.slices, 8, "right")
+    assert left_ideal_slices(alg, fixed.gens, 8) == left
+    assert right_ideal_slices(alg, fixed.gens, 8) == right
+    cov = covariant_data(alg, fixed, 8)
+    assert cov.left_dims == [alg.dim(d) - left[d].dim for d in range(9)]
+    assert cov.right_dims == [alg.dim(d) - right[d].dim for d in range(9)]
+    assert cov.tepid == all(left[d] == right[d] for d in range(9))

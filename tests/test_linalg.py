@@ -7,6 +7,7 @@ from ncreflect.linalg import (
     Expressor,
     Matrix,
     Subspace,
+    eigenvectors,
     express,
     intersect_all,
     vec_addto,
@@ -15,7 +16,11 @@ from ncreflect.linalg import (
 )
 from ncreflect.scalars import Cyc, I, ONE, ZERO, zeta
 
-from oracles import dense_rref
+from oracles import dense_eigenvectors, dense_rref
+
+
+def cols_of(m: Matrix) -> list:
+    return [vec_from_dense(m.col(j)) for j in range(m.ncols)]
 
 
 def test_vector_helpers():
@@ -96,13 +101,9 @@ def test_matrix_products_and_apply():
 def test_rref_rank_kernel():
     m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert m.rank() == 2
-    ker = m.kernel()
+    ker = eigenvectors(3, [(cols_of(m), ZERO)])  # the kernel: eigenvalue 0
     assert len(ker) == 1
-    for row, expect in zip(m.rows, [ZERO] * 3):
-        acc = ZERO
-        for a, x in zip(row, ker[0]):
-            acc = acc + a * x
-        assert acc == expect
+    assert m.apply(vec_to_dense(ker[0], 3)) == [ZERO] * 3
 
 
 @pytest.mark.parametrize("conductor", [1, 8, 12])
@@ -132,6 +133,38 @@ def test_rref_matches_dense_gauss_jordan(conductor):
         assert red.nrows == len(rows)
 
 
+@pytest.mark.parametrize("conductor", [1, 8, 12])
+def test_eigenvectors_match_dense_kernel(conductor):
+    rng = random.Random(2000 + conductor)
+    units = [zeta(conductor, k) for k in range(conductor)]
+
+    def scalar():
+        return Cyc.rational(rng.randint(-3, 3), rng.randint(1, 2)) * rng.choice(units)
+
+    for _ in range(30):
+        dim = rng.randint(1, 6)
+        # each map is lam + left * right with one shared rank-deficient
+        # right factor, so the common eigenspace is often nonzero
+        rank = rng.randint(0, dim)
+        right = [[scalar() for _ in range(dim)] for _ in range(rank)]
+        maps = []
+        for _ in range(rng.randint(0, 3)):
+            lam = scalar()
+            left = [[scalar() for _ in range(rank)] for _ in range(dim)]
+            cols = []
+            for c in range(dim):
+                col = {}
+                for r in range(dim):
+                    x = sum((left[r][k] * right[k][c] for k in range(rank)), ZERO)
+                    if r == c:
+                        x = x + lam
+                    if not x.is_zero():
+                        col[r] = x
+                cols.append(col)
+            maps.append((cols, lam))
+        assert eigenvectors(dim, maps) == dense_eigenvectors(dim, maps)
+
+
 def test_solve():
     # the columns of M as generators: M x = b  <=>  b = sum x_j * col_j
     def solve(m, b):
@@ -147,8 +180,10 @@ def test_cyclotomic_entries():
     # eigenvectors of the swap matrix over Q(i)
     swap = Matrix([[0, 1], [1, 0]])
     for lam in (ONE, -ONE):
-        ker = (swap - Matrix.identity(2).scale(lam)).kernel()
+        ker = eigenvectors(2, [(cols_of(swap), lam)])
         assert len(ker) == 1
+        v = vec_to_dense(ker[0], 2)
+        assert swap.apply(v) == [lam * x for x in v]
     m = Matrix([[I, ONE], [ZERO, zeta(8, 1)]])
     assert m.rank() == 2
 

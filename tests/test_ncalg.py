@@ -3,20 +3,21 @@ import random
 import pytest
 
 from ncreflect.exprs import parse
+from ncreflect.linalg import Subspace
 from ncreflect.ncalg import (
     DegreeOverflow,
     Elem,
     GradedAlgebra,
-    augmentation_module_slices,
     left_ideal_slices,
     mul_space_elem,
+    products_inside,
     right_ideal_slices,
     subalgebra_slices,
     two_sided_ideal_slices,
 )
 from ncreflect.scalars import Cyc, I, ONE
 
-from oracles import QuotientOracle, free_words
+from oracles import QuotientOracle, augmentation_module, free_words
 
 
 def qp_relation(q):
@@ -193,9 +194,24 @@ def test_augmentation_module_matches_ideal():
     alg = quantum_plane(max_degree=8)
     u = alg.element("u")
     sub = subalgebra_slices(alg, [u], 8)
-    module = augmentation_module_slices(alg, sub, 8)
-    ideal = left_ideal_slices(alg, [u], 8)
-    assert module == ideal
+    assert augmentation_module(alg, sub, 8, "left") == left_ideal_slices(alg, [u], 8)
+    assert augmentation_module(alg, sub, 8, "right") == right_ideal_slices(alg, [u], 8)
+
+
+def test_products_inside(monkeypatch):
+    alg = quantum_plane(max_degree=6)
+    u_line = Subspace.span(2, [alg.element("u").vec])
+    v2_line = Subspace.span(3, [alg.element("v^2").vec])
+    uv_line = Subspace.span(3, [alg.element("u*v").vec])
+    assert not products_inside(alg, u_line, 1, u_line, 1, v2_line)  # u^2 escapes
+    v_line = Subspace.span(2, [alg.element("v").vec])
+    assert products_inside(alg, u_line, 1, v_line, 1, uv_line)
+    assert products_inside(alg, v_line, 1, u_line, 1, uv_line)  # v*u = i*u*v
+    assert not products_inside(alg, alg.slice_space(1), 1, v_line, 1, uv_line)
+    # a full target holds every product, so none is formed
+    monkeypatch.setattr(alg, "mul", None)
+    assert products_inside(alg, alg.slice_space(2), 2, alg.slice_space(1), 1,
+                           alg.slice_space(3))
 
 
 def test_mul_space_elem():
