@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import vec_addto
-from .scalars import Cyc, I, ONE, ZERO, coerce, zeta
+from .scalars import MAX_CONDUCTOR, Cyc, I, ONE, ZERO, coerce, zeta
 
 Word = tuple  # tuple[int, ...]
 FreePoly = dict  # dict[Word, Cyc]
@@ -158,16 +158,23 @@ class _Parser:
         if negate:
             acc = p_scale(acc, -1)
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op, _, off = self.next()
             t = self.term()
-            vec_addto(acc, t, ONE if op == "+" else Cyc.rational(-1))
+            try:
+                vec_addto(acc, t, ONE if op == "+" else Cyc.rational(-1))
+            except ValueError as e:  # roots of unity whose lcm is above MAX_CONDUCTOR
+                raise ExprError(str(e), off) from None
         return acc
 
     def term(self) -> FreePoly:
         acc = self.factor()
         while self.peek()[0] == "*":
-            self.next()
-            acc = p_mul(acc, self.factor())
+            off = self.next()[2]
+            rhs = self.factor()
+            try:
+                acc = p_mul(acc, rhs)
+            except ValueError as e:  # roots of unity whose lcm is above MAX_CONDUCTOR
+                raise ExprError(str(e), off) from None
         return acc
 
     def factor(self) -> FreePoly:
@@ -209,9 +216,15 @@ class _Parser:
             return p_const(I)
         m = re.fullmatch(r"z([0-9]+)", name)
         if m:
-            n = int(m.group(1))
-            if n < 1:
+            digits = m.group(1).lstrip("0")
+            if not digits:
                 raise ExprError("root-of-unity order must be positive", off)
+            # int() refuses strings of over 4300 digits; zeta refuses the
+            # shorter orders above MAX_CONDUCTOR
+            if len(digits) > len(str(MAX_CONDUCTOR)):
+                raise ExprError(
+                    f"root-of-unity order exceeds the maximum conductor {MAX_CONDUCTOR}", off)
+            n = int(digits)
             k = 1
             # negative exponents are only meaningful on scalars, so they
             # are consumed here rather than in factor()
@@ -222,7 +235,10 @@ class _Parser:
                 if ekind != "int":
                     raise ExprError("expected an integer exponent", eoff)
                 k = -evalue
-            return p_const(zeta(n, k))
+            try:
+                return p_const(zeta(n, k))
+            except ValueError as e:
+                raise ExprError(str(e), off) from None
         idx = self.gens.get(name)
         if idx is None:
             raise ExprError(f"unknown generator {name!r}", off)

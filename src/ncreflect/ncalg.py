@@ -47,6 +47,17 @@ class DegreeOverflow(RuntimeError):
         self.bound = bound
 
 
+class RelationAboveBound(ValueError):
+    """A relation whose degree exceeds the degree bound: no slice holds it."""
+
+    def __init__(self, index: int, relation: str, degree: int, bound: int):
+        super().__init__(f"relation {index} ({relation}): "
+                         f"degree {degree} exceeds the degree bound {bound}")
+        self.index = index
+        self.degree = degree
+        self.bound = bound
+
+
 class GradedAlgebra:
     def __init__(
         self,
@@ -63,13 +74,15 @@ class GradedAlgebra:
             raise ValueError("each generator needs a positive integer weight")
         self.relations: list[FreePoly] = []
         self.relation_degrees: list[int] = []
-        for rel in relations:
+        for i, rel in enumerate(relations):
             if not rel:
                 raise ValueError("zero relation")
             deg = p_degree(rel, self.weights)
             if deg is None or deg < 1:
                 raise ValueError(f"relation is not homogeneous of positive degree: "
                                  f"{show(rel, self.gen_names)}")
+            if deg > max_degree:
+                raise RelationAboveBound(i, show(rel, self.gen_names), deg, max_degree)
             self.relations.append(dict(rel))
             self.relation_degrees.append(deg)
         self.max_degree = max_degree

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from math import lcm
 from typing import NoReturn, Sequence
 
 from .exprs import ExprError, p_degree, parse, parse_scalar, show, show_scalar
@@ -50,9 +51,9 @@ from .hopf import (
     group_linear_characters,
 )
 from .linalg import Matrix, Vec
-from .ncalg import GradedAlgebra
+from .ncalg import GradedAlgebra, RelationAboveBound
 from .presets.catalog import Preset
-from .scalars import ZERO
+from .scalars import MAX_CONDUCTOR, ZERO
 
 SPEC_FORMAT = "ncreflect-spec/1"
 
@@ -89,17 +90,29 @@ def _escape(part) -> str:
 class _Node:
     """A raw JSON value together with its JSON-pointer path."""
 
-    __slots__ = ("value", "path")
+    __slots__ = ("value", "path", "conductor")
 
-    def __init__(self, value, path: str = ""):
+    def __init__(self, value, path: str = "", conductor: list[int] | None = None):
         self.value = value
         self.path = path
+        # one cell shared by the whole document: the lcm of the conductors
+        # of every scalar parsed so far, which later arithmetic may reach
+        self.conductor = [1] if conductor is None else conductor
 
     def fail(self, message: str) -> NoReturn:
         raise SpecSchemaError(self.path, message)
 
     def child(self, key) -> "_Node":
-        return _Node(self.value[key], f"{self.path}/{_escape(key)}")
+        return _Node(self.value[key], f"{self.path}/{_escape(key)}", self.conductor)
+
+    def _join(self, scalars) -> None:
+        n = self.conductor[0]
+        for c in scalars:
+            n = lcm(n, c.n)
+        if n > MAX_CONDUCTOR:
+            self.fail(f"the scalars of the document need conductor {n}, "
+                      f"above the maximum {MAX_CONDUCTOR}")
+        self.conductor[0] = n
 
     def keys(self, required: Sequence[str], optional: Sequence[str] = ()) -> dict[str, "_Node"]:
         if not isinstance(self.value, dict):
@@ -144,16 +157,20 @@ class _Node:
     def expr(self, gens: Sequence[str]):
         text = self.as_str()
         try:
-            return parse(text, gens)
+            poly = parse(text, gens)
         except ExprError as e:
             self.fail(str(e))
+        self._join(poly.values())
+        return poly
 
     def scalar(self):
         text = self.as_str()
         try:
-            return parse_scalar(text)
+            c = parse_scalar(text)
         except ExprError as e:
             self.fail(str(e))
+        self._join([c])
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +255,10 @@ def parse_document(doc) -> InputSpec:
     fmt = top["format"].as_str()
     if fmt != SPEC_FORMAT:
         top["format"].fail(f"unsupported format {fmt!r} (this reader takes {SPEC_FORMAT!r})")
-    conductor = top["field"].keys(["conductor"])["conductor"].as_int(1)
+    conductor_node = top["field"].keys(["conductor"])["conductor"]
+    conductor = conductor_node.as_int(1)
+    if conductor > MAX_CONDUCTOR:
+        conductor_node.fail(f"conductor {conductor} exceeds the maximum {MAX_CONDUCTOR}")
     generators, relations = _parse_algebra(top["algebra"])
     gen_names = [n for n, _ in generators]
     weights = [w for _, w in generators]
@@ -492,12 +512,11 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
     D = max_degree if max_degree is not None else (spec.max_degree or 12)
     gen_names = spec.gen_names
     rels = [parse(t, gen_names) for t in spec.relations]
-    for i, rel in enumerate(rels):
-        deg = p_degree(rel, spec.weights) if rel else None
-        if deg is not None and deg > D:
-            raise SpecSchemaError(f"/algebra/relations/{i}",
-                                  f"degree {deg} exceeds the degree bound {D}")
-    alg = GradedAlgebra(gen_names, rels, weights=spec.weights, max_degree=D)
+    try:
+        alg = GradedAlgebra(gen_names, rels, weights=spec.weights, max_degree=D)
+    except RelationAboveBound as e:
+        raise SpecSchemaError(f"/algebra/relations/{e.index}",
+                              f"degree {e.degree} exceeds the degree bound {e.bound}") from None
     data = spec.action
     options: dict = {"hdet": spec.hdet, "nakayama": None}
     if data.kind == "group":

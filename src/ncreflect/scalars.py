@@ -1,25 +1,40 @@
 """Exact arithmetic in cyclotomic fields.
 
 Every scalar used by the engine is an element of Q(zeta_N), stored as the
-unique residue modulo the N-th cyclotomic polynomial Phi_N with Fraction
-coefficients (length phi(N)).  Reducing modulo Phi_N rather than z^N - 1
-makes the representation a field, so equality is coefficient equality and
-zero-testing is exact — which is what every rank computation downstream
-leans on.
+unique residue modulo the N-th cyclotomic polynomial Phi_N: a conductor
+``n``, a tuple ``nums`` of phi(n) integer numerators and one integer
+denominator ``den``, the value being sum_j nums[j] * zeta_n^j / den.
+Reducing modulo Phi_N rather than z^N - 1 makes the representation a
+field, so equality is coefficient equality and zero-testing is exact —
+which is what every rank computation downstream leans on.
+
+Normal form: ``den > 0``, ``gcd(den, *nums) == 1``, and a rational value
+has conductor 1 (``nums`` of length 1), so the common rational case never
+pays cyclotomic overhead.  Phi_N is monic with integer coefficients, so
+zeta_N^e reduced modulo Phi_N has integer coefficients: a product
+convolves integer numerators and reduces them with integer rows, and no
+``Fraction`` is built on an arithmetic path.  ``c`` and ``key()`` give
+the coefficients as ``Fraction`` values for printing and hashing.
 
 Mixed-conductor arithmetic promotes both operands to the least common
-conductor via the standard embedding zeta_N -> zeta_M^(M/N).  Values are
-immutable; the per-conductor tables are filled idempotently, so concurrent
-readers are safe.
+conductor via the standard embedding zeta_N -> zeta_M^(M/N); a rational
+operand joins at coefficient 0 with no table.  Values are immutable; the
+per-conductor tables are filled idempotently, so concurrent readers are
+safe.  No table is built for a conductor above ``MAX_CONDUCTOR``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from operator import add, neg, sub
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+# The largest conductor the scalar layer builds tables for.  The tables of
+# conductor N walk up to N powers of zeta_N and hold up to phi(N)^2
+# integers, and a product there costs phi(N)^2 integer operations, so the
+# bound keeps a hostile input from an unbounded allocation.
+MAX_CONDUCTOR = 1000
 
 
 def euler_phi(n: int) -> int:
@@ -80,6 +95,8 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     got = _PHI.get(n)
     if got is not None:
         return got
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor {n} exceeds the maximum {MAX_CONDUCTOR}")
     if n == 1:
         poly = (-1, 1)
     else:
@@ -92,59 +109,92 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return poly
 
 
-_POW: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
-
-
-def _powtab(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row e is zeta_n^e reduced modulo Phi_n, for 0 <= e < n."""
-    got = _POW.get(n)
-    if got is not None:
-        return got
-    phi = euler_phi(n)
-    top = [-Fraction(c) for c in cyclotomic(n)[:phi]]  # z^phi = top(z)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [F0] * phi
-    cur[0] = F1
-    for _ in range(n):
-        rows.append(tuple(cur))
-        spill = cur[phi - 1]
-        cur = [F0] + cur[: phi - 1]
+def _power_rows(n: int):
+    """zeta_n^e reduced modulo Phi_n, for e = 0, 1, 2, ... in turn."""
+    poly = cyclotomic(n)
+    phi = len(poly) - 1
+    top = [-c for c in poly[:phi]]  # z^phi = top(z)
+    cur = [0] * phi
+    cur[0] = 1
+    while True:
+        yield tuple(cur)
+        spill = cur[-1]
+        cur = [0] + cur[:-1]
         if spill:
             cur = [a + spill * t for a, t in zip(cur, top)]
-    tab = tuple(rows)
-    _POW[n] = tab
-    return tab
 
 
-_EMB: dict[tuple[int, int], tuple[tuple[Fraction, ...], ...]] = {}
+_RED: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i holds the nonzero (t, c) of zeta_n^(phi + i) modulo Phi_n,
+    for the exponents phi .. 2 phi - 2 a product of residues reaches."""
+    got = _RED.get(n)
+    if got is None:
+        phi = euler_phi(n)
+        rows = islice(_power_rows(n), phi, 2 * phi - 1)
+        got = _RED[n] = tuple(
+            tuple((t, c) for t, c in enumerate(row) if c) for row in rows)
+    return got
+
+
+_EMB: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 _SUBFIELD: dict[tuple[int, int], object] = {}  # (d, n) -> linalg.Expressor of _embtab(d, n)
 
 
-def _embtab(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
+def _embtab(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Row j is zeta_n^j expressed in the conductor-m basis (n divides m)."""
     got = _EMB.get((n, m))
-    if got is not None:
-        return got
-    step = m // n
-    pw = _powtab(m)
-    tab = tuple(pw[(j * step) % m] for j in range(euler_phi(n)))
-    _EMB[(n, m)] = tab
-    return tab
+    if got is None:
+        step = m // n
+        got = _EMB[(n, m)] = tuple(
+            islice(_power_rows(m), 0, (euler_phi(n) - 1) * step + 1, step))
+    return got
 
 
-def _poly_inverse(a: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
+# ---------------------------------------------------------------------------
+# arithmetic on integer numerator tuples at one conductor
+
+
+def _mul_nums(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a * b modulo Phi_n, for numerator tuples a and b at conductor n."""
+    if n == 4:
+        # Q(i) carries most cyclotomic products of the shipped presets, and
+        # the closed form skips the list and the loops of the 2^k path below
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                conv[k] += x * y
+    if not n & (n - 1):
+        # Phi_n = z^phi + 1 for n a power of two: z^(phi + t) = -z^t
+        return tuple(map(sub, conv[:phi - 1], conv[phi:])) + (conv[phi - 1],)
+    out = conv[:phi]
+    for ce, row in zip(conv[phi:], _reduction_rows(n)):
+        if ce:
+            for t, r in row:
+                out[t] += ce * r
+    return tuple(out)
+
+
+def _poly_inverse(a: tuple[int, ...], phi: tuple[int, ...]) -> list[Fraction]:
     """Inverse of a modulo Phi (extended Euclid over Q[z])."""
 
-    def strip(p: list[Fraction]) -> list[Fraction]:
+    def strip(p: list) -> list:
         while p and not p[-1]:
             p.pop()
         return p
 
-    r0, r1 = [Fraction(c) for c in phi], strip(list(a))
+    r0, r1 = [Fraction(c) for c in phi], strip([Fraction(c) for c in a])
     s0: list[Fraction] = []
-    s1: list[Fraction] = [F1]
+    s1: list[Fraction] = [Fraction(1)]
     while r1:
-        q = [F0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
         r = list(r0)
         for k in range(len(q) - 1, -1, -1):
             c = r[k + len(r1) - 1] / r1[-1]
@@ -153,12 +203,12 @@ def _poly_inverse(a: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
                 for j, dj in enumerate(r1):
                     r[k + j] -= c * dj
         strip(r)
-        qs1 = [F0] * (len(q) + len(s1) - 1) if (q and s1) else []
+        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if (q and s1) else []
         for i, qi in enumerate(q):
             if qi:
                 for j, sj in enumerate(s1):
                     qs1[i + j] += qi * sj
-        news = [F0] * max(len(s0), len(qs1))
+        news = [Fraction(0)] * max(len(s0), len(qs1))
         for i, c in enumerate(s0):
             news[i] += c
         for i, c in enumerate(qs1):
@@ -166,60 +216,143 @@ def _poly_inverse(a: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
         r0, r1, s0, s1 = r1, r, s1, strip(news)
     if len(r0) != 1:
         raise ZeroDivisionError("scalar division by zero")
-    inv_lead = F1 / r0[0]
-    return [c * inv_lead for c in s0]
+    return [c / r0[0] for c in s0]
+
+
+_new = object.__new__
+
+
+def _raw(n: int, nums: tuple[int, ...], den: int) -> "Cyc":
+    """A Cyc from parts already in normal form."""
+    x = _new(Cyc)
+    x.n = n
+    x.nums = nums
+    x.den = den
+    return x
+
+
+def _make(n: int, nums: tuple[int, ...], den: int) -> "Cyc":
+    """A Cyc from parts with den > 0, brought to normal form."""
+    if n != 1 and not any(nums[1:]):
+        n, nums = 1, nums[:1]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(map(g.__rfloordiv__, nums))
+            den //= g
+    return _raw(n, nums, den)
+
+
+def _from_fractions(n: int, c) -> "Cyc":
+    """The Cyc with power-basis coefficients c (ints or Fractions)."""
+    fracs = [Fraction(x) for x in c]
+    den = 1
+    for f in fracs:
+        den = _lcm(den, f.denominator)
+    return _make(n, tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+
+def _scale(x: "Cyc", p: int, q: int) -> "Cyc":
+    """x * p / q for a nonzero rational p / q in lowest terms, q > 0."""
+    nums, den = x.nums, x.den
+    if den != 1:
+        g = gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+    if q != 1:
+        g = gcd(q, *nums)
+        if g != 1:
+            q //= g
+            nums = tuple(map(g.__rfloordiv__, nums))
+    if p != 1:
+        nums = tuple(map(p.__mul__, nums))
+    return _raw(x.n, nums, q * den)
+
+
+def _combine(a: "Cyc", b: "Cyc", op) -> "Cyc":
+    """a + b (op = operator.add) or a - b (op = operator.sub)."""
+    n = a.n
+    da, db = a.den, b.den
+    if n == b.n:
+        if da == db:
+            return _make(n, tuple(map(op, a.nums, b.nums)), da)
+        an, bn = a.nums, b.nums
+    elif n == 1:
+        n = b.n
+        an, bn = a.nums + (0,) * (len(b.nums) - 1), b.nums
+    elif b.n == 1:
+        an, bn = a.nums, b.nums + (0,) * (len(a.nums) - 1)
+    else:
+        n = _lcm(n, b.n)
+        an, bn = a._lift(n), b._lift(n)
+        if da == db:
+            return _make(n, tuple(map(op, an, bn)), da)
+    # a / da op b / db over (da / g) * db, as Fraction adds: only primes
+    # dividing g = gcd(da, db) can divide both the result and that
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    nums = tuple(map(op, map(sa.__mul__, an), map(sb.__mul__, bn)))
+    den = sb * db
+    if n != 1 and not any(nums[1:]):
+        n, nums = 1, nums[:1]
+    if g != 1:
+        g = gcd(g, *nums)
+        if g != 1:
+            nums = tuple(map(g.__rfloordiv__, nums))
+            den //= g
+    return _raw(n, nums, den)
 
 
 # ---------------------------------------------------------------------------
 
 
 class Cyc:
-    """An element of Q(zeta_n): Fraction coefficients modulo Phi_n.
+    """An element of Q(zeta_n): integer numerators over one denominator,
+    modulo Phi_n, in the normal form of the module docstring.
 
-    Internal invariant: if the value is rational the conductor is 1, so
-    the common rational case never pays cyclotomic overhead.
+    ``Cyc(n, coeffs)`` takes the phi(n) power-basis coefficients as ints
+    or Fractions.
     """
 
-    __slots__ = ("n", "c", "_key")
+    __slots__ = ("n", "nums", "den", "_key")  # _key is set by key()
 
-    def __init__(self, n: int, c: tuple[Fraction, ...]):
-        if n != 1 and not any(c[1:]):
-            n, c = 1, (c[0],)
-        self.n = n
-        self.c = c
-        self._key = None
+    def __init__(self, n: int, c):
+        x = _from_fractions(n, c)
+        self.n, self.nums, self.den = x.n, x.nums, x.den
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def rational(p, q: int = 1) -> "Cyc":
-        return Cyc(1, (Fraction(p, q),))
+        f = Fraction(p, q)
+        return _raw(1, (f.numerator,), f.denominator)
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- coercion and promotion ---------------------------------------
 
-    def _lift(self, m: int) -> tuple[Fraction, ...]:
+    def _lift(self, m: int) -> tuple[int, ...]:
+        """The numerators at conductor m (a multiple of n), same den."""
         if m == self.n:
-            return self.c
+            return self.nums
         emb = _embtab(self.n, m)
-        out = [F0] * euler_phi(m)
-        for j, cj in enumerate(self.c):
+        out = [0] * len(emb[0])
+        for cj, row in zip(self.nums, emb):
             if cj:
-                row = emb[j]
-                for t in range(len(out)):
-                    if row[t]:
-                        out[t] += cj * row[t]
+                for t, r in enumerate(row):
+                    if r:
+                        out[t] += cj * r
         return tuple(out)
-
-    def _join(self, other: "Cyc") -> tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]]:
-        if self.n == other.n:
-            return self.n, self.c, other.c
-        m = _lcm(self.n, other.n)
-        return m, self._lift(m), other._lift(m)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.n == 1 and not self.c[0]
+        return self.n == 1 and not self.nums[0]
 
     def is_rational(self) -> bool:
         return self.n == 1
@@ -227,7 +360,7 @@ class Cyc:
     def as_fraction(self) -> Fraction:
         if self.n != 1:
             raise ValueError("not a rational scalar")
-        return self.c[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -235,69 +368,72 @@ class Cyc:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "Cyc":
-        other = coerce(other)
-        if self.n == 1 and other.n == 1:
-            return Cyc(1, (self.c[0] + other.c[0],))
-        n, a, b = self._join(other)
-        return Cyc(n, tuple(x + y for x, y in zip(a, b)))
+        if type(other) is not Cyc:
+            other = coerce(other)
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Cyc":
-        other = coerce(other)
-        if self.n == 1 and other.n == 1:
-            return Cyc(1, (self.c[0] - other.c[0],))
-        n, a, b = self._join(other)
-        return Cyc(n, tuple(x - y for x, y in zip(a, b)))
+        if type(other) is not Cyc:
+            other = coerce(other)
+        return _combine(self, other, sub)
 
     def __rsub__(self, other) -> "Cyc":
         return coerce(other).__sub__(self)
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, tuple(-x for x in self.c))
+        return _raw(self.n, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other) -> "Cyc":
-        other = coerce(other)
+        if type(other) is not Cyc:
+            other = coerce(other)
         if self.n == 1:
-            q = self.c[0]
-            if not q:
+            p = self.nums[0]
+            if not p:
                 return ZERO
-            return Cyc(other.n, tuple(q * x for x in other.c))
+            if other.n == 1:
+                # p / q * r / s, cancelled as Fraction multiplies
+                q, r, s = self.den, other.nums[0], other.den
+                if q == 1 and s == 1:
+                    return _raw(1, (p * r,), 1)
+                g1, g2 = gcd(p, s), gcd(r, q)
+                return _raw(1, ((p // g1) * (r // g2),), (q // g2) * (s // g1))
+            return _scale(other, p, self.den)
         if other.n == 1:
-            q = other.c[0]
-            if not q:
-                return ZERO
-            return Cyc(self.n, tuple(q * x for x in self.c))
-        n, a, b = self._join(other)
-        phi = len(a)
-        conv = [F0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:phi]
-        pw = _powtab(n)
-        for e in range(phi, 2 * phi - 1):
-            ce = conv[e]
-            if ce:
-                row = pw[e % n]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += ce * row[t]
-        return Cyc(n, tuple(out))
+            p = other.nums[0]
+            return _scale(self, p, other.den) if p else ZERO
+        n = self.n
+        if n == other.n:
+            nums = _mul_nums(n, self.nums, other.nums)
+        else:
+            n = _lcm(n, other.n)
+            nums = _mul_nums(n, self._lift(n), other._lift(n))
+        return _make(n, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        if self.n == 1:
-            if not self.c[0]:
+        n, nums, den = self.n, self.nums, self.den
+        if n == 1:
+            p = nums[0]
+            if not p:
                 raise ZeroDivisionError("scalar division by zero")
-            return Cyc(1, (1 / self.c[0],))
-        inv = _poly_inverse(list(self.c), cyclotomic(self.n))
-        phi = euler_phi(self.n)
-        inv += [F0] * (phi - len(inv))
-        return Cyc(self.n, tuple(inv[:phi]))
+            return _raw(1, (den,), p) if p > 0 else _raw(1, (-den,), -p)
+        poly = cyclotomic(n)
+        if len(nums) == 2:
+            # phi = 2 (conductors 3 and 4, which carry most inverses of the
+            # shipped presets) in closed form, with no Fraction built: the
+            # conjugate of z is -p1 - z since z^2 = -p0 - p1 z, so
+            # (a0 + a1 z)(a0 - a1 p1 - a1 z) is the norm a0^2 - p1 a0 a1 + p0 a1^2
+            (a0, a1), (p0, p1) = nums, poly[:2]
+            norm = a0 * a0 - p1 * a0 * a1 + p0 * a1 * a1
+            conj = ((a0 - a1 * p1) * den, -a1 * den)
+            if norm < 0:
+                norm, conj = -norm, (-conj[0], -conj[1])
+            return _make(n, conj, norm)
+        inv = _poly_inverse(nums, poly)
+        return _from_fractions(n, [den * x for x in inv] + [0] * (len(nums) - len(inv)))
 
     def __truediv__(self, other) -> "Cyc":
         return self * coerce(other).inverse()
@@ -323,14 +459,17 @@ class Cyc:
             return NotImplemented
         other = coerce(other)
         if self.n == other.n:
-            return self.c == other.c
-        n, a, b = self._join(other)
-        return a == b
+            return self.nums == other.nums and self.den == other.den
+        m = _lcm(self.n, other.n)
+        da, db = self.den, other.den
+        return all(x * db == y * da for x, y in zip(self._lift(m), other._lift(m)))
 
     def key(self) -> tuple:
-        """Canonical hashable form: coefficients at the minimal conductor."""
-        if self._key is not None:
+        """Canonical hashable form: (minimal conductor, Fraction coefficients)."""
+        try:
             return self._key
+        except AttributeError:
+            pass
         n, c = self.n, self.c
         if n != 1:
             for d in divisors(n)[:-1]:
@@ -346,7 +485,7 @@ class Cyc:
 
     def __repr__(self) -> str:
         if self.n == 1:
-            return f"Cyc({self.c[0]})"
+            return f"Cyc({self.as_fraction()})"
         return f"Cyc(z{self.n}:{list(self.c)})"
 
 
@@ -359,14 +498,16 @@ def _express_in_subfield(c: tuple[Fraction, ...], d: int, n: int) -> tuple[Fract
         ex = Expressor(len(c), [vec_from_dense(row) for row in _embtab(d, n)])
         _SUBFIELD[(d, n)] = ex
     sol = ex.coeffs(vec_from_dense(c))
-    return None if sol is None else tuple(x.c[0] for x in sol)
+    return None if sol is None else tuple(x.as_fraction() for x in sol)
 
 
 def coerce(x) -> Cyc:
     if isinstance(x, Cyc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Cyc(1, (Fraction(x),))
+    if isinstance(x, int):
+        return _raw(1, (int(x),), 1)
+    if isinstance(x, Fraction):
+        return _raw(1, (x.numerator,), x.denominator)
     raise TypeError(f"cannot use {type(x).__name__} as a scalar")
 
 
@@ -388,7 +529,7 @@ def zeta(n: int, k: int = 1) -> Cyc:
         m = n // 2
         r = zeta(m, (k * ((m + 1) // 2)) % m)
         return r if k % 2 == 0 else -r
-    return Cyc(n, _powtab(n)[k])
+    return _raw(n, next(islice(_power_rows(n), k, None)), 1)
 
 
 ZERO = Cyc.rational(0)

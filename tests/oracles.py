@@ -9,6 +9,12 @@ kernel of stacked C - lam rows off it, the reference for
 subalgebra S, the reference for the covariant ideals, which the engine
 builds from the generators of S alone.
 
+``FractionCyc`` is the textbook cyclotomic scalar: ``Fraction``
+coefficients modulo Phi_n, products by convolution and power-table
+reduction, inverses by the extended Euclidean algorithm over Q[z], and
+``key()`` by a dense solve against the embedded subfield bases.  It is
+the reference for the integer representation of ``scalars.Cyc``.
+
 The quotient oracle builds each graded slice the slow, obviously-correct
 way: enumerate every free word of the degree, span the full two-sided
 relation-ideal slice u * rho * v inside the free slice, and eliminate.
@@ -18,9 +24,12 @@ forms exactly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.linalg import SparseEch, Subspace, apply_cols
-from ncreflect.scalars import ZERO, Cyc, ONE, coerce
+from ncreflect.scalars import ZERO, Cyc, ONE, coerce, cyclotomic, divisors, euler_phi
 
 
 def dense_rref(rows: list[list]) -> tuple[list[list[Cyc]], list[int]]:
@@ -140,3 +149,195 @@ class QuotientOracle:
         words, idx, ech, _ = self.slice(degree)
         reduced = ech.reduce({idx[word]: ONE})
         return {words[c]: coeff for c, coeff in reduced.items()}
+
+
+# ---------------------------------------------------------------------------
+# the Fraction cyclotomic scalar
+
+
+_FRACTION_POW: dict[int, list[tuple[Fraction, ...]]] = {}
+
+
+def _fraction_powtab(n: int) -> list[tuple[Fraction, ...]]:
+    """Row e is zeta_n^e reduced modulo Phi_n, for 0 <= e < n."""
+    if n in _FRACTION_POW:
+        return _FRACTION_POW[n]
+    phi = euler_phi(n)
+    top = [-Fraction(c) for c in cyclotomic(n)[:phi]]  # z^phi = top(z)
+    rows = []
+    cur = [Fraction(0)] * phi
+    cur[0] = Fraction(1)
+    for _ in range(n):
+        rows.append(tuple(cur))
+        spill = cur[phi - 1]
+        cur = [Fraction(0)] + cur[: phi - 1]
+        if spill:
+            cur = [a + spill * t for a, t in zip(cur, top)]
+    _FRACTION_POW[n] = rows
+    return rows
+
+
+def _fraction_embtab(n: int, m: int) -> list[tuple[Fraction, ...]]:
+    """Row j is zeta_n^j expressed in the conductor-m basis (n divides m)."""
+    pw = _fraction_powtab(m)
+    return [pw[(j * (m // n)) % m] for j in range(euler_phi(n))]
+
+
+def _fraction_poly_inverse(a: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
+    """Inverse of a modulo Phi (extended Euclid over Q[z])."""
+
+    def strip(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    r0, r1 = [Fraction(c) for c in phi], strip(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
+        r = list(r0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + len(r1) - 1] / r1[-1]
+            q[k] = c
+            if c:
+                for j, dj in enumerate(r1):
+                    r[k + j] -= c * dj
+        strip(r)
+        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if (q and s1) else []
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                qs1[i + j] += qi * sj
+        news = [Fraction(0)] * max(len(s0), len(qs1))
+        for i, c in enumerate(s0):
+            news[i] += c
+        for i, c in enumerate(qs1):
+            news[i] -= c
+        r0, r1, s0, s1 = r1, r, s1, strip(news)
+    if len(r0) != 1:
+        raise ZeroDivisionError("scalar division by zero")
+    return [c / r0[0] for c in s0]
+
+
+def _fraction_solve(rows: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
+    """x with sum_j x_j rows[j] == target, or None (rows independent)."""
+    k, dim = len(rows), len(target)
+    # augmented system: one equation per coordinate, one unknown per row
+    m = [[rows[j][t] for j in range(k)] + [target[t]] for t in range(dim)]
+    r = 0
+    pivots = []
+    for col in range(k):
+        hit = next((i for i in range(r, dim) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(dim):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    if any(m[i][k] for i in range(r, dim)):
+        return None
+    x = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        x[col] = m[i][k]
+    return tuple(x)
+
+
+class FractionCyc:
+    """An element of Q(zeta_n): Fraction coefficients modulo Phi_n.
+
+    The same invariant as ``Cyc``: a rational value has conductor 1.
+    """
+
+    __slots__ = ("n", "c")
+
+    def __init__(self, n: int, c):
+        c = tuple(Fraction(x) for x in c)
+        if n != 1 and not any(c[1:]):
+            n, c = 1, (c[0],)
+        self.n = n
+        self.c = c
+
+    def _lift(self, m: int) -> tuple[Fraction, ...]:
+        if m == self.n:
+            return self.c
+        out = [Fraction(0)] * euler_phi(m)
+        for cj, row in zip(self.c, _fraction_embtab(self.n, m)):
+            for t in range(len(out)):
+                out[t] += cj * row[t]
+        return tuple(out)
+
+    def _join(self, other):
+        if not isinstance(other, FractionCyc):
+            other = FractionCyc(1, (other,))
+        m = self.n * other.n // gcd(self.n, other.n)
+        return m, self._lift(m), other._lift(m)
+
+    def is_zero(self) -> bool:
+        return self.n == 1 and not self.c[0]
+
+    def is_rational(self) -> bool:
+        return self.n == 1
+
+    def as_fraction(self) -> Fraction:
+        if self.n != 1:
+            raise ValueError("not a rational scalar")
+        return self.c[0]
+
+    def __add__(self, other):
+        n, a, b = self._join(other)
+        return FractionCyc(n, [x + y for x, y in zip(a, b)])
+
+    def __sub__(self, other):
+        n, a, b = self._join(other)
+        return FractionCyc(n, [x - y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return FractionCyc(self.n, [-x for x in self.c])
+
+    def __mul__(self, other):
+        n, a, b = self._join(other)
+        phi = len(a)
+        conv = [Fraction(0)] * (2 * phi - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+        out = conv[:phi]
+        pw = _fraction_powtab(n) if phi > 1 else None
+        for e in range(phi, 2 * phi - 1):
+            for t in range(phi):
+                out[t] += conv[e] * pw[e % n][t]
+        return FractionCyc(n, out)
+
+    def inverse(self):
+        if self.n == 1:
+            if not self.c[0]:
+                raise ZeroDivisionError("scalar division by zero")
+            return FractionCyc(1, (1 / self.c[0],))
+        inv = _fraction_poly_inverse(list(self.c), cyclotomic(self.n))
+        phi = euler_phi(self.n)
+        return FractionCyc(self.n, (inv + [Fraction(0)] * phi)[:phi])
+
+    def __truediv__(self, other):
+        if not isinstance(other, FractionCyc):
+            other = FractionCyc(1, (other,))
+        return self * other.inverse()
+
+    def __eq__(self, other) -> bool:
+        n, a, b = self._join(other)
+        return a == b
+
+    def key(self) -> tuple:
+        """Coefficients at the minimal conductor."""
+        n, c = self.n, self.c
+        if n != 1:
+            for d in divisors(n)[:-1]:
+                sol = _fraction_solve(_fraction_embtab(d, n), c)
+                if sol is not None:
+                    return d, sol
+        return n, c
+
+    def __hash__(self) -> int:
+        return hash(self.key())

@@ -8,6 +8,7 @@ import pytest
 
 from ncreflect.cli import main
 from ncreflect.presets import catalog
+from ncreflect.scalars import MAX_CONDUCTOR
 
 
 def spec_file(name: str):
@@ -75,6 +76,55 @@ def test_analyze_degree_bound_below_a_relation(capsys):
     assert main(["analyze", spec_file("trivial"), "--max-degree", "1"]) == 2
     err = capsys.readouterr().err
     assert "/algebra/relations/0: degree 2 exceeds the degree bound 1" in err
+
+
+def test_validate_conductor_above_maximum(tmp_path, capsys):
+    path = mutate_shipped(
+        tmp_path, "trivial", lambda d: d["field"].__setitem__("conductor", 1000000000))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert f"/field/conductor: conductor 1000000000 exceeds the maximum {MAX_CONDUCTOR}" in err
+
+
+@pytest.mark.parametrize("relation, offset", [
+    ("z1000000000*y*x - x*y", 0),
+    ("y*x - z2000*x*y", 6),
+    ("z" + "9" * 5000 + "*y*x - x*y", 0),  # beyond what int() converts
+    ("y*x - (z997*z991)*x*y", 11),  # each root is allowed, their product is not
+])
+def test_validate_root_of_unity_above_maximum(tmp_path, capsys, relation, offset):
+    path = mutate_shipped(
+        tmp_path, "trivial", lambda d: d["algebra"]["relations"].__setitem__(0, relation))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "/algebra/relations/0: " in err
+    assert "exceeds the maximum" in err and f"at offset {offset}" in err
+
+
+def _relations(*texts):
+    return lambda d: d["algebra"].__setitem__("relations", list(texts))
+
+
+def _relation_and_image(relation, image):
+    def fn(d):
+        d["algebra"]["relations"][0] = relation
+        d["action"]["matrices"]["e"][0] = image
+    return fn
+
+
+@pytest.mark.parametrize("mutation, pointer", [
+    (_relations("z997*x*y - z991*y*x"), "/algebra/relations/0"),
+    (_relations("y*x - z997*x*y", "z991*x*x*y - x*y*x"), "/algebra/relations/1"),
+    (_relation_and_image("y*x - z997*x*y", "z991*x"), "/action/matrices/e/0"),
+])
+def test_validate_scalars_whose_lcm_is_above_maximum(tmp_path, capsys, mutation, pointer):
+    # each root is allowed and no expression multiplies them, but the
+    # elimination over the whole document would need conductor 997 * 991
+    path = mutate_shipped(tmp_path, "trivial", mutation)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert (f"{pointer}: the scalars of the document need conductor 988027, "
+            f"above the maximum {MAX_CONDUCTOR}") in err
 
 
 def test_validate_corrupted_coproduct(tmp_path, capsys, monkeypatch):
@@ -175,6 +225,12 @@ def test_preset_run_unknown_name(capsys):
 def test_preset_run_rejects_degenerate_mystic_parameters(params, capsys):
     assert main(["preset", "run", f"l41-mystic({params})"]) == 2
     assert "alpha >= 1 and beta >= 2" in capsys.readouterr().err
+
+
+def test_preset_run_degree_bound_below_a_relation(capsys):
+    assert main(["preset", "run", "trivial", "--max-degree", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "relation 0 (-x*y + y*x): degree 2 exceeds the degree bound 1" in err
 
 
 def test_preset_run_degree_override_skips_comparison(capsys):

@@ -8,6 +8,7 @@ from ncreflect.ncalg import (
     DegreeOverflow,
     Elem,
     GradedAlgebra,
+    RelationAboveBound,
     left_ideal_slices,
     mul_space_elem,
     products_inside,
@@ -154,6 +155,10 @@ def test_rejects_bad_presentations():
         GradedAlgebra(["x", "y"], [], weights=[1])
     with pytest.raises(ValueError):
         GradedAlgebra(["x", "y"], [parse("2 - x*y", ["x", "y"])])
+    with pytest.raises(RelationAboveBound) as e:  # no slice can hold the relation
+        GradedAlgebra(["x", "y"], [parse("x*y", ["x", "y"]), parse("x^3*y", ["x", "y"])],
+                      max_degree=3)
+    assert (e.value.index, e.value.degree, e.value.bound) == (1, 4, 3)
 
 
 def test_normal_element_ideals_agree():

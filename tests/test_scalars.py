@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ncreflect.exprs import show_scalar
 from ncreflect.scalars import Cyc, I, ONE, ZERO, coerce, cyclotomic, euler_phi, zeta
+from oracles import FractionCyc
 
 
 def test_rational_arithmetic():
@@ -129,3 +134,105 @@ def test_coercion_and_errors():
         zeta(0)
     with pytest.raises(ValueError):
         (ONE + I).as_fraction()
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against the Fraction reference
+
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 24)
+DETERMINISTIC = settings(derandomize=True, deadline=None, max_examples=200,
+                         database=None, suppress_health_check=[HealthCheck.too_slow])
+
+_coefficient = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.just(0),
+)
+
+
+@st.composite
+def pairs(draw):
+    """(Cyc, FractionCyc) holding the same value at the same conductor.
+
+    A third of the draws are written at conductor n but lie in the
+    subfield of a proper divisor d of n, so key() must fall to a smaller
+    conductor."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    proper = [d for d in CONDUCTORS if d < n and n % d == 0]
+    d = draw(st.sampled_from(proper)) if proper and draw(st.integers(0, 2)) == 0 else n
+    coeffs = draw(st.lists(_coefficient, min_size=euler_phi(d), max_size=euler_phi(d)))
+    coeffs = FractionCyc(d, coeffs)._lift(n) if d != 1 else coeffs + [0] * (euler_phi(n) - 1)
+    return Cyc(n, coeffs), FractionCyc(n, coeffs)
+
+
+def same(x: Cyc, ref: FractionCyc) -> bool:
+    """Same conductor and coefficients, so the printed text is the same."""
+    return x.n == ref.n and x.c == ref.c
+
+
+def normal_form(x: Cyc) -> bool:
+    return (
+        x.den > 0
+        and gcd(x.den, *x.nums) == 1
+        and len(x.nums) == euler_phi(x.n)
+        and (x.n == 1) == (not any(x.nums[1:]))
+        and all(type(v) is int for v in x.nums + (x.den,))
+    )
+
+
+@DETERMINISTIC
+@given(pairs(), pairs())
+def test_arithmetic_matches_fraction_oracle(p, q):
+    (a, ra), (b, rb) = p, q
+    assert normal_form(a) and same(a, ra)
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra)):
+        assert normal_form(got)
+        assert same(got, want)  # mixed conductors promote to the same lcm
+    if not b.is_zero():
+        assert same(b.inverse(), rb.inverse())
+        assert same(a / b, ra / rb)
+        assert normal_form(a / b)
+
+
+@DETERMINISTIC
+@given(pairs(), pairs(), pairs())
+def test_field_axioms(p, q, r):
+    a, b, c = p[0], q[0], r[0]
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == ZERO and a + ZERO == a and a * ONE == a
+    if not a.is_zero():
+        assert a * a.inverse() == ONE
+        assert (b / a) * a == b
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+
+
+@DETERMINISTIC
+@given(pairs(), pairs())
+def test_key_hash_and_text_match_fraction_oracle(p, q):
+    (a, ra), (b, rb) = p, q
+    for x, ref in ((a, ra), (a * b, ra * rb), (a + b, ra + rb)):
+        assert x.key() == ref.key()
+        assert all(type(v) is Fraction for v in x.key()[1])
+        assert hash(x) == hash(ref)
+        assert show_scalar(x) == show_scalar(ref)
+    # a value and its copy at a larger conductor are equal and hash alike
+    m = a.n * 5
+    wide = Cyc(m, ra._lift(m))
+    assert wide == a and hash(wide) == hash(a) and wide.key() == a.key()
+
+
+@DETERMINISTIC
+@given(pairs(), st.integers(-20, 20), st.integers(1, 12))
+def test_rational_operands_match_fraction_oracle(p, num, den):
+    a, ra = p
+    r = Fraction(num, den)
+    for got, want in ((a + r, ra + r), (a - r, ra - r), (r - a, FractionCyc(1, (r,)) - ra),
+                      (a * r, ra * r), (r * a, ra * r)):
+        assert normal_form(got)
+        assert same(got, want)
