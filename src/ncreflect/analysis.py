@@ -490,8 +490,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
         checks.append(Check("nakayama-twist", "theorem",
                             "pass" if naka_ok else "fail",
                             "; ".join(naka.failures[:4])))
-    iso = isotypic_series(action, chars, comp, fixed, D,
-                          idempotents=opts.get("idempotents"))
+    iso = isotypic_series(action, chars, comp, fixed, D, idempotents=idempotents)
     doc["isotypic"] = {
         "idempotents_match_components": iso.idempotent_images_match_components,
         "grouplike_dims": iso.grouplike_dims,

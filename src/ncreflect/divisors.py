@@ -284,11 +284,3 @@ def divisor_report(
     if mode == "certificate":
         return _certificate_report(alg, f, side, cands)
     raise ValueError("mode must be candidates or certificate")
-
-
-def left_divisors(alg, f, mode="candidates", conductor=4, extra_candidates=()):
-    return divisor_report(alg, f, "left", mode, conductor, extra_candidates)
-
-
-def right_divisors(alg, f, mode="candidates", conductor=4, extra_candidates=()):
-    return divisor_report(alg, f, "right", mode, conductor, extra_candidates)

@@ -32,6 +32,10 @@ FreePoly = dict  # dict[Word, Cyc]
 
 RESERVED_NAME = re.compile(r"^(i|z[0-9]+)$")
 
+# int() refuses strings of over 4300 digits; longer literals are refused
+# at their offset before it sees them
+MAX_INT_DIGITS = 1000
+
 
 class ExprError(ValueError):
     """Syntax or name error in an expression, with a character offset."""
@@ -52,12 +56,6 @@ def p_const(c) -> FreePoly:
 
 def p_gen(i: int) -> FreePoly:
     return {(i,): ONE}
-
-
-def p_add(a: FreePoly, b: FreePoly) -> FreePoly:
-    out = dict(a)
-    vec_addto(out, b)
-    return out
 
 
 def p_scale(a: FreePoly, c) -> FreePoly:
@@ -122,6 +120,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise ExprError(f"unexpected character {text[off]!r}", off)
         start = m.start(m.lastindex)
         if m.group(1) is not None:
+            if len(m.group(1).lstrip("0")) > MAX_INT_DIGITS:
+                raise ExprError(f"integer literal of more than {MAX_INT_DIGITS} digits", start)
             out.append(("int", int(m.group(1)), start))
         elif m.group(2) is not None:
             out.append(("name", m.group(2), start))

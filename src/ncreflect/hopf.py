@@ -91,13 +91,6 @@ class Group:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(self.order)
-        )
-
     def closure(self, gens: Iterable[int]) -> set[int]:
         out = {self.identity}
         frontier = [self.identity]
@@ -124,31 +117,6 @@ class Group:
     def cyclic(n: int, prefix: str = "g") -> "Group":
         labels = ["e"] + [f"{prefix}{k}" if k > 1 else prefix for k in range(1, n)]
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return Group(labels, table)
-
-    @staticmethod
-    def direct_product(a: "Group", b: "Group") -> "Group":
-        labels = []
-        for i in range(a.order):
-            for j in range(b.order):
-                if i == a.identity and j == b.identity:
-                    labels.append("e")
-                elif i == a.identity:
-                    labels.append(b.labels[j])
-                elif j == b.identity:
-                    labels.append(a.labels[i])
-                else:
-                    labels.append(f"{a.labels[i]}.{b.labels[j]}")
-        n = b.order
-
-        def idx(i, j):
-            return i * n + j
-
-        table = [
-            [idx(a.table[i][k], b.table[j][l]) for k in range(a.order) for l in range(b.order)]
-            for i in range(a.order)
-            for j in range(b.order)
-        ]
         return Group(labels, table)
 
 
@@ -678,9 +646,7 @@ class HopfAction:
                     vec_addto(out, letters[i], mats[g].rows[i][j])
                 row.append(out)
             images.append(row)
-        act = HopfAction(hopf, alg, "group", gen_images=images, group=group)
-        act.matrices = mats
-        return act
+        return HopfAction(hopf, alg, "group", gen_images=images, group=group)
 
     @staticmethod
     def from_grading(hopf: HopfAlgebra, alg: GradedAlgebra, group: Group, grading: list[int]) -> "HopfAction":

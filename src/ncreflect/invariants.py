@@ -188,7 +188,6 @@ class FixedRing:
     gens: list[Elem]
     polynomial: bool
     commutative: bool
-    integral_projection_agrees: bool
 
 
 def fixed_ring(
@@ -201,18 +200,6 @@ def fixed_ring(
     identity = chars.group.identity
     slices = comps[identity]
     dims = [s.dim for s in slices]
-
-    # cross-check: R_d must equal the image of the integral's projection
-    lam = action.hopf.integral()
-    agrees = True
-    for d in range(max_degree + 1):
-        dim = alg.dim(d)
-        image = Subspace(dim)
-        for k in range(dim):
-            image.add(action.act(lam, {k: ONE}, d))
-        if image != slices[d]:
-            agrees = False
-            break
 
     gen_degrees: list[int] = []
     gens: list[Elem] = []
@@ -238,7 +225,7 @@ def fixed_ring(
             if a.degree + b.degree <= max_degree and a * b != b * a:
                 commutative = False
 
-    return FixedRing(slices, dims, gen_degrees, gens, polynomial, commutative, agrees)
+    return FixedRing(slices, dims, gen_degrees, gens, polynomial, commutative)
 
 
 def hilbert_poly_certificate(dims: Sequence[int], gen_degrees: Sequence[int], D: int) -> bool:

@@ -7,11 +7,17 @@ keyed by pivot column.  Ideal slices and smash-product spans are built by
 inserting thousands of mostly-sparse vectors, so the echelon is
 maintained eagerly (every stored row has pivot coefficient 1 and is
 reduced against every other pivot).  On top of it sit ``Subspace``
-(canonical bases, sums, and intersections by the Zassenhaus
-doubled-coordinate trick, which keeps everything sparse) and
-``Expressor`` (coefficients of a target over a generator list), and
-``eigenvectors`` (common eigenvectors of maps given by sparse columns,
-read off one echelon: the Hopf integral and the character components).
+(canonical bases, sums and intersections), ``Expressor`` (coefficients
+of a target over a generator list, and the linear relations among the
+generators), and ``eigenvectors`` (common eigenvectors of maps given by
+sparse columns, read off one echelon: the Hopf integral and the
+character components).
+
+Kernels are read off one way: ``Expressor.relations``.  ``U ∩ V`` is
+the set of combinations of the rows of U whose residues modulo V's
+echelon cancel, so ``Subspace.intersect`` reduces the rows of the
+smaller operand by the larger one's existing echelon and combines them
+along the relations among the residues.
 
 ``Matrix`` is a small dense value type for group elements and generator
 matrices.  Column convention: ``M[i][j]`` is the coefficient of basis
@@ -221,24 +227,15 @@ class Subspace:
         return s
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce rows (u|u) and (v|0); pivots in the right
-        block have zero left block, and their right parts span U ∩ V."""
+        """U ∩ V: the combinations of the rows of the smaller operand whose
+        residues modulo the larger operand's echelon cancel."""
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-        n = self.ambient
-        work = SparseEch(2 * n)
-        for u in self._ech.rows.values():
-            doubled = dict(u)
-            for k, x in u.items():
-                doubled[k + n] = x
-            work.insert(doubled)
-        for v in other._ech.rows.values():
-            work.insert(dict(v))
-        out = Subspace(n)
-        for p, row in work.rows.items():
-            if p >= n:
-                out.add({k - n: x for k, x in row.items()})
-        return out
+        small, large = (self, other) if self.dim <= other.dim else (other, self)
+        rows = list(small._ech.rows.values())
+        residues = [large.reduce(u) for u in rows]
+        relations = Expressor(self.ambient, residues).relations()
+        return Subspace.span(self.ambient, [apply_cols(rows, c) for c in relations])
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -284,6 +281,13 @@ class Expressor:
         for k, x in v.items():
             out[k - self.dim] = -x
         return out
+
+    def relations(self) -> list[Vec]:
+        """Basis of {c : sum c_i * gens[i] = 0}, as vectors over the
+        generator indices: the echelon rows pivoting in the tracking block."""
+        dim = self.dim
+        return [{k - dim: x for k, x in row.items()}
+                for p, row in sorted(self._ech.rows.items()) if p >= dim]
 
 
 def express(dim: int, gens: Sequence[Vec], target: Vec) -> list | None:
@@ -341,10 +345,6 @@ class Matrix:
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[ZERO] * ncols for _ in range(nrows)])
-
-    @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
         if not cols:
             return Matrix([])
@@ -396,9 +396,6 @@ class Matrix:
                     acc = acc + a * coerce(x)
             out.append(acc)
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row-echelon form and the pivot column list.

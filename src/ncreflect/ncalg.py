@@ -90,7 +90,6 @@ class GradedAlgebra:
         self._index: list[dict[Word, int]] = [{(): 0}]
         self._left: dict[tuple[int, int], list[Vec]] = {}
         self._right: dict[tuple[int, int], list[Vec]] = {}
-        self._free_dim: list[int] = [1]
 
     # -- slice construction ---------------------------------------------
 
@@ -166,14 +165,6 @@ class GradedAlgebra:
 
     def hilbert(self, degree: int) -> list[int]:
         return [self.dim(d) for d in range(degree + 1)]
-
-    def free_dim(self, degree: int) -> int:
-        while len(self._free_dim) <= degree:
-            d = len(self._free_dim)
-            self._free_dim.append(
-                sum(self._free_dim[d - w] for w in self.weights if w <= d)
-            )
-        return self._free_dim[degree]
 
     # -- multiplication ---------------------------------------------------
 
@@ -322,7 +313,7 @@ class Elem:
 
 
 # ---------------------------------------------------------------------------
-# ideal and subalgebra slices
+# ideal slices
 
 
 def _span_of(alg: GradedAlgebra, elems: Sequence[Elem], degree: int) -> Subspace:
@@ -333,8 +324,12 @@ def _span_of(alg: GradedAlgebra, elems: Sequence[Elem], degree: int) -> Subspace
     return s
 
 
-def _push_left(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
-    """acc += sum_i x_i * spaces[degree - w_i]."""
+def push_left(alg, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
+    """acc += sum_i x_i * spaces[degree - w_i].
+
+    ``alg`` needs only ``weights`` and ``left_letter(i, degree)``, so a
+    ``smash.SmashProduct`` runs the same recursion on A # H.
+    """
     for i, w in enumerate(alg.weights):
         if w <= degree:
             cols = alg.left_letter(i, degree - w)
@@ -356,7 +351,7 @@ def left_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int)
     out: list[Subspace] = []
     for d in range(max_degree + 1):
         acc = _span_of(alg, gens, d)
-        _push_left(alg, out, d, acc)
+        push_left(alg, out, d, acc)
         out.append(acc)
     return out
 
@@ -376,21 +371,8 @@ def two_sided_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree:
     out: list[Subspace] = []
     for d in range(max_degree + 1):
         acc = _span_of(alg, gens, d)
-        _push_left(alg, out, d, acc)
+        push_left(alg, out, d, acc)
         _push_right(alg, out, d, acc)
-        out.append(acc)
-    return out
-
-
-def subalgebra_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
-    """Slices of the unital subalgebra generated by gens (degree 0 is k)."""
-    out = [alg.slice_space(0)]
-    for d in range(1, max_degree + 1):
-        acc = _span_of(alg, gens, d)
-        for g in gens:
-            if 0 < g.degree <= d and not g.is_zero():
-                for v in out[d - g.degree].basis():
-                    acc.add(alg.mul(v, d - g.degree, g.vec, g.degree))
         out.append(acc)
     return out
 

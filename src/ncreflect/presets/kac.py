@@ -88,35 +88,6 @@ def kac_palyutkin_characters(hopf: HopfAlgebra) -> CharacterGroup:
     )
 
 
-def kac_palyutkin_idempotents() -> list[Vec]:
-    """The central idempotents for eps, g, gp, ggp in closed form."""
-    eighth = Cyc.rational(1, 8)
-    plus = {i: eighth for i in range(8)}  # (1+x+y+xy+z+xz+yz+xyz)/8
-    minus = {i: (eighth if i < 4 else -eighth) for i in range(8)}
-    block = [ONE, MINUS_ONE, MINUS_ONE, ONE]  # 1 - x - y + xy
-    p_gp: Vec = {}
-    p_ggp: Vec = {}
-    for i in range(4):
-        p_gp[i] = block[i] * eighth
-        p_ggp[i] = block[i] * eighth
-        p_gp[i + 4] = I * block[i] * eighth
-        p_ggp[i + 4] = -I * block[i] * eighth
-    return [plus, minus, p_gp, p_ggp]
-
-
-def matrix_block_units() -> dict[str, Vec]:
-    """The 2x2 matrix block complementary to the character idempotents:
-    diagonal units f3 = (1-x+y-xy)/4 and f4 = (1+x-y-xy)/4, off-diagonal
-    units m12 = f3 z = z f4 and m21 = f4 z = z f3."""
-    q = Cyc.rational(1, 4)
-    return {
-        "f3": {0: q, 1: -q, 2: q, 3: -q},
-        "f4": {0: q, 1: q, 2: -q, 3: -q},
-        "m12": {4: q, 5: -q, 6: q, 7: -q},
-        "m21": {4: q, 5: q, 6: -q, 7: -q},
-    }
-
-
 def skew_plane(max_degree: int = 12) -> GradedAlgebra:
     """k<u,v> with v u = i u v."""
     return GradedAlgebra(["u", "v"], [{(1, 0): ONE, (0, 1): -I}], max_degree=max_degree)

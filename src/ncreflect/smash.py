@@ -6,6 +6,12 @@ computes the pertinency ideal (the two-sided ideal generated by 1 # Λ),
 its trace on A (the radical ideal), the dual-group shortcut, the rife
 checks at the Hopf and at the action level, the dis-radical inside the
 fixed ring, and the principal-generator search for the radical.
+
+The pertinency slices come from ``ncalg``'s left-ideal recursion, run on
+the letters of A lifted to A # H (``SmashProduct.left_letter``).  The
+trace on A is read off the residues of the a # 1 modulo a slice: the
+linear relations among them are the a with a # 1 in the slice, whatever
+the unit of H.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import CharacterGroup, HopfAction, HopfAlgebra
-from .linalg import Subspace, Vec, intersect_all, vec_addto
+from .linalg import Expressor, Subspace, Vec, intersect_all, vec_addto
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -21,9 +27,10 @@ from .ncalg import (
     left_ideal_slices,
     monic,
     mul_elem_space,
+    push_left,
     two_sided_ideal_slices,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 class SmashProduct:
@@ -34,6 +41,7 @@ class SmashProduct:
         self.alg = action.alg
         self.hopf = action.hopf
         self.nH = action.hopf.dim
+        self.weights = action.alg.weights
 
     def dim(self, degree: int) -> int:
         return self.alg.dim(degree) * self.nH
@@ -70,14 +78,15 @@ class SmashProduct:
                         continue
                     coeff = c1 * c * c2
                     for hi, hc in row[k].items():
-                        for ai, ac in amul.items():
-                            slot = ai * nH + hi
-                            new = out.get(slot, ZERO) + coeff * ac * hc
-                            if new.is_zero():
-                                out.pop(slot, None)
-                            else:
-                                out[slot] = new
+                        vec_addto(out, {ai * nH + hi: ac for ai, ac in amul.items()},
+                                  coeff * hc)
         return out
+
+    def left_letter(self, i: int, degree: int) -> list[Vec]:
+        """Columns of (x_i # 1) * (-) : A_degree # H -> A_{degree + w_i} # H."""
+        nH = self.nH
+        return [{ai * nH + h: ac for ai, ac in col.items()}
+                for col in self.alg.left_letter(i, degree) for h in range(nH)]
 
     def show(self, vec: Vec, degree: int) -> str:
         parts = []
@@ -87,22 +96,6 @@ class SmashProduct:
                 f"({self.alg.show_vec({i: vec[key]}, degree)})#{self.hopf.labels[h]}"
             )
         return " + ".join(parts) if parts else "0"
-
-
-def _left_letter_smash(sm: SmashProduct, i: int, vec: Vec, degree: int) -> Vec:
-    """(x_i # 1) * vec for vec of A-degree `degree`."""
-    cols = sm.alg.left_letter(i, degree)
-    out: Vec = {}
-    for key, c in vec.items():
-        a, h = divmod(key, sm.nH)
-        for ai, ac in cols[a].items():
-            slot = ai * sm.nH + h
-            new = out.get(slot, ZERO) + c * ac
-            if new.is_zero():
-                out.pop(slot, None)
-            else:
-                out[slot] = new
-    return out
 
 
 def integral_span_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
@@ -124,46 +117,23 @@ def pertinency_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
     in A-degree d is sum_e A_e · S_{d-e} with S as above; the sum is built
     by the usual generated-in-positive-degree recursion.
     """
-    spans = integral_span_slices(sm, max_degree)
-    alg = sm.alg
-    out: list[Subspace] = []
+    out = integral_span_slices(sm, max_degree)
     for d in range(max_degree + 1):
-        space = Subspace(sm.dim(d))
-        for v in spans[d].basis():
-            space.add(v)
-        for i in range(alg.ngens):
-            lower = d - alg.weights[i]
-            if lower < 0:
-                continue
-            for v in out[lower].basis():
-                space.add(_left_letter_smash(sm, i, v, lower))
-        out.append(space)
+        push_left(sm, out, d, out[d])
     return out
 
 
 def _trace_on_a(sm: SmashProduct, space: Subspace, degree: int) -> Subspace:
-    """Intersect a smash slice with A_d # 1 and return A_d coordinates."""
-    alg, nH = sm.alg, sm.nH
-    dim = alg.dim(degree)
-    unit = sm.hopf.unit
-    h0 = min(unit)
-    scale = unit[h0].inverse()
-    ambient = Subspace.span(
-        sm.dim(degree),
-        [sm.include_a({i: ONE}, degree) for i in range(dim)],
-    )
-    inter = space.intersect(ambient)
-    slices = Subspace(dim)
-    for w in inter.basis():
-        slices.add({i: w[i * nH + h0] * scale
-                    for i in range(dim) if i * nH + h0 in w})
-    return slices
+    """{a in A_d : a # 1 in space}: the relations among the residues of
+    the a # 1 modulo the slice."""
+    dim = sm.alg.dim(degree)
+    residues = [space.reduce(sm.include_a({i: ONE}, degree)) for i in range(dim)]
+    return Subspace.span(dim, Expressor(sm.dim(degree), residues).relations())
 
 
 @dataclass
 class RadicalData:
     slices: list[Subspace]
-    pertinency_dims: list[int]
     quotient_dims: list[int]
 
 
@@ -172,9 +142,8 @@ def radical_slices(action: HopfAction, max_degree: int) -> RadicalData:
     sm = SmashProduct(action)
     pert = pertinency_slices(sm, max_degree)
     slices = [_trace_on_a(sm, pert[d], d) for d in range(max_degree + 1)]
-    pdims = [p.dim for p in pert]
-    qdims = [sm.dim(d) - pdims[d] for d in range(max_degree + 1)]
-    return RadicalData(slices, pdims, qdims)
+    qdims = [sm.dim(d) - pert[d].dim for d in range(max_degree + 1)]
+    return RadicalData(slices, qdims)
 
 
 def dual_group_shortcut(
@@ -226,14 +195,8 @@ def rife_hopf_check(
     g0 = chars.group
     for g in range(g0.order):
         p, q = idempotents[g], idempotents[g0.inverse[g]]
-        for i, a in p.items():
-            for j, b in q.items():
-                key = (i, j)
-                new = residual.get(key, ZERO) - a * b
-                if new.is_zero():
-                    residual.pop(key, None)
-                else:
-                    residual[key] = new
+        vec_addto(residual, {(i, j): a * b for i, a in p.items() for j, b in q.items()},
+                  -ONE)
     if not residual:
         return True
     icom = commutator_ideal(hopf)
@@ -344,42 +307,3 @@ def principal_radical(
                 w, True, f"(w) differs from the radical in degree {d}"
             )
     return PrincipalRadicalData(w, True, "")
-
-
-# ---------------------------------------------------------------------------
-# constrained left ideals (matrix-block analysis of the pertinency ideal)
-
-
-def constrained_left_ideal(
-    action: HopfAction,
-    terms: list[tuple[Vec, Vec]],
-    max_degree: int,
-) -> list[Subspace]:
-    """Slices of {w : w = Σ b (n·a), 0 = Σ b (z·a)} where each summand
-    runs over one (n, z) pair of H-elements and arbitrary a, b in A.
-
-    Per degree this is the image of the combined bilinear map intersected
-    with (A_d, 0); the b-factor makes every slice family a left ideal.
-    """
-    alg = action.alg
-    out: list[Subspace] = []
-    for d in range(max_degree + 1):
-        dim = alg.dim(d)
-        paired = Subspace(2 * dim)
-        for n, z in terms:
-            for f in range(d + 1):
-                e = d - f
-                for a in range(alg.dim(f)):
-                    na = action.act(n, {a: ONE}, f)
-                    za = action.act(z, {a: ONE}, f)
-                    for b in range(alg.dim(e)):
-                        top = alg.mul({b: ONE}, e, na, f)
-                        bot = alg.mul({b: ONE}, e, za, f)
-                        vec = dict(top)
-                        for k, c in bot.items():
-                            vec[dim + k] = c
-                        paired.add(vec)
-        window = Subspace.span(2 * dim, [{k: ONE} for k in range(dim)])
-        inter = paired.intersect(window)
-        out.append(Subspace.span(dim, [dict(v) for v in inter.basis()]))
-    return out

@@ -5,9 +5,18 @@
 kernel of stacked C - lam rows off it, the reference for
 ``linalg.eigenvectors``.
 
+``zassenhaus_intersect`` is the doubled-coordinate intersection: it
+eliminates both operands anew, the reference for
+``Subspace.intersect``, which reuses the larger operand's echelon.
+
 ``augmentation_module`` builds A * S_+ or S_+ * A from every slice of a
-subalgebra S, the reference for the covariant ideals, which the engine
-builds from the generators of S alone.
+subalgebra S (``subalgebra_slices``), the reference for the covariant
+ideals, which the engine builds from the generators of S alone.
+
+``constrained_left_ideal``, ``matrix_block_units`` and
+``kac_palyutkin_idempotents`` are the closed-form pieces of the
+Kac-Paljutkin radical the tests check the engine against; ``is_abelian``
+and ``direct_product`` build and test small groups.
 
 ``FractionCyc`` is the textbook cyclotomic scalar: ``Fraction``
 coefficients modulo Phi_n, products by convolution and power-table
@@ -28,8 +37,19 @@ from fractions import Fraction
 from math import gcd
 
 from ncreflect.exprs import FreePoly, Word, p_degree
+from ncreflect.hopf import Group
 from ncreflect.linalg import SparseEch, Subspace, apply_cols
-from ncreflect.scalars import ZERO, Cyc, ONE, coerce, cyclotomic, divisors, euler_phi
+from ncreflect.scalars import (
+    I,
+    MINUS_ONE,
+    ZERO,
+    Cyc,
+    ONE,
+    coerce,
+    cyclotomic,
+    divisors,
+    euler_phi,
+)
 
 
 def dense_rref(rows: list[list]) -> tuple[list[list[Cyc]], list[int]]:
@@ -78,6 +98,23 @@ def dense_eigenvectors(dim: int, maps) -> list[dict]:
     return out
 
 
+def zassenhaus_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """U ∩ V by Zassenhaus: reduce rows (u|u) and (v|0) in dimension 2n;
+    the rows pivoting in the right block have a zero left block, and
+    their right parts span U ∩ V."""
+    n = u.ambient
+    work = SparseEch(2 * n)
+    for row in u.basis():
+        doubled = dict(row)
+        for k, x in row.items():
+            doubled[k + n] = x
+        work.insert(doubled)
+    for row in v.basis():
+        work.insert(row)
+    return Subspace.span(n, [{k - n: x for k, x in row.items()}
+                             for p, row in work.rows.items() if p >= n])
+
+
 def augmentation_module(alg, sub_slices, max_degree: int, side: str) -> list[Subspace]:
     """Slices of A * S_+ (side "left") or S_+ * A (side "right"), by the
     recursion M_d = S_d + sum_i x_i M_{d - w_i} (or M_{d - w_i} x_i)."""
@@ -95,6 +132,112 @@ def augmentation_module(alg, sub_slices, max_degree: int, side: str) -> list[Sub
                     acc.add(apply_cols(cols, v))
         out.append(acc)
     return out
+
+
+def subalgebra_slices(alg, gens, max_degree: int) -> list[Subspace]:
+    """Slices of the unital subalgebra generated by gens (degree 0 is k)."""
+    out = [alg.slice_space(0)]
+    for d in range(1, max_degree + 1):
+        acc = Subspace(alg.dim(d))
+        for g in gens:
+            if g.degree == d and not g.is_zero():
+                acc.add(g.vec)
+        for g in gens:
+            if 0 < g.degree <= d and not g.is_zero():
+                for v in out[d - g.degree].basis():
+                    acc.add(alg.mul(v, d - g.degree, g.vec, g.degree))
+        out.append(acc)
+    return out
+
+
+def constrained_left_ideal(action, terms, max_degree: int) -> list[Subspace]:
+    """Slices of {w : w = Σ b (n·a), 0 = Σ b (z·a)} where each summand
+    runs over one (n, z) pair of H-elements and arbitrary a, b in A.
+
+    Per degree this is the image of the combined bilinear map intersected
+    with (A_d, 0); the b-factor makes every slice family a left ideal.
+    """
+    alg = action.alg
+    out: list[Subspace] = []
+    for d in range(max_degree + 1):
+        dim = alg.dim(d)
+        paired = Subspace(2 * dim)
+        for n, z in terms:
+            for f in range(d + 1):
+                e = d - f
+                for a in range(alg.dim(f)):
+                    na = action.act(n, {a: ONE}, f)
+                    za = action.act(z, {a: ONE}, f)
+                    for b in range(alg.dim(e)):
+                        top = alg.mul({b: ONE}, e, na, f)
+                        bot = alg.mul({b: ONE}, e, za, f)
+                        vec = dict(top)
+                        for k, c in bot.items():
+                            vec[dim + k] = c
+                        paired.add(vec)
+        window = Subspace.span(2 * dim, [{k: ONE} for k in range(dim)])
+        inter = zassenhaus_intersect(paired, window)
+        out.append(Subspace.span(dim, [dict(v) for v in inter.basis()]))
+    return out
+
+
+def kac_palyutkin_idempotents() -> list[dict]:
+    """The central idempotents of the Kac-Paljutkin algebra for eps, g,
+    gp, ggp in closed form."""
+    eighth = Cyc.rational(1, 8)
+    plus = {i: eighth for i in range(8)}  # (1+x+y+xy+z+xz+yz+xyz)/8
+    minus = {i: (eighth if i < 4 else -eighth) for i in range(8)}
+    block = [ONE, MINUS_ONE, MINUS_ONE, ONE]  # 1 - x - y + xy
+    p_gp: dict = {}
+    p_ggp: dict = {}
+    for i in range(4):
+        p_gp[i] = block[i] * eighth
+        p_ggp[i] = block[i] * eighth
+        p_gp[i + 4] = I * block[i] * eighth
+        p_ggp[i + 4] = -I * block[i] * eighth
+    return [plus, minus, p_gp, p_ggp]
+
+
+def matrix_block_units() -> dict[str, dict]:
+    """The 2x2 matrix block of the Kac-Paljutkin algebra complementary to
+    the character idempotents: diagonal units f3 = (1-x+y-xy)/4 and
+    f4 = (1+x-y-xy)/4, off-diagonal units m12 = f3 z = z f4 and
+    m21 = f4 z = z f3."""
+    q = Cyc.rational(1, 4)
+    return {
+        "f3": {0: q, 1: -q, 2: q, 3: -q},
+        "f4": {0: q, 1: q, 2: -q, 3: -q},
+        "m12": {4: q, 5: -q, 6: q, 7: -q},
+        "m21": {4: q, 5: q, 6: -q, 7: -q},
+    }
+
+
+def is_abelian(group: Group) -> bool:
+    return all(group.table[a][b] == group.table[b][a]
+               for a in range(group.order) for b in range(group.order))
+
+
+def direct_product(a: Group, b: Group) -> Group:
+    """a x b, element (i, j) at index i * |b| + j, labelled "e", a single
+    factor's label, or "ai.bj"."""
+    labels = []
+    for i in range(a.order):
+        for j in range(b.order):
+            if i == a.identity and j == b.identity:
+                labels.append("e")
+            elif i == a.identity:
+                labels.append(b.labels[j])
+            elif j == b.identity:
+                labels.append(a.labels[i])
+            else:
+                labels.append(f"{a.labels[i]}.{b.labels[j]}")
+    n = b.order
+    table = [
+        [a.table[i][k] * n + b.table[j][m] for k in range(a.order) for m in range(b.order)]
+        for i in range(a.order)
+        for j in range(b.order)
+    ]
+    return Group(labels, table)
 
 
 def free_words(nletters: int, weights: list[int], degree: int) -> list[Word]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from math import comb
 
-from oracles import QuotientOracle
-from ncreflect.divisors import left_divisors, right_divisors
+from oracles import QuotientOracle, is_abelian
+from ncreflect.divisors import divisor_report
 from ncreflect.hopf import HopfAlgebra
 from ncreflect.invariants import (
     check_component_multiplicativity,
@@ -66,8 +66,8 @@ def line_set(alg, report) -> set[str]:
 def divisor_lines(p, f) -> tuple[set[str], set[str]]:
     alg = p.algebra
     mode = "certificate" if alg.ngens == 2 and alg.dim(1) == 2 else "candidates"
-    left = left_divisors(alg, f, mode=mode, conductor=p.conductor)
-    right = right_divisors(alg, f, mode=mode, conductor=p.conductor)
+    left = divisor_report(alg, f, "left", mode=mode, conductor=p.conductor)
+    right = divisor_report(alg, f, "right", mode=mode, conductor=p.conductor)
     return line_set(alg, left), line_set(alg, right)
 
 
@@ -337,7 +337,7 @@ def test_hopf_verification_and_corruption_witness():
     chars = kac_palyutkin_characters(hopf)
     grp = chars.group
     assert grp.order == 4
-    assert grp.is_abelian()
+    assert is_abelian(grp)
     assert all(grp.table[i][i] == grp.identity for i in range(4))
 
     mone, mi = ZERO - ONE, ZERO - I

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ncreflect.cli import main
+from ncreflect.exprs import MAX_INT_DIGITS
 from ncreflect.presets import catalog
 from ncreflect.scalars import MAX_CONDUCTOR
 
@@ -99,6 +100,18 @@ def test_validate_root_of_unity_above_maximum(tmp_path, capsys, relation, offset
     err = capsys.readouterr().err
     assert "/algebra/relations/0: " in err
     assert "exceeds the maximum" in err and f"at offset {offset}" in err
+
+
+def test_validate_integer_literal_too_long(tmp_path, capsys):
+    # int() refuses strings of over 4300 digits; the parser refuses the
+    # literal at its offset before int() sees it
+    path = mutate_shipped(
+        tmp_path, "trivial",
+        lambda d: d["algebra"]["relations"].__setitem__(0, "y*x - " + "9" * 5000 + "*x*y"))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert f"/algebra/relations/0: integer literal of more than {MAX_INT_DIGITS} digits" in err
+    assert "at offset 6" in err
 
 
 def _relations(*texts):

@@ -6,9 +6,8 @@ import pytest
 
 from ncreflect.divisors import (
     candidate_lines,
+    divisor_report,
     form_degree,
-    left_divisors,
-    right_divisors,
 )
 from ncreflect.invariants import (
     component_report,
@@ -61,13 +60,13 @@ def test_kac_jacobian_divisors_left_and_right():
     expect_left = [u, v, u + v.scale(z3), u + v.scale(z7)]
     expect_right = [u, v, u + v.scale(z), u + v.scale(z5)]
     for mode in ("candidates", "certificate"):
-        left = left_divisors(alg, jac.j, mode=mode, conductor=8)
-        right = right_divisors(alg, jac.j, mode=mode, conductor=8)
+        left = divisor_report(alg, jac.j, "left", mode=mode, conductor=8)
+        right = divisor_report(alg, jac.j, "right", mode=mode, conductor=8)
         assert line_set(left) == as_set(expect_left)
         assert line_set(right) == as_set(expect_right)
         assert line_set(left) != line_set(right)
-    cert_l = left_divisors(alg, jac.j, mode="certificate", conductor=8)
-    cert_r = right_divisors(alg, jac.j, mode="certificate", conductor=8)
+    cert_l = divisor_report(alg, jac.j, "left", mode="certificate", conductor=8)
+    cert_r = divisor_report(alg, jac.j, "right", mode="certificate", conductor=8)
     assert not cert_l.residual_warning and not cert_r.residual_warning
     # st(t^2 + i s^2) and st(t^2 - i s^2) up to the monic normalisation
     assert cert_l.certificate == [ZERO, -I, ZERO, ONE, ZERO]
@@ -77,8 +76,8 @@ def test_kac_jacobian_divisors_left_and_right():
 def test_kac_divisors_invariant_under_rescaling():
     p, comp, fixed, hdet, jac = bundle("e42-kacpalyutkin")
     scaled = jac.j.scale(Cyc.rational(-7, 3))
-    a = left_divisors(p.algebra, jac.j, mode="certificate", conductor=8)
-    b = left_divisors(p.algebra, scaled, mode="certificate", conductor=8)
+    a = divisor_report(p.algebra, jac.j, "left", mode="certificate", conductor=8)
+    b = divisor_report(p.algebra, scaled, "left", mode="certificate", conductor=8)
     assert line_set(a) == line_set(b)
     assert a.certificate == b.certificate
 
@@ -87,11 +86,11 @@ def test_degree_one_and_degree_two_self_divisors():
     alg = skew_plane(8)
     u = alg.element("u")
     for mode in ("candidates", "certificate"):
-        rep = left_divisors(alg, u, mode=mode, conductor=8)
+        rep = divisor_report(alg, u, "left", mode=mode, conductor=8)
         assert line_set(rep) == as_set([u])
-        rep2 = left_divisors(alg, alg.element("u^2"), mode=mode, conductor=8)
+        rep2 = divisor_report(alg, alg.element("u^2"), "left", mode=mode, conductor=8)
         assert line_set(rep2) == as_set([u])
-    assert right_divisors(alg, alg.element("u^2"), mode="certificate", conductor=8).lines == [u]
+    assert divisor_report(alg, alg.element("u^2"), "right", mode="certificate", conductor=8).lines == [u]
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +102,12 @@ def test_dihedral3_divisors_are_the_generators():
     alg = p.algebra
     gens = [alg.element(n) for n in ("x", "y", "z")]
     for f in (jac.j, jac.a):
-        left = left_divisors(alg, f, mode="candidates", conductor=4)
-        right = right_divisors(alg, f, mode="candidates", conductor=4)
+        left = divisor_report(alg, f, "left", mode="candidates", conductor=4)
+        right = divisor_report(alg, f, "right", mode="candidates", conductor=4)
         assert line_set(left) == as_set(gens)
         assert line_set(right) == as_set(gens)
     with pytest.raises(ValueError):
-        left_divisors(alg, jac.j, mode="certificate", conductor=4)
+        divisor_report(alg, jac.j, "left", mode="certificate", conductor=4)
     # the degree-one component generators sit inside both divisor sets
     degree_one = [f for f in comp.f if f is not None and f.degree == 1]
     assert as_set(degree_one) == as_set(gens)
@@ -123,14 +122,14 @@ def test_cyclic_family_divisors():
     alg = p.algebra
     gens = [alg.element("x"), alg.element("y")]
     for mode in ("candidates", "certificate"):
-        rj = left_divisors(alg, jac.j, mode=mode, conductor=3)
-        ra = left_divisors(alg, jac.a, mode=mode, conductor=3)
+        rj = divisor_report(alg, jac.j, "left", mode=mode, conductor=3)
+        ra = divisor_report(alg, jac.a, "left", mode=mode, conductor=3)
         assert line_set(rj) == as_set(gens)
         assert line_set(ra) == as_set(gens)
         # lines dividing the arrangement element divide the Jacobian
         assert line_set(ra) <= line_set(rj)
-    assert right_divisors(alg, jac.j, mode="certificate", conductor=3).lines == gens
-    cert = left_divisors(alg, jac.j, mode="certificate", conductor=3)
+    assert divisor_report(alg, jac.j, "right", mode="certificate", conductor=3).lines == gens
+    cert = divisor_report(alg, jac.j, "left", mode="certificate", conductor=3)
     assert not cert.residual_warning
 
 
@@ -145,11 +144,11 @@ def test_mystic_family_divisors():
         expected.append(x + y.scale(root))
         root = root * z4
     for mode in ("candidates", "certificate"):
-        left = left_divisors(alg, jac.j, mode=mode, conductor=4)
-        right = right_divisors(alg, jac.j, mode=mode, conductor=4)
+        left = divisor_report(alg, jac.j, "left", mode=mode, conductor=4)
+        right = divisor_report(alg, jac.j, "right", mode=mode, conductor=4)
         assert line_set(left) == as_set(expected)
         assert line_set(right) == as_set(expected)
-    cert = left_divisors(alg, jac.j, mode="certificate", conductor=4)
+    cert = divisor_report(alg, jac.j, "left", mode="certificate", conductor=4)
     assert not cert.residual_warning
     assert form_degree(cert.certificate) == 6
 
@@ -161,15 +160,15 @@ def test_mystic_family_divisors():
 def test_certificate_residual_warning_and_extra_candidates():
     alg = catalog.build("trivial", 6).algebra  # the commutative plane
     f = alg.element("x^2 + 2*x*y")  # (x + 2y) x, and x + 2y is not a root of unity line
-    rep = left_divisors(alg, f, mode="certificate", conductor=4)
+    rep = divisor_report(alg, f, "left", mode="certificate", conductor=4)
     assert line_set(rep) == as_set([alg.element("x")])
     assert rep.residual_warning and rep.residual_degree == 1
     extra = (alg.element("x + 2*y"),)
-    rep2 = left_divisors(alg, f, mode="certificate", conductor=4, extra_candidates=extra)
+    rep2 = divisor_report(alg, f, "left", mode="certificate", conductor=4, extra_candidates=extra)
     assert line_set(rep2) == as_set([alg.element("x"), alg.element("x + 2*y")])
     assert not rep2.residual_warning
     # candidates mode silently reports only what it can see
-    rep3 = left_divisors(alg, f, mode="candidates", conductor=4, extra_candidates=extra)
+    rep3 = divisor_report(alg, f, "left", mode="candidates", conductor=4, extra_candidates=extra)
     assert line_set(rep3) == line_set(rep2)
 
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+function and method of the package has a caller outside the tests."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ import ncreflect
 
 PACKAGE = Path(ncreflect.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the package, the tools and the benchmark may call package code; tests may not
+CALLERS = MODULES + sorted((ROOT / "tools").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def annotations(tree: ast.AST) -> list[ast.expr]:
@@ -55,3 +60,52 @@ def test_detects_an_unused_import():
     source = ('from x import a, b, e\nimport c.d\n\n'
               'def f(y: "e") -> None:\n    print(a, "b")\n')
     assert unused_imports(source) == ["b (line 1)", "c (line 2)"]
+
+
+def defined_functions(source: str) -> list[str]:
+    """Module-level functions and methods ("Class.name"); dunder methods
+    are called by Python itself and are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, FUNCTIONS):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.extend(f"{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, FUNCTIONS)
+                       and not (item.name.startswith("__") and item.name.endswith("__")))
+    return out
+
+
+def referenced_names(sources) -> set[str]:
+    """Every name, attribute and string constant in the sources (the
+    benchmark's tracer finds the functions it wraps by their names)."""
+    out: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def uncalled(defining: str, refs: set[str]) -> list[str]:
+    return [name for name in defined_functions(defining)
+            if name.rsplit(".", 1)[-1] not in refs]
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    refs = referenced_names(path.read_text() for path in CALLERS)
+    unused = [f"{path.relative_to(PACKAGE)}: {name}" for path in MODULES
+              for name in uncalled(path.read_text(), refs)]
+    assert unused == []
+
+
+def test_detects_a_function_nothing_calls():
+    defining = ("def used(): pass\ndef unused(): pass\ndef named(): pass\n"
+                "class C:\n    def __init__(self): pass\n"
+                "    def m(self): pass\n    def n(self): pass\n")
+    caller = 'used()\nC().m()\nwrap(module, "named")\n'
+    assert uncalled(defining, referenced_names([defining, caller])) == ["unused", "C.n"]

@@ -21,8 +21,10 @@ from ncreflect.invariants import (
     proportional,
     series_quotient,
 )
+from ncreflect.linalg import Subspace
 from ncreflect.ncalg import left_ideal_slices, right_ideal_slices
 from ncreflect.presets import catalog
+from ncreflect.scalars import ONE
 
 from oracles import augmentation_module
 
@@ -81,7 +83,6 @@ def test_kac_fixed_ring():
     assert fixed.gen_degrees == [2, 4]
     assert fixed.polynomial
     assert fixed.commutative
-    assert fixed.integral_projection_agrees
 
 
 def test_kac_hdet_routes_agree():
@@ -280,3 +281,15 @@ def test_covariant_ideals_match_augmentation_module(name):
     assert cov.left_dims == [alg.dim(d) - left[d].dim for d in range(9)]
     assert cov.right_dims == [alg.dim(d) - right[d].dim for d in range(9)]
     assert cov.tepid == all(left[d] == right[d] for d in range(9))
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_fixed_ring_is_the_image_of_the_integral(name):
+    # R_d = Λ · A_d: the fixed ring read off the trivial component equals
+    # the image of the integral's projection in every degree
+    p, _, fixed, _ = bundle(name)
+    lam = p.hopf.integral()
+    for d in range(9):
+        dim = p.algebra.dim(d)
+        image = Subspace.span(dim, [p.action.act(lam, {k: ONE}, d) for k in range(dim)])
+        assert image == fixed.slices[d], d

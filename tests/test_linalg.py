@@ -16,7 +16,7 @@ from ncreflect.linalg import (
 )
 from ncreflect.scalars import Cyc, I, ONE, ZERO, zeta
 
-from oracles import dense_eigenvectors, dense_rref
+from oracles import dense_eigenvectors, dense_rref, zassenhaus_intersect
 
 
 def cols_of(m: Matrix) -> list:
@@ -72,6 +72,67 @@ def test_intersection_dimension_formula_randomised():
         assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
 
 
+@pytest.mark.parametrize("conductor", [1, 8, 12])
+def test_intersect_matches_zassenhaus(conductor):
+    rng = random.Random(3000 + conductor)
+    units = [zeta(conductor, k) for k in range(conductor)]
+
+    def vec(dim):
+        return vec_from_dense([
+            ZERO if rng.random() < 0.4
+            else Cyc.rational(rng.randint(-3, 3), rng.randint(1, 2)) * rng.choice(units)
+            for _ in range(dim)])
+
+    def span(dim, k):
+        return Subspace.span(dim, [vec(dim) for _ in range(k)])
+
+    for _ in range(20):
+        dim = rng.randint(1, 7)
+        u = span(dim, rng.randint(0, dim))
+        pairs = [
+            (u, span(dim, rng.randint(0, dim))),  # random
+            (u, Subspace(dim)),  # zero
+            (u, Subspace.span(dim, [{k: ONE} for k in range(dim)])),  # full
+            (u, span(dim, u.dim)),  # equal dimension
+            (u, Subspace.span(dim, u.basis()[: rng.randint(0, u.dim)])),  # nested
+            (u, Subspace.span(dim, u.basis())),  # equal
+        ]
+        for a, b in pairs:
+            want = zassenhaus_intersect(a, b)
+            assert a.intersect(b) == want
+            assert b.intersect(a) == want
+
+
+@pytest.mark.parametrize("conductor", [1, 8, 12])
+def test_expressor_relations_span_the_kernel(conductor):
+    rng = random.Random(4000 + conductor)
+    units = [zeta(conductor, k) for k in range(conductor)]
+
+    def scalar():
+        return Cyc.rational(rng.randint(-3, 3), rng.randint(1, 2)) * rng.choice(units)
+
+    for _ in range(30):
+        dim = rng.randint(1, 6)
+        gens = [vec_from_dense([scalar() if rng.random() < 0.6 else ZERO
+                                for _ in range(dim)])
+                for _ in range(rng.randint(0, 5))]
+        if gens and rng.random() < 0.5:  # a dependent generator
+            extra = {}
+            vec_addto(extra, rng.choice(gens), scalar())
+            vec_addto(extra, rng.choice(gens), scalar())
+            gens.insert(rng.randint(0, len(gens)), extra)
+        rels = Expressor(dim, gens).relations()
+        rank = Subspace.span(dim, gens).dim
+        assert len(rels) == len(gens) - rank
+        assert Subspace.span(len(gens), rels).dim == len(rels)
+        for rel in rels:
+            assert rel and all(0 <= i < len(gens) for i in rel)
+            combo = {}
+            for i, c in rel.items():
+                vec_addto(combo, gens[i], c)
+            assert combo == {}
+
+
 def test_expressor():
     gens = [vec_from_dense([1, 1, 0]), vec_from_dense([0, 1, 1])]
     ex = Expressor(3, gens)
@@ -95,7 +156,6 @@ def test_matrix_products_and_apply():
     assert (m - m).is_zero()
     assert Matrix.identity(2) @ m == m
     assert Matrix.from_cols([[1, 3], [2, 4]]) == m
-    assert m.transpose() == Matrix([[1, 3], [2, 4]])
 
 
 def test_rref_rank_kernel():

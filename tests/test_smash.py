@@ -4,6 +4,8 @@ a principal radical generator."""
 
 from __future__ import annotations
 
+import pytest
+
 from ncreflect.hopf import Group, central_idempotents, group_algebra, group_linear_characters
 from ncreflect.invariants import (
     component_report,
@@ -12,14 +14,12 @@ from ncreflect.invariants import (
     jacobian_data,
     proportional,
 )
-from ncreflect.linalg import Subspace, intersect_all
+from ncreflect.linalg import Subspace, express, intersect_all
 from ncreflect.ncalg import Elem, left_ideal_slices, right_ideal_slices, two_sided_ideal_slices
 from ncreflect.presets import catalog
 from ncreflect.presets.kac import (
     kac_palyutkin_characters,
     kac_palyutkin_hopf,
-    kac_palyutkin_idempotents,
-    matrix_block_units,
     skew_plane,
 )
 from ncreflect.presets.groups import dihedral8
@@ -27,7 +27,6 @@ from ncreflect.scalars import Cyc, I, ONE, ZERO
 from ncreflect.smash import (
     SmashProduct,
     commutator_ideal,
-    constrained_left_ideal,
     dis_radical,
     dual_group_shortcut,
     pertinency_slices,
@@ -35,6 +34,14 @@ from ncreflect.smash import (
     radical_slices,
     rife_action_check,
     rife_hopf_check,
+    _trace_on_a,
+)
+
+from oracles import (
+    constrained_left_ideal,
+    kac_palyutkin_idempotents,
+    matrix_block_units,
+    zassenhaus_intersect,
 )
 
 _CACHE: dict = {}
@@ -122,6 +129,26 @@ def test_pertinency_matches_raw_spanning_set():
             for v in pert[d].basis():
                 assert pert[d].contains(sm.mul(hvec, 0, v, d))
                 assert pert[d].contains(sm.mul(v, d, hvec, 0))
+
+
+@pytest.mark.parametrize("name, D, unit_terms", [
+    ("e42-kacpalyutkin", 7, 1),  # the unit of H is the basis vector 1
+    ("e22-dualD8", 5, 8),  # the unit of the dual group algebra is the sum of the p_g
+])
+def test_trace_on_a_matches_intersection_with_a_hash_one(name, D, unit_terms):
+    p = catalog.build(name, max_degree=D)
+    sm = SmashProduct(p.action)
+    assert len(p.hopf.unit) == unit_terms
+    pert = pertinency_slices(sm, D)
+    for d in range(D + 1):
+        dim = p.algebra.dim(d)
+        a_hash_one = [sm.include_a({i: ONE}, d) for i in range(dim)]
+        inter = zassenhaus_intersect(pert[d], Subspace.span(sm.dim(d), a_hash_one))
+        want = Subspace(dim)
+        for w in inter.basis():
+            coeffs = express(sm.dim(d), a_hash_one, w)
+            want.add({i: c for i, c in enumerate(coeffs) if not c.is_zero()})
+        assert _trace_on_a(sm, pert[d], d) == want, d
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from ncreflect.structure import (
     trace_discriminant,
 )
 
+from oracles import kac_palyutkin_idempotents
+
 _CACHE: dict = {}
 
 
@@ -259,8 +261,6 @@ def test_kac_isotypic_series():
 
 
 def test_kac_isotypic_with_closed_form_idempotents():
-    from ncreflect.presets.kac import kac_palyutkin_idempotents
-
     p, comp, fixed, hdet, jac, coc = bundle("e42-kacpalyutkin")
     iso = isotypic_series(p.action, p.chars, comp, fixed, 6,
                           idempotents=kac_palyutkin_idempotents())
