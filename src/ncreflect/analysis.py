@@ -251,7 +251,12 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
 
     # -- components and fixed ring ---------------------------------------
     comp = component_report(action, chars, D)
-    mult_failures = check_component_multiplicativity(alg, chars, comp.slices, D)
+    try:
+        projectors = central_idempotents(hopf, chars)
+    except ValueError:
+        projectors = None  # the multiplicativity check then forms products
+    mult_failures = check_component_multiplicativity(action, chars, comp.slices,
+                                                     D, projectors)
     checks.append(Check("component-multiplicativity", "verification",
                         "fail" if mult_failures else "pass",
                         "; ".join(mult_failures[:4])))
@@ -396,7 +401,8 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     pr = principal_radical(alg, slices, D)
     idempotents = opts.get("idempotents")
     if idempotents is None:
-        idempotents = central_idempotents(hopf, chars)
+        idempotents = projectors if projectors is not None \
+            else central_idempotents(hopf, chars)
     rife = rife_action_check(action, chars, idempotents, jac.j, slices, D)
     doc["radical"] = {
         "method": method,

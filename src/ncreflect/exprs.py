@@ -36,6 +36,10 @@ RESERVED_NAME = re.compile(r"^(i|z[0-9]+)$")
 # at their offset before it sees them
 MAX_INT_DIGITS = 1000
 
+# the parser recurses through four calls per parenthesis, so deeper
+# nesting is refused at its '(' before Python's recursion limit is hit
+MAX_PAREN_DEPTH = 100
+
 
 class ExprError(ValueError):
     """Syntax or name error in an expression, with a character offset."""
@@ -68,16 +72,7 @@ def p_scale(a: FreePoly, c) -> FreePoly:
 def p_mul(a: FreePoly, b: FreePoly) -> FreePoly:
     out: FreePoly = {}
     for wa, xa in a.items():
-        for wb, xb in b.items():
-            w = wa + wb
-            c = xa * xb
-            cur = out.get(w)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                if cur is not None:
-                    del out[w]
-            else:
-                out[w] = new
+        vec_addto(out, {wa + wb: xb for wb, xb in b.items()}, xa)
     return out
 
 
@@ -136,6 +131,7 @@ class _Parser:
     def __init__(self, text: str, gens: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.gens = {name: idx for idx, name in enumerate(gens)}
 
     def peek(self) -> tuple[str, object, int]:
@@ -203,11 +199,15 @@ class _Parser:
             self.next()
             return self.named_atom(str(value), off)
         if kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ExprError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", off)
             self.next()
+            self.depth += 1
             inner = self.expr()
             if self.peek()[0] != ")":
                 self.fail("expected ')'")
             self.next()
+            self.depth -= 1
             return inner
         self.fail(f"unexpected {self.describe(kind, value)}")
 

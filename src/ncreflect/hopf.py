@@ -141,6 +141,14 @@ class HopfAlgebra:
         self.comult = [list(t) for t in comult]
         self.counit = list(counit)
         self.antipode = [dict(v) for v in antipode]
+        # Δ of each basis element as a tensor {(j, k): c}; a row of
+        # ``comult`` may repeat a pair
+        self._delta: list[dict[tuple[int, int], Cyc]] = []
+        for row in self.comult:
+            tensor: dict[tuple[int, int], Cyc] = {}
+            for j, k, c in row:
+                vec_addto(tensor, {(j, k): c})
+            self._delta.append(tensor)
         self._integral: Vec | None = None
 
     # -- operations on coordinate vectors --------------------------------
@@ -156,15 +164,7 @@ class HopfAlgebra:
     def comult_vec(self, u: Vec) -> dict[tuple[int, int], Cyc]:
         out: dict[tuple[int, int], Cyc] = {}
         for i, a in u.items():
-            for j, k, c in self.comult[i]:
-                key = (j, k)
-                cur = out.get(key)
-                new = a * c if cur is None else cur + a * c
-                if new.is_zero():
-                    if cur is not None:
-                        del out[key]
-                else:
-                    out[key] = new
+            vec_addto(out, self._delta[i], a)
         return out
 
     def counit_vec(self, u: Vec) -> Cyc:
@@ -180,20 +180,9 @@ class HopfAlgebra:
         out: dict[tuple[int, int], Cyc] = {}
         for (a, b), x in s.items():
             for (c, d), y in t.items():
-                left = self.mult[a][c]
-                right = self.mult[b][d]
-                coeff = x * y
-                for p, xp in left.items():
-                    for q, xq in right.items():
-                        key = (p, q)
-                        add = coeff * xp * xq
-                        cur = out.get(key)
-                        new = add if cur is None else cur + add
-                        if new.is_zero():
-                            if cur is not None:
-                                del out[key]
-                        else:
-                            out[key] = new
+                left, right = self.mult[a][c], self.mult[b][d]
+                vec_addto(out, {(p, q): xp * xq for p, xp in left.items()
+                                for q, xq in right.items()}, x * y)
         return out
 
     # -- verification ------------------------------------------------------
@@ -221,11 +210,9 @@ class HopfAlgebra:
         for i in rng:
             left: dict[tuple[int, int, int], Cyc] = {}
             right: dict[tuple[int, int, int], Cyc] = {}
-            for j, k, c in self.comult[i]:
-                for a, b, d in self.comult[j]:
-                    _tensor3_add(left, (a, b, k), c * d)
-                for a, b, d in self.comult[k]:
-                    _tensor3_add(right, (j, a, b), c * d)
+            for (j, k), c in self._delta[i].items():
+                vec_addto(left, {(a, b, k): d for (a, b), d in self._delta[j].items()}, c)
+                vec_addto(right, {(j, a, b): d for (a, b), d in self._delta[k].items()}, c)
             if left != right:
                 bad.append(f"coassociativity: {lab[i]}")
 
@@ -303,16 +290,6 @@ class HopfAlgebra:
         from .exprs import show
 
         return show({(k,): c for k, c in v.items()}, self.labels) if v else "0"
-
-
-def _tensor3_add(acc: dict, key: tuple[int, int, int], c: Cyc) -> None:
-    cur = acc.get(key)
-    new = c if cur is None else cur + c
-    if new.is_zero():
-        if cur is not None:
-            del acc[key]
-    else:
-        acc[key] = new
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
-from .linalg import Matrix, Subspace, Vec, eigenvectors
+from .exprs import show_scalar
+from .linalg import Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -41,6 +42,14 @@ from .scalars import ONE, ZERO
 
 # ---------------------------------------------------------------------------
 # character components
+
+
+def eigen_probes(action: HopfAction) -> list[int]:
+    """Basis elements of H whose eigenvalues fix a component: a generating
+    set for a group action (characters are multiplicative), else all."""
+    if action.kind == "group":
+        return action.group.generating_set()
+    return list(range(action.hopf.dim))
 
 
 def graded_components(
@@ -64,10 +73,7 @@ def graded_components(
             out.append(slices)
         return out
 
-    if action.kind == "group":
-        probes = action.group.generating_set()
-    else:
-        probes = list(range(action.hopf.dim))
+    probes = eigen_probes(action)
     for ch in chars.chars:
         slices = []
         for d in range(max_degree + 1):
@@ -77,13 +83,58 @@ def graded_components(
     return out
 
 
-def check_component_multiplicativity(
-    alg: GradedAlgebra,
+def component_grading_certificate(
+    action: HopfAction,
     chars: CharacterGroup,
     comps: list[list[Subspace]],
     max_degree: int,
+    projectors: list[Vec],
+) -> str:
+    """'' when every slice comps[i][d] is the whole chars[i]-eigenspace of
+    A_d, else the first failure.  The slice must lie in the eigenspace
+    (a), and its dimension must be the trace on A_d of the central
+    idempotent p_i, which is the dimension of the eigenspace (b)."""
+    probes = eigen_probes(action)
+    support = {h for p in projectors for h in p}
+    for d in range(max_degree + 1):
+        traces = {}
+        for h in support:
+            cols = action.columns(h, d)
+            traces[h] = sum((col[k] for k, col in enumerate(cols) if k in col), ZERO)
+        for i, ch in enumerate(chars.chars):
+            space = comps[i][d]
+            basis = space.basis()
+            for h in probes:
+                cols, value = action.columns(h, d), ch.values[h]
+                for v in basis:
+                    if apply_cols(cols, v) != vec_scale(v, value):
+                        return f"A_{ch.label} in degree {d} leaves its eigenspace"
+            trace = sum((c * traces[h] for h, c in projectors[i].items()), ZERO)
+            if trace != space.dim:
+                return (f"A_{ch.label} in degree {d} has dimension {space.dim}, "
+                        f"its projector trace {show_scalar(trace)[0]}")
+    return ""
+
+
+def check_component_multiplicativity(
+    action: HopfAction,
+    chars: CharacterGroup,
+    comps: list[list[Subspace]],
+    max_degree: int,
+    projectors: list[Vec] | None = None,
 ) -> list[str]:
-    """A_g * A_h must land in A_{gh}."""
+    """A_g * A_h must land in A_{gh}.
+
+    With the verified central idempotents, the grading is certified
+    without forming products: when every slice is its whole eigenspace,
+    the module-algebra law h.(ab) = sum (h_1.a)(h_2.b) puts
+    A_g * A_h inside A_{g*h} (docs/component-grading.md).  Otherwise
+    every product is formed, and the witnesses are named.
+    """
+    if projectors is not None and not component_grading_certificate(
+            action, chars, comps, max_degree, projectors):
+        return []
+    alg = action.alg
     bad = []
     g0 = chars.group
     n = len(chars)

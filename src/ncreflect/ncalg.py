@@ -119,15 +119,8 @@ class GradedAlgebra:
                     i = word[0]
                     tail = self.nf_word(word[1:] + b)
                     lower = self._basis[d - self.weights[i]]
-                    for k, c in tail.items():
-                        pos = cidx[(i,) + lower[k]]
-                        cur = vec.get(pos)
-                        new = coeff * c if cur is None else cur + coeff * c
-                        if new.is_zero():
-                            if cur is not None:
-                                del vec[pos]
-                        else:
-                            vec[pos] = new
+                    vec_addto(vec, {cidx[(i,) + lower[k]]: c for k, c in tail.items()},
+                              coeff)
                 ech.insert(vec)
 
         survivors = [c for c in range(len(carrier_words)) if c not in ech.rows]

@@ -61,6 +61,11 @@ SPEC_FORMAT = "ncreflect-spec/1"
 _RESERVED = re.compile(r"^(i|z[0-9]+)$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
+# json.loads recurses once per array or object, so deeper nesting is
+# refused at its bracket before Python's recursion limit is hit
+MAX_JSON_DEPTH = 100
+_JSON_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+
 
 class SpecSyntaxError(ValueError):
     """The document is not well-formed text (position from the decoder)."""
@@ -240,7 +245,23 @@ def load(path) -> InputSpec:
         return loads(fh.read())
 
 
+def _check_nesting(text: str) -> None:
+    depth = 0
+    for m in _JSON_STRING_OR_BRACKET.finditer(text):
+        tok = m.group()
+        if tok in ("[", "{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                off = m.start()
+                raise SpecSyntaxError(
+                    f"arrays and objects nested deeper than {MAX_JSON_DEPTH} at offset {off}",
+                    text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
+        elif tok in ("]", "}"):
+            depth -= 1
+
+
 def loads(text: str) -> InputSpec:
+    _check_nesting(text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

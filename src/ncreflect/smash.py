@@ -99,13 +99,15 @@ class SmashProduct:
 
 
 def integral_span_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
-    """S_d = span{(1#Λ)(b#k)} over basis pairs of A_d x H."""
+    """S_d = (1#Λ)(A_d # H), spanned by the (1#Λ)(a#1) over a basis of A_d:
+    A_d # H = (1#H)(A_d # 1) and Λh = counit(h)Λ
+    (docs/radical-spanning.md, step 1)."""
     lam = sm.unit_integral()
     out = []
     for d in range(max_degree + 1):
         space = Subspace(sm.dim(d))
-        for key in range(sm.dim(d)):
-            space.add(sm.mul(lam, 0, {key: ONE}, d))
+        for a in range(sm.alg.dim(d)):
+            space.add(sm.mul(lam, 0, sm.include_a({a: ONE}, d), d))
         out.append(space)
     return out
 

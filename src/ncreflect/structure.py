@@ -186,13 +186,8 @@ TPoly = dict[tuple[int, ...], Cyc]
 def tp_mul(p: TPoly, q: TPoly) -> TPoly:
     out: TPoly = {}
     for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            new = out.get(e, ZERO) + c1 * c2
-            if new.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = new
+        vec_addto(out, {tuple(a + b for a, b in zip(e1, e2)): c2 for e2, c2 in q.items()},
+                  c1)
     return out
 
 

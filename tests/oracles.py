@@ -13,6 +13,10 @@ eliminates both operands anew, the reference for
 subalgebra S (``subalgebra_slices``), the reference for the covariant
 ideals, which the engine builds from the generators of S alone.
 
+``pairwise_integral_span`` spans (1#Λ)(b#k) over every basis pair of
+A_d x H, the reference for ``smash.integral_span_slices``, which uses
+the (1#Λ)(a#1) alone.
+
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
 Kac-Paljutkin radical the tests check the engine against; ``is_abelian``
@@ -147,6 +151,18 @@ def subalgebra_slices(alg, gens, max_degree: int) -> list[Subspace]:
                 for v in out[d - g.degree].basis():
                     acc.add(alg.mul(v, d - g.degree, g.vec, g.degree))
         out.append(acc)
+    return out
+
+
+def pairwise_integral_span(sm, max_degree: int) -> list[Subspace]:
+    """S_d = span{(1#Λ)(b#k)} over basis pairs of A_d x H."""
+    lam = sm.unit_integral()
+    out = []
+    for d in range(max_degree + 1):
+        space = Subspace(sm.dim(d))
+        for key in range(sm.dim(d)):
+            space.add(sm.mul(lam, 0, {key: ONE}, d))
+        out.append(space)
     return out
 
 

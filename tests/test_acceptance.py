@@ -259,7 +259,7 @@ def test_structural_identities_on_every_preset():
         alg = p.algebra
 
         # components multiply into components
-        assert check_component_multiplicativity(alg, p.chars, comp.slices, D) == []
+        assert check_component_multiplicativity(p.action, p.chars, comp.slices, D) == []
 
         # left and right discriminants span the same line
         assert proportional(jac.delta_left, jac.delta_right)

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from ncreflect.cli import main
-from ncreflect.exprs import MAX_INT_DIGITS
+from ncreflect.exprs import MAX_INT_DIGITS, MAX_PAREN_DEPTH
+from ncreflect.presentation import MAX_JSON_DEPTH
 from ncreflect.presets import catalog
 from ncreflect.scalars import MAX_CONDUCTOR
 
@@ -112,6 +113,37 @@ def test_validate_integer_literal_too_long(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"/algebra/relations/0: integer literal of more than {MAX_INT_DIGITS} digits" in err
     assert "at offset 6" in err
+
+
+def test_validate_parentheses_nested_too_deep(tmp_path, capsys, monkeypatch):
+    # the recursive-descent parser would exceed Python's recursion limit;
+    # the '(' one level past the cap is refused at its offset
+    monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "6")
+
+    def nested(depth):
+        return _relations("(" * depth + "x*y" + ")" * depth + " - y*x")
+
+    assert main(["validate", mutate_shipped(tmp_path, "trivial", nested(MAX_PAREN_DEPTH))]) == 0
+    path = mutate_shipped(tmp_path, "trivial", nested(5000))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert (f"/algebra/relations/0: parentheses nested deeper than {MAX_PAREN_DEPTH} "
+            f"at offset {MAX_PAREN_DEPTH}") in err
+
+
+def test_validate_json_nested_too_deep(tmp_path, capsys, monkeypatch):
+    # json.loads would exceed Python's recursion limit; brackets inside
+    # strings do not count
+    monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "6")
+    path = mutate_shipped(tmp_path, "trivial", lambda d: d.__setitem__("name", "[{" * 500))
+    assert main(["validate", path]) == 0
+    path = tmp_path / "deep.spec"
+    path.write_text("\n" + "[" * 100000 + "]" * 100000)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    off = MAX_JSON_DEPTH + 1
+    assert (f"arrays and objects nested deeper than {MAX_JSON_DEPTH} at offset {off} "
+            f"(line 2, column {off})") in err
 
 
 def _relations(*texts):

@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+from ncreflect.hopf import central_idempotents
 from ncreflect.invariants import (
     check_component_multiplicativity,
+    component_grading_certificate,
     component_report,
     covariant_data,
     fixed_ring,
@@ -64,7 +66,7 @@ def test_kac_component_generators():
 
 def test_kac_component_multiplicativity():
     p, comp, _, _ = bundle("e42-kacpalyutkin")
-    assert check_component_multiplicativity(p.algebra, p.chars, comp.slices, 6) == []
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 6) == []
 
 
 def test_component_multiplicativity_failure_is_reported():
@@ -72,9 +74,52 @@ def test_component_multiplicativity_failure_is_reported():
     swapped = list(comp.slices)
     eps, g = cidx(p, "eps"), cidx(p, "g")
     swapped[eps], swapped[g] = swapped[g], swapped[eps]
-    bad = check_component_multiplicativity(p.algebra, p.chars, swapped, 6)
+    bad = check_component_multiplicativity(p.action, p.chars, swapped, 6)
     # A_g * A_g lands in A_eps, not in the slot now holding A_g
     assert "A_eps * A_eps leaves A_eps in degree 4" in bad
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_component_grading_certificate_holds_on_every_preset(name):
+    p, comp, _, _ = bundle(name)
+    projectors = central_idempotents(p.hopf, p.chars)
+    assert component_grading_certificate(p.action, p.chars, comp.slices, 8, projectors) == ""
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 8, projectors) == []
+    # without the projectors every product is formed, and none leaves
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 8) == []
+
+
+def _with_slice(comps, i, d, space):
+    out = [list(row) for row in comps]
+    out[i][d] = space
+    return out
+
+
+def test_certificate_refuses_a_proper_subspace_of_an_eigenspace():
+    p, comp, _, _ = bundle("e42-kacpalyutkin")
+    projectors = central_idempotents(p.hopf, p.chars)
+    eps = cidx(p, "eps")
+    full = comp.slices[eps][4]
+    assert full.dim == 2
+    bad = _with_slice(comp.slices, eps, 4, Subspace.span(full.ambient, full.basis()[:1]))
+    # (a) holds, (b) does not
+    assert component_grading_certificate(p.action, p.chars, bad, 6, projectors) == (
+        "A_eps in degree 4 has dimension 1, its projector trace 2")
+    witnesses = check_component_multiplicativity(p.action, p.chars, bad, 6, projectors)
+    assert "A_g * A_g leaves A_eps in degree 4" in witnesses
+
+
+def test_certificate_refuses_a_vector_of_another_component():
+    p, comp, _, _ = bundle("e42-kacpalyutkin")
+    projectors = central_idempotents(p.hopf, p.chars)
+    g, gp = cidx(p, "g"), cidx(p, "gp")
+    assert comp.slices[g][4].dim == comp.slices[gp][4].dim == 1
+    bad = _with_slice(comp.slices, g, 4, comp.slices[gp][4])
+    # the dimensions still match the projector traces, (a) fails
+    assert component_grading_certificate(p.action, p.chars, bad, 6, projectors) == (
+        "A_g in degree 4 leaves its eigenspace")
+    witnesses = check_component_multiplicativity(p.action, p.chars, bad, 6, projectors)
+    assert "A_g * A_eps leaves A_g in degree 4" in witnesses
 
 
 def test_kac_fixed_ring():
@@ -135,7 +180,7 @@ def test_dihedral3_component_generators():
 
 def test_dihedral3_component_multiplicativity():
     p, comp, _, _ = bundle("e22-dualD8")
-    assert check_component_multiplicativity(p.algebra, p.chars, comp.slices, 5) == []
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 5) == []
 
 
 def test_dihedral3_fixed_ring_and_xi():

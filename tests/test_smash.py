@@ -29,6 +29,7 @@ from ncreflect.smash import (
     commutator_ideal,
     dis_radical,
     dual_group_shortcut,
+    integral_span_slices,
     pertinency_slices,
     principal_radical,
     radical_slices,
@@ -41,6 +42,7 @@ from oracles import (
     constrained_left_ideal,
     kac_palyutkin_idempotents,
     matrix_block_units,
+    pairwise_integral_span,
     zassenhaus_intersect,
 )
 
@@ -129,6 +131,18 @@ def test_pertinency_matches_raw_spanning_set():
             for v in pert[d].basis():
                 assert pert[d].contains(sm.mul(hvec, 0, v, d))
                 assert pert[d].contains(sm.mul(v, d, hvec, 0))
+
+
+@pytest.mark.parametrize("name", [
+    "trivial", "e42-kacpalyutkin", "l41-cyclic-n-m(z3,2,3)", "l41-mystic(1,2)",
+    "l41-mystic(2,4)",
+])
+def test_integral_span_from_a_hash_one_matches_every_pair(name):
+    """(1#Λ)(A_d # H) is already spanned by the (1#Λ)(a#1)."""
+    D = 8
+    sm = SmashProduct(catalog.build(name, max_degree=D).action)
+    assert sm.action.kind != "dual_group"
+    assert integral_span_slices(sm, D) == pairwise_integral_span(sm, D)
 
 
 @pytest.mark.parametrize("name, D, unit_terms", [
