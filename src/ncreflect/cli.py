@@ -9,9 +9,13 @@ Five commands sharing one exit-code convention::
     divisors <file> --element "<expr>" [--side left|right|both]
 
 Exit codes: 0 everything passed; 2 input problems (syntax, schema, bad
-flags, unknown preset); 3 verification failure (Hopf axioms,
-module-algebra laws, fixture drift); 4 a hypothesis flag (the input is
-outside the theorems' assumptions); 5 a theorem check failed.
+flags, unknown preset, a slice above the size limit); 3 verification
+failure (Hopf axioms, module-algebra laws, fixture drift); 4 a
+hypothesis flag (the input is outside the theorems' assumptions); 5 a
+theorem check failed; 70 an internal error: any other exception, reported
+as one line ``internal error in <module>.<function>: <type>: <message>``
+that names the innermost ncreflect function on the traceback, which is
+not printed.
 
 The truncation bound is resolved as: ``--max-degree`` flag, then the
 ``NCREFLECT_MAX_DEGREE`` environment variable, then ``options.max_degree``
@@ -25,18 +29,21 @@ import difflib
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import presentation
 from .analysis import Check, analyze, report_json, report_text
 from .divisors import divisor_report
 from .exprs import ExprError, p_degree, parse
+from .ncalg import CarrierTooLarge
 from .presets import catalog
 from .presets.catalog import Preset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 70
 
 
 class CommandError(Exception):
@@ -90,7 +97,7 @@ def _load(path: str) -> presentation.InputSpec:
 def _realize(spec: presentation.InputSpec, max_degree: int) -> Preset:
     try:
         return presentation.realize(spec, max_degree=max_degree)
-    except presentation.SpecSchemaError as e:
+    except (presentation.SpecSchemaError, CarrierTooLarge) as e:
         raise CommandError(EXIT_INPUT, str(e))
     except ValueError as e:
         # mathematically inconsistent input (bad matrices, degree mixing,
@@ -360,6 +367,23 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except CarrierTooLarge as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as e:
+        message = str(e).partition("\n")[0]
+        print(f"internal error in {_innermost_frame(e)}: {type(e).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _innermost_frame(exc: BaseException) -> str:
+    """<module>.<function> of the innermost ncreflect frame that raised exc;
+    the traceback starts at main, so there is one."""
+    names = [f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+             for frame, _ in traceback.walk_tb(exc.__traceback__)
+             if frame.f_globals.get("__name__", "").split(".")[0] == "ncreflect"]
+    return names[-1]
 
 
 if __name__ == "__main__":

@@ -40,6 +40,14 @@ MAX_INT_DIGITS = 1000
 # nesting is refused at its '(' before Python's recursion limit is hit
 MAX_PAREN_DEPTH = 100
 
+# a product or power is refused at its operator before it is formed when
+# a word of it would be longer than MAX_WORD_LENGTH letters (a power also
+# when its exponent is), or when its factors have more than MAX_TERMS
+# pairs of terms: x^100000 or (x+y)^1000 would otherwise be expanded in
+# full before any degree bound is looked at
+MAX_WORD_LENGTH = 1000
+MAX_TERMS = 10_000
+
 
 class ExprError(ValueError):
     """Syntax or name error in an expression, with a character offset."""
@@ -76,15 +84,6 @@ def p_mul(a: FreePoly, b: FreePoly) -> FreePoly:
     return out
 
 
-def p_pow(a: FreePoly, k: int) -> FreePoly:
-    if k < 0:
-        raise ValueError("negative power of a polynomial")
-    out = p_const(1)
-    for _ in range(k):
-        out = p_mul(out, a)
-    return out
-
-
 def p_degree(a: FreePoly, weights: Sequence[int] | None = None) -> int | None:
     """Common weighted degree of all terms, or None for 0 / mixed degrees."""
     if not a:
@@ -93,6 +92,10 @@ def p_degree(a: FreePoly, weights: Sequence[int] | None = None) -> int | None:
     for w in a:
         degs.add(len(w) if weights is None else sum(weights[i] for i in w))
     return degs.pop() if len(degs) == 1 else None
+
+
+def _longest(a: FreePoly) -> int:
+    return max(map(len, a), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +169,38 @@ class _Parser:
         acc = self.factor()
         while self.peek()[0] == "*":
             off = self.next()[2]
-            rhs = self.factor()
-            try:
-                acc = p_mul(acc, rhs)
-            except ValueError as e:  # roots of unity whose lcm is above MAX_CONDUCTOR
-                raise ExprError(str(e), off) from None
+            acc = self.product(acc, self.factor(), off)
         return acc
 
     def factor(self) -> FreePoly:
         base = self.atom()
         if self.peek()[0] == "^":
-            self.next()
+            op = self.next()[2]
             kind, value, off = self.next()
             if kind != "int":
                 raise ExprError("expected a nonnegative integer exponent", off)
-            base = p_pow(base, value)
+            if max(value, value * _longest(base)) > MAX_WORD_LENGTH:
+                raise ExprError(f"power {value} exceeds the maximum word length "
+                                f"{MAX_WORD_LENGTH}", op)
+            acc = p_const(1)
+            for _ in range(value):
+                acc = self.product(acc, base, op)
+            base = acc
         return base
+
+    @staticmethod
+    def product(a: FreePoly, b: FreePoly, off: int) -> FreePoly:
+        """a * b, refused at the operator's offset before it is formed
+        when it would exceed MAX_WORD_LENGTH or MAX_TERMS."""
+        if _longest(a) + _longest(b) > MAX_WORD_LENGTH:
+            raise ExprError(f"product exceeds the maximum word length {MAX_WORD_LENGTH}", off)
+        if len(a) * len(b) > MAX_TERMS:
+            raise ExprError(f"product of {len(a)} by {len(b)} terms, "
+                            f"above the maximum of {MAX_TERMS} pairs", off)
+        try:
+            return p_mul(a, b)
+        except ValueError as e:  # roots of unity whose lcm is above MAX_CONDUCTOR
+            raise ExprError(str(e), off) from None
 
     def atom(self) -> FreePoly:
         kind, value, off = self.peek()

@@ -6,7 +6,15 @@ Vectors are ``dict[int, Cyc]`` with no zero entries.
 keyed by pivot column.  Ideal slices and smash-product spans are built by
 inserting thousands of mostly-sparse vectors, so the echelon is
 maintained eagerly (every stored row has pivot coefficient 1 and is
-reduced against every other pivot).  On top of it sit ``Subspace``
+reduced against every other pivot).
+
+A batch goes in through ``extend``, in descending order of leading
+(smallest) column.  A stored row holds only columns above its own
+pivot, so a new pivot below every stored pivot sits in no stored row and
+needs no back-substitution; inserted in arrival order, a low pivot is
+eliminated from every row that holds it.  The row space, and with it
+the unique reduced echelon form, does not depend on the order, so the
+rows come out the same either way.  On top of the engine sit ``Subspace``
 (canonical bases, sums and intersections), ``Expressor`` (coefficients
 of a target over a generator list, and the linear relations among the
 generators), and ``eigenvectors`` (common eigenvectors of maps given by
@@ -159,6 +167,12 @@ class SparseEch:
         self.rows[p] = row
         return True
 
+    def extend(self, vecs: Iterable[Vec]) -> None:
+        """Insert a batch, nonzero vectors in descending order of leading
+        column, so that new pivots mostly land below the stored ones."""
+        for v in sorted(filter(None, vecs), key=min, reverse=True):
+            self.insert(v)
+
     def basis(self) -> list[Vec]:
         return [dict(self.rows[p]) for p in sorted(self.rows)]
 
@@ -181,8 +195,7 @@ class Subspace:
     @classmethod
     def span(cls, dim: int, vecs: Iterable[Vec]) -> "Subspace":
         s = cls(dim)
-        for v in vecs:
-            s.add(v)
+        s.extend(vecs)
         return s
 
     @property
@@ -195,6 +208,9 @@ class Subspace:
 
     def add(self, vec: Vec) -> bool:
         return self._ech.insert(vec)
+
+    def extend(self, vecs: Iterable[Vec]) -> None:
+        self._ech.extend(vecs)
 
     def contains(self, vec: Vec) -> bool:
         return self._ech.contains(vec)

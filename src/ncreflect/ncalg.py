@@ -58,6 +58,22 @@ class RelationAboveBound(ValueError):
         self.bound = bound
 
 
+# the carrier of a slice is allocated as one word list; 40 free degree-one
+# generators would need 40^6 words in degree 6.  The shipped presets need
+# at most 900 words, at degree bound 24.
+MAX_CARRIER = 50_000
+
+
+class CarrierTooLarge(ValueError):
+    """A slice whose carrier would hold more than MAX_CARRIER words."""
+
+    def __init__(self, degree: int, size: int):
+        super().__init__(f"degree {degree} needs a carrier of {size} words, "
+                         f"above the maximum {MAX_CARRIER}")
+        self.degree = degree
+        self.size = size
+
+
 class GradedAlgebra:
     def __init__(
         self,
@@ -101,6 +117,9 @@ class GradedAlgebra:
 
     def _build_next(self) -> None:
         d = len(self._basis)
+        size = sum(len(self._basis[d - w]) for w in self.weights if w <= d)
+        if size > MAX_CARRIER:
+            raise CarrierTooLarge(d, size)
         carrier_words: list[Word] = []
         for i, w in enumerate(self.weights):
             if w <= d:
@@ -317,26 +336,29 @@ def _span_of(alg: GradedAlgebra, elems: Sequence[Elem], degree: int) -> Subspace
     return s
 
 
+def _images(letter, weights, spaces: list[Subspace], degree: int) -> list[Vec]:
+    """The images of the bases of spaces[degree - w_i] under letter(i, -),
+    one batch over every generator; each column list is fetched once."""
+    out = []
+    for i, w in enumerate(weights):
+        if w <= degree:
+            cols = letter(i, degree - w)
+            out.extend(apply_cols(cols, v) for v in spaces[degree - w].basis())
+    return out
+
+
 def push_left(alg, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
     """acc += sum_i x_i * spaces[degree - w_i].
 
     ``alg`` needs only ``weights`` and ``left_letter(i, degree)``, so a
     ``smash.SmashProduct`` runs the same recursion on A # H.
     """
-    for i, w in enumerate(alg.weights):
-        if w <= degree:
-            cols = alg.left_letter(i, degree - w)
-            for v in spaces[degree - w].basis():
-                acc.add(apply_cols(cols, v))
+    acc.extend(_images(alg.left_letter, alg.weights, spaces, degree))
 
 
 def _push_right(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
     """acc += sum_i spaces[degree - w_i] * x_i."""
-    for i, w in enumerate(alg.weights):
-        if w <= degree:
-            cols = alg.right_letter(i, degree - w)
-            for v in spaces[degree - w].basis():
-                acc.add(apply_cols(cols, v))
+    acc.extend(_images(alg.right_letter, alg.weights, spaces, degree))
 
 
 def left_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:

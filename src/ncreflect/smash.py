@@ -103,13 +103,9 @@ def integral_span_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
     A_d # H = (1#H)(A_d # 1) and Λh = counit(h)Λ
     (docs/radical-spanning.md, step 1)."""
     lam = sm.unit_integral()
-    out = []
-    for d in range(max_degree + 1):
-        space = Subspace(sm.dim(d))
-        for a in range(sm.alg.dim(d)):
-            space.add(sm.mul(lam, 0, sm.include_a({a: ONE}, d), d))
-        out.append(space)
-    return out
+    return [Subspace.span(sm.dim(d), [sm.mul(lam, 0, sm.include_a({a: ONE}, d), d)
+                                      for a in range(sm.alg.dim(d))])
+            for d in range(max_degree + 1)]
 
 
 def pertinency_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:

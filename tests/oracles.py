@@ -15,7 +15,10 @@ ideals, which the engine builds from the generators of S alone.
 
 ``pairwise_integral_span`` spans (1#Λ)(b#k) over every basis pair of
 A_d x H, the reference for ``smash.integral_span_slices``, which uses
-the (1#Λ)(a#1) alone.
+the (1#Λ)(a#1) alone.  ``pertinency_one_at_a_time`` grows the
+pertinency slices from it, adding one image at a time in generator
+order, the reference for ``smash.pertinency_slices``, whose
+``ncalg.push_left`` inserts each degree as one batch.
 
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
@@ -163,6 +166,19 @@ def pairwise_integral_span(sm, max_degree: int) -> list[Subspace]:
         for key in range(sm.dim(d)):
             space.add(sm.mul(lam, 0, {key: ONE}, d))
         out.append(space)
+    return out
+
+
+def pertinency_one_at_a_time(sm, max_degree: int) -> list[Subspace]:
+    """Slices of the pertinency ideal by the recursion P_d = S_d + sum_i
+    (x_i # 1) P_{d - w_i}, each image added on its own."""
+    out = pairwise_integral_span(sm, max_degree)
+    for d in range(max_degree + 1):
+        for i, w in enumerate(sm.weights):
+            if w <= d:
+                cols = sm.left_letter(i, d - w)
+                for v in out[d - w].basis():
+                    out[d].add(apply_cols(cols, v))
     return out
 
 

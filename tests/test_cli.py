@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from ncreflect.cli import main
-from ncreflect.exprs import MAX_INT_DIGITS, MAX_PAREN_DEPTH
+from ncreflect import smash
+from ncreflect.cli import EXIT_INTERNAL, main
+from ncreflect.exprs import MAX_INT_DIGITS, MAX_PAREN_DEPTH, MAX_TERMS, MAX_WORD_LENGTH
+from ncreflect.ncalg import MAX_CARRIER
 from ncreflect.presentation import MAX_JSON_DEPTH
 from ncreflect.presets import catalog
 from ncreflect.scalars import MAX_CONDUCTOR
@@ -144,6 +146,46 @@ def test_validate_json_nested_too_deep(tmp_path, capsys, monkeypatch):
     off = MAX_JSON_DEPTH + 1
     assert (f"arrays and objects nested deeper than {MAX_JSON_DEPTH} at offset {off} "
             f"(line 2, column {off})") in err
+
+
+@pytest.mark.parametrize("relation, message", [
+    ("x^100000", f"power 100000 exceeds the maximum word length {MAX_WORD_LENGTH} at offset 1"),
+    ("(x+y)^1000", f"terms, above the maximum of {MAX_TERMS} pairs at offset 5"),
+])
+def test_validate_expression_refused_before_expansion(tmp_path, capsys, relation, message):
+    # the power is refused at its '^' before it is expanded, not after
+    path = mutate_shipped(tmp_path, "trivial", _relations(relation))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "/algebra/relations/0: " in err and message in err
+
+
+def test_analyze_slice_carrier_above_maximum(tmp_path, capsys):
+    # 40 free generators: degree 3 would need 40 * 40^2 carrier words
+    names = [f"x{k}" for k in range(40)]
+
+    def free(d):
+        d["algebra"]["generators"] = [{"name": n, "degree": 1} for n in names]
+        d["algebra"]["relations"] = []
+        d["action"]["matrices"]["e"] = names
+
+    path = mutate_shipped(tmp_path, "trivial", free)
+    assert main(["analyze", path, "--max-degree", "6"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: degree 3 needs a carrier of 64000 words, above the maximum {MAX_CARRIER}" in err
+
+
+def test_internal_error_is_one_line_naming_the_innermost_function(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("injected\nsecond line")
+
+    monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "6")
+    monkeypatch.setattr(smash, "pertinency_slices", broken)
+    assert main(["analyze", spec_file("trivial")]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == ("internal error in ncreflect.smash.radical_slices: "
+                            "RuntimeError: injected\n")
+    assert "Traceback" not in captured.out
 
 
 def _relations(*texts):

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from ncreflect.exprs import (
+    MAX_TERMS,
+    MAX_WORD_LENGTH,
     ExprError,
     p_degree,
     p_mul,
-    p_pow,
     p_scale,
     parse,
     parse_scalar,
@@ -87,6 +89,27 @@ def test_syntax_errors_carry_offsets():
         parse("u $ v", UV)
 
 
+def test_expansion_limits_refuse_at_the_operator():
+    X = ["x"]
+    assert parse(f"x^{MAX_WORD_LENGTH}", X) == {(0,) * MAX_WORD_LENGTH: ONE}
+    assert parse(f"x^{MAX_WORD_LENGTH // 2}*x^{MAX_WORD_LENGTH // 2}", X) \
+        == {(0,) * MAX_WORD_LENGTH: ONE}
+    n = isqrt(MAX_TERMS)  # n * n pairs are allowed, (n + 1) * n are not
+    terms = "+".join(f"x^{k}" for k in range(1, n + 1))
+    assert len(parse(f"({terms})*({terms})", X)) == 2 * n - 1
+    refused = [
+        (f"x^{MAX_WORD_LENGTH + 1}", 1),
+        (f"2^{MAX_WORD_LENGTH + 1}", 1),  # a scalar power, whatever its words
+        (f"(x^2)^{MAX_WORD_LENGTH // 2 + 1}", 5),
+        (f"x^{MAX_WORD_LENGTH}*x", len(f"x^{MAX_WORD_LENGTH}")),
+        (f"({terms}+x^{n + 1})*({terms})", len(terms) + len(f"(+x^{n + 1})")),
+    ]
+    for text, offset in refused:
+        with pytest.raises(ExprError) as e:
+            parse(text, X)
+        assert e.value.offset == offset, text
+
+
 def test_show_basic_forms():
     gens = ["u", "v"]
     assert show({}, gens) == "0"
@@ -126,5 +149,5 @@ def test_free_poly_algebra():
     a = parse("u + v", UV)
     b = parse("u - v", UV)
     assert p_mul(a, b) == parse("u^2 - u*v + v*u - v^2", UV)
-    assert p_pow(a, 0) == {(): ONE}
+    assert parse("(u + v)^0", UV) == {(): ONE}
     assert p_scale(a, Fraction(0)) == {}

@@ -6,6 +6,7 @@ import pytest
 from ncreflect.linalg import (
     Expressor,
     Matrix,
+    SparseEch,
     Subspace,
     eigenvectors,
     express,
@@ -101,6 +102,53 @@ def test_intersect_matches_zassenhaus(conductor):
             want = zassenhaus_intersect(a, b)
             assert a.intersect(b) == want
             assert b.intersect(a) == want
+
+
+@pytest.mark.parametrize("conductor", [1, 8, 12])
+def test_extend_matches_one_at_a_time_insert(conductor):
+    """A batch inserted in descending leading-column order leaves the same
+    rows as inserting it vector by vector in the given order."""
+    rng = random.Random(5000 + conductor)
+    units = [zeta(conductor, k) for k in range(conductor)]
+
+    def scalar():
+        return Cyc.rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)) \
+            * rng.choice(units)
+
+    def vec(dim):
+        return {k: scalar() for k in range(dim) if rng.random() < 0.3}
+
+    deficient = 0
+    for trial in range(60):
+        dim = rng.randint(1, 12)
+        start = [vec(dim) for _ in range(rng.randint(0, 3))]
+        batch = [vec(dim) for _ in range(rng.randint(1, 10))]
+        kind = trial % 4
+        if kind == 1:  # zero vectors
+            for _ in range(2):
+                batch.insert(rng.randint(0, len(batch)), {})
+        elif kind == 2:  # duplicates
+            batch.insert(rng.randint(0, len(batch)), dict(rng.choice(batch)))
+        elif kind == 3:  # rank-deficient: combinations of batch vectors
+            for _ in range(2):
+                combo = {}
+                vec_addto(combo, rng.choice(batch), scalar())
+                vec_addto(combo, rng.choice(batch), scalar())
+                batch.insert(rng.randint(0, len(batch)), combo)
+        one, many = SparseEch(dim), SparseEch(dim)
+        for v in start:
+            one.insert(v)
+            many.insert(v)
+        for v in batch:
+            one.insert(v)
+        many.extend(batch)
+        assert many.rows == one.rows
+        deficient += many.rank < len(start) + sum(1 for v in batch if v)
+        spanned = Subspace(dim)
+        for v in batch:
+            spanned.add(v)
+        assert Subspace.span(dim, batch) == spanned
+    assert deficient
 
 
 @pytest.mark.parametrize("conductor", [1, 8, 12])

@@ -43,6 +43,7 @@ from oracles import (
     kac_palyutkin_idempotents,
     matrix_block_units,
     pairwise_integral_span,
+    pertinency_one_at_a_time,
     zassenhaus_intersect,
 )
 
@@ -143,6 +144,15 @@ def test_integral_span_from_a_hash_one_matches_every_pair(name):
     sm = SmashProduct(catalog.build(name, max_degree=D).action)
     assert sm.action.kind != "dual_group"
     assert integral_span_slices(sm, D) == pairwise_integral_span(sm, D)
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_pertinency_batches_match_one_at_a_time_adds(name):
+    """Inserting each degree as one batch gives the slices that adding
+    every image on its own gives."""
+    D = 8
+    sm = SmashProduct(catalog.build(name, max_degree=D).action)
+    assert pertinency_slices(sm, D) == pertinency_one_at_a_time(sm, D)
 
 
 @pytest.mark.parametrize("name, D, unit_terms", [
