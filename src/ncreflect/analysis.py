@@ -394,7 +394,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
         method = "component-intersection"
         quotient_dims = [alg.dim(d) - slices[d].dim for d in range(D + 1)]
     else:
-        rad = radical_slices(action, D)
+        rad = radical_slices(action, D, projectors or ())
         slices = rad.slices
         method = "smash-pertinency"
         quotient_dims = rad.quotient_dims

@@ -48,6 +48,11 @@ MAX_PAREN_DEPTH = 100
 MAX_WORD_LENGTH = 1000
 MAX_TERMS = 10_000
 
+# the pairs of terms of every product in one expression count against one
+# budget, so a chain of permitted products, (x+y)^13*1*1*..., is refused at
+# the operator that passes it instead of being formed factor by factor
+MAX_EXPANSION = 100_000
+
 
 class ExprError(ValueError):
     """Syntax or name error in an expression, with a character offset."""
@@ -135,6 +140,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.pairs = 0
         self.gens = {name: idx for idx, name in enumerate(gens)}
 
     def peek(self) -> tuple[str, object, int]:
@@ -188,15 +194,20 @@ class _Parser:
             base = acc
         return base
 
-    @staticmethod
-    def product(a: FreePoly, b: FreePoly, off: int) -> FreePoly:
+    def product(self, a: FreePoly, b: FreePoly, off: int) -> FreePoly:
         """a * b, refused at the operator's offset before it is formed
-        when it would exceed MAX_WORD_LENGTH or MAX_TERMS."""
+        when it would exceed MAX_WORD_LENGTH, MAX_TERMS or what is left of
+        MAX_EXPANSION."""
         if _longest(a) + _longest(b) > MAX_WORD_LENGTH:
             raise ExprError(f"product exceeds the maximum word length {MAX_WORD_LENGTH}", off)
-        if len(a) * len(b) > MAX_TERMS:
+        pairs = len(a) * len(b)
+        if pairs > MAX_TERMS:
             raise ExprError(f"product of {len(a)} by {len(b)} terms, "
                             f"above the maximum of {MAX_TERMS} pairs", off)
+        self.pairs += pairs
+        if self.pairs > MAX_EXPANSION:
+            raise ExprError(f"products of {self.pairs} pairs of terms in one expression, "
+                            f"above the maximum of {MAX_EXPANSION}", off)
         try:
             return p_mul(a, b)
         except ValueError as e:  # roots of unity whose lcm is above MAX_CONDUCTOR

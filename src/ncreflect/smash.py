@@ -8,15 +8,18 @@ checks at the Hopf and at the action level, the dis-radical inside the
 fixed ring, and the principal-generator search for the radical.
 
 The pertinency slices come from ``ncalg``'s left-ideal recursion, run on
-the letters of A lifted to A # H (``SmashProduct.left_letter``).  The
-trace on A is read off the residues of the a # 1 modulo a slice: the
-linear relations among them are the a with a # 1 in the slice, whatever
-the unit of H.
+the letters of A lifted to A # H (``SmashProduct.left_letter``).  Given
+central idempotents of H, the H-coordinates run over a basis adapted to
+them, so that the ideal splits into blocks and each echelon row stays
+inside one.  The trace on A is read off the residues of the a # 1 modulo
+a slice: the linear relations among them are the a with a # 1 in the
+slice, whatever the unit of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .hopf import CharacterGroup, HopfAction, HopfAlgebra
 from .linalg import Expressor, Subspace, Vec, intersect_all, vec_addto
@@ -34,14 +37,54 @@ from .scalars import ONE
 
 
 class SmashProduct:
-    """A # H, one homogeneous A-degree at a time."""
+    """A # H, one homogeneous A-degree at a time.
 
-    def __init__(self, action: HopfAction):
+    ``idempotents`` are orthogonal central idempotents E of H; with
+    1 − Σ E, when it is not zero, they make the blocks.  The H-coordinates
+    of the slices run over a basis adapted to the blocks: block by block,
+    the reduced echelon basis of the ideal HE.  Without idempotents the
+    one block is H and the basis is that of H.  ``mul`` takes its first
+    factor in the basis of H, and its second factor and the product in
+    the adapted one.
+    """
+
+    def __init__(self, action: HopfAction, idempotents: Sequence[Vec] = ()):
         self.action = action
         self.alg = action.alg
-        self.hopf = action.hopf
-        self.nH = action.hopf.dim
+        self.hopf = hopf = action.hopf
+        self.nH = nH = hopf.dim
         self.weights = action.alg.weights
+        blocks = list(idempotents)
+        rest = dict(hopf.unit)
+        for e in blocks:
+            vec_addto(rest, e, -ONE)
+        if rest:
+            blocks.append(rest)
+        self.basis: list[Vec] = []  # the adapted basis, in the basis of H
+        self.block_of: list[int] = []
+        self._coords: list[Vec] = [{} for _ in range(nH)]  # of each basis vector of H
+        for b, e in enumerate(blocks):
+            # h = Σ_E hE, and hE has coordinate (hE)[p] at each pivot p of HE
+            products = [hopf.mul_vec(hopf.basis_vec(h), e) for h in range(nH)]
+            rows = Subspace.span(nH, products).basis()
+            pivots = [min(row) for row in rows]
+            for h, he in enumerate(products):
+                for j, p in enumerate(pivots, len(self.basis)):
+                    if p in he:
+                        self._coords[h][j] = he[p]
+            self.basis.extend(rows)
+            self.block_of.extend([b] * len(rows))
+        if len(self.basis) != nH:
+            raise ValueError("the blocks of the idempotents do not add up to H")
+        self._unit = self.coords(hopf.unit)
+        self._legs_of: dict[tuple, dict[int, Vec]] = {}
+
+    def coords(self, hvec: Vec) -> Vec:
+        """Coordinates of an element of H over the adapted basis."""
+        out: Vec = {}
+        for h, c in hvec.items():
+            vec_addto(out, self._coords[h], c)
+        return out
 
     def dim(self, degree: int) -> int:
         return self.alg.dim(degree) * self.nH
@@ -50,37 +93,50 @@ class SmashProduct:
         """a # 1."""
         out: Vec = {}
         for i, c in vec.items():
-            for h, x in self.hopf.unit.items():
+            for h, x in self._unit.items():
                 out[i * self.nH + h] = c * x
         return out
 
     def include_h(self, hvec: Vec) -> Vec:
-        """1 # h in degree zero (A_0 = k)."""
+        """1 # h in degree zero (A_0 = k), in the basis of H."""
         return {h: c for h, c in hvec.items()}
 
     def unit_integral(self) -> Vec:
         return self.include_h(self.hopf.integral())
 
     def mul(self, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
-        """(a#h)(b#k) = sum a (h_(1).b) # h_(2) k."""
-        alg, hopf, nH = self.alg, self.hopf, self.nH
+        """(a#h)(b#k) = Σ a (h_(1)·b) # h_(2) k, one action of A per
+        first leg h_(1) (``_legs``)."""
+        alg, nH = self.alg, self.nH
+        right = _h_parts(w, nH)
         out: Vec = {}
-        for key1, c1 in v.items():
-            i, h = divmod(key1, nH)
-            left = {i: ONE}
-            for h1, h2, c in hopf.comult[h]:
-                cols = self.action.columns(h1, dw)
-                row = hopf.mult[h2]
-                for key2, c2 in w.items():
-                    j, k = divmod(key2, nH)
-                    amul = alg.mul(left, dv, cols[j], dw)
-                    if not amul:
-                        continue
-                    coeff = c1 * c * c2
-                    for hi, hc in row[k].items():
-                        vec_addto(out, {ai * nH + hi: ac for ai, ac in amul.items()},
-                                  coeff * hc)
+        for i, h in _h_parts(v, nH).items():
+            for j, k in right.items():
+                for h1, leg in self._legs(h, k).items():
+                    amul = alg.mul({i: ONE}, dv, self.action.columns(h1, dw)[j], dw)
+                    for hi, hc in leg.items():
+                        vec_addto(out, {ai * nH + hi: ac for ai, ac in amul.items()}, hc)
         return out
+
+    def _legs(self, h: Vec, k: Vec) -> dict[int, Vec]:
+        """Δ(h)(1 ⊗ k) gathered by its first leg, {h_(1): Σ h_(2) k over
+        the adapted basis}, for h over the basis of H and k over the
+        adapted one.  All the products (1#Λ)(a#1) of a slice share one
+        pair, so each pair is worked out once."""
+        key = (tuple(h.items()), tuple(k.items()))
+        legs = self._legs_of.get(key)
+        if legs is None:
+            hopf = self.hopf
+            right: Vec = {}  # k over the basis of H
+            for j, c in k.items():
+                vec_addto(right, self.basis[j], c)
+            legs = {}
+            for g, c1 in h.items():
+                for h1, h2, c in hopf.comult[g]:
+                    vec_addto(legs.setdefault(h1, {}),
+                              self.coords(hopf.mul_vec(hopf.basis_vec(h2), right)), c1 * c)
+            legs = self._legs_of[key] = {h1: leg for h1, leg in legs.items() if leg}
+        return legs
 
     def left_letter(self, i: int, degree: int) -> list[Vec]:
         """Columns of (x_i # 1) * (-) : A_degree # H -> A_{degree + w_i} # H."""
@@ -88,14 +144,14 @@ class SmashProduct:
         return [{ai * nH + h: ac for ai, ac in col.items()}
                 for col in self.alg.left_letter(i, degree) for h in range(nH)]
 
-    def show(self, vec: Vec, degree: int) -> str:
-        parts = []
-        for key in sorted(vec):
-            i, h = divmod(key, self.nH)
-            parts.append(
-                f"({self.alg.show_vec({i: vec[key]}, degree)})#{self.hopf.labels[h]}"
-            )
-        return " + ".join(parts) if parts else "0"
+
+def _h_parts(vec: Vec, nH: int) -> dict[int, Vec]:
+    """A vector of A_d # H as {A-index: its H-part}."""
+    out: dict[int, Vec] = {}
+    for key, c in vec.items():
+        i, h = divmod(key, nH)
+        out.setdefault(i, {})[h] = c
+    return out
 
 
 def integral_span_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
@@ -135,9 +191,16 @@ class RadicalData:
     quotient_dims: list[int]
 
 
-def radical_slices(action: HopfAction, max_degree: int) -> RadicalData:
-    """Trace of the pertinency ideal on A, degree by degree."""
-    sm = SmashProduct(action)
+def radical_slices(action: HopfAction, max_degree: int,
+                   projectors: Sequence[Vec] = ()) -> RadicalData:
+    """Trace of the pertinency ideal on A, degree by degree.
+
+    Given the verified character projectors, the ideal is computed in the
+    blocks that they and 1 − Σ p_χ cut out of H.  The trace and the
+    codimensions are those of the one block H (docs/radical-spanning.md,
+    "The pertinency ideal splits along central idempotents").
+    """
+    sm = SmashProduct(action, projectors)
     pert = pertinency_slices(sm, max_degree)
     slices = [_trace_on_a(sm, pert[d], d) for d in range(max_degree + 1)]
     qdims = [sm.dim(d) - pert[d].dim for d in range(max_degree + 1)]

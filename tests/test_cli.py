@@ -8,7 +8,13 @@ import pytest
 
 from ncreflect import smash
 from ncreflect.cli import EXIT_INTERNAL, main
-from ncreflect.exprs import MAX_INT_DIGITS, MAX_PAREN_DEPTH, MAX_TERMS, MAX_WORD_LENGTH
+from ncreflect.exprs import (
+    MAX_EXPANSION,
+    MAX_INT_DIGITS,
+    MAX_PAREN_DEPTH,
+    MAX_TERMS,
+    MAX_WORD_LENGTH,
+)
 from ncreflect.ncalg import MAX_CARRIER
 from ncreflect.presentation import MAX_JSON_DEPTH
 from ncreflect.presets import catalog
@@ -151,6 +157,9 @@ def test_validate_json_nested_too_deep(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("relation, message", [
     ("x^100000", f"power 100000 exceeds the maximum word length {MAX_WORD_LENGTH} at offset 1"),
     ("(x+y)^1000", f"terms, above the maximum of {MAX_TERMS} pairs at offset 5"),
+    # each product is within MAX_TERMS; the 11th '*1' takes their sum past the budget
+    ("(x+y)^13" + "*1" * 50, f"products of 106494 pairs of terms in one expression, "
+                             f"above the maximum of {MAX_EXPANSION} at offset 28"),
 ])
 def test_validate_expression_refused_before_expansion(tmp_path, capsys, relation, message):
     # the power is refused at its '^' before it is expanded, not after
@@ -275,6 +284,24 @@ def test_analyze_wrong_nakayama_candidate_exits_5(tmp_path, monkeypatch):
         lambda d: d["options"].__setitem__("nakayama", ["u", "v"]))
     assert main(["analyze", path, "--format", "machine",
                  "--out", str(tmp_path / "e42.report")]) == 5
+
+
+def test_declared_idempotents_do_not_reach_the_radical(tmp_path):
+    """The radical splits along the projectors the analysis verifies, never
+    along the spec's own idempotents: well-formed but wrong ones change the
+    rife and isotypic checks, not the radical."""
+    wrong = [{"1": "1"}, {"x": "1"}, {"y": "1"}, {"1": "1/2", "z": "1/2"}]
+    reports = {}
+    for label, fn in (("plain", lambda d: None),
+                      ("wrong", lambda d: d["action"].__setitem__("idempotents", wrong))):
+        path = mutate_shipped(tmp_path, "e42-kacpalyutkin", fn, f"{label}.spec")
+        out = tmp_path / f"{label}.report"
+        main(["analyze", path, "--max-degree", "8", "--format", "machine", "--out", str(out)])
+        reports[label] = json.loads(out.read_text())["radical"]
+    plain, wrong_idem = reports["plain"], reports["wrong"]
+    assert wrong_idem["hopf_rife"] != plain["hopf_rife"]  # the option was read
+    for key in ("dims", "quotient_dims", "generator"):
+        assert wrong_idem[key] == plain[key], key
 
 
 def test_analyze_bad_env_value(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from ncreflect import exprs
 from ncreflect.exprs import (
     MAX_TERMS,
     MAX_WORD_LENGTH,
@@ -108,6 +109,25 @@ def test_expansion_limits_refuse_at_the_operator():
         with pytest.raises(ExprError) as e:
             parse(text, X)
         assert e.value.offset == offset, text
+
+
+def test_expansion_budget_counts_every_product_of_one_parse(monkeypatch):
+    monkeypatch.setattr(exprs, "MAX_EXPANSION", 12)
+    X = ["x"]
+    # each product below is one pair of terms; a power of k is k products
+    assert parse("x" + "*x" * 12, X) == {(0,) * 13: ONE}
+    assert parse("x^6 + x^6", X) == {(0,) * 6: Cyc.rational(2)}
+    refused = [
+        ("x" + "*x" * 13, 1 + 2 * 12),  # at the thirteenth '*'
+        ("x^13", 1),
+        ("x^6 + (x*x^6)", len("x^6 + (x")),
+    ]
+    for text, offset in refused:
+        with pytest.raises(ExprError) as e:
+            parse(text, X)
+        assert e.value.offset == offset, text
+    # the budget is per parse, not per process
+    assert parse("x^12", X) == {(0,) * 12: ONE}
 
 
 def test_show_basic_forms():

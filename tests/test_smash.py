@@ -155,6 +155,39 @@ def test_pertinency_batches_match_one_at_a_time_adds(name):
     assert pertinency_slices(sm, D) == pertinency_one_at_a_time(sm, D)
 
 
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_split_radical_matches_unsplit(name):
+    """Splitting along the character projectors and 1 - Σ p_χ leaves the
+    trace and the codimensions as they are; each echelon row of the split
+    ideal lies in one block, and the block codimensions add up."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    plain = radical_slices(p.action, D)
+    split = radical_slices(p.action, D, projectors)
+    assert split.slices == plain.slices
+    assert split.quotient_dims == plain.quotient_dims
+    sm = SmashProduct(p.action, projectors)
+    sizes = [sm.block_of.count(b) for b in range(max(sm.block_of) + 1)]
+    if len(p.hopf.unit) > 1:  # the unit is Σ p_g: no complement block
+        assert len(sizes) == len(projectors)
+    pert = pertinency_slices(sm, D)
+    for d in range(D + 1):
+        codims = [m * p.algebra.dim(d) for m in sizes]
+        for row in pert[d].basis():
+            blocks = {sm.block_of[k % sm.nH] for k in row}
+            assert len(blocks) == 1
+            codims[blocks.pop()] -= 1
+        assert sum(codims) == plain.quotient_dims[d]
+
+
+def test_blocks_must_add_up_to_h():
+    p = catalog.build("l41-mystic(1,2)", max_degree=2)
+    projectors = central_idempotents(p.hopf, p.chars)
+    with pytest.raises(ValueError, match="do not add up to H"):
+        SmashProduct(p.action, projectors + projectors[:1])
+
+
 @pytest.mark.parametrize("name, D, unit_terms", [
     ("e42-kacpalyutkin", 7, 1),  # the unit of H is the basis vector 1
     ("e22-dualD8", 5, 8),  # the unit of the dual group algebra is the sum of the p_g
