@@ -26,7 +26,11 @@ On top of the slices sit the ideals generated by a list of elements
 tests the other layers share: `monic` (the normalised generator of a
 line), `cofactor` (q with m = d * q or m = q * d), `products_inside`
 (U_e * V_f inside W_{e+f}) and `is_normal` (x * S_d = S_d * x in every
-degree).
+degree, decided in the generator degrees of S).
+
+A relation row rho * b starts at the normal word b: a basis word is its
+own unit coordinate vector, so each word of rho applies only its letters
+after the first to it, not every letter of the word times b from degree 0.
 """
 
 from __future__ import annotations
@@ -132,11 +136,12 @@ class GradedAlgebra:
         for rel, rdeg in zip(self.relations, self.relation_degrees):
             if rdeg > d:
                 continue
-            for b in self._basis[d - rdeg]:
+            for b in range(len(self._basis[d - rdeg])):
                 vec: Vec = {}
                 for word, coeff in rel.items():
                     i = word[0]
-                    tail = self.nf_word(word[1:] + b)
+                    # the normal form of a basis word is the unit vector at its index
+                    tail = self._left_word(word[1:], {b: ONE}, d - rdeg)
                     lower = self._basis[d - self.weights[i]]
                     vec_addto(vec, {cidx[(i,) + lower[k]]: c for k, c in tail.items()},
                               coeff)
@@ -208,16 +213,18 @@ class GradedAlgebra:
         self._right[key] = cols
         return cols
 
-    def nf_word(self, word: Word) -> Vec:
-        """Coordinates of an arbitrary free word in its slice basis."""
-        vec: Vec = {0: ONE}
-        degree = 0
+    def _left_word(self, word: Word, vec: Vec, degree: int) -> Vec:
+        """word * vec for vec in A_degree: the letters applied right to left."""
         for letter in reversed(word):
             vec = apply_cols(self.left_letter(letter, degree), vec)
             degree += self.weights[letter]
             if not vec:
                 break
         return vec
+
+    def nf_word(self, word: Word) -> Vec:
+        """Coordinates of an arbitrary free word in its slice basis."""
+        return self._left_word(word, {0: ONE}, 0)
 
     def nf(self, poly: FreePoly, degree: int | None = None) -> tuple[int | None, Vec]:
         """Normal form of a homogeneous free polynomial: (degree, vector)."""
@@ -238,14 +245,7 @@ class GradedAlgebra:
         out: Vec = {}
         words = self.basis_words(dv)
         for k, c in v.items():
-            cur = w
-            deg = dw
-            for letter in reversed(words[k]):
-                cur = apply_cols(self.left_letter(letter, deg), cur)
-                deg += self.weights[letter]
-                if not cur:
-                    break
-            vec_addto(out, cur, c)
+            vec_addto(out, self._left_word(words[k], w, dw), c)
         return out
 
     # -- elements -----------------------------------------------------------
@@ -445,9 +445,14 @@ def products_inside(
     )
 
 
-def is_normal(alg: GradedAlgebra, x: Elem, slices: Sequence[Subspace], max_degree: int) -> bool:
-    """x * S_d = S_d * x for every d with d + deg x within the bound."""
+def is_normal(
+    alg: GradedAlgebra, x: Elem, slices: Sequence[Subspace], gen_degrees: Iterable[int],
+    max_degree: int,
+) -> bool:
+    """x * S_d = S_d * x for every d with d + deg x within the bound, for a
+    subalgebra S generated in gen_degrees.  S_d = sum_g S_g S_{d-g}, so the
+    generator degrees decide every degree (docs/component-grading.md)."""
     return all(
-        mul_elem_space(alg, x, slices[d], d) == mul_space_elem(alg, slices[d], d, x)
-        for d in range(max_degree - x.degree + 1)
+        mul_elem_space(alg, x, slices[g], g) == mul_space_elem(alg, slices[g], g, x)
+        for g in sorted(set(gen_degrees)) if g <= max_degree - x.degree
     )

@@ -455,7 +455,7 @@ def _parse_action(node: _Node, gen_names: list[str], weights: list[int]):
             keys["matrices"].fail("missing images for: " + ", ".join(missing))
         integral = _vec_doc(keys["integral"], basis) if "integral" in keys else None
         idempotents = (
-            [_vec_doc(v, basis) for v in keys["idempotents"].as_list()]
+            [_vec_doc(v, basis) for v in keys["idempotents"].as_list(len(characters))]
             if "idempotents" in keys else None
         )
         return TableActionData(kind, basis, unit, mult, comult, counit, antipode,

@@ -291,7 +291,7 @@ def rife_action_check(
     alg = action.alg
     hopf_rife = rife_hopf_check(action.hopf, chars, idempotents)
     j_normal = is_normal(alg, j, [alg.slice_space(d) for d in range(max_degree + 1)],
-                         max_degree)
+                         set(alg.weights), max_degree)
     ideal = two_sided_ideal_slices(alg, [j], max_degree)
     is_ideal = all(ideal[d] == radical[d] for d in range(max_degree + 1))
     contained = None
@@ -359,7 +359,8 @@ def principal_radical(
             f"{radical[first].dim}",
         )
     w = monic(alg, first, radical[first].basis()[0])
-    if not is_normal(alg, w, [alg.slice_space(d) for d in range(max_degree + 1)], max_degree):
+    if not is_normal(alg, w, [alg.slice_space(d) for d in range(max_degree + 1)],
+                     set(alg.weights), max_degree):
         return PrincipalRadicalData(w, False, "lowest generator is not normal")
     ideal = two_sided_ideal_slices(alg, [w], max_degree)
     for d in range(max_degree + 1):

@@ -26,6 +26,7 @@ from .invariants import (
     ComponentReport,
     FixedRing,
     minimal_component_generator,
+    projector_traces,
     proportional,
     series_is_polynomial,
     series_quotient,
@@ -106,7 +107,8 @@ def cocycle_table(
                 )
                 continue
             table[g][h] = c
-            if c.degree > 0 and not is_normal(alg, c, fixed.slices, max_degree):
+            if c.degree > 0 and not is_normal(alg, c, fixed.slices, fixed.gen_degrees,
+                                               max_degree):
                 normal = False
                 failures.append(
                     f"cocycle at ({g0.labels[g]}, {g0.labels[h]}) is not normal "
@@ -677,22 +679,33 @@ def isotypic_series(
     max_degree: int,
     idempotents: list[Vec] | None = None,
 ) -> IsotypicData:
+    """The images of the idempotents p_i on each A_d, compared with the
+    components A_{chi_i,d}, and their sum, the grouplike-isotypic slices.
+
+    When every p_i is idempotent in H it acts on A_d as an idempotent
+    operator, whose image is its fixed space and has dimension its trace.
+    So the image is the component exactly when p_i fixes the component's
+    basis and tr(p_i | A_d) = dim A_{chi_i,d} (docs/component-grading.md);
+    a degree where that fails for some i spans the images instead."""
     alg = action.alg
     idem = idempotents if idempotents is not None else central_idempotents(action.hopf, chars)
+    idempotent = all(action.hopf.mul_vec(p, p) == p for p in idem)
     matches = True
     grouplike: list[Subspace] = []
     for d in range(max_degree + 1):
         dim = alg.dim(d)
-        union = Subspace(dim)
-        for i, p in enumerate(idem):
-            image = Subspace(dim)
-            for k in range(dim):
-                image.add(action.act(p, {k: ONE}, d))
-            if image != comp.slices[i][d]:
+        comps = [comp.slices[i][d] for i in range(len(idem))]
+        if idempotent and all(
+            trace == space.dim and all(action.act(p, v, d) == v for v in space.basis())
+            for p, space, trace in zip(idem, comps, projector_traces(action, idem, d))
+        ):
+            images = comps
+        else:
+            images = [Subspace.span(dim, (action.act(p, {k: ONE}, d) for k in range(dim)))
+                      for p in idem]
+            if images != comps:
                 matches = False
-            for v in image.basis():
-                union.add(v)
-        grouplike.append(union)
+        grouplike.append(Subspace.span(dim, (v for s in images for v in s.basis())))
     gdims = [s.dim for s in grouplike]
     cdims = [alg.dim(d) - gdims[d] for d in range(max_degree + 1)]
 

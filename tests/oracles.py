@@ -20,6 +20,13 @@ pertinency slices from it, adding one image at a time in generator
 order, the reference for ``smash.pertinency_slices``, whose
 ``ncalg.push_left`` inserts each degree as one batch.
 
+``normal_in_every_degree`` compares x * S_d with S_d * x in every
+degree, the reference for ``ncalg.is_normal``, which compares them only
+in the generator degrees of S.  ``isotypic_images`` spans the image of
+every idempotent on every basis word, the reference for
+``structure.isotypic_series``, which certifies each image from the
+projector trace.
+
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
 Kac-Paljutkin radical the tests check the engine against; ``is_abelian``
@@ -46,6 +53,7 @@ from math import gcd
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.hopf import Group
 from ncreflect.linalg import SparseEch, Subspace, apply_cols
+from ncreflect.ncalg import mul_elem_space, mul_space_elem
 from ncreflect.scalars import (
     I,
     MINUS_ONE,
@@ -180,6 +188,34 @@ def pertinency_one_at_a_time(sm, max_degree: int) -> list[Subspace]:
                 for v in out[d - w].basis():
                     out[d].add(apply_cols(cols, v))
     return out
+
+
+def normal_in_every_degree(alg, x, slices, max_degree: int) -> bool:
+    """x * S_d = S_d * x for every d with d + deg x within the bound."""
+    return all(
+        mul_elem_space(alg, x, slices[d], d) == mul_space_elem(alg, slices[d], d, x)
+        for d in range(max_degree - x.degree + 1)
+    )
+
+
+def isotypic_images(action, comp_slices, idempotents, max_degree: int):
+    """(every image equals its component, the sum of the images) with the
+    image of p_i on A_d spanned from p_i applied to every basis word."""
+    matches = True
+    grouplike = []
+    for d in range(max_degree + 1):
+        dim = action.alg.dim(d)
+        union = Subspace(dim)
+        for i, p in enumerate(idempotents):
+            image = Subspace(dim)
+            for k in range(dim):
+                image.add(action.act(p, {k: ONE}, d))
+            if image != comp_slices[i][d]:
+                matches = False
+            for v in image.basis():
+                union.add(v)
+        grouplike.append(union)
+    return matches, grouplike
 
 
 def constrained_left_ideal(action, terms, max_degree: int) -> list[Subspace]:

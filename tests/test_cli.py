@@ -304,6 +304,19 @@ def test_declared_idempotents_do_not_reach_the_radical(tmp_path):
         assert wrong_idem[key] == plain[key], key
 
 
+@pytest.mark.parametrize("idempotents", [
+    [{"1": "1"}, {"x": "1/2", "1": "1/2"}],  # fewer than the four characters
+    [{"1": "1"}] * 5,
+])
+def test_idempotent_count_must_match_the_characters(tmp_path, capsys, idempotents):
+    path = mutate_shipped(tmp_path, "e42-kacpalyutkin",
+                          lambda d: d["action"].__setitem__("idempotents", idempotents))
+    assert main(["analyze", path, "--max-degree", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "/action/idempotents" in err
+    assert f"expected 4 entries, found {len(idempotents)}" in err
+
+
 def test_analyze_bad_env_value(capsys, monkeypatch):
     monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "abc")
     assert main(["analyze", spec_file("trivial")]) == 2

@@ -15,6 +15,7 @@ from ncreflect.ncalg import (
     right_ideal_slices,
     two_sided_ideal_slices,
 )
+from ncreflect.presets import catalog
 from ncreflect.scalars import Cyc, I, ONE
 
 from oracles import QuotientOracle, augmentation_module, free_words, subalgebra_slices
@@ -225,3 +226,17 @@ def test_mul_space_elem():
     assert img.contains(alg.element("u^2").vec)
     assert img.contains(alg.element("u*v").vec)
     assert not img.contains(alg.element("v^2").vec)
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_basis_words_are_their_own_normal_form(name):
+    """What starting each relation row at its normal word rests on: every
+    basis word b is the unit vector at its index, and its tail b[1:] is a
+    basis word of the lower slice."""
+    D = 12
+    alg = catalog.build(name, max_degree=D).algebra
+    for d in range(D + 1):
+        for k, b in enumerate(alg.basis_words(d)):
+            assert alg.nf_word(b) == {k: ONE}, b
+            if d:
+                assert b[1:] in alg.basis_words(d - alg.weights[b[0]]), b
