@@ -251,10 +251,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
 
     # -- components and fixed ring ---------------------------------------
     comp = component_report(action, chars, D)
-    try:
-        projectors = central_idempotents(hopf, chars)
-    except ValueError:
-        projectors = None  # the multiplicativity check then forms products
+    projectors = central_idempotents(hopf, chars)
     mult_failures = check_component_multiplicativity(action, chars, comp.slices,
                                                      D, projectors)
     checks.append(Check("component-multiplicativity", "verification",
@@ -394,16 +391,14 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
         method = "component-intersection"
         quotient_dims = [alg.dim(d) - slices[d].dim for d in range(D + 1)]
     else:
-        rad = radical_slices(action, D, projectors or ())
+        rad = radical_slices(action, D, projectors)
         slices = rad.slices
         method = "smash-pertinency"
         quotient_dims = rad.quotient_dims
     pr = principal_radical(alg, slices, D)
-    idempotents = opts.get("idempotents")
-    if idempotents is None:
-        idempotents = projectors if projectors is not None \
-            else central_idempotents(hopf, chars)
-    rife = rife_action_check(action, chars, idempotents, jac.j, slices, D)
+    declared = opts.get("idempotents")
+    rife = rife_action_check(action, chars, projectors if declared is None else declared,
+                             jac.j, slices, D)
     doc["radical"] = {
         "method": method,
         "dims": [s.dim for s in slices],
@@ -496,7 +491,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
         checks.append(Check("nakayama-twist", "theorem",
                             "pass" if naka_ok else "fail",
                             "; ".join(naka.failures[:4])))
-    iso = isotypic_series(action, chars, comp, fixed, D, idempotents=idempotents)
+    iso = isotypic_series(action, chars, comp, fixed, D, idempotents=declared)
     doc["isotypic"] = {
         "idempotents_match_components": iso.idempotent_images_match_components,
         "grouplike_dims": iso.grouplike_dims,

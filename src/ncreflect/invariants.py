@@ -37,7 +37,7 @@ from .ncalg import (
     right_ideal_slices,
     two_sided_ideal_slices,
 )
-from .scalars import Cyc, ONE, ZERO
+from .scalars import ONE, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +83,6 @@ def graded_components(
     return out
 
 
-def projector_traces(action: HopfAction, projectors: list[Vec], degree: int) -> list[Cyc]:
-    """tr(p | A_degree) for each p, read off the column diagonals of the
-    basis elements of H that the projectors use."""
-    traces = {}
-    for h in {h for p in projectors for h in p}:
-        cols = action.columns(h, degree)
-        traces[h] = sum((col[k] for k, col in enumerate(cols) if k in col), ZERO)
-    return [sum((c * traces[h] for h, c in p.items()), ZERO) for p in projectors]
-
-
 def component_grading_certificate(
     action: HopfAction,
     chars: CharacterGroup,
@@ -105,8 +95,12 @@ def component_grading_certificate(
     (a), and its dimension must be the trace on A_d of the central
     idempotent p_i, which is the dimension of the eigenspace (b)."""
     probes = eigen_probes(action)
+    support = {h for p in projectors for h in p}
     for d in range(max_degree + 1):
-        traces = projector_traces(action, projectors, d)
+        traces = {}
+        for h in support:
+            cols = action.columns(h, d)
+            traces[h] = sum((col[k] for k, col in enumerate(cols) if k in col), ZERO)
         for i, ch in enumerate(chars.chars):
             space = comps[i][d]
             basis = space.basis()
@@ -115,9 +109,10 @@ def component_grading_certificate(
                 for v in basis:
                     if apply_cols(cols, v) != vec_scale(v, value):
                         return f"A_{ch.label} in degree {d} leaves its eigenspace"
-            if traces[i] != space.dim:
+            trace = sum((c * traces[h] for h, c in projectors[i].items()), ZERO)
+            if trace != space.dim:
                 return (f"A_{ch.label} in degree {d} has dimension {space.dim}, "
-                        f"its projector trace {show_scalar(traces[i])[0]}")
+                        f"its projector trace {show_scalar(trace)[0]}")
     return ""
 
 

@@ -142,6 +142,8 @@ def _e42(max_degree: int) -> Preset:
 def _cyclic(q: Cyc, n: int, m: int, max_degree: int) -> Preset:
     if n < 1 or m < 1:
         raise ValueError("cyclic scaling orders must be positive")
+    if q.is_zero():
+        raise ValueError("the skew parameter q must be nonzero")
     alg = GradedAlgebra(["x", "y"], [{(1, 0): ONE, (0, 1): -q}], max_degree=max_degree)
     group, rep, gen_idx = groups.cyclic_scaling_group(n, m)
     hopf = group_algebra(group)

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hopf import CharacterGroup, HopfAction, central_idempotents, winding_left_cols, winding_right_cols
+from .hopf import CharacterGroup, HopfAction, winding_left_cols, winding_right_cols
 from .invariants import (
     ComponentReport,
     FixedRing,
     minimal_component_generator,
-    projector_traces,
     proportional,
     series_is_polynomial,
     series_quotient,
@@ -682,29 +681,21 @@ def isotypic_series(
     """The images of the idempotents p_i on each A_d, compared with the
     components A_{chi_i,d}, and their sum, the grouplike-isotypic slices.
 
-    When every p_i is idempotent in H it acts on A_d as an idempotent
-    operator, whose image is its fixed space and has dimension its trace.
-    So the image is the component exactly when p_i fixes the component's
-    basis and tr(p_i | A_d) = dim A_{chi_i,d} (docs/component-grading.md);
-    a degree where that fails for some i spans the images instead."""
+    None stands for the character projectors, whose image on A_d is the
+    eigenspace A_{chi_i,d} (docs/component-grading.md); the grouplike
+    slice is then the span of the component slices.  Declared idempotents
+    are applied to every basis word and their images spanned."""
     alg = action.alg
-    idem = idempotents if idempotents is not None else central_idempotents(action.hopf, chars)
-    idempotent = all(action.hopf.mul_vec(p, p) == p for p in idem)
     matches = True
     grouplike: list[Subspace] = []
     for d in range(max_degree + 1):
         dim = alg.dim(d)
-        comps = [comp.slices[i][d] for i in range(len(idem))]
-        if idempotent and all(
-            trace == space.dim and all(action.act(p, v, d) == v for v in space.basis())
-            for p, space, trace in zip(idem, comps, projector_traces(action, idem, d))
-        ):
-            images = comps
-        else:
-            images = [Subspace.span(dim, (action.act(p, {k: ONE}, d) for k in range(dim)))
-                      for p in idem]
-            if images != comps:
-                matches = False
+        images = [comp.slices[i][d] for i in range(len(chars))]
+        if idempotents is not None:
+            spans = [Subspace.span(dim, (action.act(p, {k: ONE}, d) for k in range(dim)))
+                     for p in idempotents]
+            matches = matches and spans == images
+            images = spans
         grouplike.append(Subspace.span(dim, (v for s in images for v in s.basis())))
     gdims = [s.dim for s in grouplike]
     cdims = [alg.dim(d) - gdims[d] for d in range(max_degree + 1)]

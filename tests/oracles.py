@@ -24,8 +24,8 @@ order, the reference for ``smash.pertinency_slices``, whose
 degree, the reference for ``ncalg.is_normal``, which compares them only
 in the generator degrees of S.  ``isotypic_images`` spans the image of
 every idempotent on every basis word, the reference for
-``structure.isotypic_series``, which certifies each image from the
-projector trace.
+``structure.isotypic_series``, which reads the images of the character
+projectors off the components.
 
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the

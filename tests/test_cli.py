@@ -354,6 +354,12 @@ def test_preset_run_rejects_degenerate_mystic_parameters(params, capsys):
     assert "alpha >= 1 and beta >= 2" in capsys.readouterr().err
 
 
+def test_preset_run_rejects_zero_skew_parameter(capsys):
+    # q = 0 would store a zero coefficient in the relation y x - q x y
+    assert main(["preset", "run", "l41-cyclic-n-m(0,2,3)"]) == 2
+    assert "q must be nonzero" in capsys.readouterr().err
+
+
 def test_preset_run_degree_bound_below_a_relation(capsys):
     assert main(["preset", "run", "trivial", "--max-degree", "1"]) == 2
     err = capsys.readouterr().err

@@ -17,8 +17,9 @@ from ncreflect.hopf import (
     winding_left_cols,
     winding_right_cols,
 )
-from ncreflect.linalg import Matrix, apply_cols, eigenvectors
+from ncreflect.linalg import Matrix, apply_cols, eigenvectors, vec_addto
 from ncreflect.ncalg import GradedAlgebra
+from ncreflect.presets import catalog
 from ncreflect.presets.groups import cyclic_scaling_group, dihedral8, mystic_group
 from ncreflect.presets.kac import (
     kac_palyutkin_action,
@@ -186,6 +187,35 @@ def test_dual_group_idempotents_are_point_masses():
     chars = dual_group_characters(h, g)
     ps = central_idempotents(h, chars)
     assert ps == [{i: ONE} for i in range(8)]
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
+    """central_idempotents checks only h p = chi(h) p = p h and
+    chi_j(p_i) = delta_ij; the rest follows.  Each p is a central
+    idempotent, the p are orthogonal, and dim H of them sum to 1."""
+    preset = catalog.build(name, max_degree=4)
+    h, chars = preset.hopf, preset.chars
+    ps = central_idempotents(h, chars)
+    for i, p in enumerate(ps):
+        assert h.mul_vec(p, p) == p
+        for b in range(h.dim):
+            assert h.mul_vec(p, h.basis_vec(b)) == h.mul_vec(h.basis_vec(b), p)
+        for j, q in enumerate(ps):
+            assert chars.chars[j](p) == (ONE if i == j else ZERO)
+            if i != j:
+                assert h.mul_vec(p, q) == {}
+    if len(chars) == h.dim:
+        total = {}
+        for p in ps:
+            vec_addto(total, p)
+        assert total == h.unit
+    if h.dim > 1:
+        # the winding of the unit is the unit, which no character of a
+        # nontrivial H singles out
+        monkeypatch.setattr(HopfAlgebra, "integral", lambda self: dict(self.unit))
+        with pytest.raises(ValueError):
+            central_idempotents(h, chars)
 
 
 # -- actions ------------------------------------------------------------------

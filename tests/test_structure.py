@@ -299,17 +299,20 @@ def assert_isotypic_matches_images(p, comp, fixed, D, idempotents):
 
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_isotypic_trace_path_matches_image_spans(name):
-    """The images certified by the projector trace are the spans of the
-    idempotents applied to every basis word, for the verified projectors
-    and for wrong ones.  Each wrong list defeats one part of the
-    certificate: the unit of H is idempotent and fixes every component
-    but has the wrong trace; two projectors p_j, p_k whose components have
-    the same dimensions, swapped, have the right traces but move the
-    components; p_i + p_j - p_k fixes A_{chi_i} with the right trace but
-    is not idempotent."""
+    """The series read off the components (no idempotents given) is the
+    span of the verified projectors applied to every basis word.  Declared
+    idempotents, right or wrong, give the same series as the image spans.
+    Each wrong list is wrong in its own way: the unit of H is idempotent
+    and fixes every component but has the wrong image; two projectors
+    p_j, p_k whose components have the same dimensions, swapped, move the
+    components; p_i + p_j - p_k fixes A_{chi_i} but is not idempotent."""
     D = 12
     p, comp, fixed, hdet, jac, coc = bundle(name, D)
     projectors = central_idempotents(p.hopf, p.chars)
+    iso = isotypic_series(p.action, p.chars, comp, fixed, D)
+    matches, grouplike = isotypic_images(p.action, comp.slices, projectors, D)
+    assert matches and iso.idempotent_images_match_components
+    assert iso.grouplike_slices == grouplike
     assert assert_isotypic_matches_images(p, comp, fixed, D, projectors)
     n = len(projectors)
     dims = [[s.dim for s in comp.slices[i]] for i in range(n)]
