@@ -20,6 +20,7 @@ not printed.
 The truncation bound is resolved as: ``--max-degree`` flag, then the
 ``NCREFLECT_MAX_DEGREE`` environment variable, then ``options.max_degree``
 from the input file (for presets: the fixture's stored degree), then 12.
+A resolved bound above ``MAX_DEGREE`` exits 2 before anything is built.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 70
 
+# The work of an analysis grows like a power of the degree bound: every
+# shipped preset runs at 48, while at 5000 a run would not end in any
+# useful time (docs/input-format.md, "Resource limits").
+MAX_DEGREE = 100
+
 
 class CommandError(Exception):
     """Abort the running command with a message and an exit code."""
@@ -59,13 +65,14 @@ class CommandError(Exception):
 
 
 def _degree(flag: int | None, file_default: int | None) -> int:
-    """Resolve the truncation bound (flag > environment > file > 12)."""
+    """Resolve the truncation bound (flag > environment > file > 12), at
+    most ``MAX_DEGREE``."""
+    env = os.environ.get("NCREFLECT_MAX_DEGREE")
     if flag is not None:
         if flag < 1:
             raise CommandError(EXIT_INPUT, "--max-degree must be positive")
-        return flag
-    env = os.environ.get("NCREFLECT_MAX_DEGREE")
-    if env is not None:
+        value, source = flag, "--max-degree"
+    elif env is not None:
         try:
             value = int(env)
         except ValueError:
@@ -75,10 +82,16 @@ def _degree(flag: int | None, file_default: int | None) -> int:
         if value < 1:
             raise CommandError(
                 EXIT_INPUT, "NCREFLECT_MAX_DEGREE must be positive")
-        return value
-    if file_default is not None:
-        return file_default
-    return 12
+        source = "NCREFLECT_MAX_DEGREE"
+    elif file_default is not None:
+        value, source = file_default, "options.max_degree"
+    else:
+        return 12
+    if value > MAX_DEGREE:
+        raise CommandError(
+            EXIT_INPUT,
+            f"degree bound {value} from {source} exceeds the maximum {MAX_DEGREE}")
+    return value
 
 
 def _load(path: str) -> presentation.InputSpec:

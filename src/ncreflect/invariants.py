@@ -252,21 +252,19 @@ def fixed_ring(
     slices = comps[identity]
     dims = [s.dim for s in slices]
 
+    # (R_+)^2_d = sum_g g * R_{d - deg g} over the generators found below
+    # degree d (graded Nakayama, docs/component-grading.md), so a basis
+    # vector of R_d outside that span is a new generator
     gen_degrees: list[int] = []
     gens: list[Elem] = []
-    products: list[Subspace] = []
-    for d in range(max_degree + 1):
+    for d in range(1, max_degree + 1):
         span = Subspace(alg.dim(d))
-        for e in range(1, d):
-            for u in slices[e].basis():
-                for v in slices[d - e].basis():
-                    span.add(alg.mul(u, e, v, d - e))
-        products.append(span)
-        if d >= 1:
-            for vec in slices[d].basis():
-                if span.add(vec):
-                    gen_degrees.append(d)
-                    gens.append(monic(alg, d, vec))
+        span.extend(alg.mul(g.vec, g.degree, v, d - g.degree)
+                    for g in gens for v in slices[d - g.degree].basis())
+        for vec in slices[d].basis():
+            if span.add(vec):
+                gen_degrees.append(d)
+                gens.append(monic(alg, d, vec))
 
     polynomial = hilbert_poly_certificate(dims, gen_degrees, max_degree)
 
@@ -552,15 +550,16 @@ def covariant_data(
     alg: GradedAlgebra, fixed: FixedRing, max_degree: int
 ) -> CovariantData:
     # R_+ is spanned by products of the detected generators, so A * R_+,
-    # R_+ * A and (R_+) are the ideals those generators generate
+    # R_+ * A and (R_+) are the ideals those generators generate; when
+    # A R_+ = R_+ A, (R_+) = A R_+ A = A R_+ (docs/component-grading.md)
     left = left_ideal_slices(alg, fixed.gens, max_degree)
     right = right_ideal_slices(alg, fixed.gens, max_degree)
-    two = two_sided_ideal_slices(alg, fixed.gens, max_degree)
+    tepid = all(left[d] == right[d] for d in range(max_degree + 1))
+    two = left if tepid else two_sided_ideal_slices(alg, fixed.gens, max_degree)
     dims = [alg.dim(d) for d in range(max_degree + 1)]
     left_dims = [dims[d] - left[d].dim for d in range(max_degree + 1)]
     right_dims = [dims[d] - right[d].dim for d in range(max_degree + 1)]
     alg_dims = [dims[d] - two[d].dim for d in range(max_degree + 1)]
-    tepid = all(left[d] == right[d] for d in range(max_degree + 1))
     frob, reason = _graded_frobenius(alg, two, alg_dims, max_degree)
     return CovariantData(left_dims, right_dims, alg_dims, tepid, frob, reason)
 

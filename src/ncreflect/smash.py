@@ -211,9 +211,12 @@ def dual_group_shortcut(
     alg: GradedAlgebra, comp_slices: list[list[Subspace]], max_degree: int
 ) -> list[Subspace]:
     """For dual group actions the radical equals the intersection of the
-    left ideals A·A_g over the component grading."""
+    left ideals A·A_g over the component grading.  A component holding 1
+    gives A·A_g = A and is skipped (docs/radical-spanning.md)."""
     ideals = []
     for slices in comp_slices:
+        if slices[0].dim:
+            continue
         gens = [
             Elem(alg, d, v)
             for d in range(max_degree + 1)
@@ -221,7 +224,7 @@ def dual_group_shortcut(
         ]
         ideals.append(left_ideal_slices(alg, gens, max_degree))
     return [
-        intersect_all([ideal[d] for ideal in ideals])
+        intersect_all(alg.dim(d), [ideal[d] for ideal in ideals])
         for d in range(max_degree + 1)
     ]
 
@@ -292,11 +295,12 @@ def rife_action_check(
     hopf_rife = rife_hopf_check(action.hopf, chars, idempotents)
     j_normal = is_normal(alg, j, [alg.slice_space(d) for d in range(max_degree + 1)],
                          set(alg.weights), max_degree)
-    ideal = two_sided_ideal_slices(alg, [j], max_degree)
+    # a normal j has AjA = Aj up to the bound (docs/component-grading.md)
+    left = left_ideal_slices(alg, [j], max_degree) if j_normal or hopf_rife else None
+    ideal = left if j_normal else two_sided_ideal_slices(alg, [j], max_degree)
     is_ideal = all(ideal[d] == radical[d] for d in range(max_degree + 1))
     contained = None
     if hopf_rife:
-        left = left_ideal_slices(alg, [j], max_degree)
         contained = all(radical[d] <= left[d] for d in range(max_degree + 1))
     return RifeData(hopf_rife, j_normal, is_ideal,
                     hopf_rife and j_normal and is_ideal, contained)
@@ -362,7 +366,7 @@ def principal_radical(
     if not is_normal(alg, w, [alg.slice_space(d) for d in range(max_degree + 1)],
                      set(alg.weights), max_degree):
         return PrincipalRadicalData(w, False, "lowest generator is not normal")
-    ideal = two_sided_ideal_slices(alg, [w], max_degree)
+    ideal = left_ideal_slices(alg, [w], max_degree)  # AwA = Aw for a normal w
     for d in range(max_degree + 1):
         if ideal[d] != radical[d]:
             return PrincipalRadicalData(

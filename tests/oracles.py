@@ -20,6 +20,13 @@ pertinency slices from it, adding one image at a time in generator
 order, the reference for ``smash.pertinency_slices``, whose
 ``ncalg.push_left`` inserts each degree as one batch.
 
+``fixed_ring_all_pairs`` spans (R_+)^2_d from every product R_e R_{d-e},
+the reference for ``invariants.fixed_ring``, which spans it from the
+generators found below d.  ``pairwise_intersection`` builds A·A_g for
+every component, the one holding 1 included, and intersects them one
+pair at a time, the reference for ``smash.dual_group_shortcut`` and its
+one-kernel ``linalg.intersect_all``.
+
 ``normal_in_every_degree`` compares x * S_d with S_d * x in every
 degree, the reference for ``ncalg.is_normal``, which compares them only
 in the generator degrees of S.  ``isotypic_images`` spans the image of
@@ -53,7 +60,7 @@ from math import gcd
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.hopf import Group
 from ncreflect.linalg import SparseEch, Subspace, apply_cols
-from ncreflect.ncalg import mul_elem_space, mul_space_elem
+from ncreflect.ncalg import Elem, left_ideal_slices, monic, mul_elem_space, mul_space_elem
 from ncreflect.scalars import (
     I,
     MINUS_ONE,
@@ -187,6 +194,39 @@ def pertinency_one_at_a_time(sm, max_degree: int) -> list[Subspace]:
                 cols = sm.left_letter(i, d - w)
                 for v in out[d - w].basis():
                     out[d].add(apply_cols(cols, v))
+    return out
+
+
+def fixed_ring_all_pairs(alg, slices, max_degree: int):
+    """(generator degrees, monic generators) of the subalgebra with the
+    given slices: in each degree, the basis vectors outside the span of
+    every product of two slices of positive degree."""
+    gen_degrees, gens = [], []
+    for d in range(1, max_degree + 1):
+        span = Subspace(alg.dim(d))
+        for e in range(1, d):
+            for u in slices[e].basis():
+                for v in slices[d - e].basis():
+                    span.add(alg.mul(u, e, v, d - e))
+        for vec in slices[d].basis():
+            if span.add(vec):
+                gen_degrees.append(d)
+                gens.append(monic(alg, d, vec))
+    return gen_degrees, gens
+
+
+def pairwise_intersection(alg, comp_slices, max_degree: int) -> list[Subspace]:
+    """Slices of the intersection of the left ideals A·A_g over every
+    component, each degree folded one pair at a time."""
+    ideals = [left_ideal_slices(alg, [Elem(alg, d, v) for d in range(max_degree + 1)
+                                      for v in slices[d].basis()], max_degree)
+              for slices in comp_slices]
+    out = []
+    for d in range(max_degree + 1):
+        acc = ideals[0][d]
+        for ideal in ideals[1:]:
+            acc = acc.intersect(ideal[d])
+        out.append(acc)
     return out
 
 

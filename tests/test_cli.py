@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncreflect
 from ncreflect import smash
-from ncreflect.cli import EXIT_INTERNAL, main
+from ncreflect.cli import EXIT_INTERNAL, MAX_DEGREE, main
 from ncreflect.exprs import (
     MAX_EXPANSION,
     MAX_INT_DIGITS,
@@ -369,6 +374,45 @@ def test_preset_run_degree_bound_below_a_relation(capsys):
 def test_preset_run_degree_override_skips_comparison(capsys):
     assert main(["preset", "run", "trivial", "--max-degree", "6"]) == 0
     assert "comparison skipped" in capsys.readouterr().out
+
+
+def _run_cli(args, env_extra=None):
+    """The command in a fresh interpreter, killed after 20 s, so that a
+    bound that is not refused fails the test instead of hanging it."""
+    env = {k: v for k, v in os.environ.items() if k != "NCREFLECT_MAX_DEGREE"}
+    src = str(Path(ncreflect.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return subprocess.run([sys.executable, "-m", "ncreflect", *args], env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
+@pytest.mark.parametrize("value", [5000, 100000000])
+@pytest.mark.parametrize("source", ["--max-degree", "NCREFLECT_MAX_DEGREE",
+                                    "options.max_degree"])
+def test_degree_bound_above_the_maximum_is_refused(tmp_path, source, value):
+    if source == "--max-degree":
+        done = _run_cli(["preset", "run", "trivial", "--max-degree", str(value)])
+    elif source == "NCREFLECT_MAX_DEGREE":
+        done = _run_cli(["preset", "run", "trivial"],
+                        {"NCREFLECT_MAX_DEGREE": str(value)})
+    else:
+        path = mutate_shipped(
+            tmp_path, "trivial", lambda d: d["options"].__setitem__("max_degree", value))
+        done = _run_cli(["analyze", path])
+    assert done.returncode == 2
+    assert (f"degree bound {value} from {source} exceeds the maximum {MAX_DEGREE}"
+            in done.stderr)
+
+
+def test_degree_bound_at_the_maximum_is_accepted(monkeypatch, capsys):
+    # the bound MAX_DEGREE itself reaches the build, which stops here
+    def stop(name, max_degree):
+        raise ValueError(f"reached the build at degree {max_degree}")
+
+    monkeypatch.setattr(catalog, "build", stop)
+    assert main(["preset", "run", "trivial", "--max-degree", str(MAX_DEGREE)]) == 2
+    assert f"reached the build at degree {MAX_DEGREE}" in capsys.readouterr().err
 
 
 def test_preset_run_detects_drift(tmp_path, capsys, monkeypatch):

@@ -190,6 +190,16 @@ def test_dual_group_idempotents_are_point_masses():
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
+def test_integral_is_idempotent(name):
+    """integral() checks only h Λ = ε(h) Λ = Λ h and ε(Λ) = 1; Λ² = Λ
+    follows and is not checked there."""
+    h = catalog.build(name, max_degree=4).hopf
+    lam = h.integral()
+    assert h.counit_vec(lam) == ONE
+    assert h.mul_vec(lam, lam) == lam
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
 def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
     """central_idempotents checks only h p = chi(h) p = p h and
     chi_j(p_i) = delta_ij; the rest follows.  Each p is a central

@@ -24,11 +24,11 @@ from ncreflect.invariants import (
     series_quotient,
 )
 from ncreflect.linalg import Subspace
-from ncreflect.ncalg import left_ideal_slices, right_ideal_slices
+from ncreflect.ncalg import left_ideal_slices, right_ideal_slices, two_sided_ideal_slices
 from ncreflect.presets import catalog
 from ncreflect.scalars import ONE
 
-from oracles import augmentation_module
+from oracles import augmentation_module, fixed_ring_all_pairs
 
 _CACHE: dict = {}
 
@@ -326,6 +326,21 @@ def test_covariant_ideals_match_augmentation_module(name):
     assert cov.left_dims == [alg.dim(d) - left[d].dim for d in range(9)]
     assert cov.right_dims == [alg.dim(d) - right[d].dim for d in range(9)]
     assert cov.tepid == all(left[d] == right[d] for d in range(9))
+    # A R_+ = R_+ A gives (R_+) = A R_+, so a tepid R_+ takes the left
+    # ideal for the covariant algebra; e42 is the one preset that is not
+    # tepid, and there the two ideals differ
+    two = two_sided_ideal_slices(alg, fixed.gens, 8)
+    assert cov.algebra_dims == [alg.dim(d) - two[d].dim for d in range(9)]
+    assert (left == two) is cov.tepid
+    assert cov.tepid is (name != "e42-kacpalyutkin")
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_fixed_ring_generators_match_all_pairs_oracle(name):
+    # (R_+)^2 spanned at the generators picks the same generators as the
+    # span of every product R_e R_{d-e}
+    p, _, fixed, _ = bundle(name, 12)
+    assert (fixed.gen_degrees, fixed.gens) == fixed_ring_all_pairs(p.algebra, fixed.slices, 12)
 
 
 @pytest.mark.parametrize("name", catalog.shipped())

@@ -25,6 +25,7 @@ from ncreflect.presets.kac import (
 from ncreflect.presets.groups import dihedral8
 from ncreflect.scalars import Cyc, I, ONE, ZERO
 from ncreflect.smash import (
+    RifeData,
     SmashProduct,
     commutator_ideal,
     dis_radical,
@@ -43,6 +44,7 @@ from oracles import (
     kac_palyutkin_idempotents,
     matrix_block_units,
     pairwise_integral_span,
+    pairwise_intersection,
     pertinency_one_at_a_time,
     zassenhaus_intersect,
 )
@@ -351,11 +353,56 @@ def test_dihedral3_component_intersection_forms():
     left = left_ideal_slices(alg, [fm], 6)
     right = right_ideal_slices(alg, [fm], 6)
     per_g = [left_ideal_slices(alg, [comp.f[g]], 6) for g in range(g0.order)]
-    via_f = [intersect_all([ideal[d] for ideal in per_g]) for d in range(7)]
+    via_f = [intersect_all(alg.dim(d), [ideal[d] for ideal in per_g]) for d in range(7)]
     for d in range(7):
         assert left[d] == rad.slices[d]
         assert right[d] == rad.slices[d]
         assert via_f[d] == rad.slices[d]
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_dual_group_shortcut_matches_pairwise_intersection(name):
+    # skipping the component that holds 1 (A·A_g = A there) and reading
+    # the intersection off one kernel give the pairwise fold over every
+    # component, whatever the action
+    p, comp, *_ = bundle(name, 12)
+    alg = p.algebra
+    assert dual_group_shortcut(alg, comp.slices, 12) == pairwise_intersection(alg, comp.slices, 12)
+    # one component alone: A·A_g is all of A only when 1 is in A_g, so a
+    # component without 1 is never skipped, even where the others'
+    # intersection already lies inside A·A_g
+    for slices in comp.slices:
+        assert dual_group_shortcut(alg, [slices], 12) == pairwise_intersection(alg, [slices], 12)
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_normal_generators_have_equal_left_and_two_sided_ideals(name):
+    # AxA = Ax for x normal up to the bound, so the rife check and the
+    # principal search build the left ideal of a normal j or w; on e42 j
+    # is not normal and its two ideals differ
+    p, comp, fixed, hdet, jac, rad = bundle(name, 12)
+    alg = p.algebra
+    pr = principal_radical(alg, rad.slices, 12)
+    data = rife_action_check(p.action, p.chars, central_idempotents(p.hopf, p.chars),
+                             jac.j, rad.slices, 12)
+    for x, normal in ((jac.j, data.j_normal), (pr.generator, pr.normal)):
+        if x is not None:
+            assert (left_ideal_slices(alg, [x], 12) == two_sided_ideal_slices(alg, [x], 12)) is normal
+    assert data.j_normal is (name != "e42-kacpalyutkin")
+
+
+def test_rife_without_a_normal_jacobian_compares_the_two_sided_ideal():
+    p, comp, fixed, hdet, jac, rad = bundle("e42-kacpalyutkin", 12)
+    alg = p.algebra
+    idem = central_idempotents(p.hopf, p.chars)
+    two = two_sided_ideal_slices(alg, [jac.j], 12)
+    left = left_ideal_slices(alg, [jac.j], 12)
+    data = rife_action_check(p.action, p.chars, idem, jac.j, rad.slices, 12)
+    assert data == RifeData(True, False, two == rad.slices, False,
+                            all(rad.slices[d] <= left[d] for d in range(13)))
+    # a radical equal to AjA is the Jacobian ideal, though it is not Aj
+    assert two != left
+    assert rife_action_check(p.action, p.chars, idem, jac.j, two, 12).radical_is_jacobian_ideal
 
 
 def test_downup_radical_strictly_inside_jacobian_ideal():
