@@ -8,12 +8,15 @@ checks at the Hopf and at the action level, the dis-radical inside the
 fixed ring, and the principal-generator search for the radical.
 
 The pertinency slices come from ``ncalg``'s left-ideal recursion, run on
-the letters of A lifted to A # H (``SmashProduct.left_letter``).  Given
-central idempotents of H, the H-coordinates run over a basis adapted to
-them, so that the ideal splits into blocks and each echelon row stays
-inside one.  The trace on A is read off the residues of the a # 1 modulo
-a slice: the linear relations among them are the a with a # 1 in the
-slice, whatever the unit of H.
+the letters of A lifted to A # H (``SmashProduct.left_letter``), started
+at S_d = (1#Λ)(A_d # H).  Given the character components of A, S_d is
+spanned through them: on A_ψ the product (1#Λ)(a#1) is a # (ψ⇀Λ), so
+each component costs one product and only a complement of their sum is
+multiplied out.  Given central idempotents of H, the H-coordinates run
+over a basis adapted to them, so that the ideal splits into blocks and
+each echelon row stays inside one.  The trace on A is read off the
+residues of the a # 1 modulo a slice: the linear relations among them
+are the a with a # 1 in the slice, whatever the unit of H.
 """
 
 from __future__ import annotations
@@ -154,24 +157,53 @@ def _h_parts(vec: Vec, nH: int) -> dict[int, Vec]:
     return out
 
 
-def integral_span_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
+def integral_span_slices(sm: SmashProduct, max_degree: int,
+                         components: Sequence[Sequence[Subspace]] = ()) -> list[Subspace]:
     """S_d = (1#Λ)(A_d # H), spanned by the (1#Λ)(a#1) over a basis of A_d:
     A_d # H = (1#H)(A_d # 1) and Λh = counit(h)Λ
-    (docs/radical-spanning.md, step 1)."""
-    lam = sm.unit_integral()
-    return [Subspace.span(sm.dim(d), [sm.mul(lam, 0, sm.include_a({a: ONE}, d), d)
-                                      for a in range(sm.alg.dim(d))])
-            for d in range(max_degree + 1)]
+    (docs/radical-spanning.md, step 1).
+
+    The basis of A_d runs through the given H-eigenspaces first.  On an
+    eigenspace A_ψ, (1#Λ)(a#1) = a # λ with λ = ψ⇀Λ, so each eigenspace
+    costs one product, read at the pivot of its first basis vector, and
+    its other vectors are re-keyed.  Only the unit vectors off the pivots
+    of their sum are multiplied out (docs/radical-spanning.md, "S_d over
+    the components").  Without eigenspaces every basis vector is.
+    """
+    lam, nH = sm.unit_integral(), sm.nH
+
+    def times_integral(a: Vec, d: int) -> Vec:
+        return sm.mul(lam, 0, sm.include_a(a, d), d)
+
+    parts: dict[int, Vec] = {}  # λ of each eigenspace, over the adapted basis
+    out = []
+    for d in range(max_degree + 1):
+        vecs, eigen = [], Subspace(sm.alg.dim(d))
+        for c, slices in enumerate(components):
+            for a in slices[d].basis():
+                if c not in parts:
+                    k = min(a)  # a reduced echelon row: a[k] = 1
+                    parts[c] = {key - k * nH: x for key, x in times_integral(a, d).items()
+                                if key // nH == k}
+                vecs.append({i * nH + h: x * y for i, x in a.items()
+                             for h, y in parts[c].items()})
+                eigen.add(a)
+        pivots = {min(a) for a in eigen.basis()}
+        vecs.extend(times_integral({i: ONE}, d)
+                    for i in range(sm.alg.dim(d)) if i not in pivots)
+        out.append(Subspace.span(sm.dim(d), vecs))
+    return out
 
 
-def pertinency_slices(sm: SmashProduct, max_degree: int) -> list[Subspace]:
+def pertinency_slices(sm: SmashProduct, max_degree: int,
+                      components: Sequence[Sequence[Subspace]] = ()) -> list[Subspace]:
     """Slices of (A#H)(1#Λ)(A#H).
 
     Left factors collapse to A # Λ because h·Λ = counit(h)Λ, so the slice
     in A-degree d is sum_e A_e · S_{d-e} with S as above; the sum is built
     by the usual generated-in-positive-degree recursion.
     """
-    out = integral_span_slices(sm, max_degree)
+    out = integral_span_slices(sm, max_degree, components)
     for d in range(max_degree + 1):
         push_left(sm, out, d, out[d])
     return out
@@ -192,16 +224,19 @@ class RadicalData:
 
 
 def radical_slices(action: HopfAction, max_degree: int,
-                   projectors: Sequence[Vec] = ()) -> RadicalData:
+                   projectors: Sequence[Vec] = (),
+                   components: Sequence[Sequence[Subspace]] = ()) -> RadicalData:
     """Trace of the pertinency ideal on A, degree by degree.
 
     Given the verified character projectors, the ideal is computed in the
     blocks that they and 1 − Σ p_χ cut out of H.  The trace and the
     codimensions are those of the one block H (docs/radical-spanning.md,
-    "The pertinency ideal splits along central idempotents").
+    "The pertinency ideal splits along central idempotents").  Given the
+    character components, S_d is spanned through them
+    (``integral_span_slices``).
     """
     sm = SmashProduct(action, projectors)
-    pert = pertinency_slices(sm, max_degree)
+    pert = pertinency_slices(sm, max_degree, components)
     slices = [_trace_on_a(sm, pert[d], d) for d in range(max_degree + 1)]
     qdims = [sm.dim(d) - pert[d].dim for d in range(max_degree + 1)]
     return RadicalData(slices, qdims)

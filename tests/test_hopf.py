@@ -200,6 +200,21 @@ def test_integral_is_idempotent(name):
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
+def test_left_winding_of_the_integral_is_the_inverse_projector(name):
+    """Σ χ(Λ₍₁₎)Λ₍₂₎ = p_{χ⁻¹}: the H-part of (1#Λ)(a#1) on a component
+    (docs/radical-spanning.md, "S_d over the components")."""
+    preset = catalog.build(name, max_degree=4)
+    h, chars = preset.hopf, preset.chars
+    ps = central_idempotents(h, chars)
+    delta = h.comult_vec(h.integral())
+    for i, ch in enumerate(chars.chars):
+        wound = {}
+        for (h1, h2), c in delta.items():
+            vec_addto(wound, {h2: ONE}, c * ch.values[h1])
+        assert wound == ps[chars.group.inverse[i]]
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
 def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
     """central_idempotents checks only h p = chi(h) p = p h and
     chi_j(p_i) = delta_ij; the rest follows.  Each p is a central

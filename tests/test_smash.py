@@ -51,6 +51,10 @@ from oracles import (
 
 _CACHE: dict = {}
 
+# the shipped presets whose radical comes from the smash product
+SMASH_PRESETS = ["trivial", "e42-kacpalyutkin", "l41-cyclic-n-m(z3,2,3)", "l41-mystic(1,2)",
+                 "l41-mystic(2,4)"]
+
 
 def bundle(name: str, D: int = 8):
     key = (name, D)
@@ -136,16 +140,39 @@ def test_pertinency_matches_raw_spanning_set():
                 assert pert[d].contains(sm.mul(v, d, hvec, 0))
 
 
-@pytest.mark.parametrize("name", [
-    "trivial", "e42-kacpalyutkin", "l41-cyclic-n-m(z3,2,3)", "l41-mystic(1,2)",
-    "l41-mystic(2,4)",
-])
+@pytest.mark.parametrize("name", SMASH_PRESETS)
 def test_integral_span_from_a_hash_one_matches_every_pair(name):
-    """(1#Λ)(A_d # H) is already spanned by the (1#Λ)(a#1)."""
+    """(1#Λ)(A_d # H) is already spanned by the (1#Λ)(a#1), and spanning
+    through the character components gives the same slices, over the
+    basis of H and over the one adapted to the projectors."""
     D = 8
-    sm = SmashProduct(catalog.build(name, max_degree=D).action)
-    assert sm.action.kind != "dual_group"
-    assert integral_span_slices(sm, D) == pairwise_integral_span(sm, D)
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors)):
+        assert sm.action.kind != "dual_group"
+        plain = integral_span_slices(sm, D)
+        assert plain == pairwise_integral_span(sm, D)
+        assert integral_span_slices(sm, D, comp.slices) == plain
+
+
+@pytest.mark.parametrize("name", SMASH_PRESETS)
+def test_integral_times_a_component_vector_is_a_hash_lambda(name):
+    """(1#Λ)(a#1) = a # p_{χ⁻¹} for every basis vector a of every slice of
+    A_χ: one H-part per component, whatever the degree."""
+    D = 8
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors)):
+        lam = sm.unit_integral()
+        for i, slices in enumerate(comp.slices):
+            want = sm.coords(projectors[p.chars.group.inverse[i]])
+            for d in range(D + 1):
+                for a in slices[d].basis():
+                    got = sm.mul(lam, 0, sm.include_a(a, d), d)
+                    assert got == {k * sm.nH + h: x * y for k, x in a.items()
+                                   for h, y in want.items()}
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
@@ -165,10 +192,12 @@ def test_split_radical_matches_unsplit(name):
     D = 12
     p = catalog.build(name, max_degree=D)
     projectors = central_idempotents(p.hopf, p.chars)
+    comp = component_report(p.action, p.chars, D)
     plain = radical_slices(p.action, D)
-    split = radical_slices(p.action, D, projectors)
-    assert split.slices == plain.slices
-    assert split.quotient_dims == plain.quotient_dims
+    for split in (radical_slices(p.action, D, projectors),
+                  radical_slices(p.action, D, projectors, comp.slices)):
+        assert split.slices == plain.slices
+        assert split.quotient_dims == plain.quotient_dims
     sm = SmashProduct(p.action, projectors)
     sizes = [sm.block_of.count(b) for b in range(max(sm.block_of) + 1)]
     if len(p.hopf.unit) > 1:  # the unit is Σ p_g: no complement block
