@@ -502,10 +502,10 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     checks.append(Check("isotypic-idempotents-match", "theorem",
                         "pass" if iso.idempotent_images_match_components
                         else "fail", ""))
-    transfer = jacobian_transfer(alg, chars, comp, fixed,
-                                 iso.grouplike_slices, jac.j, D)
+    transfer = jacobian_transfer(chars, comp, fixed, jac.j, D)
     doc["transfer"] = {
-        "closed_under_product": transfer.closed_under_product,
+        # the components grade A, certified above, so their sum is closed
+        "closed_under_product": not mult_failures,
         "xi": _series_doc(transfer.xi_prime),
         "jacobian": elem_doc(alg, transfer.j_prime),
         "proportional_to_jacobian": transfer.jacobians_proportional,

@@ -9,11 +9,11 @@ Five commands sharing one exit-code convention::
     divisors <file> --element "<expr>" [--side left|right|both]
 
 Exit codes: 0 everything passed; 2 input problems (syntax, schema, bad
-flags, unknown preset, a slice above the size limit); 3 verification
-failure (Hopf axioms, module-algebra laws, fixture drift); 4 a
-hypothesis flag (the input is outside the theorems' assumptions); 5 a
-theorem check failed; 70 an internal error: any other exception, reported
-as one line ``internal error in <module>.<function>: <type>: <message>``
+flags, unknown preset, a slice or a Hopf algebra above its size limit);
+3 verification failure (Hopf axioms, module-algebra laws, fixture
+drift); 4 a hypothesis flag (the input is outside the theorems'
+assumptions); 5 a theorem check failed; 70 an internal error: any other
+exception, reported as one line ``internal error in <module>.<function>: <type>: <message>``
 that names the innermost ncreflect function on the traceback, which is
 not printed.
 
@@ -227,7 +227,7 @@ def _cmd_preset_run(args: argparse.Namespace) -> int:
     except KeyError as e:
         raise CommandError(EXIT_INPUT, e.args[0])
     except ValueError as e:
-        raise CommandError(EXIT_INPUT, str(e))
+        raise CommandError(EXIT_INPUT, f"{args.name}: {e}")
 
     result = analyze(preset, bound)
     print(f"{preset.name} (degree {bound})")

@@ -35,7 +35,7 @@ after the first to it, not every letter of the word times b from degree 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exprs import FreePoly, Word, p_degree, parse, show
 from .linalg import SparseEch, Subspace, Vec, apply_cols, express, vec_addto
@@ -446,12 +446,13 @@ def products_inside(
 
 
 def is_normal(
-    alg: GradedAlgebra, x: Elem, slices: Sequence[Subspace], gen_degrees: Iterable[int],
-    max_degree: int,
+    alg: GradedAlgebra, x: Elem, slices: Sequence[Subspace] | Mapping[int, Subspace],
+    gen_degrees: Iterable[int], max_degree: int,
 ) -> bool:
     """x * S_d = S_d * x for every d with d + deg x within the bound, for a
     subalgebra S generated in gen_degrees.  S_d = sum_g S_g S_{d-g}, so the
-    generator degrees decide every degree (docs/component-grading.md)."""
+    generator degrees decide every degree (docs/component-grading.md), and
+    slices need hold S_g only for those g."""
     return all(
         mul_elem_space(alg, x, slices[g], g) == mul_space_elem(alg, slices[g], g, x)
         for g in sorted(set(gen_degrees)) if g <= max_degree - x.degree

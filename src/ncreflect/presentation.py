@@ -53,6 +53,7 @@ from .hopf import (
 from .linalg import Matrix, Vec
 from .ncalg import GradedAlgebra, RelationAboveBound
 from .presets.catalog import Preset
+from .presets.groups import CLOSURE_CAP
 from .scalars import MAX_CONDUCTOR, ZERO
 
 SPEC_FORMAT = "ncreflect-spec/1"
@@ -326,6 +327,9 @@ def _parse_algebra(node: _Node) -> tuple[list[tuple[str, int]], list[str]]:
 def _parse_group(node: _Node) -> GroupData:
     keys = node.keys(["labels", "table"])
     labels = [x.as_str() for x in keys["labels"].as_list()]
+    if len(labels) > CLOSURE_CAP:
+        keys["labels"].fail(f"{len(labels)} elements, above the maximum "
+                            f"Hopf dimension {CLOSURE_CAP}")
     if not labels:
         keys["labels"].fail("need at least one element")
     if len(set(labels)) != len(labels):
@@ -404,6 +408,9 @@ def _parse_action(node: _Node, gen_names: list[str], weights: list[int]):
             ["integral", "idempotents"],
         )
         basis = [x.as_str() for x in keys["basis"].as_list()]
+        if len(basis) > CLOSURE_CAP:
+            keys["basis"].fail(f"{len(basis)} basis elements, above the maximum "
+                               f"Hopf dimension {CLOSURE_CAP}")
         if not basis:
             keys["basis"].fail("need at least one basis element")
         if len(set(basis)) != len(basis):

@@ -1,9 +1,10 @@
 """Concrete finite groups used by the built-in examples.
 
 ``matrix_group`` closes a list of exact 2x2 matrices under multiplication
-(with a hard cap so a typo cannot loop forever) and returns the abstract
-group together with the faithful representation that produced it, so
-group actions on two generators can be fed straight back in.
+and returns the abstract group together with the faithful representation
+that produced it, so group actions on two generators can be fed straight
+back in.  The closure stops at ``CLOSURE_CAP`` elements, the bound on the
+dimension of every acting Hopf algebra.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ from __future__ import annotations
 from ..linalg import Matrix
 from ..scalars import ONE, ZERO, zeta
 
-CLOSURE_CAP = 10_000
+# The set-up checks (the character table, its convolution table, the
+# axioms) cost about (dim H)^3 scalar products: on a 2-core host a group of
+# order 32 takes up to 8.5 s to set up, order 48 13 s and order 144 more
+# than a minute.  Every Hopf algebra, built in or read from a spec, has
+# dimension at most this (docs/input-format.md, "Resource limits").
+CLOSURE_CAP = 32
 
 
 def dihedral8():
@@ -38,7 +44,7 @@ def _matrix_key(m: Matrix) -> tuple:
     return tuple(x.key() for row in m.rows for x in row)
 
 
-def matrix_group(gens: list[Matrix], cap: int = CLOSURE_CAP):
+def matrix_group(gens: list[Matrix]):
     """Close 2x2 matrices under product. Returns (group, rep, gen_indices)
     where rep[i] is the matrix of element i and gen_indices locates the
     given generators inside the group."""
@@ -53,8 +59,9 @@ def matrix_group(gens: list[Matrix], cap: int = CLOSURE_CAP):
             prod = g @ m
             key = _matrix_key(prod)
             if key not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"matrix group closure exceeded {cap} elements")
+                if len(seen) >= CLOSURE_CAP:
+                    raise ValueError(f"the group has more than {CLOSURE_CAP} elements, "
+                                     f"above the maximum Hopf dimension {CLOSURE_CAP}")
                 seen[key] = prod
                 frontier.append(prod)
     keys = sorted(seen)

@@ -328,8 +328,9 @@ def rife_action_check(
 ) -> RifeData:
     alg = action.alg
     hopf_rife = rife_hopf_check(action.hopf, chars, idempotents)
-    j_normal = is_normal(alg, j, [alg.slice_space(d) for d in range(max_degree + 1)],
-                         set(alg.weights), max_degree)
+    # is_normal reads A only in its generator degrees
+    whole = {g: alg.slice_space(g) for g in set(alg.weights) if g <= max_degree}
+    j_normal = is_normal(alg, j, whole, whole.keys(), max_degree)
     # a normal j has AjA = Aj up to the bound (docs/component-grading.md)
     left = left_ideal_slices(alg, [j], max_degree) if j_normal or hopf_rife else None
     ideal = left if j_normal else two_sided_ideal_slices(alg, [j], max_degree)
@@ -398,8 +399,8 @@ def principal_radical(
             f"{radical[first].dim}",
         )
     w = monic(alg, first, radical[first].basis()[0])
-    if not is_normal(alg, w, [alg.slice_space(d) for d in range(max_degree + 1)],
-                     set(alg.weights), max_degree):
+    whole = {g: alg.slice_space(g) for g in set(alg.weights) if g <= max_degree}
+    if not is_normal(alg, w, whole, whole.keys(), max_degree):
         return PrincipalRadicalData(w, False, "lowest generator is not normal")
     ideal = left_ideal_slices(alg, [w], max_degree)  # AwA = Aw for a normal w
     for d in range(max_degree + 1):

@@ -11,8 +11,10 @@ Building on the component table (f_g), this module computes
 * verification of a supplied Nakayama automorphism candidate,
 * a Steinberg-type factorisation of the Jacobian into degree-one
   component generators,
-* isotypic series for the character idempotents and the transfer of the
-  Jacobian to the grouplike-isotypic subalgebra.
+* isotypic series for the character idempotents,
+* the transfer of the Jacobian to the grouplike-isotypic subalgebra
+  (+)_chi A_chi, read off the certified components with no product and
+  no intersection formed.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from .hopf import CharacterGroup, HopfAction, winding_left_cols, winding_right_c
 from .invariants import (
     ComponentReport,
     FixedRing,
-    minimal_component_generator,
     proportional,
     series_is_polynomial,
     series_quotient,
 )
 from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_addto, vec_scale, vec_to_dense
-from .ncalg import Elem, GradedAlgebra, cofactor, is_normal, products_inside
+from .ncalg import Elem, GradedAlgebra, cofactor, is_normal
 from .scalars import Cyc, ONE, ZERO
 
 
@@ -713,7 +714,6 @@ def isotypic_series(
 
 @dataclass
 class TransferData:
-    closed_under_product: bool
     xi_prime: list[Fraction]
     hdet_prime_index: int | None
     j_prime: Elem | None
@@ -722,41 +722,26 @@ class TransferData:
 
 
 def jacobian_transfer(
-    alg: GradedAlgebra,
     chars: CharacterGroup,
     comp: ComponentReport,
     fixed: FixedRing,
-    grouplike: list[Subspace],
     j: Elem,
     max_degree: int,
 ) -> TransferData:
-    """Transfer of the Jacobian to the grouplike-isotypic subalgebra:
-    compute its component generators, locate the top one through the
-    Hilbert route, and compare with the Jacobian of the full algebra."""
-    closed = all(
-        products_inside(alg, grouplike[e], e, grouplike[f], f, grouplike[e + f])
-        for e in range(max_degree + 1)
-        for f in range(max_degree + 1 - e)
-    )
-    gdims = [s.dim for s in grouplike]
+    """Transfer of the Jacobian to the grouplike-isotypic subalgebra
+    A' = (+)_chi A_chi: dim A'_d = sum_chi dim A_chi,d and A' meets A_chi in
+    A_chi, so its component generators are comp.f (docs/component-grading.md).
+    Locate the top one through the Hilbert route and compare it with j."""
+    gdims = [sum(s[d].dim for s in comp.slices) for d in range(max_degree + 1)]
     xi = series_quotient(gdims, fixed.dims, max_degree)
     ok, top = series_is_polynomial(xi)
     if not ok:
-        return TransferData(closed, xi, None, None, None,
+        return TransferData(xi, None, None, None,
                             "isotypic series is not polynomial over the fixed ring")
-    identity = chars.group.identity
-    f_prime = [
-        minimal_component_generator(
-            alg,
-            [comp.slices[i][d].intersect(grouplike[d]) for d in range(max_degree + 1)],
-            i == identity,
-        )[0]
-        for i in range(len(chars))
-    ]
-    hits = [i for i, f in enumerate(f_prime) if f is not None and f.degree == top]
+    hits = [i for i, f in enumerate(comp.f) if f is not None and f.degree == top]
     if len(hits) != 1:
-        return TransferData(closed, xi, None, None, None,
+        return TransferData(xi, None, None, None,
                             f"{len(hits)} candidate top component generators")
-    hdet_prime = chars.group.inverse[hits[0]]
-    j_prime = f_prime[hits[0]]
-    return TransferData(closed, xi, hdet_prime, j_prime, proportional(j_prime, j), "")
+    j_prime = comp.f[hits[0]]
+    return TransferData(xi, chars.group.inverse[hits[0]], j_prime,
+                        proportional(j_prime, j), "")

@@ -34,6 +34,12 @@ every idempotent on every basis word, the reference for
 ``structure.isotypic_series``, which reads the images of the character
 projectors off the components.
 
+``transfer_by_products`` forms every product of two grouplike slices,
+intersects each component with the grouplike slices and takes the
+minimal generators of the intersections anew, the reference for
+``structure.jacobian_transfer``, which reads all three off the certified
+components.
+
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
 Kac-Paljutkin radical the tests check the engine against; ``is_abelian``
@@ -59,8 +65,16 @@ from math import gcd
 
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.hopf import Group
+from ncreflect.invariants import series_is_polynomial, series_quotient
 from ncreflect.linalg import SparseEch, Subspace, apply_cols
-from ncreflect.ncalg import Elem, left_ideal_slices, monic, mul_elem_space, mul_space_elem
+from ncreflect.ncalg import (
+    Elem,
+    left_ideal_slices,
+    monic,
+    mul_elem_space,
+    mul_space_elem,
+    products_inside,
+)
 from ncreflect.scalars import (
     I,
     MINUS_ONE,
@@ -256,6 +270,36 @@ def isotypic_images(action, comp_slices, idempotents, max_degree: int):
                 union.add(v)
         grouplike.append(union)
     return matches, grouplike
+
+
+def transfer_by_products(alg, chars, comp_slices, fixed_dims, grouplike, j, max_degree: int):
+    """(closed under products, xi', hdet' index, j', j' proportional to j)
+    for the subalgebra with the given grouplike slices: every product of
+    two slices tested against the slice of their degree, and the top
+    component generator found among the minimal elements of each
+    component intersected with the slices."""
+    closed = all(
+        products_inside(alg, grouplike[e], e, grouplike[f], f, grouplike[e + f])
+        for e in range(max_degree + 1)
+        for f in range(max_degree + 1 - e)
+    )
+    xi = series_quotient([s.dim for s in grouplike], fixed_dims, max_degree)
+    ok, top = series_is_polynomial(xi)
+    if not ok:
+        return closed, xi, None, None, None
+    gens = []
+    for i, slices in enumerate(comp_slices):
+        start = 0 if i == chars.group.identity else 1
+        inside = [slices[d].intersect(grouplike[d]) for d in range(start, max_degree + 1)]
+        d, first = next(((d, s) for d, s in enumerate(inside, start) if s.dim), (None, None))
+        gens.append(None if first is None or first.dim > 1
+                    else monic(alg, d, first.basis()[0]))
+    hits = [i for i, f in enumerate(gens) if f is not None and f.degree == top]
+    if len(hits) != 1:
+        return closed, xi, None, None, None
+    f = gens[hits[0]]
+    both = Subspace.span(alg.dim(f.degree), [f.vec, j.vec]) if f.degree == j.degree else None
+    return closed, xi, chars.group.inverse[hits[0]], f, both is not None and both.dim == 1
 
 
 def constrained_left_ideal(action, terms, max_degree: int) -> list[Subspace]:

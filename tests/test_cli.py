@@ -23,6 +23,7 @@ from ncreflect.exprs import (
 from ncreflect.ncalg import MAX_CARRIER
 from ncreflect.presentation import MAX_JSON_DEPTH
 from ncreflect.presets import catalog
+from ncreflect.presets.groups import CLOSURE_CAP
 from ncreflect.scalars import MAX_CONDUCTOR
 
 
@@ -189,6 +190,27 @@ def test_analyze_slice_carrier_above_maximum(tmp_path, capsys):
     assert f"error: degree 3 needs a carrier of 64000 words, above the maximum {MAX_CARRIER}" in err
 
 
+@pytest.mark.parametrize("name, node, pointer", [
+    ("e22-dualD8", ("group", "labels"), "/action/group/labels"),
+    ("e42-kacpalyutkin", ("basis",), "/action/basis"),
+])
+def test_spec_hopf_dimension_above_maximum(tmp_path, capsys, name, node, pointer):
+    # refused at the list itself, before the rest of the action is read
+    labels = [f"h{k}" for k in range(CLOSURE_CAP + 1)]
+
+    def grow(d):
+        parent = d["action"]
+        for key in node[:-1]:
+            parent = parent[key]
+        parent[node[-1]] = labels
+
+    path = mutate_shipped(tmp_path, name, grow)
+    assert main(["analyze", path, "--max-degree", "4"]) == 2
+    err = capsys.readouterr().err
+    assert f"{pointer}: {CLOSURE_CAP + 1} " in err
+    assert f"above the maximum Hopf dimension {CLOSURE_CAP}" in err
+
+
 def test_internal_error_is_one_line_naming_the_innermost_function(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("injected\nsecond line")
@@ -292,21 +314,27 @@ def test_analyze_wrong_nakayama_candidate_exits_5(tmp_path, monkeypatch):
 
 
 def test_declared_idempotents_do_not_reach_the_radical(tmp_path):
-    """The radical splits along the projectors the analysis verifies, never
-    along the spec's own idempotents: well-formed but wrong ones change the
-    rife and isotypic checks, not the radical."""
+    """The radical and the Jacobian transfer split along the projectors the
+    analysis verifies, never along the spec's own idempotents: well-formed
+    but wrong ones change the rife and isotypic checks, and fail the run,
+    but leave the radical and the transfer as they are."""
     wrong = [{"1": "1"}, {"x": "1"}, {"y": "1"}, {"1": "1/2", "z": "1/2"}]
-    reports = {}
+    reports, codes = {}, {}
     for label, fn in (("plain", lambda d: None),
                       ("wrong", lambda d: d["action"].__setitem__("idempotents", wrong))):
         path = mutate_shipped(tmp_path, "e42-kacpalyutkin", fn, f"{label}.spec")
         out = tmp_path / f"{label}.report"
-        main(["analyze", path, "--max-degree", "8", "--format", "machine", "--out", str(out)])
-        reports[label] = json.loads(out.read_text())["radical"]
+        codes[label] = main(["analyze", path, "--max-degree", "8", "--format", "machine",
+                             "--out", str(out)])
+        reports[label] = json.loads(out.read_text())
     plain, wrong_idem = reports["plain"], reports["wrong"]
-    assert wrong_idem["hopf_rife"] != plain["hopf_rife"]  # the option was read
+    assert codes["wrong"] == 5
+    assert not wrong_idem["isotypic"]["idempotents_match_components"]
+    assert wrong_idem["radical"]["hopf_rife"] != plain["radical"]["hopf_rife"]  # the option was read
     for key in ("dims", "quotient_dims", "generator"):
-        assert wrong_idem[key] == plain[key], key
+        assert wrong_idem["radical"][key] == plain["radical"][key], key
+    assert wrong_idem["transfer"] == plain["transfer"]
+    assert plain["transfer"]["xi"] == [1, 0, 2, 0, 1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("idempotents", [
@@ -357,6 +385,15 @@ def test_preset_run_unknown_name(capsys):
 def test_preset_run_rejects_degenerate_mystic_parameters(params, capsys):
     assert main(["preset", "run", f"l41-mystic({params})"]) == 2
     assert "alpha >= 1 and beta >= 2" in capsys.readouterr().err
+
+
+def test_preset_run_rejects_a_group_above_the_maximum_order(capsys):
+    # order 144: the closure stops at the bound, before any character is
+    # enumerated, where a full set-up would run for more than a minute
+    name = "l41-cyclic-n-m(z3,12,12)"
+    assert main(["preset", "run", name, "--max-degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name}: the group has more than {CLOSURE_CAP} elements" in err
 
 
 def test_preset_run_rejects_zero_skew_parameter(capsys):

@@ -8,14 +8,15 @@ import pytest
 
 from ncreflect.hopf import central_idempotents
 from ncreflect.invariants import (
+    check_component_multiplicativity,
     component_report,
     fixed_ring,
     homological_determinant,
     jacobian_data,
     proportional,
 )
-from ncreflect.linalg import vec_addto
-from ncreflect.ncalg import Elem, is_normal
+from ncreflect.linalg import Subspace, vec_addto
+from ncreflect.ncalg import Elem, GradedAlgebra, is_normal
 from ncreflect.presets import catalog
 from ncreflect.scalars import Cyc, ONE, zeta
 from ncreflect.smash import dual_group_shortcut, principal_radical, radical_slices
@@ -34,7 +35,12 @@ from ncreflect.structure import (
     trace_discriminant,
 )
 
-from oracles import isotypic_images, kac_palyutkin_idempotents, normal_in_every_degree
+from oracles import (
+    isotypic_images,
+    kac_palyutkin_idempotents,
+    normal_in_every_degree,
+    transfer_by_products,
+)
 
 _CACHE: dict = {}
 
@@ -361,10 +367,7 @@ def test_cyclic_isotypic_series():
 
 def test_kac_jacobian_transfer():
     p, comp, fixed, hdet, jac, coc = bundle("e42-kacpalyutkin")
-    iso = isotypic_series(p.action, p.chars, comp, fixed, 8)
-    tr = jacobian_transfer(p.algebra, p.chars, comp, fixed, iso.grouplike_slices,
-                           jac.j, 8)
-    assert tr.closed_under_product
+    tr = jacobian_transfer(p.chars, comp, fixed, jac.j, 8)
     assert [int(c) for c in tr.xi_prime] == [1, 0, 2, 0, 1, 0, 0, 0, 0]
     assert tr.hdet_prime_index == cidx(p, "ggp")
     assert tr.jacobians_proportional
@@ -372,8 +375,45 @@ def test_kac_jacobian_transfer():
 
 def test_cyclic_jacobian_transfer():
     p, comp, fixed, hdet, jac, coc = bundle("l41-cyclic-n-m(z3,2,3)")
-    iso = isotypic_series(p.action, p.chars, comp, fixed, 8)
-    tr = jacobian_transfer(p.algebra, p.chars, comp, fixed, iso.grouplike_slices,
-                           jac.j, 8)
-    assert tr.closed_under_product
+    tr = jacobian_transfer(p.chars, comp, fixed, jac.j, 8)
     assert tr.jacobians_proportional
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_transfer_matches_products_oracle(name):
+    """The transfer read off the components agrees, field by field, with
+    the one worked out from every product of the grouplike slices, each
+    component intersected with them and its minimal generator found anew.
+    The closure the oracle finds is the certified grading."""
+    D = 12
+    p, comp, fixed, hdet, jac, coc = bundle(name, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    _, grouplike = isotypic_images(p.action, comp.slices, projectors, D)
+    closed, xi, hdet_prime, j_prime, prop = transfer_by_products(
+        p.algebra, p.chars, comp.slices, fixed.dims, grouplike, jac.j, D)
+    assert closed is True
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, D,
+                                            projectors) == []
+    tr = jacobian_transfer(p.chars, comp, fixed, jac.j, D)
+    assert tr.xi_prime == xi
+    assert tr.hdet_prime_index == hdet_prime
+    assert tr.j_prime == j_prime
+    assert tr.jacobians_proportional == prop
+
+
+def test_transfer_forms_no_product_and_no_intersection(monkeypatch):
+    p, comp, fixed, hdet, jac, coc = bundle("e22-dualD8")
+    expected = transfer_by_products(
+        p.algebra, p.chars, comp.slices, fixed.dims,
+        isotypic_images(p.action, comp.slices, central_idempotents(p.hopf, p.chars), 8)[1],
+        jac.j, 8)
+
+    def refuse(*args):
+        raise AssertionError("the transfer formed a product or an intersection")
+
+    monkeypatch.setattr(GradedAlgebra, "mul", refuse)
+    monkeypatch.setattr(Subspace, "intersect", refuse)
+    tr = jacobian_transfer(p.chars, comp, fixed, jac.j, 8)
+    got = (True, tr.xi_prime, tr.hdet_prime_index, tr.j_prime, tr.jacobians_proportional)
+    assert got == expected
+    assert tr.jacobians_proportional is True
