@@ -391,7 +391,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
         method = "component-intersection"
         quotient_dims = [alg.dim(d) - slices[d].dim for d in range(D + 1)]
     else:
-        rad = radical_slices(action, D, projectors, comp.slices)
+        rad = radical_slices(action, D, projectors, comp.slices, chars.chars)
         slices = rad.slices
         method = "smash-pertinency"
         quotient_dims = rad.quotient_dims

@@ -3,7 +3,12 @@
 A Hopf algebra is stored by structure constants over a fixed basis:
 multiplication and antipode as sparse vectors, comultiplication as a list
 of (left, right, coefficient) triples per basis element.  ``verify``
-re-checks every axiom and reports witnesses instead of trusting input.
+checks every axiom and reports witnesses instead of trusting input.  The
+conditions that are multiplicative in one factor (associativity, and Δ
+and ε being algebra maps) are checked with that factor running over a
+set of algebra generators (``HopfAlgebra.generators``), which decides
+them for all of H (docs/component-grading.md, "H is checked at its
+algebra generators").  So are the integral and the character projectors.
 
 Characters (one-dimensional representations) form a group under the
 convolution product; they grade the invariant theory downstream.  The
@@ -24,7 +29,7 @@ from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .exprs import FreePoly, Word, p_mul
-from .linalg import Matrix, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
+from .linalg import Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
 from .ncalg import GradedAlgebra
 from .scalars import Cyc, ONE, ZERO, zeta
 
@@ -151,6 +156,7 @@ class HopfAlgebra:
                 vec_addto(tensor, {(j, k): c})
             self._delta.append(tensor)
         self._integral: Vec | None = None
+        self._generators: list[int] | None = None
 
     # -- operations on coordinate vectors --------------------------------
 
@@ -189,10 +195,18 @@ class HopfAlgebra:
     # -- verification ------------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Re-check every Hopf axiom; returns failure witnesses."""
+        """Check every Hopf axiom; returns failure witnesses.
+
+        Associativity runs over the triples (x, s, y) with s in
+        ``generators()`` (Light's test), and the multiplicativity of Δ and
+        ε over the pairs (x, s).  Given the unit law, the middle factors
+        that pass form a subalgebra, and given associativity too, so do
+        the right factors; so S decides both for H
+        (docs/component-grading.md)."""
         bad: list[str] = []
         rng = range(self.dim)
         lab = self.labels
+        gens = self.generators()
 
         for i in rng:
             if self.mul_vec(self.unit, self.basis_vec(i)) != self.basis_vec(i):
@@ -201,12 +215,12 @@ class HopfAlgebra:
                 bad.append(f"unit: {lab[i]}*1 != {lab[i]}")
 
         for i in rng:
-            for j in rng:
+            for s in gens:
                 for k in rng:
-                    lhs = self.mul_vec(self.mult[i][j], self.basis_vec(k))
-                    rhs = self.mul_vec(self.basis_vec(i), self.mult[j][k])
+                    lhs = self.mul_vec(self.mult[i][s], self.basis_vec(k))
+                    rhs = self.mul_vec(self.basis_vec(i), self.mult[s][k])
                     if lhs != rhs:
-                        bad.append(f"associativity: ({lab[i]}*{lab[j]})*{lab[k]}")
+                        bad.append(f"associativity: ({lab[i]}*{lab[s]})*{lab[k]}")
 
         for i in rng:
             left: dict[tuple[int, int, int], Cyc] = {}
@@ -236,17 +250,14 @@ class HopfAlgebra:
             bad.append("counit: counit(1) != 1")
 
         for i in rng:
-            for j in rng:
-                got = self.comult_vec(self.mult[i][j])
-                want = self.tensor_mul(
-                    dict(self.comult_vec(self.basis_vec(i))),
-                    dict(self.comult_vec(self.basis_vec(j))),
-                )
+            for s in gens:
+                got = self.comult_vec(self.mult[i][s])
+                want = self.tensor_mul(self._delta[i], self._delta[s])
                 if got != want:
-                    bad.append(f"comultiplication is not multiplicative: {lab[i]}*{lab[j]}")
-                eps = self.counit_vec(self.mult[i][j])
-                if eps != self.counit[i] * self.counit[j]:
-                    bad.append(f"counit is not multiplicative: {lab[i]}*{lab[j]}")
+                    bad.append(f"comultiplication is not multiplicative: {lab[i]}*{lab[s]}")
+                eps = self.counit_vec(self.mult[i][s])
+                if eps != self.counit[i] * self.counit[s]:
+                    bad.append(f"counit is not multiplicative: {lab[i]}*{lab[s]}")
 
         for i in rng:
             left_vec: Vec = {}
@@ -262,14 +273,41 @@ class HopfAlgebra:
 
         return bad
 
+    def generators(self) -> list[int]:
+        """Basis indices S such that the unit and the right-normed products
+        s_1(s_2(...(s_k u))), with u the unit or an element of S, span H.
+        Greedy in basis order: the next index outside the span so far
+        joins S.  [] when the unit spans H."""
+        if self._generators is not None:
+            return list(self._generators)
+        gens: list[int] = []
+        span, spanned = Subspace(self.dim), []
+        todo = [dict(self.unit)]
+        while True:
+            while todo:
+                v = todo.pop()
+                if span.add(v):
+                    spanned.append(v)
+                    todo.extend(self.mul_vec(self.basis_vec(s), v) for s in gens)
+            if span.dim == self.dim:
+                break
+            s = next(i for i in range(self.dim) if not span.contains(self.basis_vec(i)))
+            gens.append(s)
+            todo = [self.basis_vec(s)] + [self.mul_vec(self.basis_vec(s), v) for v in spanned]
+        self._generators = gens
+        return list(gens)
+
     # -- integral -----------------------------------------------------------
 
     def integral(self) -> Vec:
-        """The two-sided integral normalised by counit(Λ) = 1.  hΛ = ε(h)Λ
-        for every h gives Λ² = ε(Λ)Λ = Λ, so idempotence needs no check."""
+        """The two-sided integral normalised by counit(Λ) = 1, read off the
+        common eigenvectors of the L_s with s in ``generators()``: the h with
+        hΛ = ε(h)Λ, or Λh = ε(h)Λ, form a subalgebra.  hΛ = ε(h)Λ for every
+        h gives Λ² = ε(Λ)Λ = Λ, so idempotence needs no check."""
         if self._integral is not None:
             return dict(self._integral)
-        kernel = eigenvectors(self.dim, [(self.mult[i], self.counit[i]) for i in range(self.dim)])
+        gens = self.generators()
+        kernel = eigenvectors(self.dim, [(self.mult[s], self.counit[s]) for s in gens])
         if not kernel:
             raise ValueError("no left integral found")
         lam = kernel[0]
@@ -277,11 +315,11 @@ class HopfAlgebra:
         if eps.is_zero():
             raise ValueError("integral is killed by the counit (algebra not semisimple?)")
         lam = vec_scale(lam, eps.inverse())
-        for i in range(self.dim):
-            want = vec_scale(lam, self.counit[i])
-            if self.mul_vec(self.basis_vec(i), lam) != want:
+        for s in gens:
+            want = vec_scale(lam, self.counit[s])
+            if self.mul_vec(self.basis_vec(s), lam) != want:
                 raise ValueError("computed integral is not a left integral")
-            if self.mul_vec(lam, self.basis_vec(i)) != want:
+            if self.mul_vec(lam, self.basis_vec(s)) != want:
                 raise ValueError("integral is not two-sided")
         self._integral = lam
         return dict(lam)
@@ -495,15 +533,18 @@ def winding_left_cols(hopf: HopfAlgebra, ch: Character) -> list[Vec]:
 
 def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
     """p_ch = winding of the integral by ch^{-1}, checked by its defining
-    property before returning: h p = ch(h) p = p h for every basis element
-    h, and ch'(p) = 1 if ch' = ch, else 0.  Then p_ch is a central
-    idempotent, the projectors are orthogonal, and dim H of them sum to 1
+    property before returning: h p = ch(h) p = p h for every h, and
+    ch'(p) = 1 if ch' = ch, else 0.  Then p_ch is a central idempotent,
+    the projectors are orthogonal, and dim H of them sum to 1.  The h
+    with h p = ch(h) p, or p h = ch(h) p, form a subalgebra, since ch is
+    multiplicative, so h runs over ``generators()``
     (docs/component-grading.md)."""
     lam = hopf.integral()
+    gens = hopf.generators()
     out = []
     for ch in chars.chars:
         p = apply_cols(winding_right_cols(hopf, ch.inverse()), lam)
-        for b in range(hopf.dim):
+        for b in gens:
             h, want = hopf.basis_vec(b), vec_scale(p, ch.values[b])
             if hopf.mul_vec(h, p) != want or hopf.mul_vec(p, h) != want:
                 raise ValueError(f"projector for {ch.label} fails "

@@ -44,18 +44,12 @@ from .scalars import ONE, ZERO
 # character components
 
 
-def eigen_probes(action: HopfAction) -> list[int]:
-    """Basis elements of H whose eigenvalues fix a component: a generating
-    set for a group action (characters are multiplicative), else all."""
-    if action.kind == "group":
-        return action.group.generating_set()
-    return list(range(action.hopf.dim))
-
-
 def graded_components(
     action: HopfAction, chars: CharacterGroup, max_degree: int
 ) -> list[list[Subspace]]:
-    """slices[i][d] = {a in A_d : h.a = chars[i](h) a for all h}."""
+    """slices[i][d] = {a in A_d : h.a = chars[i](h) a for all h}.  The h
+    with h.a = chars[i](h) a form a subalgebra of H, so h runs over the
+    algebra generators of H (docs/component-grading.md)."""
     alg = action.alg
     out: list[list[Subspace]] = []
     if action.kind == "dual_group":
@@ -73,7 +67,7 @@ def graded_components(
             out.append(slices)
         return out
 
-    probes = eigen_probes(action)
+    probes = action.hopf.generators()
     for ch in chars.chars:
         slices = []
         for d in range(max_degree + 1):
@@ -93,8 +87,9 @@ def component_grading_certificate(
     """'' when every slice comps[i][d] is the whole chars[i]-eigenspace of
     A_d, else the first failure.  The slice must lie in the eigenspace
     (a), and its dimension must be the trace on A_d of the central
-    idempotent p_i, which is the dimension of the eigenspace (b)."""
-    probes = eigen_probes(action)
+    idempotent p_i, which is the dimension of the eigenspace (b).  (a) is
+    probed at the algebra generators of H, as in ``graded_components``."""
+    probes = action.hopf.generators()
     support = {h for p in projectors for h in p}
     for d in range(max_degree + 1):
         traces = {}

@@ -14,7 +14,8 @@ spanned through them: on A_ψ the product (1#Λ)(a#1) is a # (ψ⇀Λ), so
 each component costs one product and only a complement of their sum is
 multiplied out.  Given central idempotents of H, the H-coordinates run
 over a basis adapted to them, so that the ideal splits into blocks and
-each echelon row stays inside one.  The trace on A is read off the
+each echelon row stays inside one; the block of a character projector is
+a line, read off the character.  The trace on A is read off the
 residues of the a # 1 modulo a slice: the linear relations among them
 are the a with a # 1 in the slice, whatever the unit of H.
 """
@@ -24,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hopf import CharacterGroup, HopfAction, HopfAlgebra
-from .linalg import Expressor, Subspace, Vec, intersect_all, vec_addto
+from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra
+from .linalg import Expressor, Subspace, Vec, intersect_all, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -42,33 +43,40 @@ from .scalars import ONE
 class SmashProduct:
     """A # H, one homogeneous A-degree at a time.
 
-    ``idempotents`` are orthogonal central idempotents E of H; with
-    1 − Σ E, when it is not zero, they make the blocks.  The H-coordinates
-    of the slices run over a basis adapted to the blocks: block by block,
-    the reduced echelon basis of the ideal HE.  Without idempotents the
-    one block is H and the basis is that of H.  ``mul`` takes its first
-    factor in the basis of H, and its second factor and the product in
-    the adapted one.
+    ``projectors`` are the verified projectors p_χ of ``characters``, in
+    order; with 1 − Σ p_χ, when it is not zero, they make the blocks.
+    The H-coordinates of the slices run over a basis adapted to the
+    blocks: block by block, the reduced echelon basis of the ideal HE.
+    Since h p_χ = χ(h) p_χ, the block of p_χ is the line through it, and
+    h has coordinate χ(h)·p_χ[min p_χ] on it, read off without a product;
+    only 1 − Σ p_χ is multiplied out (docs/radical-spanning.md, "The
+    basis of a one-dimensional block").  Without projectors the one block
+    is H and the basis is that of H.  ``mul`` takes its first factor in
+    the basis of H, and its second factor and the product in the adapted
+    one.
     """
 
-    def __init__(self, action: HopfAction, idempotents: Sequence[Vec] = ()):
+    def __init__(self, action: HopfAction, projectors: Sequence[Vec] = (),
+                 characters: Sequence[Character] = ()):
         self.action = action
         self.alg = action.alg
         self.hopf = hopf = action.hopf
         self.nH = nH = hopf.dim
         self.weights = action.alg.weights
-        blocks = list(idempotents)
-        rest = dict(hopf.unit)
-        for e in blocks:
-            vec_addto(rest, e, -ONE)
-        if rest:
-            blocks.append(rest)
         self.basis: list[Vec] = []  # the adapted basis, in the basis of H
-        self.block_of: list[int] = []
         self._coords: list[Vec] = [{} for _ in range(nH)]  # of each basis vector of H
-        for b, e in enumerate(blocks):
+        rest = dict(hopf.unit)
+        for b, (e, ch) in enumerate(zip(projectors, characters, strict=True)):
+            vec_addto(rest, e, -ONE)
+            lead = e[min(e)]
+            for h, x in enumerate(ch.values):
+                if not x.is_zero():
+                    self._coords[h][b] = x * lead
+            self.basis.append(vec_scale(e, lead.inverse()))
+        self.block_of: list[int] = list(range(len(self.basis)))
+        if rest:
             # h = Σ_E hE, and hE has coordinate (hE)[p] at each pivot p of HE
-            products = [hopf.mul_vec(hopf.basis_vec(h), e) for h in range(nH)]
+            products = [hopf.mul_vec(hopf.basis_vec(h), rest) for h in range(nH)]
             rows = Subspace.span(nH, products).basis()
             pivots = [min(row) for row in rows]
             for h, he in enumerate(products):
@@ -76,7 +84,7 @@ class SmashProduct:
                     if p in he:
                         self._coords[h][j] = he[p]
             self.basis.extend(rows)
-            self.block_of.extend([b] * len(rows))
+            self.block_of.extend([len(projectors)] * len(rows))
         if len(self.basis) != nH:
             raise ValueError("the blocks of the idempotents do not add up to H")
         self._unit = self.coords(hopf.unit)
@@ -225,17 +233,18 @@ class RadicalData:
 
 def radical_slices(action: HopfAction, max_degree: int,
                    projectors: Sequence[Vec] = (),
-                   components: Sequence[Sequence[Subspace]] = ()) -> RadicalData:
+                   components: Sequence[Sequence[Subspace]] = (),
+                   characters: Sequence[Character] = ()) -> RadicalData:
     """Trace of the pertinency ideal on A, degree by degree.
 
-    Given the verified character projectors, the ideal is computed in the
-    blocks that they and 1 − Σ p_χ cut out of H.  The trace and the
-    codimensions are those of the one block H (docs/radical-spanning.md,
-    "The pertinency ideal splits along central idempotents").  Given the
-    character components, S_d is spanned through them
-    (``integral_span_slices``).
+    Given the verified character projectors and their characters, the
+    ideal is computed in the blocks that they and 1 − Σ p_χ cut out of H
+    (``SmashProduct``).  The trace and the codimensions are those of the
+    one block H (docs/radical-spanning.md, "The pertinency ideal splits
+    along central idempotents").  Given the character components, S_d is
+    spanned through them (``integral_span_slices``).
     """
-    sm = SmashProduct(action, projectors)
+    sm = SmashProduct(action, projectors, characters)
     pert = pertinency_slices(sm, max_degree, components)
     slices = [_trace_on_a(sm, pert[d], d) for d in range(max_degree + 1)]
     qdims = [sm.dim(d) - pert[d].dim for d in range(max_degree + 1)]
@@ -269,21 +278,25 @@ def dual_group_shortcut(
 
 
 def commutator_ideal(hopf: HopfAlgebra) -> Subspace:
-    """Ideal closure of the span of all basis commutators."""
+    """The two-sided ideal generated by the commutators of H.  Since
+    [xy, z] = x[y, z] + [x, z]y, the [s, b] with s in ``generators()`` and b
+    a basis element generate it, and since S generates H, closing under
+    products by S on each side closes it (docs/component-grading.md)."""
+    gens = hopf.generators()
+    todo = []
+    for s in gens:
+        for b in range(hopf.dim):
+            com = dict(hopf.mult[s][b])
+            vec_addto(com, hopf.mult[b][s], -ONE)
+            todo.append(com)
     space = Subspace(hopf.dim)
-    for i in range(hopf.dim):
-        for j in range(i + 1, hopf.dim):
-            com = dict(hopf.mult[i][j])
-            vec_addto(com, hopf.mult[j][i], -ONE)
-            space.add(com)
-    while True:
-        before = space.dim
-        for v in list(space.basis()):
-            for b in range(hopf.dim):
-                space.add(hopf.mul_vec({b: ONE}, v))
-                space.add(hopf.mul_vec(v, {b: ONE}))
-        if space.dim == before:
-            return space
+    while todo:
+        v = todo.pop()
+        if space.add(v):
+            for s in gens:
+                todo.append(hopf.mul_vec(hopf.basis_vec(s), v))
+                todo.append(hopf.mul_vec(v, hopf.basis_vec(s)))
+    return space
 
 
 def rife_hopf_check(

@@ -664,7 +664,6 @@ def steinberg_factorization(
 @dataclass
 class IsotypicData:
     idempotent_images_match_components: bool
-    grouplike_slices: list[Subspace]
     grouplike_dims: list[int]
     complement_dims: list[int]
     grouplike_rank: int | None
@@ -680,25 +679,28 @@ def isotypic_series(
     idempotents: list[Vec] | None = None,
 ) -> IsotypicData:
     """The images of the idempotents p_i on each A_d, compared with the
-    components A_{chi_i,d}, and their sum, the grouplike-isotypic slices.
+    components A_{chi_i,d}, and the dimensions of their sum, the
+    grouplike-isotypic slices.
 
     None stands for the character projectors, whose image on A_d is the
-    eigenspace A_{chi_i,d} (docs/component-grading.md); the grouplike
-    slice is then the span of the component slices.  Declared idempotents
-    are applied to every basis word and their images spanned."""
+    eigenspace A_{chi_i,d} (docs/component-grading.md); eigenspaces of
+    distinct characters are independent, so the grouplike slice has
+    dimension sum_i dim A_{chi_i,d} and is not spanned.  Declared
+    idempotents are applied to every basis word and their images
+    spanned."""
     alg = action.alg
     matches = True
-    grouplike: list[Subspace] = []
+    gdims: list[int] = []
     for d in range(max_degree + 1):
-        dim = alg.dim(d)
         images = [comp.slices[i][d] for i in range(len(chars))]
-        if idempotents is not None:
-            spans = [Subspace.span(dim, (action.act(p, {k: ONE}, d) for k in range(dim)))
-                     for p in idempotents]
-            matches = matches and spans == images
-            images = spans
-        grouplike.append(Subspace.span(dim, (v for s in images for v in s.basis())))
-    gdims = [s.dim for s in grouplike]
+        if idempotents is None:
+            gdims.append(sum(s.dim for s in images))
+            continue
+        dim = alg.dim(d)
+        spans = [Subspace.span(dim, (action.act(p, {k: ONE}, d) for k in range(dim)))
+                 for p in idempotents]
+        matches = matches and spans == images
+        gdims.append(Subspace.span(dim, (v for s in spans for v in s.basis())).dim)
     cdims = [alg.dim(d) - gdims[d] for d in range(max_degree + 1)]
 
     def rank(dims: list[int]) -> int | None:
@@ -709,7 +711,7 @@ def isotypic_series(
         total = sum(series)
         return int(total) if total == int(total) else None
 
-    return IsotypicData(matches, grouplike, gdims, cdims, rank(gdims), rank(cdims))
+    return IsotypicData(matches, gdims, cdims, rank(gdims), rank(cdims))
 
 
 @dataclass

@@ -40,6 +40,21 @@ minimal generators of the intersections anew, the reference for
 ``structure.jacobian_transfer``, which reads all three off the certified
 components.
 
+``verify_all_triples`` checks associativity on every basis triple and
+the multiplicativity of Δ and ε on every basis pair, the reference for
+``HopfAlgebra.verify``, which runs the middle or right factor over
+``HopfAlgebra.generators``.  ``integral_all_basis`` and
+``central_idempotents_all_basis`` read off and check Λ and the p_χ
+against every basis element, the references for ``HopfAlgebra.integral``
+and ``hopf.central_idempotents``; ``components_all_probes`` takes the
+common eigenspaces of every basis element, the reference for
+``invariants.graded_components``.  ``commutator_ideal_all_pairs``
+closes the span of every basis commutator under products by every basis
+element, the reference for ``smash.commutator_ideal``.
+``smash_blocks_by_products`` builds the adapted basis of H from every
+product hE, the reference for ``smash.SmashProduct``, which reads the
+line of a character projector off its character.
+
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
 Kac-Paljutkin radical the tests check the engine against; ``is_abelian``
@@ -66,7 +81,15 @@ from math import gcd
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.hopf import Group
 from ncreflect.invariants import series_is_polynomial, series_quotient
-from ncreflect.linalg import SparseEch, Subspace, apply_cols
+from ncreflect.linalg import (
+    SparseEch,
+    Subspace,
+    Vec,
+    apply_cols,
+    eigenvectors,
+    vec_addto,
+    vec_scale,
+)
 from ncreflect.ncalg import (
     Elem,
     left_ideal_slices,
@@ -300,6 +323,158 @@ def transfer_by_products(alg, chars, comp_slices, fixed_dims, grouplike, j, max_
     f = gens[hits[0]]
     both = Subspace.span(alg.dim(f.degree), [f.vec, j.vec]) if f.degree == j.degree else None
     return closed, xi, chars.group.inverse[hits[0]], f, both is not None and both.dim == 1
+
+
+def verify_all_triples(hopf) -> list[str]:
+    """Every Hopf axiom, associativity on every basis triple and the
+    multiplicativity of Δ and ε on every basis pair; failure witnesses."""
+    bad: list[str] = []
+    rng = range(hopf.dim)
+    lab = hopf.labels
+    basis = hopf.basis_vec
+    for i in rng:
+        if hopf.mul_vec(hopf.unit, basis(i)) != basis(i):
+            bad.append(f"unit: 1*{lab[i]} != {lab[i]}")
+        if hopf.mul_vec(basis(i), hopf.unit) != basis(i):
+            bad.append(f"unit: {lab[i]}*1 != {lab[i]}")
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                if hopf.mul_vec(hopf.mult[i][j], basis(k)) != hopf.mul_vec(basis(i), hopf.mult[j][k]):
+                    bad.append(f"associativity: ({lab[i]}*{lab[j]})*{lab[k]}")
+    for i in rng:
+        left: dict = {}
+        right: dict = {}
+        for j, k, c in hopf.comult[i]:
+            for a, b, d in hopf.comult[j]:
+                vec_addto(left, {(a, b, k): d}, c)
+            for a, b, d in hopf.comult[k]:
+                vec_addto(right, {(j, a, b): d}, c)
+        if left != right:
+            bad.append(f"coassociativity: {lab[i]}")
+    for i in rng:
+        lvec: Vec = {}
+        rvec: Vec = {}
+        for j, k, c in hopf.comult[i]:
+            vec_addto(lvec, basis(k), c * hopf.counit[j])
+            vec_addto(rvec, basis(j), c * hopf.counit[k])
+        if lvec != basis(i) or rvec != basis(i):
+            bad.append(f"counit: {lab[i]}")
+    unit_tensor = {(i, j): a * b for i, a in hopf.unit.items() for j, b in hopf.unit.items()}
+    if hopf.comult_vec(hopf.unit) != unit_tensor:
+        bad.append("comultiplication: unit is not grouplike")
+    if hopf.counit_vec(hopf.unit) != ONE:
+        bad.append("counit: counit(1) != 1")
+    for i in rng:
+        for j in rng:
+            want = hopf.tensor_mul(hopf.comult_vec(basis(i)), hopf.comult_vec(basis(j)))
+            if hopf.comult_vec(hopf.mult[i][j]) != want:
+                bad.append(f"comultiplication is not multiplicative: {lab[i]}*{lab[j]}")
+            if hopf.counit_vec(hopf.mult[i][j]) != hopf.counit[i] * hopf.counit[j]:
+                bad.append(f"counit is not multiplicative: {lab[i]}*{lab[j]}")
+    for i in rng:
+        left_vec: Vec = {}
+        right_vec: Vec = {}
+        for j, k, c in hopf.comult[i]:
+            vec_addto(left_vec, hopf.mul_vec(hopf.antipode[j], basis(k)), c)
+            vec_addto(right_vec, hopf.mul_vec(basis(j), hopf.antipode[k]), c)
+        want = vec_scale(hopf.unit, hopf.counit[i])
+        if left_vec != want:
+            bad.append(f"antipode (left): {lab[i]}")
+        if right_vec != want:
+            bad.append(f"antipode (right): {lab[i]}")
+    return bad
+
+
+def integral_all_basis(hopf) -> Vec:
+    """Λ with ε(Λ) = 1 from the common eigenvectors of every L_h − ε(h),
+    checked as hΛ = ε(h)Λ = Λh against every basis element h; raises
+    ValueError where ``HopfAlgebra.integral`` documents it."""
+    kernel = eigenvectors(hopf.dim, [(hopf.mult[i], hopf.counit[i]) for i in range(hopf.dim)])
+    if not kernel:
+        raise ValueError("no left integral found")
+    eps = hopf.counit_vec(kernel[0])
+    if eps.is_zero():
+        raise ValueError("integral is killed by the counit")
+    lam = vec_scale(kernel[0], eps.inverse())
+    for i in range(hopf.dim):
+        want = vec_scale(lam, hopf.counit[i])
+        if hopf.mul_vec(hopf.basis_vec(i), lam) != want or hopf.mul_vec(lam, hopf.basis_vec(i)) != want:
+            raise ValueError("not a two-sided integral")
+    return lam
+
+
+def central_idempotents_all_basis(hopf, chars) -> list[Vec]:
+    """p_χ = winding of ``integral_all_basis`` by χ⁻¹, checked as
+    h p = χ(h) p = p h against every basis element h and χ'(p) = δ."""
+    from ncreflect.hopf import winding_right_cols
+
+    lam = integral_all_basis(hopf)
+    out = []
+    for ch in chars.chars:
+        p = apply_cols(winding_right_cols(hopf, ch.inverse()), lam)
+        for b in range(hopf.dim):
+            want = vec_scale(p, ch.values[b])
+            if hopf.mul_vec(hopf.basis_vec(b), p) != want or hopf.mul_vec(p, hopf.basis_vec(b)) != want:
+                raise ValueError(f"projector for {ch.label} is not a χ-eigenvector")
+        for other in chars.chars:
+            if other(p) != (ONE if other is ch else ZERO):
+                raise ValueError(f"{other.label} takes the wrong value on p_{ch.label}")
+        out.append(p)
+    return out
+
+
+def components_all_probes(action, chars, max_degree: int) -> list[list[Subspace]]:
+    """slices[i][d]: the common eigenspace in A_d of every basis element h
+    of H with eigenvalue chars[i](h)."""
+    alg, nH = action.alg, action.hopf.dim
+    return [[Subspace.span(alg.dim(d), eigenvectors(
+                alg.dim(d), [(action.columns(h, d), ch.values[h]) for h in range(nH)]))
+             for d in range(max_degree + 1)]
+            for ch in chars.chars]
+
+
+def commutator_ideal_all_pairs(hopf) -> Subspace:
+    """The span of every basis commutator, closed by multiplying its whole
+    basis by every basis element on each side until the span stops
+    growing."""
+    space = Subspace(hopf.dim)
+    for i in range(hopf.dim):
+        for j in range(i + 1, hopf.dim):
+            com = dict(hopf.mult[i][j])
+            vec_addto(com, hopf.mult[j][i], -ONE)
+            space.add(com)
+    while True:
+        before = space.dim
+        for v in list(space.basis()):
+            for b in range(hopf.dim):
+                space.add(hopf.mul_vec({b: ONE}, v))
+                space.add(hopf.mul_vec(v, {b: ONE}))
+        if space.dim == before:
+            return space
+
+
+def smash_blocks_by_products(hopf, idempotents):
+    """(adapted basis, block of each basis vector, coordinates of each
+    basis vector of H) for the blocks of the idempotents and 1 − Σ E:
+    block by block, the reduced echelon basis of the span of every hE."""
+    blocks = list(idempotents)
+    rest = dict(hopf.unit)
+    for e in blocks:
+        vec_addto(rest, e, -ONE)
+    if rest:
+        blocks.append(rest)
+    basis, block_of, coords = [], [], [{} for _ in range(hopf.dim)]
+    for b, e in enumerate(blocks):
+        products = [hopf.mul_vec(hopf.basis_vec(h), e) for h in range(hopf.dim)]
+        rows = Subspace.span(hopf.dim, products).basis()
+        for h, he in enumerate(products):
+            for j, row in enumerate(rows, len(basis)):
+                if min(row) in he:
+                    coords[h][j] = he[min(row)]
+        basis.extend(rows)
+        block_of.extend([b] * len(rows))
+    return basis, block_of, coords
 
 
 def constrained_left_ideal(action, terms, max_degree: int) -> list[Subspace]:

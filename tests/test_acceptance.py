@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from math import comb
 
-from oracles import QuotientOracle, is_abelian
+from oracles import QuotientOracle, is_abelian, isotypic_images
 from ncreflect.divisors import divisor_report
-from ncreflect.hopf import HopfAlgebra
+from ncreflect.hopf import HopfAlgebra, central_idempotents
 from ncreflect.invariants import (
     check_component_multiplicativity,
     component_report,
@@ -121,11 +121,14 @@ def test_kac_palyutkin_invariant_suite():
     # the grouplike-isotypic part is exactly the even-degree subalgebra
     iso = isotypic_series(p.action, p.chars, comp, fixed, D)
     assert iso.idempotent_images_match_components
+    _, grouplike = isotypic_images(p.action, comp.slices,
+                                   central_idempotents(p.hopf, p.chars), D)
     for d in range(D + 1):
         if d % 2 == 0:
-            assert iso.grouplike_slices[d] == alg.slice_space(d)
+            assert grouplike[d] == alg.slice_space(d)
+            assert iso.grouplike_dims[d] == alg.dim(d)
         else:
-            assert iso.grouplike_dims[d] == 0
+            assert iso.grouplike_dims[d] == grouplike[d].dim == 0
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_integral_span_from_a_hash_one_matches_every_pair(name):
     p = catalog.build(name, max_degree=D)
     comp = component_report(p.action, p.chars, D)
     projectors = central_idempotents(p.hopf, p.chars)
-    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors)):
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
         assert sm.action.kind != "dual_group"
         plain = integral_span_slices(sm, D)
         assert plain == pairwise_integral_span(sm, D)
@@ -164,7 +164,7 @@ def test_integral_times_a_component_vector_is_a_hash_lambda(name):
     p = catalog.build(name, max_degree=D)
     comp = component_report(p.action, p.chars, D)
     projectors = central_idempotents(p.hopf, p.chars)
-    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors)):
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
         lam = sm.unit_integral()
         for i, slices in enumerate(comp.slices):
             want = sm.coords(projectors[p.chars.group.inverse[i]])
@@ -194,11 +194,11 @@ def test_split_radical_matches_unsplit(name):
     projectors = central_idempotents(p.hopf, p.chars)
     comp = component_report(p.action, p.chars, D)
     plain = radical_slices(p.action, D)
-    for split in (radical_slices(p.action, D, projectors),
-                  radical_slices(p.action, D, projectors, comp.slices)):
+    for split in (radical_slices(p.action, D, projectors, (), p.chars.chars),
+                  radical_slices(p.action, D, projectors, comp.slices, p.chars.chars)):
         assert split.slices == plain.slices
         assert split.quotient_dims == plain.quotient_dims
-    sm = SmashProduct(p.action, projectors)
+    sm = SmashProduct(p.action, projectors, p.chars.chars)
     sizes = [sm.block_of.count(b) for b in range(max(sm.block_of) + 1)]
     if len(p.hopf.unit) > 1:  # the unit is Σ p_g: no complement block
         assert len(sizes) == len(projectors)
@@ -216,7 +216,7 @@ def test_blocks_must_add_up_to_h():
     p = catalog.build("l41-mystic(1,2)", max_degree=2)
     projectors = central_idempotents(p.hopf, p.chars)
     with pytest.raises(ValueError, match="do not add up to H"):
-        SmashProduct(p.action, projectors + projectors[:1])
+        SmashProduct(p.action, projectors + projectors[:1], p.chars.chars + p.chars.chars[:1])
 
 
 @pytest.mark.parametrize("name, D, unit_terms", [

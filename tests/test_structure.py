@@ -277,7 +277,8 @@ def test_generator_degree_normality_matches_every_degree(name):
     if p.action.kind == "dual_group":
         radical = dual_group_shortcut(alg, comp.slices, D)
     else:
-        radical = radical_slices(p.action, D, central_idempotents(p.hopf, p.chars)).slices
+        radical = radical_slices(p.action, D, central_idempotents(p.hopf, p.chars),
+                                 (), p.chars.chars).slices
     in_a = [jac.j, principal_radical(alg, radical, D).generator]
     in_a += [Elem(alg, d, {k: ONE}) for d in (1, 2) for k in range(alg.dim(d))]
     whole = [alg.slice_space(d) for d in range(D + 1)]
@@ -299,7 +300,7 @@ def assert_isotypic_matches_images(p, comp, fixed, D, idempotents):
     iso = isotypic_series(p.action, p.chars, comp, fixed, D, idempotents=idempotents)
     matches, grouplike = isotypic_images(p.action, comp.slices, idempotents, D)
     assert iso.idempotent_images_match_components == matches
-    assert iso.grouplike_slices == grouplike
+    assert iso.grouplike_dims == [s.dim for s in grouplike]
     return matches
 
 
@@ -318,7 +319,7 @@ def test_isotypic_trace_path_matches_image_spans(name):
     iso = isotypic_series(p.action, p.chars, comp, fixed, D)
     matches, grouplike = isotypic_images(p.action, comp.slices, projectors, D)
     assert matches and iso.idempotent_images_match_components
-    assert iso.grouplike_slices == grouplike
+    assert iso.grouplike_dims == [s.dim for s in grouplike]
     assert assert_isotypic_matches_images(p, comp, fixed, D, projectors)
     n = len(projectors)
     dims = [[s.dim for s in comp.slices[i]] for i in range(n)]
