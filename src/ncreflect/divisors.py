@@ -162,16 +162,6 @@ def _letter_of(alg: GradedAlgebra, pos: int) -> int:
     return alg.basis_words(1)[pos][0]
 
 
-def _solve_cofactor(alg: GradedAlgebra, v: Elem, f: Elem, side: str) -> Elem | None:
-    cof = cofactor(alg, v, f, side)
-    if cof is None:
-        return None
-    back = v * cof if side == "left" else cof * v
-    if back != f:
-        raise AssertionError("cofactor solve failed to reproduce the element")
-    return cof
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -201,7 +191,7 @@ def _candidates_report(
 ) -> DivisorReport:
     pairs = []
     for v in cands:
-        cof = _solve_cofactor(alg, v, f, side)
+        cof = cofactor(alg, v, f, side)
         if cof is not None:
             pairs.append((v, cof))
     lines, cofs = _sorted_lines(pairs)
@@ -254,7 +244,7 @@ def _certificate_report(
     for v in cands:
         s0, t0 = v.vec.get(0, ZERO), v.vec.get(1, ZERO)
         if form_eval(residual, s0, t0).is_zero() and form_degree(residual) >= 1:
-            cof = _solve_cofactor(alg, v, f, side)
+            cof = cofactor(alg, v, f, side)
             if cof is not None:
                 pairs.append((v, cof))
             while form_degree(residual) >= 1 and form_eval(residual, s0, t0).is_zero():

@@ -24,9 +24,9 @@ bundles a vector with its degree for convenience.
 On top of the slices sit the ideals generated by a list of elements
 (left, right, two-sided; the covariant ideals use them too) and the slice
 tests the other layers share: `monic` (the normalised generator of a
-line), `cofactor` (q with m = d * q or m = q * d), `products_inside`
-(U_e * V_f inside W_{e+f}) and `is_normal` (x * S_d = S_d * x in every
-degree, decided in the generator degrees of S).
+line), `cofactor` (q with m = d * q or m = q * d, an exact solve) and
+`is_normal` (x * S_d = S_d * x in every degree, decided in the generator
+degrees of S).
 
 A relation row rho * b starts at the normal word b: a basis word is its
 own unit coordinate vector, so each word of rho applies only its letters
@@ -432,17 +432,6 @@ def cofactor(alg: GradedAlgebra, d: Elem, m: Elem, side: str) -> Elem | None:
     if coeffs is None:
         return None
     return Elem(alg, qdeg, {k: c for k, c in enumerate(coeffs) if not c.is_zero()})
-
-
-def products_inside(
-    alg: GradedAlgebra, U: Subspace, e: int, V: Subspace, f: int, W: Subspace
-) -> bool:
-    """U_e * V_f lies inside W_{e+f}; a full target holds every product."""
-    if W.dim == alg.dim(e + f):
-        return True
-    return all(
-        W.contains(alg.mul(u, e, v, f)) for u in U.basis() for v in V.basis()
-    )
 
 
 def is_normal(

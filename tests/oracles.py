@@ -55,10 +55,20 @@ element, the reference for ``smash.commutator_ideal``.
 product hE, the reference for ``smash.SmashProduct``, which reads the
 line of a character projector off its character.
 
+``multiplicativity_by_products`` forms every product A_g,e * A_h,f
+and names each one that leaves A_{gh} (``products_inside`` tests one
+pair of slices), the reference for
+``invariants.check_component_multiplicativity``, which certifies the
+grading from the character projectors without forming a product.
+``greedy_generating_set`` takes each group element outside the subgroup
+of the ones before it, the reference for ``HopfAlgebra.generators`` on
+a group algebra.
+
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
-Kac-Paljutkin radical the tests check the engine against; ``is_abelian``
-and ``direct_product`` build and test small groups.
+Kac-Paljutkin radical the tests check the engine against; ``is_abelian``,
+``commutator_subgroup``, ``symmetric3`` and ``direct_product`` build and
+test small groups.
 
 ``FractionCyc`` is the textbook cyclotomic scalar: ``Fraction``
 coefficients modulo Phi_n, products by convolution and power-table
@@ -76,6 +86,7 @@ forms exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 from ncreflect.exprs import FreePoly, Word, p_degree
@@ -96,7 +107,6 @@ from ncreflect.ncalg import (
     monic,
     mul_elem_space,
     mul_space_elem,
-    products_inside,
 )
 from ncreflect.scalars import (
     I,
@@ -275,6 +285,15 @@ def normal_in_every_degree(alg, x, slices, max_degree: int) -> bool:
     )
 
 
+def products_inside(alg, U: Subspace, e: int, V: Subspace, f: int, W: Subspace) -> bool:
+    """U_e * V_f lies inside W_{e+f}; a full target holds every product."""
+    if W.dim == alg.dim(e + f):
+        return True
+    return all(
+        W.contains(alg.mul(u, e, v, f)) for u in U.basis() for v in V.basis()
+    )
+
+
 def isotypic_images(action, comp_slices, idempotents, max_degree: int):
     """(every image equals its component, the sum of the images) with the
     image of p_i on A_d spanned from p_i applied to every basis word."""
@@ -434,6 +453,24 @@ def components_all_probes(action, chars, max_degree: int) -> list[list[Subspace]
             for ch in chars.chars]
 
 
+def multiplicativity_by_products(action, chars, comps, max_degree: int) -> list[str]:
+    """Every A_g * A_h that leaves A_{gh} in some degree, found by forming
+    every product of two slices."""
+    alg, g0 = action.alg, chars.group
+    n = len(chars)
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            k = g0.table[i][j]
+            for e in range(max_degree + 1):
+                for f in range(max_degree + 1 - e):
+                    if not products_inside(alg, comps[i][e], e, comps[j][f], f,
+                                           comps[k][e + f]):
+                        bad.append(f"A_{g0.labels[i]} * A_{g0.labels[j]} leaves "
+                                   f"A_{g0.labels[k]} in degree {e + f}")
+    return bad
+
+
 def commutator_ideal_all_pairs(hopf) -> Subspace:
     """The span of every basis commutator, closed by multiplying its whole
     basis by every basis element on each side until the span stops
@@ -542,6 +579,32 @@ def matrix_block_units() -> dict[str, dict]:
 def is_abelian(group: Group) -> bool:
     return all(group.table[a][b] == group.table[b][a]
                for a in range(group.order) for b in range(group.order))
+
+
+def greedy_generating_set(group: Group) -> list[int]:
+    """The elements, in index order, that lie outside the subgroup the
+    ones before them generate."""
+    gens: list[int] = []
+    have = {group.identity}
+    for g in range(group.order):
+        if g not in have:
+            gens.append(g)
+            have = group.closure(gens)
+    return gens
+
+
+def commutator_subgroup(group: Group) -> set[int]:
+    """[G, G]: the closure of every commutator a b a^-1 b^-1."""
+    t, inv = group.table, group.inverse
+    return group.closure({t[t[a][b]][t[inv[a]][inv[b]]]
+                          for a in range(group.order) for b in range(group.order)})
+
+
+def symmetric3() -> Group:
+    """S3 as the permutations of (0, 1, 2), composed right to left."""
+    perms = list(permutations(range(3)))
+    table = [[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms]
+    return Group(["".join(map(str, p)) for p in perms], table)
 
 
 def direct_product(a: Group, b: Group) -> Group:

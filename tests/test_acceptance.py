@@ -262,7 +262,9 @@ def test_structural_identities_on_every_preset():
         alg = p.algebra
 
         # components multiply into components
-        assert check_component_multiplicativity(p.action, p.chars, comp.slices, D) == []
+        projectors = central_idempotents(p.hopf, p.chars)
+        assert check_component_multiplicativity(p.action, p.chars, comp.slices, D,
+                                                projectors) == []
 
         # left and right discriminants span the same line
         assert proportional(jac.delta_left, jac.delta_right)

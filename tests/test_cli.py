@@ -12,6 +12,7 @@ import pytest
 
 import ncreflect
 from ncreflect import smash
+from ncreflect.analysis import report_json
 from ncreflect.cli import EXIT_INTERNAL, MAX_DEGREE, main
 from ncreflect.exprs import (
     MAX_EXPANSION,
@@ -374,6 +375,18 @@ def test_preset_run_whole_catalogue(capsys):
         out = capsys.readouterr().out
         assert "report matches" in out, name
         assert "expected values confirmed" in out, name
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_analyze_shipped_spec_writes_the_fixture_report(name, tmp_path, monkeypatch):
+    # built from the shipped .spec file, not from the catalogue: the
+    # "table" kind builds its character group from the declared characters
+    monkeypatch.delenv("NCREFLECT_MAX_DEGREE", raising=False)
+    fixture = json.loads(catalog.fixture_path(name).read_text())
+    out = tmp_path / "report.json"
+    assert main(["analyze", spec_file(name), "--format", "machine",
+                 "--max-degree", str(fixture["max_degree"]), "--out", str(out)]) == 0
+    assert out.read_text() == report_json(fixture["report"])
 
 
 def test_preset_run_unknown_name(capsys):

@@ -8,7 +8,6 @@ with one entry changed.
 
 from __future__ import annotations
 
-from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +24,7 @@ from ncreflect.hopf import (
     group_algebra,
     group_linear_characters,
 )
-from ncreflect.invariants import component_grading_certificate, graded_components
+from ncreflect.invariants import check_component_multiplicativity, graded_components
 from ncreflect.linalg import Subspace
 from ncreflect.presets import catalog
 from ncreflect.presets.groups import dihedral8
@@ -37,16 +36,12 @@ from oracles import (
     central_idempotents_all_basis,
     commutator_ideal_all_pairs,
     components_all_probes,
+    greedy_generating_set,
     integral_all_basis,
     smash_blocks_by_products,
+    symmetric3,
     verify_all_triples,
 )
-
-
-def symmetric3() -> Group:
-    perms = list(permutations(range(3)))
-    table = [[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms]
-    return Group(["".join(map(str, p)) for p in perms], table)
 
 
 def small_hopf_algebras():
@@ -126,15 +121,15 @@ def test_generator_probes_give_the_all_basis_components(name):
     """The components probed at the generators of H are the common
     eigenspaces of every basis element at D = 12, and the certificate
     probed at the generators accepts them.  For a group action the
-    generators are no more than the group's own generating set."""
+    generators are the greedy generating set of the group."""
     D = 12
     p = catalog.build(name, max_degree=D)
     comps = graded_components(p.action, p.chars, D)
     assert comps == components_all_probes(p.action, p.chars, D)
     projectors = central_idempotents(p.hopf, p.chars)
-    assert component_grading_certificate(p.action, p.chars, comps, D, projectors) == ""
+    assert check_component_multiplicativity(p.action, p.chars, comps, D, projectors) == []
     if p.action.kind == "group":
-        assert len(p.hopf.generators()) <= len(p.action.group.generating_set())
+        assert p.hopf.generators() == greedy_generating_set(p.action.group)
 
 
 # -- Hopf tables with one entry changed ------------------------------------

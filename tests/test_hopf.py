@@ -29,7 +29,15 @@ from ncreflect.presets.kac import (
 )
 from ncreflect.scalars import Cyc, I, MINUS_ONE, ONE, ZERO, zeta
 
-from oracles import dense_eigenvectors, direct_product, is_abelian, kac_palyutkin_idempotents
+from oracles import (
+    commutator_subgroup,
+    dense_eigenvectors,
+    direct_product,
+    greedy_generating_set,
+    is_abelian,
+    kac_palyutkin_idempotents,
+    symmetric3,
+)
 
 
 # -- groups -------------------------------------------------------------------
@@ -150,6 +158,44 @@ def test_group_linear_characters():
     chars8 = group_linear_characters(group_algebra(d8), d8)
     assert len(chars8) == 4  # abelianisation is Klein four
     assert sum(1 for ch in chars8.chars if ch.label == "triv") == 1
+
+
+LINEAR_CHARACTER_GROUPS = {
+    **{f"C{n}": lambda n=n: Group.cyclic(n) for n in range(1, 13)},
+    "D8": dihedral8,
+    "C2xC2": lambda: direct_product(Group.cyclic(2, "a"), Group.cyclic(2, "b")),
+    "C4xC6": lambda: direct_product(Group.cyclic(4, "a"), Group.cyclic(6, "b")),
+    "S3xC4": lambda: direct_product(symmetric3(), Group.cyclic(4, "c")),
+    "D8xC3": lambda: direct_product(dihedral8(), Group.cyclic(3, "c")),
+    "cyclic(z3,2,3)": lambda: cyclic_scaling_group(2, 3)[0],
+    **{f"mystic({a},{b})": lambda a=a, b=b: mystic_group(a, b)[0]
+       for a, b in ((1, 2), (2, 4), (2, 8), (4, 4))},
+}
+
+
+# the groups of trivial, l41-cyclic-n-m(z3,2,3) and l41-mystic(a,b)
+PRESET_CHARACTER_COUNTS = {"C1": 1, "cyclic(z3,2,3)": 6, "mystic(1,2)": 4,
+                           "mystic(2,4)": 8, "mystic(2,8)": 8, "mystic(4,4)": 8}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_CHARACTER_GROUPS))
+def test_linear_characters_are_the_abelianisation(name):
+    """The characters found by propagating over the Cayley edges are
+    homomorphisms on every pair of elements, pairwise distinct, and as
+    many as |G : [G, G]|, so every linear character is found; the
+    algebra generators of kG are the greedy generating set of G."""
+    g = LINEAR_CHARACTER_GROUPS[name]()
+    h = group_algebra(g)
+    assert h.generators() == greedy_generating_set(g)
+    chars = group_linear_characters(h, g)
+    for ch in chars.chars:
+        v = ch.values
+        assert all(v[g.table[a][b]] == v[a] * v[b]
+                   for a in range(g.order) for b in range(g.order))
+    assert len({ch.key() for ch in chars.chars}) == len(chars)
+    assert len(chars) * len(commutator_subgroup(g)) == g.order
+    if name in PRESET_CHARACTER_COUNTS:
+        assert len(chars) == PRESET_CHARACTER_COUNTS[name]
 
 
 def test_winding_composition():

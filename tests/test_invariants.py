@@ -14,7 +14,6 @@ import pytest
 from ncreflect.hopf import central_idempotents
 from ncreflect.invariants import (
     check_component_multiplicativity,
-    component_grading_certificate,
     component_report,
     covariant_data,
     fixed_ring,
@@ -28,7 +27,7 @@ from ncreflect.ncalg import left_ideal_slices, right_ideal_slices, two_sided_ide
 from ncreflect.presets import catalog
 from ncreflect.scalars import ONE
 
-from oracles import augmentation_module, fixed_ring_all_pairs
+from oracles import augmentation_module, fixed_ring_all_pairs, multiplicativity_by_products
 
 _CACHE: dict = {}
 
@@ -66,27 +65,33 @@ def test_kac_component_generators():
 
 def test_kac_component_multiplicativity():
     p, comp, _, _ = bundle("e42-kacpalyutkin")
-    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 6) == []
+    projectors = central_idempotents(p.hopf, p.chars)
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 6,
+                                            projectors) == []
 
 
 def test_component_multiplicativity_failure_is_reported():
     p, comp, _, _ = bundle("e42-kacpalyutkin")
+    projectors = central_idempotents(p.hopf, p.chars)
     swapped = list(comp.slices)
     eps, g = cidx(p, "eps"), cidx(p, "g")
     swapped[eps], swapped[g] = swapped[g], swapped[eps]
-    bad = check_component_multiplicativity(p.action, p.chars, swapped, 6)
+    # the slot of eps holds A_g, which has no degree-0 part
+    assert check_component_multiplicativity(p.action, p.chars, swapped, 6, projectors) == [
+        "A_eps in degree 0 has dimension 0, its projector trace 1"]
     # A_g * A_g lands in A_eps, not in the slot now holding A_g
-    assert "A_eps * A_eps leaves A_eps in degree 4" in bad
+    assert "A_eps * A_eps leaves A_eps in degree 4" in multiplicativity_by_products(
+        p.action, p.chars, swapped, 6)
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_component_grading_certificate_holds_on_every_preset(name):
+    """The certificate passes exactly where forming every product finds
+    no witness."""
     p, comp, _, _ = bundle(name)
     projectors = central_idempotents(p.hopf, p.chars)
-    assert component_grading_certificate(p.action, p.chars, comp.slices, 8, projectors) == ""
     assert check_component_multiplicativity(p.action, p.chars, comp.slices, 8, projectors) == []
-    # without the projectors every product is formed, and none leaves
-    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 8) == []
+    assert multiplicativity_by_products(p.action, p.chars, comp.slices, 8) == []
 
 
 def _with_slice(comps, i, d, space):
@@ -103,9 +108,9 @@ def test_certificate_refuses_a_proper_subspace_of_an_eigenspace():
     assert full.dim == 2
     bad = _with_slice(comp.slices, eps, 4, Subspace.span(full.ambient, full.basis()[:1]))
     # (a) holds, (b) does not
-    assert component_grading_certificate(p.action, p.chars, bad, 6, projectors) == (
-        "A_eps in degree 4 has dimension 1, its projector trace 2")
-    witnesses = check_component_multiplicativity(p.action, p.chars, bad, 6, projectors)
+    assert check_component_multiplicativity(p.action, p.chars, bad, 6, projectors) == [
+        "A_eps in degree 4 has dimension 1, its projector trace 2"]
+    witnesses = multiplicativity_by_products(p.action, p.chars, bad, 6)
     assert "A_g * A_g leaves A_eps in degree 4" in witnesses
 
 
@@ -116,9 +121,9 @@ def test_certificate_refuses_a_vector_of_another_component():
     assert comp.slices[g][4].dim == comp.slices[gp][4].dim == 1
     bad = _with_slice(comp.slices, g, 4, comp.slices[gp][4])
     # the dimensions still match the projector traces, (a) fails
-    assert component_grading_certificate(p.action, p.chars, bad, 6, projectors) == (
-        "A_g in degree 4 leaves its eigenspace")
-    witnesses = check_component_multiplicativity(p.action, p.chars, bad, 6, projectors)
+    assert check_component_multiplicativity(p.action, p.chars, bad, 6, projectors) == [
+        "A_g in degree 4 leaves its eigenspace"]
+    witnesses = multiplicativity_by_products(p.action, p.chars, bad, 6)
     assert "A_g * A_eps leaves A_g in degree 4" in witnesses
 
 
@@ -180,7 +185,9 @@ def test_dihedral3_component_generators():
 
 def test_dihedral3_component_multiplicativity():
     p, comp, _, _ = bundle("e22-dualD8")
-    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 5) == []
+    projectors = central_idempotents(p.hopf, p.chars)
+    assert check_component_multiplicativity(p.action, p.chars, comp.slices, 5,
+                                            projectors) == []
 
 
 def test_dihedral3_fixed_ring_and_xi():

@@ -11,14 +11,19 @@ from ncreflect.ncalg import (
     RelationAboveBound,
     left_ideal_slices,
     mul_space_elem,
-    products_inside,
     right_ideal_slices,
     two_sided_ideal_slices,
 )
 from ncreflect.presets import catalog
 from ncreflect.scalars import Cyc, I, ONE
 
-from oracles import QuotientOracle, augmentation_module, free_words, subalgebra_slices
+from oracles import (
+    QuotientOracle,
+    augmentation_module,
+    free_words,
+    products_inside,
+    subalgebra_slices,
+)
 
 
 def qp_relation(q):
