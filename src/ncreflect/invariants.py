@@ -57,12 +57,8 @@ def graded_components(
         for i in range(len(chars)):
             slices = []
             for d in range(max_degree + 1):
-                gdeg = action.word_gdeg(d)
-                s = Subspace(alg.dim(d))
-                for k, g in enumerate(gdeg):
-                    if g == i:
-                        s.add({k: ONE})
-                slices.append(s)
+                ks = [k for k, g in enumerate(action.word_gdeg(d)) if g == i]
+                slices.append(Subspace.units(alg.dim(d), ks))
             out.append(slices)
         return out
 

@@ -9,12 +9,15 @@ maintained eagerly (every stored row has pivot coefficient 1 and is
 reduced against every other pivot).
 
 A batch goes in through ``extend``, in descending order of leading
-(smallest) column.  A stored row holds only columns above its own
-pivot, so a new pivot below every stored pivot sits in no stored row and
-needs no back-substitution; inserted in arrival order, a low pivot is
-eliminated from every row that holds it.  The row space, and with it
-the unique reduced echelon form, does not depend on the order, so the
-rows come out the same either way.  On top of the engine sit ``Subspace``
+(smallest) column.  A stored row holds only columns at or above its own
+pivot, so a new pivot below ``low``, the smallest stored pivot, sits in
+no stored row: ``insert`` then stores the row and skips the
+back-substitution scan over every stored row.  Inserted in arrival
+order, a low pivot is eliminated from every row that holds it.  The row
+space, and with it the unique reduced echelon form, does not depend on
+the order, so the rows come out the same either way.
+``Subspace.units`` writes a span of unit vectors as its echelon
+directly, with no insert.  On top of the engine sit ``Subspace``
 (canonical bases, sums and intersections), ``Expressor`` (coefficients
 of a target over a generator list, and the linear relations among the
 generators), and ``eigenvectors`` (common eigenvectors of maps given by
@@ -102,14 +105,17 @@ class SparseEch:
 
     ``rows`` maps pivot column -> row; each row has coefficient 1 at its
     pivot and no entry at any other pivot column, so reducing a vector is
-    a single pass over its pivot-column entries.
+    a single pass over its pivot-column entries.  ``low`` is the smallest
+    pivot (``dim`` while there is none); whatever writes ``rows`` keeps
+    it so.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "low")
 
     def __init__(self, dim: int):
         self.dim = dim
         self.rows: dict[int, Vec] = {}
+        self.low = dim
 
     @property
     def rank(self) -> int:
@@ -152,6 +158,12 @@ class SparseEch:
         inv = v[p].inverse()
         row = {k: x * inv for k, x in v.items()}
         row[p] = ONE
+        if p < self.low:
+            # a stored row holds no column below its own pivot, and every
+            # stored pivot is above p
+            self.low = p
+            self.rows[p] = row
+            return True
         for r in self.rows.values():
             c = r.get(p)
             if c is not None:
@@ -198,6 +210,16 @@ class Subspace:
     def span(cls, dim: int, vecs: Iterable[Vec]) -> "Subspace":
         s = cls(dim)
         s.extend(vecs)
+        return s
+
+    @classmethod
+    def units(cls, dim: int, ks: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at ks, written as its echelon: a
+        unit vector is its own reduced row, so nothing is eliminated."""
+        s = cls(dim)
+        ech = s._ech
+        ech.rows = {k: {k: ONE} for k in sorted(ks)}
+        ech.low = min(ech.rows, default=dim)
         return s
 
     @property

@@ -19,14 +19,20 @@ eliminates the largest word of a relation.  The surviving words form the
 canonical monomial basis of the slice, reported in ascending order.
 
 Elements of a slice are sparse coordinate vectors over that basis; `Elem`
-bundles a vector with its degree for convenience.
+bundles a vector with its degree for convenience.  `mul(v, dv, w, dw)`
+lets the basis words of one factor act on the other letter by letter:
+those of v through the left letter maps when len(v) * dv <= len(w) * dw,
+else those of w through the cached right letter maps, so a dense factor
+against a short one costs the short one's letters.  The product is one
+vector either way.
 
 On top of the slices sit the ideals generated by a list of elements
-(left, right, two-sided; the covariant ideals use them too) and the slice
-tests the other layers share: `monic` (the normalised generator of a
-line), `cofactor` (q with m = d * q or m = q * d, an exact solve) and
-`is_normal` (x * S_d = S_d * x in every degree, decided in the generator
-degrees of S).
+(left, right, two-sided; the covariant ideals use them too), which write
+a slice down as the whole of A_d once the slices one letter below are
+whole, and the slice tests the other layers share: `monic` (the
+normalised generator of a line), `cofactor` (q with m = d * q or
+m = q * d, an exact solve) and `is_normal` (x * S_d = S_d * x in every
+degree, decided in the generator degrees of S).
 
 A relation row rho * b starts at the normal word b: a basis word is its
 own unit coordinate vector, so each word of rho applies only its letters
@@ -222,6 +228,15 @@ class GradedAlgebra:
                 break
         return vec
 
+    def _right_word(self, word: Word, vec: Vec, degree: int) -> Vec:
+        """vec * word for vec in A_degree: the letters applied left to right."""
+        for letter in word:
+            vec = apply_cols(self.right_letter(letter, degree), vec)
+            degree += self.weights[letter]
+            if not vec:
+                break
+        return vec
+
     def nf_word(self, word: Word) -> Vec:
         """Coordinates of an arbitrary free word in its slice basis."""
         return self._left_word(word, {0: ONE}, 0)
@@ -241,11 +256,20 @@ class GradedAlgebra:
         return deg, out
 
     def mul(self, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
-        """Product of degree-dv and degree-dw coordinate vectors."""
+        """Product of degree-dv and degree-dw coordinate vectors.  The words
+        of the side with fewer letters in all, about len(v) * dv against
+        len(w) * dw, act on the other side letter by letter."""
         out: Vec = {}
-        words = self.basis_words(dv)
-        for k, c in v.items():
-            vec_addto(out, self._left_word(words[k], w, dw), c)
+        if len(v) * dv <= len(w) * dw:
+            self.build(dv)
+            words = self._basis[dv]
+            for k, c in v.items():
+                vec_addto(out, self._left_word(words[k], w, dw), c)
+        else:
+            self.build(dw)
+            words = self._basis[dw]
+            for k, c in w.items():
+                vec_addto(out, self._right_word(words[k], v, dv), c)
         return out
 
     # -- elements -----------------------------------------------------------
@@ -265,10 +289,9 @@ class GradedAlgebra:
         return show({words[k]: c for k, c in vec.items()}, self.gen_names)
 
     def slice_space(self, degree: int) -> Subspace:
-        s = Subspace(self.dim(degree))
-        for k in range(self.dim(degree)):
-            s.add({k: ONE})
-        return s
+        """The whole of A_degree."""
+        dim = self.dim(degree)
+        return Subspace.units(dim, range(dim))
 
 
 class Elem:
@@ -361,35 +384,37 @@ def _push_right(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Su
     acc.extend(_images(alg.right_letter, alg.weights, spaces, degree))
 
 
-def left_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
-    """Degreewise slices of the left ideal A * <gens>."""
+def _ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int,
+                  pushes) -> list[Subspace]:
+    """Degreewise slices of the ideal gens generate under the pushes.  Once
+    every out[d - w_i] is the whole slice, so is out[d], since
+    A_d = sum_i x_i A_{d - w_i} = sum_i A_{d - w_i} x_i for d > 0
+    (docs/component-grading.md); it is then written down, not eliminated."""
     out: list[Subspace] = []
     for d in range(max_degree + 1):
+        if d and all(out[d - w].dim == out[d - w].ambient for w in alg.weights if w <= d):
+            out.append(alg.slice_space(d))
+            continue
         acc = _span_of(alg, gens, d)
-        push_left(alg, out, d, acc)
+        for push in pushes:
+            push(alg, out, d, acc)
         out.append(acc)
     return out
+
+
+def left_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
+    """Degreewise slices of the left ideal A * <gens>."""
+    return _ideal_slices(alg, gens, max_degree, (push_left,))
 
 
 def right_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
     """Degreewise slices of the right ideal <gens> * A."""
-    out: list[Subspace] = []
-    for d in range(max_degree + 1):
-        acc = _span_of(alg, gens, d)
-        _push_right(alg, out, d, acc)
-        out.append(acc)
-    return out
+    return _ideal_slices(alg, gens, max_degree, (_push_right,))
 
 
 def two_sided_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
     """Degreewise slices of the two-sided ideal generated by gens."""
-    out: list[Subspace] = []
-    for d in range(max_degree + 1):
-        acc = _span_of(alg, gens, d)
-        push_left(alg, out, d, acc)
-        _push_right(alg, out, d, acc)
-        out.append(acc)
-    return out
+    return _ideal_slices(alg, gens, max_degree, (push_left, _push_right))
 
 
 def mul_space_elem(alg: GradedAlgebra, space: Subspace, sdeg: int, e: Elem) -> Subspace:

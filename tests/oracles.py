@@ -70,6 +70,15 @@ Kac-Paljutkin radical the tests check the engine against; ``is_abelian``,
 ``commutator_subgroup``, ``symmetric3`` and ``direct_product`` build and
 test small groups.
 
+``ScanningEch`` inserts by scanning every stored row for the new pivot,
+the reference for ``SparseEch.insert``, which skips the scan for a pivot
+below every stored one.  ``mul_left_words`` always lets the words of the
+left factor act on the right one, the reference for
+``GradedAlgebra.mul``, which lets the shorter side act.
+``ideal_slices_eliminating`` eliminates every degree of a left, right or
+two-sided ideal, the reference for the three ``ncalg`` ideal functions,
+which write a slice down as whole once the slices below it are.
+
 ``FractionCyc`` is the textbook cyclotomic scalar: ``Fraction``
 coefficients modulo Phi_n, products by convolution and power-table
 reduction, inverses by the extended Euclidean algorithm over Q[z], and
@@ -182,6 +191,58 @@ def zassenhaus_intersect(u: Subspace, v: Subspace) -> Subspace:
         work.insert(row)
     return Subspace.span(n, [{k - n: x for k, x in row.items()}
                              for p, row in work.rows.items() if p >= n])
+
+
+class ScanningEch(SparseEch):
+    """``SparseEch`` whose insert scans every stored row for the new pivot."""
+
+    __slots__ = ()
+
+    def insert(self, vec: Vec) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = v[p].inverse()
+        row = {k: x * inv for k, x in v.items()}
+        row[p] = ONE
+        for r in self.rows.values():
+            c = r.get(p)
+            if c is not None:
+                vec_addto(r, row, -c)
+        self.rows[p] = row
+        return True
+
+
+def mul_left_words(alg, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
+    """v * w: each basis word of v acts on w letter by letter, right to left."""
+    out: Vec = {}
+    words = alg.basis_words(dv)
+    for k, c in v.items():
+        vec, deg = w, dw
+        for letter in reversed(words[k]):
+            vec = apply_cols(alg.left_letter(letter, deg), vec)
+            deg += alg.weights[letter]
+        vec_addto(out, vec, c)
+    return out
+
+
+def ideal_slices_eliminating(alg, gens, max_degree: int, side: str) -> list[Subspace]:
+    """Slices of the ideal gens generate on side "left", "right" or
+    "two-sided", by the recursion I_d = <gens>_d + sum_i x_i I_{d - w_i}
+    (and/or I_{d - w_i} x_i), eliminated in every degree."""
+    letters = {"left": [alg.left_letter], "right": [alg.right_letter],
+               "two-sided": [alg.left_letter, alg.right_letter]}[side]
+    out: list[Subspace] = []
+    for d in range(max_degree + 1):
+        acc = Subspace.span(alg.dim(d), [g.vec for g in gens if g.degree == d])
+        for letter in letters:
+            for i, w in enumerate(alg.weights):
+                if w <= d:
+                    cols = letter(i, d - w)
+                    acc.extend(apply_cols(cols, v) for v in out[d - w].basis())
+        out.append(acc)
+    return out
 
 
 def augmentation_module(alg, sub_slices, max_degree: int, side: str) -> list[Subspace]:

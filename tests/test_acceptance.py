@@ -11,9 +11,21 @@ that uses them.
 from __future__ import annotations
 
 import json
+import sys
 from math import comb
 
-from oracles import QuotientOracle, is_abelian, isotypic_images
+import pytest
+
+from oracles import (
+    QuotientOracle,
+    ScanningEch,
+    ideal_slices_eliminating,
+    is_abelian,
+    isotypic_images,
+    mul_left_words,
+)
+from ncreflect import linalg, ncalg
+from ncreflect.analysis import analyze, report_json
 from ncreflect.divisors import divisor_report
 from ncreflect.hopf import HopfAlgebra, central_idempotents
 from ncreflect.invariants import (
@@ -477,3 +489,27 @@ def test_independent_oracles_match_engine():
             assert pins["/hilbert/fixed"]["value"] == fixed_counts[name], name
         p, comp, fixed, hdet, jac = bundle(name)
         assert fixed.dims == fixed_counts.get(name, fixed.dims), name
+
+
+@pytest.mark.parametrize("name", ["e22-dualD8", "l41-mystic(2,4)"])
+def test_fast_paths_leave_the_deep_report_unchanged(name, monkeypatch):
+    """Past the fixture bound the lowest-pivot guard and the whole ideal
+    slices fire far more often than at 12; the report at 20 is the one the
+    scanning insert, the left-word product and the eliminating ideals give."""
+    depth = 20
+    fast = report_json(analyze(catalog.build(name, max_degree=depth), depth).document)
+    monkeypatch.setattr(linalg.SparseEch, "insert", ScanningEch.insert)
+    monkeypatch.setattr(ncalg.GradedAlgebra, "mul", mul_left_words)
+    patched = set()
+    for side, fn in (("left", ncalg.left_ideal_slices), ("right", ncalg.right_ideal_slices),
+                     ("two-sided", ncalg.two_sided_ideal_slices)):
+        def slow(alg, gens, max_degree, side=side):
+            return ideal_slices_eliminating(alg, gens, max_degree, side)
+        for module in [m for k, m in sys.modules.items() if k.startswith("ncreflect")]:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, slow)
+                    patched.add(module.__name__)
+    assert {"ncreflect.ncalg", "ncreflect.invariants", "ncreflect.smash"} <= patched
+    slow_report = report_json(analyze(catalog.build(name, max_degree=depth), depth).document)
+    assert fast == slow_report

@@ -19,7 +19,7 @@ from ncreflect.linalg import (
 )
 from ncreflect.scalars import Cyc, I, ONE, ZERO, zeta
 
-from oracles import dense_eigenvectors, dense_rref, zassenhaus_intersect
+from oracles import ScanningEch, dense_eigenvectors, dense_rref, zassenhaus_intersect
 
 
 def cols_of(m: Matrix) -> list:
@@ -180,6 +180,64 @@ def test_extend_matches_one_at_a_time_insert(conductor):
             spanned.add(v)
         assert Subspace.span(dim, batch) == spanned
     assert deficient
+
+
+@st.composite
+def insert_batches(draw):
+    """An ambient dimension and a batch of sparse vectors over Q(i), with
+    zero vectors, duplicates and scalar multiples mixed in."""
+    n = draw(st.integers(1, 10))
+    scalar = st.sampled_from([ONE, -ONE, Cyc.rational(2), Cyc.rational(-1, 3), I, -I,
+                              ONE + I, Cyc.rational(1, 2) - I])
+    vec = st.dictionaries(st.integers(0, n - 1), scalar, max_size=min(n, 4))
+    batch = draw(st.lists(vec, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "multiple"]))
+        if kind == "zero" or not batch:
+            extra = {}
+        else:
+            v = draw(st.sampled_from(batch))
+            extra = dict(v) if kind == "duplicate" else {k: x * I for k, x in v.items()}
+        batch.insert(draw(st.integers(0, len(batch))), extra)
+    return n, batch
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(insert_batches(), st.data())
+def test_guarded_insert_matches_scanning_insert(case, data):
+    """The lowest-pivot guard leaves the rows and every return value of the
+    scanning insert, whatever the order: ascending leading columns (the
+    guard never fires past the first pivot), descending (it fires for
+    every new leading column) and shuffled."""
+    n, batch = case
+
+    def lead(v):
+        return min(v, default=n)
+
+    orders = [sorted(batch, key=lead), sorted(batch, key=lead, reverse=True),
+              data.draw(st.permutations(batch))]
+    for order in orders:
+        fast, slow = SparseEch(n), ScanningEch(n)
+        for v in order:
+            assert fast.insert(v) == slow.insert(v)
+            assert fast.low == min(fast.rows, default=n)
+        assert fast.rows == slow.rows
+
+
+@pytest.mark.parametrize("dim, ks", [(0, []), (3, []), (1, [0]), (5, [4, 1, 3]),
+                                     (6, range(6)), (4, [2, 2])])
+def test_units_equals_the_span_built_by_add(dim, ks):
+    units = Subspace.units(dim, ks)
+    added = Subspace(dim)
+    for k in ks:
+        added.add({k: ONE})
+    assert units == added
+    assert units.dim == len(set(ks))
+    assert units._ech.low == added._ech.low == min(ks, default=dim)
+    # the echelon stays usable: a later insert matches on both
+    v = {k: Cyc.rational(k + 1) for k in range(0, dim, 2)}
+    assert units.add(v) == added.add(v)
+    assert units == added
 
 
 @pytest.mark.parametrize("conductor", [1, 8, 12])

@@ -17,10 +17,14 @@ from ncreflect.ncalg import (
 from ncreflect.presets import catalog
 from ncreflect.scalars import Cyc, I, ONE
 
+from ncreflect.invariants import component_report, fixed_ring
+
 from oracles import (
     QuotientOracle,
     augmentation_module,
     free_words,
+    ideal_slices_eliminating,
+    mul_left_words,
     products_inside,
     subalgebra_slices,
 )
@@ -245,3 +249,69 @@ def test_basis_words_are_their_own_normal_form(name):
             assert alg.nf_word(b) == {k: ONE}, b
             if d:
                 assert b[1:] in alg.basis_words(d - alg.weights[b[0]]), b
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_mul_matches_the_left_word_product(name):
+    """mul lets the side with fewer letters act; the product is the one the
+    words of the left factor give, on either side of the choice."""
+    D = 8
+    alg = catalog.build(name, max_degree=D).algebra
+    rng = random.Random(name)
+    scalars = [ONE, -ONE, Cyc.rational(3, 2), I, ONE - I]
+
+    def vec(deg, size):
+        return {k: rng.choice(scalars) for k in rng.sample(range(alg.dim(deg)), size)}
+
+    sides = set()
+    for dv in range(D + 1):
+        for dw in range(D + 1 - dv):
+            cases = [(vec(dv, rng.randint(0, alg.dim(dv))),
+                      vec(dw, rng.randint(0, alg.dim(dw)))) for _ in range(3)]
+            # a dense factor against a one-term one, each way round
+            if alg.dim(dv) and alg.dim(dw):
+                cases.append((vec(dv, alg.dim(dv)), vec(dw, 1)))
+                cases.append((vec(dv, 1), vec(dw, alg.dim(dw))))
+            for v, w in cases:
+                sides.add(len(v) * dv <= len(w) * dw)
+                assert alg.mul(v, dv, w, dw) == mul_left_words(alg, v, dv, w, dw), (dv, dw)
+    assert sides == {True, False}
+
+
+def test_whole_slices_need_every_generator_weight():
+    """In k[x, y] with weights 1 and 2, the ideal (x) misses exactly y^(d/2):
+    its odd slices are whole and its even ones are not, although the slice
+    one degree down is whole."""
+    gens = ["x", "y"]
+    alg = GradedAlgebra(gens, [parse("x*y - y*x", gens)], weights=[1, 2], max_degree=10)
+    x = alg.element("x")
+    for side, fast in (("left", left_ideal_slices), ("right", right_ideal_slices),
+                       ("two-sided", two_sided_ideal_slices)):
+        got = fast(alg, [x], 10)
+        assert got == ideal_slices_eliminating(alg, [x], 10, side)
+        assert [alg.dim(d) - s.dim for d, s in enumerate(got)] == [1, 0] * 5 + [1]
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_ideal_slices_match_the_eliminating_recursion(name):
+    """The three ideal functions write a slice down as whole once the slices
+    below it are; slice by slice they equal the ideals eliminated in every
+    degree, for the fixed-ring generators and for one component generator."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    fixed = fixed_ring(p.action, p.chars, comp.slices, D)
+    identity = p.chars.group.identity
+    f = next((f for i, f in enumerate(comp.f) if i != identity and f is not None), None)
+    gen_sets = [fixed.gens] + ([[f]] if f is not None else [])
+    full_top = False
+    for gens in gen_sets:
+        for side, fast in (("left", left_ideal_slices), ("right", right_ideal_slices),
+                           ("two-sided", two_sided_ideal_slices)):
+            got = fast(p.algebra, gens, D)
+            want = ideal_slices_eliminating(p.algebra, gens, D, side)
+            for d in range(D + 1):
+                assert got[d] == want[d], (side, d)
+            full_top |= got[D].dim == got[D].ambient
+    # the covariant ideal (R_+) is the whole slice at the bound
+    assert full_top
