@@ -25,7 +25,6 @@ algebra case, where basis words act diagonally).
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .exprs import FreePoly, Word, p_mul
@@ -368,9 +367,6 @@ class Character:
             acc = acc + c * self.values[i]
         return acc
 
-    def key(self) -> tuple:
-        return tuple(c.key() for c in self.values)
-
     def is_algebra_map(self) -> bool:
         h = self.hopf
         if self(h.unit) != ONE:
@@ -383,12 +379,11 @@ class Character:
 
     def convolve(self, other: "Character") -> "Character":
         h = self.hopf
-        vals = []
+        vals = [ZERO] * h.dim
         for i in range(h.dim):
-            acc = ZERO
             for j, k, c in h.comult[i]:
-                acc = acc + c * self.values[j] * other.values[k]
-            vals.append(acc)
+                if not self.values[j].is_zero():  # most terms on k^G
+                    vals[i] = vals[i] + c * self.values[j] * other.values[k]
         return Character(h, vals)
 
     def inverse(self) -> "Character":
@@ -401,45 +396,48 @@ class Character:
         return self.values == other.values
 
     def __repr__(self) -> str:
-        return f"Character({self.label or self.key()})"
+        return f"Character({self.label or self.values})"
 
 
 class CharacterGroup:
-    """The group of algebra characters of H under convolution."""
+    """The group of algebra characters of H under convolution.  An algebra
+    map is fixed by its values on S = ``hopf.generators()``, so a character
+    is looked up by those values and the match confirmed on every basis
+    element, which keeps the closure check exact on an unverified H
+    (docs/component-grading.md, "The character group")."""
 
     def __init__(self, hopf: HopfAlgebra, chars: Sequence[Character]):
         self.hopf = hopf
-        self.chars = list(chars)
-        for ch in self.chars:
-            if not ch.is_algebra_map():
-                raise ValueError(f"character {ch.label!r} is not an algebra map")
-        keys = {ch.key(): i for i, ch in enumerate(self.chars)}
-        if len(keys) != len(self.chars):
-            raise ValueError("duplicate characters")
-        n = len(self.chars)
-        table = [[-1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                prod = self.chars[i].convolve(self.chars[j])
-                got = keys.get(prod.key())
-                if got is None:
-                    raise ValueError(
-                        f"characters are not closed under convolution: "
-                        f"{self.chars[i].label} * {self.chars[j].label}"
-                    )
-                table[i][j] = got
+        self._gens = hopf.generators()
+        self.chars: list[Character] = []
+        for ch in chars:
+            if self._find(ch) is not None:
+                raise ValueError("duplicate characters")
+            self.chars.append(ch)
+        table = [[self._find(a.convolve(b)) for b in self.chars] for a in self.chars]
+        for a, row in zip(self.chars, table):
+            if None in row:
+                raise ValueError(f"characters are not closed under convolution: "
+                                 f"{a.label} * {self.chars[row.index(None)].label}")
         # Group refuses a table without an identity or inverses
         self.group = Group([ch.label for ch in self.chars], table)
 
     def __len__(self) -> int:
         return len(self.chars)
 
-    def index_of(self, ch: Character) -> int:
-        key = ch.key()
+    def _find(self, ch: Character) -> int | None:
+        """The index of the character equal to ch, if any: the first with
+        ch's values on S, confirmed on every basis element."""
         for i, c in enumerate(self.chars):
-            if c.key() == key:
-                return i
-        raise ValueError("character not in group")
+            if all(c.values[s] == ch.values[s] for s in self._gens):
+                return i if c.values == ch.values else None
+        return None
+
+    def index_of(self, ch: Character) -> int:
+        got = self._find(ch)
+        if got is None:
+            raise ValueError("character not in group")
+        return got
 
 
 def dual_group_characters(hopf: HopfAlgebra, group: Group) -> CharacterGroup:
@@ -453,39 +451,44 @@ def dual_group_characters(hopf: HopfAlgebra, group: Group) -> CharacterGroup:
 
 def group_linear_characters(hopf: HopfAlgebra, group: Group) -> CharacterGroup:
     """For H = kG (``group_algebra(group)``): the group homomorphisms
-    G -> k^x, found by assigning roots of unity to the algebra generators
-    S of H (``generators()``, a generating set of G) and propagating over
-    the Cayley graph.  The propagation compares every edge (s, h), s in S
-    and h in G, so an assignment that passes has χ(sh) = χ(s)χ(h), and
-    induction on the word length of a in S gives χ(ah) = χ(a)χ(h) for all
-    a, h (docs/component-grading.md)."""
+    G -> k^x, built one algebra generator s in S = ``generators()`` at a
+    time: each one found on the subgroup the generators before s generate
+    is tried with every ord(s)-th root of unity at s and propagated over
+    the Cayley edges of the larger subgroup.  Sorted by their values on S
+    (docs/component-grading.md, "The linear characters of a group")."""
     gens = hopf.generators()
-    orders = [group.element_order(g) for g in gens]
-    chars: list[Character] = []
-    for combo in iproduct(*[range(o) for o in orders]):
-        gen_vals = {g: zeta(o, k) for g, o, k in zip(gens, orders, combo)}
-        values: list[Cyc | None] = [None] * group.order
-        values[group.identity] = ONE
-        frontier = [group.identity]
-        ok = True
-        while frontier and ok:
-            h = frontier.pop()
-            for g in gens:
-                t = group.table[g][h]
-                val = gen_vals[g] * values[h]
-                if values[t] is None:
-                    values[t] = val
-                    frontier.append(t)
-                elif values[t] != val:
-                    ok = False
-                    break
-        if ok:
-            # distinct values on S, so distinct characters
-            chars.append(Character(hopf, values))
-    chars.sort(key=lambda ch: ch.key())
-    for i, ch in enumerate(chars):
-        ch.label = "triv" if all(v == ONE for v in ch.values) else f"chi{i}"
+    found = [((), {group.identity: ONE})]  # (values on S so far, on their subgroup)
+    for k, s in enumerate(gens):
+        o = group.element_order(s)
+        roots = [zeta(o, e) for e in range(o)]
+        extended = ((on_s + (r,), _propagate(group, gens[:k + 1], on_s + (r,)))
+                    for on_s, _ in found for r in roots)
+        found = [(on_s, values) for on_s, values in extended if values is not None]
+    found.sort(key=lambda f: tuple(c.key() for c in f[0]))
+    chars = []
+    for i, (_, values) in enumerate(found):
+        label = "triv" if all(v == ONE for v in values.values()) else f"chi{i}"
+        chars.append(Character(hopf, [values[g] for g in range(group.order)], label))
     return CharacterGroup(hopf, chars)
+
+
+def _propagate(group: Group, gens: list[int], on_gens: tuple[Cyc, ...]) -> dict[int, Cyc] | None:
+    """The map taking on_gens at gens, propagated over every Cayley edge
+    (g, h) of the subgroup they generate; None when two routes disagree."""
+    values = {group.identity: ONE}
+    frontier = [group.identity]
+    while frontier:
+        h = frontier.pop()
+        for g, on_g in zip(gens, on_gens):
+            t = group.table[g][h]
+            val = on_g * values[h]
+            got = values.get(t)
+            if got is None:
+                values[t] = val
+                frontier.append(t)
+            elif got != val:
+                return None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +519,10 @@ def winding_left_cols(hopf: HopfAlgebra, ch: Character) -> list[Vec]:
 
 def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
     """p_ch = winding of the integral by ch^{-1}, checked by its defining
-    property before returning: h p = ch(h) p = p h for every h, and
-    ch'(p) = 1 if ch' = ch, else 0.  Then p_ch is a central idempotent,
-    the projectors are orthogonal, and dim H of them sum to 1.  The h
-    with h p = ch(h) p, or p h = ch(h) p, form a subalgebra, since ch is
-    multiplicative, so h runs over ``generators()``
-    (docs/component-grading.md)."""
+    property h p = ch(h) p = p h for h in ``generators()``, which gives it
+    for every h.  Then ch'(p_ch) = δ, p_ch is a central idempotent, the
+    projectors are orthogonal, and dim H of them sum to 1
+    (docs/component-grading.md, "What `central_idempotents` checks")."""
     lam = hopf.integral()
     gens = hopf.generators()
     out = []
@@ -532,12 +533,6 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
             if hopf.mul_vec(h, p) != want or hopf.mul_vec(p, h) != want:
                 raise ValueError(f"projector for {ch.label} fails "
                                  f"h p = {ch.label}(h) p = p h")
-        for other in chars.chars:
-            if other(p) != (ONE if other is ch else ZERO):
-                raise ValueError(
-                    f"character {other.label} takes the wrong value on the "
-                    f"projector for {ch.label}"
-                )
         out.append(p)
     return out
 
@@ -746,17 +741,21 @@ class HopfAction:
     # -- verification -------------------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Check the module-algebra laws on generators and relations."""
+        """Check the module-algebra laws on generators and relations, the
+        module law (ab)·x_j = a·(b·x_j) for b in ``hopf.generators()``: on
+        a verified H, which every caller checks first, that decides it
+        (docs/component-grading.md, "The module law holds at S")."""
         bad: list[str] = []
         alg, hopf = self.alg, self.hopf
         lab = hopf.labels
+        gens = hopf.generators()
         for j in range(alg.ngens):
             w = alg.weights[j]
             xj = alg.nf_word((j,))
             if self.act(hopf.unit, xj, w) != xj:
                 bad.append(f"unit does not act as identity on {alg.gen_names[j]}")
             for a in range(hopf.dim):
-                for b in range(hopf.dim):
+                for b in gens:
                     via_product = self.act(hopf.mult[a][b], xj, w)
                     nested = self.act(a, self.act(b, xj, w), w)
                     if via_product != nested:

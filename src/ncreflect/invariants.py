@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
@@ -285,18 +286,7 @@ class HDetResult:
 
 
 def _free_slice_index(ngens: int, length: int):
-    words = []
-
-    def rec(prefix):
-        if len(prefix) == length:
-            words.append(tuple(prefix))
-            return
-        for i in range(ngens):
-            prefix.append(i)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
+    words = list(iproduct(range(ngens), repeat=length))
     return words, {w: i for i, w in enumerate(words)}
 
 

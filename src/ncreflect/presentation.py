@@ -575,13 +575,14 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
             [parse_scalar(c) for c in data.counit],
             [_vec_values(v, index) for v in data.antipode],
         )
-        chars = CharacterGroup(
-            hopf,
-            [
-                Character(hopf, [parse_scalar(v) for v in values], label)
-                for label, values in data.characters
-            ],
-        )
+        declared = [Character(hopf, [parse_scalar(v) for v in values], label)
+                    for label, values in data.characters]
+        # outside input: checked on every pair of basis elements, since
+        # CharacterGroup reads a character off its values on S
+        for ch in declared:
+            if not ch.is_algebra_map():
+                raise ValueError(f"character {ch.label!r} is not an algebra map")
+        chars = CharacterGroup(hopf, declared)
         images = [
             [_image_vec(alg, text, i) for i, text in enumerate(data.matrices[label])]
             for label in data.basis

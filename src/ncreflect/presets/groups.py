@@ -9,14 +9,17 @@ dimension of every acting Hopf algebra.
 
 from __future__ import annotations
 
+from math import lcm
+
 from ..linalg import Matrix
 from ..scalars import ONE, ZERO, zeta
 
-# The set-up checks (the character table, its convolution table, the
-# axioms) cost about (dim H)^3 scalar products: on a 2-core host a group of
-# order 32 takes up to 8.5 s to set up, order 48 13 s and order 144 more
-# than a minute.  Every Hopf algebra, built in or read from a spec, has
-# dimension at most this (docs/input-format.md, "Resource limits").
+# The set-up (the axioms, the characters and their convolution table)
+# costs about (dim H)^3 scalar products, more on a dual group algebra: on a
+# 2-core host `preset run "l41-cyclic-n-m(z9,1,32)" --max-degree 2` (order
+# 32, conductor 288) takes about 1 s, order 64 3 s and order 144 27-38 s.
+# Every Hopf algebra, built in or read from a spec, has dimension at most
+# this (docs/input-format.md, "Resource limits").
 CLOSURE_CAP = 32
 
 
@@ -40,40 +43,38 @@ def dihedral8():
     return Group(labels, table)
 
 
-def _matrix_key(m: Matrix) -> tuple:
-    return tuple(x.key() for row in m.rows for x in row)
-
-
 def matrix_group(gens: list[Matrix]):
     """Close 2x2 matrices under product. Returns (group, rep, gen_indices)
     where rep[i] is the matrix of element i and gen_indices locates the
-    given generators inside the group."""
+    given generators inside the group.  Products are told apart in Q(zeta_N),
+    N the lcm of the generators' conductors, and ordered by ``Cyc.key``."""
     from ..hopf import Group
 
+    N = lcm(*(x.n for g in gens for row in g.rows for x in row))
+
+    def key(m: Matrix) -> tuple:
+        return tuple(x.key_at(N) for row in m.rows for x in row)
+
     ident = Matrix.identity(gens[0].nrows)
-    seen: dict[tuple, Matrix] = {_matrix_key(ident): ident}
+    seen: dict[tuple, Matrix] = {key(ident): ident}
     frontier = [ident]
     while frontier:
         m = frontier.pop()
         for g in gens:
             prod = g @ m
-            key = _matrix_key(prod)
-            if key not in seen:
+            k = key(prod)
+            if k not in seen:
                 if len(seen) >= CLOSURE_CAP:
                     raise ValueError(f"the group has more than {CLOSURE_CAP} elements, "
                                      f"above the maximum Hopf dimension {CLOSURE_CAP}")
-                seen[key] = prod
+                seen[k] = prod
                 frontier.append(prod)
-    keys = sorted(seen)
-    ident_key = _matrix_key(ident)
-    keys.remove(ident_key)
-    keys.insert(0, ident_key)
-    rep = [seen[k] for k in keys]
+    rep = sorted(seen.values(), key=lambda m: (m != ident, [x.key() for r in m.rows for x in r]))
     labels = ["e"] + [f"g{i}" for i in range(1, len(rep))]
-    lookup = {k: i for i, k in enumerate(keys)}
-    table = [[lookup[_matrix_key(a @ b)] for b in rep] for a in rep]
+    lookup = {key(m): i for i, m in enumerate(rep)}
+    table = [[lookup[key(a @ b)] for b in rep] for a in rep]
     group = Group(labels, table)
-    gen_indices = [lookup[_matrix_key(g)] for g in gens]
+    gen_indices = [lookup[key(g)] for g in gens]
     return group, rep, gen_indices
 
 

@@ -480,6 +480,11 @@ class Cyc:
         self._key = (n, c)
         return self._key
 
+    def key_at(self, m: int) -> tuple:
+        """Canonical form among the values of Q(zeta_m), n | m, with no solve:
+        a lift of numerators in lowest terms stays in lowest terms."""
+        return self._lift(m), self.den
+
     def __hash__(self) -> int:
         return hash(self.key())
 
@@ -529,7 +534,9 @@ def zeta(n: int, k: int = 1) -> Cyc:
         m = n // 2
         r = zeta(m, (k * ((m + 1) // 2)) % m)
         return r if k % 2 == 0 else -r
-    return _raw(n, next(islice(_power_rows(n), k, None)), 1)
+    x = _raw(n, next(islice(_power_rows(n), k, None)), 1)
+    x._key = (n, x.c)  # a primitive n-th root: n is its minimal conductor
+    return x
 
 
 ZERO = Cyc.rational(0)

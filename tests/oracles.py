@@ -64,6 +64,22 @@ grading from the character projectors without forming a product.
 of the ones before it, the reference for ``HopfAlgebra.generators`` on
 a group algebra.
 
+``linear_characters_by_enumeration`` tries every assignment of roots
+of unity to the generators of a group at once, the product of their
+orders, and sorts the homomorphisms by their values on the whole basis,
+the reference for ``hopf.group_linear_characters``, which extends them
+one generator at a time and sorts them by their values on the
+generators.  ``keyed_character_table`` checks every character on every
+pair of basis elements and looks each convolution product up by its
+``Cyc.key`` values on the whole basis, and ``index_by_key`` scans for a
+character by those keys, the references for ``hopf.CharacterGroup``,
+which looks a character up by its values on the generators of H.
+``action_verify_all_pairs`` checks the module law (ab)·x_j = a·(b·x_j)
+on every pair of basis elements, the reference for
+``HopfAction.verify``, which runs b over the generators of H.
+``central_idempotents_all_basis`` also checks χ'(p_χ) = δ, which
+``hopf.central_idempotents`` derives.
+
 ``constrained_left_ideal``, ``matrix_block_units`` and
 ``kac_palyutkin_idempotents`` are the closed-form pieces of the
 Kac-Paljutkin radical the tests check the engine against; ``is_abelian``,
@@ -502,6 +518,106 @@ def central_idempotents_all_basis(hopf, chars) -> list[Vec]:
                 raise ValueError(f"{other.label} takes the wrong value on p_{ch.label}")
         out.append(p)
     return out
+
+
+def char_key(ch) -> tuple:
+    """A character's values on the whole basis, as canonical keys."""
+    return tuple(c.key() for c in ch.values)
+
+
+def linear_characters_by_enumeration(hopf, group: Group) -> list:
+    """Every homomorphism G -> k^x, from every assignment of an
+    o(s)-th root of unity to each generator s of kG, propagated over the
+    Cayley graph; sorted by ``char_key`` and labelled like
+    ``hopf.group_linear_characters``."""
+    from itertools import product
+
+    from ncreflect.hopf import Character
+    from ncreflect.scalars import zeta
+
+    gens = hopf.generators()
+    orders = [group.element_order(g) for g in gens]
+    chars = []
+    for combo in product(*[range(o) for o in orders]):
+        on_gens = {g: zeta(o, k) for g, o, k in zip(gens, orders, combo)}
+        values = {group.identity: ONE}
+        frontier, ok = [group.identity], True
+        while frontier and ok:
+            h = frontier.pop()
+            for g in gens:
+                t, val = group.table[g][h], on_gens[g] * values[h]
+                if t not in values:
+                    values[t] = val
+                    frontier.append(t)
+                elif values[t] != val:
+                    ok = False
+                    break
+        if ok:
+            chars.append(Character(hopf, [values[g] for g in range(group.order)]))
+    chars.sort(key=char_key)
+    for i, ch in enumerate(chars):
+        ch.label = "triv" if all(v == ONE for v in ch.values) else f"chi{i}"
+    return chars
+
+
+def keyed_character_table(hopf, chars) -> list[list[int]]:
+    """The convolution table of chars, each checked as an algebra map on
+    every pair of basis elements and each product looked up by its keys
+    on the whole basis; raises ValueError where ``CharacterGroup`` does."""
+    for ch in chars:
+        if ch(hopf.unit) != ONE or any(
+                ch(hopf.mult[i][j]) != ch.values[i] * ch.values[j]
+                for i in range(hopf.dim) for j in range(hopf.dim)):
+            raise ValueError(f"character {ch.label!r} is not an algebra map")
+    keys = {char_key(ch): i for i, ch in enumerate(chars)}
+    if len(keys) != len(chars):
+        raise ValueError("duplicate characters")
+    table = []
+    for a in chars:
+        row = []
+        for b in chars:
+            got = keys.get(char_key(a.convolve(b)))
+            if got is None:
+                raise ValueError(f"characters are not closed under convolution: "
+                                 f"{a.label} * {b.label}")
+            row.append(got)
+        table.append(row)
+    return table
+
+
+def index_by_key(chars, ch) -> int:
+    """The index of the character with ch's keys on the whole basis."""
+    key = char_key(ch)
+    for i, c in enumerate(chars.chars):
+        if char_key(c) == key:
+            return i
+    raise ValueError("character not in group")
+
+
+def action_verify_all_pairs(action) -> list[str]:
+    """The module-algebra laws with the module law checked on every pair
+    of basis elements of H; failure witnesses as ``HopfAction.verify``
+    words them."""
+    bad: list[str] = []
+    alg, hopf = action.alg, action.hopf
+    lab = hopf.labels
+    for j in range(alg.ngens):
+        w = alg.weights[j]
+        xj = alg.nf_word((j,))
+        if action.act(hopf.unit, xj, w) != xj:
+            bad.append(f"unit does not act as identity on {alg.gen_names[j]}")
+        for a in range(hopf.dim):
+            for b in range(hopf.dim):
+                if action.act(hopf.mult[a][b], xj, w) != action.act(a, action.act(b, xj, w), w):
+                    bad.append(f"action is not an H-module: ({lab[a]}*{lab[b]})"
+                               f" on {alg.gen_names[j]}")
+    for h in range(hopf.dim):
+        for r, rel in enumerate(alg.relations):
+            image = action.act_free(h, rel)
+            _, vec = alg.nf(image) if image else (None, {})
+            if vec:
+                bad.append(f"{lab[h]} does not preserve relation {r}")
+    return bad
 
 
 def components_all_probes(action, chars, max_degree: int) -> list[list[Subspace]]:

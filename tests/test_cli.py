@@ -351,6 +351,34 @@ def test_idempotent_count_must_match_the_characters(tmp_path, capsys, idempotent
     assert f"expected 4 entries, found {len(idempotents)}" in err
 
 
+def _set_value(label: str, index: int, text: str):
+    def fn(doc):
+        ch = next(c for c in doc["action"]["characters"] if c["label"] == label)
+        ch["values"][index] = text
+    return fn
+
+
+def _copy_values(src: str, dst: str):
+    def fn(doc):
+        chars = {c["label"]: c for c in doc["action"]["characters"]}
+        chars[dst]["values"] = list(chars[src]["values"])
+    return fn
+
+
+@pytest.mark.parametrize("mutation, message", [
+    # g(x) = -1 differs from g at a generator of H; g(xyz) = 1 only off the
+    # generators x, y, z, where the lookup by values on them would not look
+    (_set_value("g", 1, "-1"), "character 'g' is not an algebra map"),
+    (_set_value("g", 7, "1"), "character 'g' is not an algebra map"),
+    (_copy_values("gp", "ggp"), "duplicate characters"),
+])
+def test_declared_characters_are_checked_on_every_pair(tmp_path, capsys, mutation, message):
+    path = mutate_shipped(tmp_path, "e42-kacpalyutkin", mutation)
+    for command in (["validate", path], ["analyze", path, "--max-degree", "4"]):
+        assert main(command) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_analyze_bad_env_value(capsys, monkeypatch):
     monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "abc")
     assert main(["analyze", spec_file("trivial")]) == 2

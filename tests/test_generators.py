@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ncreflect.hopf import (
     Character,
     Group,
+    HopfAction,
     HopfAlgebra,
     central_idempotents,
     dual_group_algebra,
@@ -26,6 +27,7 @@ from ncreflect.hopf import (
 )
 from ncreflect.invariants import check_component_multiplicativity, graded_components
 from ncreflect.linalg import Subspace
+from ncreflect.ncalg import GradedAlgebra
 from ncreflect.presets import catalog
 from ncreflect.presets.groups import dihedral8
 from ncreflect.presets.kac import kac_palyutkin_characters, kac_palyutkin_hopf
@@ -33,6 +35,7 @@ from ncreflect.scalars import Cyc, I, MINUS_ONE, ONE, ZERO
 from ncreflect.smash import SmashProduct, commutator_ideal
 
 from oracles import (
+    action_verify_all_pairs,
     central_idempotents_all_basis,
     commutator_ideal_all_pairs,
     components_all_probes,
@@ -237,3 +240,61 @@ def test_corrupted_tables_get_the_all_basis_verdicts(name, table, i, j, k, c):
     oracle_forms = (outcome(lambda: integral_all_basis(bad)),
                     outcome(lambda: central_idempotents_all_basis(bad, on_bad)))
     assert witnesses or forms == oracle_forms
+
+
+# -- actions with one generator image changed ------------------------------
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_action_verify_matches_all_pairs(name):
+    """The module law checked for b in the generators of H passes where
+    the all-pairs form passes, on every shipped preset."""
+    action = catalog.build(name, max_degree=4).action
+    assert action.verify() == action_verify_all_pairs(action) == []
+
+
+def test_module_law_is_probed_at_every_generator():
+    """kZ2 x Z2, with generators a and b, on k[x]: one of a, b acts as 1
+    and the other as 2, so the module law holds for b' in the subalgebra
+    the first one spans, and fails only at the second (2·2 != 1 on
+    the square of the identity).  verify names it at that generator."""
+    klein = Group(["e", "a", "b", "ab"], [[x ^ y for y in range(4)] for x in range(4)])
+    h = group_algebra(klein)
+    assert h.generators() == [1, 2]
+    line = GradedAlgebra(["x"], [], max_degree=2)
+    two = Cyc.rational(2)
+    for scaled in ("a", "b"):
+        images = [[{0: two if scaled in label else ONE}] for label in h.labels]
+        bad = HopfAction.from_matrices(h, line, images)
+        got, want = bad.verify(), action_verify_all_pairs(bad)
+        assert got and set(got) <= set(want)
+        assert all(f"*{scaled})" in w for w in got)
+
+
+# a table, two group and one dual-group action; dim H 8, 4, 6 and 8
+ACTIONS = {name: catalog.build(name, max_degree=4).action
+           for name in ("e42-kacpalyutkin", "l41-mystic(1,2)",
+                        "l41-cyclic-n-m(z3,2,3)", "e22-dualD8")}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.sampled_from(sorted(ACTIONS)), st.integers(0, 7), st.integers(0, 2),
+       st.integers(0, 2), st.sampled_from(SCALARS))
+def test_corrupted_action_images_get_the_all_pairs_verdict(name, h, i, k, c):
+    """With coordinate k of the image of generator i under basis element h
+    changed to c, verify fails exactly when the all-pairs form fails, and
+    every witness it names is one the all-pairs form names.  Where the
+    unit law and the relations hold, the b that pass the module law form
+    a subalgebra, so a failure at some b shows at a generator."""
+    base = ACTIONS[name]
+    hopf, alg = base.hopf, base.alg
+    h, i = h % hopf.dim, i % alg.ngens
+    k %= alg.dim(alg.weights[i])
+    images = [[dict(v) for v in row] for row in base.gen_images]
+    images[h][i].pop(k, None)
+    if not c.is_zero():
+        images[h][i][k] = c
+    bad = HopfAction.from_matrices(hopf, alg, images)
+    got, want = bad.verify(), action_verify_all_pairs(bad)
+    assert bool(got) == bool(want)
+    assert set(got) <= set(want)

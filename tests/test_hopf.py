@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +28,7 @@ from ncreflect.presets.kac import (
     kac_palyutkin_hopf,
     skew_plane,
 )
+from ncreflect import scalars
 from ncreflect.scalars import Cyc, I, MINUS_ONE, ONE, ZERO, zeta
 
 from oracles import (
@@ -34,8 +36,11 @@ from oracles import (
     dense_eigenvectors,
     direct_product,
     greedy_generating_set,
+    index_by_key,
     is_abelian,
     kac_palyutkin_idempotents,
+    keyed_character_table,
+    linear_characters_by_enumeration,
     symmetric3,
 )
 
@@ -192,10 +197,82 @@ def test_linear_characters_are_the_abelianisation(name):
         v = ch.values
         assert all(v[g.table[a][b]] == v[a] * v[b]
                    for a in range(g.order) for b in range(g.order))
-    assert len({ch.key() for ch in chars.chars}) == len(chars)
+    assert all(a != b for a, b in combinations(chars.chars, 2))
     assert len(chars) * len(commutator_subgroup(g)) == g.order
     if name in PRESET_CHARACTER_COUNTS:
         assert len(chars) == PRESET_CHARACTER_COUNTS[name]
+
+
+# cyclic groups whose greedy generating set has three or more elements,
+# small enough for the enumeration of every assignment (under 1 s each)
+CYCLIC_MATRIX_GROUPS = {
+    f"cyclic({n},{m})": lambda n=n, m=m: cyclic_scaling_group(n, m)[0]
+    for n, m in ((1, 8), (1, 12), (3, 4), (2, 9), (1, 16))
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_CHARACTER_GROUPS) + sorted(CYCLIC_MATRIX_GROUPS))
+def test_linear_characters_match_the_enumeration(name):
+    """Extending one generator at a time finds the characters that trying
+    every assignment to all generators at once finds, with the same
+    labels, values and convolution table: sorting by the values on the
+    generators is sorting by the values on the whole basis."""
+    g = {**LINEAR_CHARACTER_GROUPS, **CYCLIC_MATRIX_GROUPS}[name]()
+    h = group_algebra(g)
+    if name in CYCLIC_MATRIX_GROUPS:
+        assert len(h.generators()) >= 3
+    chars = group_linear_characters(h, g)
+    want = linear_characters_by_enumeration(h, g)
+    assert [ch.label for ch in chars.chars] == [ch.label for ch in want]
+    assert [ch.values for ch in chars.chars] == [ch.values for ch in want]
+    assert chars.group.table == keyed_character_table(h, want)
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_index_of_matches_the_keyed_scan(name):
+    """The table and index_of agree with the lookup by keys on the whole
+    basis, and a map that agrees with a character on the generators of H
+    but not on the whole basis is refused by both."""
+    preset = catalog.build(name, max_degree=4)
+    h, chars = preset.hopf, preset.chars
+    assert chars.group.table == keyed_character_table(h, chars.chars)
+    for a in chars.chars:
+        for b in chars.chars:
+            prod = a.convolve(b)
+            assert chars.index_of(prod) == index_by_key(chars, prod)
+    off = next(i for i in range(h.dim) if i not in h.generators())
+    for ch in chars.chars:
+        values = list(ch.values)
+        values[off] = values[off] + ONE
+        for lookup in (chars.index_of, lambda c: index_by_key(chars, c)):
+            with pytest.raises(ValueError, match="character not in group"):
+                lookup(Character(h, values))
+
+
+def test_character_group_makes_no_subfield_solve(monkeypatch):
+    """CharacterGroup compares values with ==, so it never asks for a
+    Cyc.key and solves no subfield membership, on every shipped preset
+    and on the order-32 group of conductor 288; that whole build solves
+    at most once per character and generator of H."""
+    calls, inside = [], []
+    solve = scalars._express_in_subfield
+    monkeypatch.setattr(scalars, "_express_in_subfield",
+                        lambda *args: calls.append(args) or solve(*args))
+    init = CharacterGroup.__init__
+
+    def counted(self, *args):
+        before = len(calls)
+        init(self, *args)
+        inside.append(len(calls) - before)
+
+    monkeypatch.setattr(CharacterGroup, "__init__", counted)
+    for name in catalog.shipped():
+        catalog.build(name, max_degree=4)
+    assert inside == [0] * len(catalog.shipped())
+    calls.clear()
+    preset = catalog.build("l41-cyclic-n-m(z9,1,32)", max_degree=2)
+    assert inside[-1] == 0
+    assert len(calls) <= len(preset.chars) * len(preset.hopf.generators())
 
 
 def test_winding_composition():
@@ -262,8 +339,8 @@ def test_left_winding_of_the_integral_is_the_inverse_projector(name):
 
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
-    """central_idempotents checks only h p = chi(h) p = p h and
-    chi_j(p_i) = delta_ij; the rest follows.  Each p is a central
+    """central_idempotents checks only h p = chi(h) p = p h; the rest
+    follows, chi_j(p_i) = delta_ij among it.  Each p is a central
     idempotent, the p are orthogonal, and dim H of them sum to 1."""
     preset = catalog.build(name, max_degree=4)
     h, chars = preset.hopf, preset.chars

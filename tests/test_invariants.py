@@ -360,3 +360,19 @@ def test_fixed_ring_is_the_image_of_the_integral(name):
         dim = p.algebra.dim(d)
         image = Subspace.span(dim, [p.action.act(lam, {k: ONE}, d) for k in range(dim)])
         assert image == fixed.slices[d], d
+
+
+def test_free_slice_index_is_lexicographic():
+    """The words of one length in lexicographic order, each at its index,
+    as the Koszul route reads them."""
+    from ncreflect.invariants import _free_slice_index
+
+    def words(ngens, length):
+        if length == 0:
+            return [()]
+        return [(i,) + w for i in range(ngens) for w in words(ngens, length - 1)]
+
+    for ngens, length in ((1, 0), (2, 0), (2, 3), (3, 2), (3, 4)):
+        got, index = _free_slice_index(ngens, length)
+        assert got == words(ngens, length) == sorted(got)
+        assert all(index[w] == n for n, w in enumerate(got))
