@@ -15,9 +15,12 @@ each component costs one product and only a complement of their sum is
 multiplied out.  Given central idempotents of H, the H-coordinates run
 over a basis adapted to them, so that the ideal splits into blocks and
 each echelon row stays inside one; the block of a character projector is
-a line, read off the character.  The trace on A is read off the
-residues of the a # 1 modulo a slice: the linear relations among them
-are the a with a # 1 in the slice, whatever the unit of H.
+a line, read off the character.  With both, a complement vector is
+multiplied out in the block of 1 − Σ p_χ alone: its part in the line of
+p_χ lies in A_{χ⁻¹} # p_χ, which the rows of the component of χ⁻¹ span.
+The trace on A is read off the residues of the a # 1 modulo a slice: the
+linear relations among them are the a with a # 1 in the slice, whatever
+the unit of H.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ class SmashProduct:
     Since h p_χ = χ(h) p_χ, the block of p_χ is the line through it, and
     h has coordinate χ(h)·p_χ[min p_χ] on it, read off without a product;
     only 1 − Σ p_χ is multiplied out (docs/radical-spanning.md, "The
-    basis of a one-dimensional block").  Without projectors the one block
-    is H and the basis is that of H.  ``mul`` takes its first factor in
-    the basis of H, and its second factor and the product in the adapted
-    one.
+    basis of a one-dimensional block").  ``complement`` holds the
+    coordinates of 1 − Σ p_χ.  Without projectors the one block is H,
+    the basis is that of H, and ``complement`` is the unit.  ``mul`` takes
+    its first factor in the basis of H, and its second factor and the
+    product in the adapted one.
     """
 
     def __init__(self, action: HopfAction, projectors: Sequence[Vec] = (),
@@ -88,6 +92,9 @@ class SmashProduct:
         if len(self.basis) != nH:
             raise ValueError("the blocks of the idempotents do not add up to H")
         self._unit = self.coords(hopf.unit)
+        # the part of the unit in the last block
+        self.complement = {j: x for j, x in self._unit.items()
+                           if self.block_of[j] == len(projectors)}
         self._legs_of: dict[tuple, dict[int, Vec]] = {}
 
     def coords(self, hvec: Vec) -> Vec:
@@ -117,24 +124,30 @@ class SmashProduct:
 
     def mul(self, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
         """(a#h)(b#k) = Σ a (h_(1)·b) # h_(2) k, one action of A per
-        first leg h_(1) (``_legs``)."""
+        first leg h_(1) (``_legs``).  For a of degree 0, a is the unit of
+        A and a (h_(1)·b) is the action column itself."""
         alg, nH = self.alg, self.nH
         right = _h_parts(w, nH)
         out: Vec = {}
         for i, h in _h_parts(v, nH).items():
             for j, k in right.items():
                 for h1, leg in self._legs(h, k).items():
-                    amul = alg.mul({i: ONE}, dv, self.action.columns(h1, dw)[j], dw)
-                    for hi, hc in leg.items():
-                        vec_addto(out, {ai * nH + hi: ac for ai, ac in amul.items()}, hc)
-        return out
+                    amul = self.action.columns(h1, dw)[j]
+                    if dv:
+                        amul = alg.mul({i: ONE}, dv, amul, dw)
+                    for ai, ac in amul.items():
+                        base = ai * nH
+                        for hi, hc in leg.items():
+                            cur = out.get(base + hi)
+                            out[base + hi] = ac * hc if cur is None else cur + ac * hc
+        return {key: x for key, x in out.items() if not x.is_zero()}
 
     def _legs(self, h: Vec, k: Vec) -> dict[int, Vec]:
         """Δ(h)(1 ⊗ k) gathered by its first leg, {h_(1): Σ h_(2) k over
         the adapted basis}, for h over the basis of H and k over the
         adapted one.  All the products (1#Λ)(a#1) of a slice share one
         pair, so each pair is worked out once."""
-        key = (tuple(h.items()), tuple(k.items()))
+        key = (_nf_key(h), _nf_key(k))
         legs = self._legs_of.get(key)
         if legs is None:
             hopf = self.hopf
@@ -156,6 +169,13 @@ class SmashProduct:
                 for col in self.alg.left_letter(i, degree) for h in range(nH)]
 
 
+def _nf_key(vec: Vec) -> tuple:
+    """A hashable key of a vector by the normal forms of its entries, with
+    no ``Cyc.key`` solve: equal keys mean equal vectors, and equal vectors
+    written over different conductors only miss a cache."""
+    return tuple((i, x.n, x.nums, x.den) for i, x in vec.items())
+
+
 def _h_parts(vec: Vec, nH: int) -> dict[int, Vec]:
     """A vector of A_d # H as {A-index: its H-part}."""
     out: dict[int, Vec] = {}
@@ -174,15 +194,17 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
     The basis of A_d runs through the given H-eigenspaces first.  On an
     eigenspace A_ψ, (1#Λ)(a#1) = a # λ with λ = ψ⇀Λ, so each eigenspace
     costs one product, read at the pivot of its first basis vector, and
-    its other vectors are re-keyed.  Only the unit vectors off the pivots
-    of their sum are multiplied out (docs/radical-spanning.md, "S_d over
-    the components").  Without eigenspaces every basis vector is.
+    its other vectors are re-keyed.  Only the unit vectors e_i off the
+    pivots of their sum are multiplied out, and only their part
+    (1#Λ)(e_i # (1 − Σ p_χ)) in the complement block: the part in the
+    line of p_χ lies in A_{χ⁻¹} # p_χ, which the rows of A_{χ⁻¹} span
+    (docs/radical-spanning.md, "S_d over the components").  For that the
+    eigenspaces must be the whole components of every character of
+    ``sm``, as ``analyze`` passes them.  Without eigenspaces every basis
+    vector is multiplied out, by the whole unit of H.
     """
     lam, nH = sm.unit_integral(), sm.nH
-
-    def times_integral(a: Vec, d: int) -> Vec:
-        return sm.mul(lam, 0, sm.include_a(a, d), d)
-
+    unit = sm.complement if components else sm._unit
     parts: dict[int, Vec] = {}  # λ of each eigenspace, over the adapted basis
     out = []
     for d in range(max_degree + 1):
@@ -191,13 +213,14 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
             for a in slices[d].basis():
                 if c not in parts:
                     k = min(a)  # a reduced echelon row: a[k] = 1
-                    parts[c] = {key - k * nH: x for key, x in times_integral(a, d).items()
+                    parts[c] = {key - k * nH: x
+                                for key, x in sm.mul(lam, 0, sm.include_a(a, d), d).items()
                                 if key // nH == k}
                 vecs.append({i * nH + h: x * y for i, x in a.items()
                              for h, y in parts[c].items()})
                 eigen.add(a)
         pivots = {min(a) for a in eigen.basis()}
-        vecs.extend(times_integral({i: ONE}, d)
+        vecs.extend(sm.mul(lam, 0, {i * nH + h: y for h, y in unit.items()}, d)
                     for i in range(sm.alg.dim(d)) if i not in pivots)
         out.append(Subspace.span(sm.dim(d), vecs))
     return out
@@ -242,7 +265,8 @@ def radical_slices(action: HopfAction, max_degree: int,
     (``SmashProduct``).  The trace and the codimensions are those of the
     one block H (docs/radical-spanning.md, "The pertinency ideal splits
     along central idempotents").  Given the character components, S_d is
-    spanned through them (``integral_span_slices``).
+    spanned through them (``integral_span_slices``); with projectors, they
+    must be the whole eigenspaces of ``characters``, in order.
     """
     sm = SmashProduct(action, projectors, characters)
     pert = pertinency_slices(sm, max_degree, components)

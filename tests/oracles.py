@@ -15,7 +15,14 @@ ideals, which the engine builds from the generators of S alone.
 
 ``pairwise_integral_span`` spans (1#Λ)(b#k) over every basis pair of
 A_d x H, the reference for ``smash.integral_span_slices``, which uses
-the (1#Λ)(a#1) alone.  ``pertinency_one_at_a_time`` grows the
+the (1#Λ)(a#1) alone.  ``integral_span_full_products`` spans S_d
+through the components and multiplies each complement vector out by
+the whole unit of H, the reference for ``smash.integral_span_slices``,
+which keeps only the coordinates of the unit in the complement block
+1 − Σ p_χ.  ``smash_mul_per_leg`` multiplies in A # H by ``alg.mul`` for
+every left factor and adds one re-keyed dict per leg, the reference for
+``smash.SmashProduct.mul``, which takes a left factor of degree 0 as
+the unit of A and adds each term into the product.  ``pertinency_one_at_a_time`` grows the
 pertinency slices from it, adding one image at a time in generator
 order, the reference for ``smash.pertinency_slices``, whose
 ``ncalg.push_left`` inserts each degree as one batch.
@@ -305,6 +312,58 @@ def pairwise_integral_span(sm, max_degree: int) -> list[Subspace]:
         for key in range(sm.dim(d)):
             space.add(sm.mul(lam, 0, {key: ONE}, d))
         out.append(space)
+    return out
+
+
+def integral_span_full_products(sm, max_degree: int, components=()) -> list[Subspace]:
+    """S_d spanned by one product per component, re-keyed, and by the
+    (1#Λ)(e_i#1) over the unit vectors e_i off the pivots of their sum,
+    every coordinate of the unit of H multiplied out."""
+    lam, nH = sm.unit_integral(), sm.nH
+
+    def times_integral(a: Vec, d: int) -> Vec:
+        return sm.mul(lam, 0, sm.include_a(a, d), d)
+
+    parts: dict[int, Vec] = {}
+    out = []
+    for d in range(max_degree + 1):
+        vecs, eigen = [], Subspace(sm.alg.dim(d))
+        for c, slices in enumerate(components):
+            for a in slices[d].basis():
+                if c not in parts:
+                    k = min(a)
+                    parts[c] = {key - k * nH: x for key, x in times_integral(a, d).items()
+                                if key // nH == k}
+                vecs.append({i * nH + h: x * y for i, x in a.items()
+                             for h, y in parts[c].items()})
+                eigen.add(a)
+        pivots = {min(a) for a in eigen.basis()}
+        vecs.extend(times_integral({i: ONE}, d)
+                    for i in range(sm.alg.dim(d)) if i not in pivots)
+        out.append(Subspace.span(sm.dim(d), vecs))
+    return out
+
+
+def smash_mul_per_leg(sm, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
+    """(a#h)(b#k) = Σ a (h_(1)·b) # h_(2) k: one ``alg.mul`` per first leg
+    h_(1), whatever the degree of a, and one re-keyed dict per leg."""
+    alg, nH = sm.alg, sm.nH
+
+    def h_parts(vec: Vec) -> dict[int, Vec]:
+        parts: dict[int, Vec] = {}
+        for key, c in vec.items():
+            i, h = divmod(key, nH)
+            parts.setdefault(i, {})[h] = c
+        return parts
+
+    right = h_parts(w)
+    out: Vec = {}
+    for i, h in h_parts(v).items():
+        for j, k in right.items():
+            for h1, leg in sm._legs(h, k).items():
+                amul = alg.mul({i: ONE}, dv, sm.action.columns(h1, dw)[j], dw)
+                for hi, hc in leg.items():
+                    vec_addto(out, {ai * nH + hi: ac for ai, ac in amul.items()}, hc)
     return out
 
 

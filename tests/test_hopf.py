@@ -338,6 +338,22 @@ def test_left_winding_of_the_integral_is_the_inverse_projector(name):
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
+def test_right_winding_of_the_integral_is_the_inverse_projector(name):
+    """Λ↼χ = Σ Λ₍₁₎χ(Λ₍₂₎) = p_{χ⁻¹}: the element of H that the line part
+    (1#Λ)(a#p_χ) = (Λ↼χ)·a # p_χ applies to a (docs/radical-spanning.md,
+    "S_d over the components")."""
+    preset = catalog.build(name, max_degree=4)
+    h, chars = preset.hopf, preset.chars
+    ps = central_idempotents(h, chars)
+    delta = h.comult_vec(h.integral())
+    for i, ch in enumerate(chars.chars):
+        wound = {}
+        for (h1, h2), c in delta.items():
+            vec_addto(wound, {h1: ONE}, c * ch.values[h2])
+        assert wound == ps[chars.group.inverse[i]]
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
 def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
     """central_idempotents checks only h p = chi(h) p = p h; the rest
     follows, chi_j(p_i) = delta_ij among it.  Each p is a central

@@ -23,6 +23,7 @@ from ncreflect.presets.kac import (
     skew_plane,
 )
 from ncreflect.presets.groups import dihedral8
+from ncreflect import scalars
 from ncreflect.scalars import Cyc, I, ONE, ZERO
 from ncreflect.smash import (
     RifeData,
@@ -41,11 +42,13 @@ from ncreflect.smash import (
 
 from oracles import (
     constrained_left_ideal,
+    integral_span_full_products,
     kac_palyutkin_idempotents,
     matrix_block_units,
     pairwise_integral_span,
     pairwise_intersection,
     pertinency_one_at_a_time,
+    smash_mul_per_leg,
     zassenhaus_intersect,
 )
 
@@ -173,6 +176,118 @@ def test_integral_times_a_component_vector_is_a_hash_lambda(name):
                     got = sm.mul(lam, 0, sm.include_a(a, d), d)
                     assert got == {k * sm.nH + h: x * y for k, x in a.items()
                                    for h, y in want.items()}
+
+
+@pytest.mark.parametrize("name", SMASH_PRESETS)
+def test_integral_span_multiplies_out_the_complement_block_only(name):
+    """Multiplying each complement vector out by 1 − Σ p_χ alone spans the
+    S_d that the whole unit of H spans, over the basis of H and over the
+    adapted one, with the components and without them."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
+        for components in ((), comp.slices):
+            assert (integral_span_slices(sm, D, components)
+                    == integral_span_full_products(sm, D, components))
+
+
+@pytest.mark.parametrize("name, full, kept", [
+    ("e42-kacpalyutkin", 40, 8),
+    ("l41-mystic(2,4)", 144, 16),
+])
+def test_complement_products_have_short_legs(name, full, kept):
+    """Δ(Λ)(1 ⊗ E) has far fewer entries than Δ(Λ)(1 ⊗ 1); without
+    projectors E is the whole unit."""
+    p = catalog.build(name, max_degree=2)
+    projectors = central_idempotents(p.hopf, p.chars)
+    split = SmashProduct(p.action, projectors, p.chars.chars)
+    plain = SmashProduct(p.action)
+    assert plain.complement == plain.coords(p.hopf.unit)
+
+    def entries(sm, k):
+        return sum(len(leg) for leg in sm._legs(sm.unit_integral(), k).values())
+
+    assert entries(split, split.coords(p.hopf.unit)) == full
+    assert entries(split, split.complement) == kept
+
+
+@pytest.mark.parametrize("name", SMASH_PRESETS)
+def test_line_parts_of_integral_products_are_component_rows(name):
+    """The p_χ-block part of (1#Λ)(e_i#1) is (p_{χ⁻¹}·e_i) # p_χ, since
+    Λ↼χ = p_{χ⁻¹}, and so lies in the span of the rows a # p_χ over
+    A_{χ⁻¹}; what is left is the complement product (1#Λ)(e_i # E).  The
+    lemma holds for every unit vector e_i, not only those off the
+    components' pivots."""
+    D = 8
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    inverse = p.chars.group.inverse
+    sm = SmashProduct(p.action, projectors, p.chars.chars)
+    lam, nH = sm.unit_integral(), sm.nH
+    for d in range(D + 1):
+        for i in range(p.algebra.dim(d)):
+            full = sm.mul(lam, 0, sm.include_a({i: ONE}, d), d)
+            for b, e in enumerate(projectors):  # the line of p_b is basis vector b
+                part = {key: x for key, x in full.items() if key % nH == b}
+                image = p.action.act(projectors[inverse[b]], {i: ONE}, d)
+                assert part == {k * nH + b: x * e[min(e)] for k, x in image.items()}
+                rows = [{k * nH + b: x for k, x in a.items()}
+                        for a in comp.slices[inverse[b]][d].basis()]
+                assert Subspace.span(sm.dim(d), rows).contains(part)
+            rest = {key: x for key, x in full.items() if key % nH >= len(projectors)}
+            assert rest == sm.mul(lam, 0, {i * nH + h: y for h, y in sm.complement.items()}, d)
+
+
+@pytest.mark.parametrize("name", ["e42-kacpalyutkin", "l41-mystic(2,4)"])
+def test_smash_mul_matches_the_per_leg_formula(name):
+    """The product with the action column taken as it is for a left factor
+    of degree 0, and each term added into the output, equals the formula
+    with ``alg.mul`` and one dict per leg: on (1#h)(e_i#b_j), on products
+    with a left factor of positive degree, and on sums that cancel."""
+    p = catalog.build(name, max_degree=4)
+    projectors = central_idempotents(p.hopf, p.chars)
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
+        lam = sm.unit_integral()
+        for h in range(sm.nH):
+            for d in range(3):
+                for key in range(sm.dim(d)):
+                    one_h = sm.include_h({h: ONE})
+                    assert sm.mul(one_h, 0, {key: ONE}, d) == smash_mul_per_leg(sm, one_h, 0, {key: ONE}, d)
+        for dv in (1, 2):
+            for v in range(sm.dim(dv)):
+                for dw in (0, 1, 2):
+                    for w in range(sm.dim(dw)):
+                        got = sm.mul({v: ONE}, dv, {w: ONE}, dw)
+                        assert got == smash_mul_per_leg(sm, {v: ONE}, dv, {w: ONE}, dw)
+        for d in range(4):
+            mixed = {key: Cyc.rational(key + 1) + I for key in range(sm.dim(d))}
+            for v in (lam, {h: I for h in range(sm.nH)}):
+                assert sm.mul(v, 0, mixed, d) == smash_mul_per_leg(sm, v, 0, mixed, d)
+        # (1#Λ)(1#Λ) = 1#Λ: the product keeps no entry that cancels
+        assert sm.mul(lam, 0, sm.include_a({0: ONE}, 0), 0) == smash_mul_per_leg(
+            sm, lam, 0, sm.include_a({0: ONE}, 0), 0)
+
+
+def test_radical_slices_makes_no_subfield_solve(monkeypatch):
+    """The legs of ``SmashProduct`` are cached by the normal forms of their
+    scalars, so the radical asks for no ``Cyc.key`` and solves no subfield
+    membership, on every shipped preset, split or not."""
+    D = 6
+    calls = []
+    solve = scalars._express_in_subfield
+    monkeypatch.setattr(scalars, "_express_in_subfield",
+                        lambda *args: calls.append(args) or solve(*args))
+    for name in catalog.shipped():
+        p = catalog.build(name, max_degree=D)
+        comp = component_report(p.action, p.chars, D)
+        projectors = central_idempotents(p.hopf, p.chars)
+        calls.clear()
+        radical_slices(p.action, D, projectors, comp.slices, p.chars.chars)
+        radical_slices(p.action, D)
+        assert calls == [], name
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
