@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from .exprs import FreePoly, Word, p_mul
 from .linalg import Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
 from .ncalg import GradedAlgebra
-from .scalars import Cyc, ONE, ZERO, zeta
+from .scalars import Cyc, ONE, ZERO, addmul, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +165,12 @@ class HopfAlgebra:
         return out
 
     def counit_vec(self, u: Vec) -> Cyc:
-        acc = ZERO
+        acc = None
         for i, a in u.items():
-            acc = acc + a * self.counit[i]
-        return acc
+            e = self.counit[i]
+            if e:
+                acc = addmul(acc, a, e)
+        return ZERO if acc is None else acc
 
     def basis_vec(self, i: int) -> Vec:
         return {i: ONE}
@@ -177,9 +179,16 @@ class HopfAlgebra:
         out: dict[tuple[int, int], Cyc] = {}
         for (a, b), x in s.items():
             for (c, d), y in t.items():
-                left, right = self.mult[a][c], self.mult[b][d]
-                vec_addto(out, {(p, q): xp * xq for p, xp in left.items()
-                                for q, xq in right.items()}, x * y)
+                xy, right = x * y, self.mult[b][d]
+                for p, xp in self.mult[a][c].items():
+                    xy_p = xp * xy
+                    for q, xq in right.items():
+                        key = (p, q)
+                        new = addmul(out.get(key), xq, xy_p)
+                        if new is None:
+                            del out[key]
+                        else:
+                            out[key] = new
         return out
 
     # -- verification ------------------------------------------------------

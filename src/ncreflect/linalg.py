@@ -1,12 +1,18 @@
 """Exact linear algebra over cyclotomic scalars.
 
-Vectors are ``dict[int, Cyc]`` with no zero entries.
+Vectors are ``dict[int, Cyc]`` with no zero entries.  Every loop that
+adds a multiple of one vector into another (``vec_addto`` and through it
+``apply_cols``, ``eigenvectors`` and ``Expressor``; ``SparseEch.reduce``
+and the back-substitution of ``insert``; the dense ``Matrix`` products)
+forms each entry as ``scalars.addmul(cur, x, c)``, which prunes an entry
+that cancels by returning None.
 
 ``SparseEch`` is the one elimination engine: a row-reduced sparse span
 keyed by pivot column.  Ideal slices and smash-product spans are built by
 inserting thousands of mostly-sparse vectors, so the echelon is
 maintained eagerly (every stored row has pivot coefficient 1 and is
-reduced against every other pivot).
+reduced against every other pivot).  A reduced vector whose pivot
+coefficient is already 1 is stored as it is.
 
 A batch goes in through ``extend``, in descending order of leading
 (smallest) column.  A stored row holds only columns at or above its own
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import Cyc, ONE, ZERO, coerce
+from .scalars import Cyc, ONE, ZERO, addmul, coerce
 
 Vec = dict  # dict[int, Cyc], zero entries omitted
 
@@ -56,12 +62,11 @@ def vec_addto(acc: Vec, v: Vec, c: Cyc = ONE) -> None:
     """In-place acc += c * v, pruning entries that cancel to zero."""
     if c.is_zero():
         return
+    get = acc.get
     for k, x in v.items():
-        cur = acc.get(k)
-        new = x * c if cur is None else cur + x * c
-        if new.is_zero():
-            if cur is not None:
-                del acc[k]
+        new = addmul(get(k), x, c)
+        if new is None:
+            del acc[k]
         else:
             acc[k] = new
 
@@ -132,15 +137,13 @@ class SparseEch:
                 if c is None:
                     continue
                 del v[p]
-                row = rows[p]
-                for k, x in row.items():
+                c = -c
+                for k, x in rows[p].items():
                     if k == p:
                         continue
-                    cur = v.get(k)
-                    new = -x * c if cur is None else cur - x * c
-                    if new.is_zero():
-                        if cur is not None:
-                            del v[k]
+                    new = addmul(v.get(k), x, c)
+                    if new is None:
+                        del v[k]
                     else:
                         v[k] = new
             hits = [k for k in v if k in rows]
@@ -155,9 +158,13 @@ class SparseEch:
         if not v:
             return False
         p = min(v)
-        inv = v[p].inverse()
-        row = {k: x * inv for k, x in v.items()}
-        row[p] = ONE
+        lead = v[p]
+        if lead.n == 1 and lead.nums[0] == 1 and lead.den == 1:
+            row = v  # reduce gave a fresh dict, already normalised
+        else:
+            inv = lead.inverse()
+            row = {k: x * inv for k, x in v.items()}
+            row[p] = ONE
         if p < self.low:
             # a stored row holds no column below its own pivot, and every
             # stored pivot is above p
@@ -168,14 +175,13 @@ class SparseEch:
             c = r.get(p)
             if c is not None:
                 del r[p]
+                c = -c
                 for k, x in row.items():
                     if k == p:
                         continue
-                    cur = r.get(k)
-                    new = -x * c if cur is None else cur - x * c
-                    if new.is_zero():
-                        if cur is not None:
-                            del r[k]
+                    new = addmul(r.get(k), x, c)
+                    if new is None:
+                        del r[k]
                     else:
                         r[k] = new
         self.rows[p] = row
@@ -426,24 +432,24 @@ class Matrix:
         cols = other.ncols
         out = []
         for row in self.rows:
-            nz = [(k, a) for k, a in enumerate(row) if not a.is_zero()]
-            acc = [ZERO] * cols
-            for k, a in nz:
-                orow = other.rows[k]
-                for j in range(cols):
-                    if not orow[j].is_zero():
-                        acc[j] = acc[j] + a * orow[j]
-            out.append(acc)
+            acc = [None] * cols
+            for a, orow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] = addmul(acc[j], a, b)
+            out.append([ZERO if x is None else x for x in acc])
         return Matrix(out)
 
     def apply(self, vec: Sequence) -> list:
         out = []
+        vec = [coerce(x) for x in vec]
         for row in self.rows:
-            acc = ZERO
+            acc = None
             for a, x in zip(row, vec):
-                if not a.is_zero():
-                    acc = acc + a * coerce(x)
-            out.append(acc)
+                if a and x:
+                    acc = addmul(acc, a, x)
+            out.append(ZERO if acc is None else acc)
         return out
 
     def rref(self) -> tuple["Matrix", list[int]]:

@@ -84,6 +84,27 @@ class CarrierTooLarge(ValueError):
         self.size = size
 
 
+# eliminating a slice costs about the square of its carrier, so the work of
+# building A up to degree d is bounded through the running sum of the
+# squared carrier sizes.  Six commuting variables reach 9.3e7 through
+# degree 9 and 2.4e8 through degree 10; e22 reaches 3.1e7 at degree bound
+# 36 and 1.27e8 at 48, and every other shipped preset 3.7e6 at 36.
+MAX_WORK = 200_000_000
+
+
+class WorkTooLarge(CarrierTooLarge):
+    """A slice that would take the running sum of the squared carrier
+    sizes past MAX_WORK."""
+
+    def __init__(self, degree: int, size: int, work: int):
+        ValueError.__init__(
+            self, f"degree {degree} would bring the elimination work to {work} "
+                  f"(the sum of the squared carrier sizes), above the maximum {MAX_WORK}")
+        self.degree = degree
+        self.size = size
+        self.work = work
+
+
 class GradedAlgebra:
     def __init__(
         self,
@@ -116,6 +137,7 @@ class GradedAlgebra:
         self._index: list[dict[Word, int]] = [{(): 0}]
         self._left: dict[tuple[int, int], list[Vec]] = {}
         self._right: dict[tuple[int, int], list[Vec]] = {}
+        self._work = 0  # the sum of the squared carrier sizes of the built slices
 
     # -- slice construction ---------------------------------------------
 
@@ -130,6 +152,10 @@ class GradedAlgebra:
         size = sum(len(self._basis[d - w]) for w in self.weights if w <= d)
         if size > MAX_CARRIER:
             raise CarrierTooLarge(d, size)
+        work = self._work + size * size
+        if work > MAX_WORK:
+            raise WorkTooLarge(d, size, work)
+        self._work = work
         carrier_words: list[Word] = []
         for i, w in enumerate(self.weights):
             if w <= d:

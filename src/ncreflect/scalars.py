@@ -21,6 +21,12 @@ conductor via the standard embedding zeta_N -> zeta_M^(M/N); a rational
 operand joins at coefficient 0 with no table.  Values are immutable; the
 per-conductor tables are filled idempotently, so concurrent readers are
 safe.  No table is built for a conductor above ``MAX_CONDUCTOR``.
+
+``addmul(a, x, c)`` is the step of every sparse accumulation and
+elimination loop: it returns a + x * c in the normal form above, the
+same ``(n, nums, den)`` as ``a + x * c``, and builds one value instead of
+two.  ``None`` stands for zero both ways: a = None is 0, and a sum that
+cancels is None, so a loop deletes its entry.  x and c must be nonzero.
 """
 
 from __future__ import annotations
@@ -302,6 +308,84 @@ def _combine(a: "Cyc", b: "Cyc", op) -> "Cyc":
             nums = tuple(map(g.__rfloordiv__, nums))
             den //= g
     return _raw(n, nums, den)
+
+
+def addmul(a: "Cyc | None", x: "Cyc", c: "Cyc") -> "Cyc | None":
+    """a + x * c in normal form, with None for zero both ways: a = None is
+    0, and a sum that cancels is None.  x and c must be nonzero.
+
+    The product stays an unreduced numerator tuple over x.den * c.den and
+    joins a at once, so one gcd normalises the sum.  Every step keeps the
+    conductor ``a + x * c`` would reach (the normal form is unique at a
+    conductor), and a mix of conductors the joins below do not cover goes
+    through ``a + x * c`` itself."""
+    n = x.n
+    if n == c.n:
+        if n == 1:
+            p, q = x.nums[0] * c.nums[0], x.den * c.den
+            if a is None:
+                if q == 1:
+                    return _raw(1, (p,), 1)
+                g = gcd(p, q)
+                return _raw(1, (p // g,), q // g) if g != 1 else _raw(1, (p,), q)
+            if a.n == 1:
+                da = a.den
+                if da == 1 and q == 1:
+                    p += a.nums[0]
+                    return _raw(1, (p,), 1) if p else None
+                p = a.nums[0] * q + p * da
+                if not p:
+                    return None
+                q *= da
+                g = gcd(p, q)
+                return _raw(1, (p // g,), q // g) if g != 1 else _raw(1, (p,), q)
+            nums = (p,)
+        elif n == 4:
+            # the closed form of _mul_nums, for Q(i)
+            (a0, a1), (b0, b1) = x.nums, c.nums
+            nums = (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+            q = x.den * c.den
+        else:
+            nums = _mul_nums(n, x.nums, c.nums)
+            q = x.den * c.den
+    elif n == 1:
+        if a is None:
+            return _scale(c, x.nums[0], x.den)
+        p, n = x.nums[0], c.n
+        nums = tuple(map(p.__mul__, c.nums))
+        q = x.den * c.den
+    elif c.n == 1:
+        if a is None:
+            return _scale(x, c.nums[0], c.den)
+        p = c.nums[0]
+        nums = tuple(map(p.__mul__, x.nums))
+        q = x.den * c.den
+    else:
+        s = x * c if a is None else a + x * c
+        return s if s.n != 1 or s.nums[0] else None
+    # the product is nums / q at conductor n, not yet in lowest terms
+    if a is None:
+        return _make(n, nums, q)
+    m, da = a.n, a.den
+    if m == n:
+        if da == 1 and q == 1:
+            nums = tuple(map(add, a.nums, nums))
+        else:
+            nums = tuple(map(add, map(q.__mul__, a.nums), map(da.__mul__, nums)))
+            q *= da
+    elif m == 1:
+        nums = (a.nums[0] * q + nums[0] * da,) + tuple(map(da.__mul__, nums[1:]))
+        q *= da
+    elif n == 1:
+        n = m
+        nums = (a.nums[0] * q + nums[0] * da,) + tuple(map(q.__mul__, a.nums[1:]))
+        q *= da
+    else:
+        s = _combine(a, _make(n, nums, q), add)
+        return s if s.n != 1 or s.nums[0] else None
+    if not any(nums):
+        return None
+    return _make(n, nums, q)
 
 
 # ---------------------------------------------------------------------------

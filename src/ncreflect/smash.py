@@ -40,7 +40,7 @@ from .ncalg import (
     push_left,
     two_sided_ideal_slices,
 )
-from .scalars import ONE
+from .scalars import ONE, addmul
 
 
 class SmashProduct:
@@ -138,9 +138,13 @@ class SmashProduct:
                     for ai, ac in amul.items():
                         base = ai * nH
                         for hi, hc in leg.items():
-                            cur = out.get(base + hi)
-                            out[base + hi] = ac * hc if cur is None else cur + ac * hc
-        return {key: x for key, x in out.items() if not x.is_zero()}
+                            key = base + hi
+                            new = addmul(out.get(key), ac, hc)
+                            if new is None:
+                                del out[key]
+                            else:
+                                out[key] = new
+        return out
 
     def _legs(self, h: Vec, k: Vec) -> dict[int, Vec]:
         """Δ(h)(1 ⊗ k) gathered by its first leg, {h_(1): Σ h_(2) k over

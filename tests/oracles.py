@@ -93,6 +93,15 @@ Kac-Paljutkin radical the tests check the engine against; ``is_abelian``,
 ``commutator_subgroup``, ``symmetric3`` and ``direct_product`` build and
 test small groups.
 
+``vec_addto_unfused`` and ``UnfusedEch`` form each entry of a sparse
+accumulation or elimination as a product and then a sum, and always
+normalise a new row by the inverse of its pivot, the references for
+``linalg.vec_addto`` and ``SparseEch.reduce`` / ``insert``, which fuse
+a + x·c in ``scalars.addmul`` and store a row with pivot coefficient 1
+as it is.  ``smash_mul_per_entry`` and ``tensor_mul_per_pair`` are the
+unfused ``SmashProduct.mul`` and ``HopfAlgebra.tensor_mul``, the latter
+with one dict of products per pair of terms.
+
 ``ScanningEch`` inserts by scanning every stored row for the new pivot,
 the reference for ``SparseEch.insert``, which skips the scan for a pivot
 below every stored one.  ``mul_left_words`` always lets the words of the
@@ -235,6 +244,123 @@ class ScanningEch(SparseEch):
                 vec_addto(r, row, -c)
         self.rows[p] = row
         return True
+
+
+def normal_forms(vec: dict) -> dict:
+    """A vector by the ``(n, nums, den)`` of its entries: equal only when
+    the entries are written alike, not just equal in value."""
+    return {k: (x.n, x.nums, x.den) for k, x in vec.items()}
+
+
+def vec_addto_unfused(acc: Vec, v: Vec, c: Cyc = ONE) -> None:
+    """In-place acc += c * v, each entry as a product and then a sum."""
+    if c.is_zero():
+        return
+    for k, x in v.items():
+        cur = acc.get(k)
+        new = x * c if cur is None else cur + x * c
+        if new.is_zero():
+            if cur is not None:
+                del acc[k]
+        else:
+            acc[k] = new
+
+
+def _subtract_row(v: Vec, row: Vec, p: int, c: Cyc) -> None:
+    """v -= c * row off the pivot p, entry by entry as a product and then
+    a difference."""
+    for k, x in row.items():
+        if k == p:
+            continue
+        cur = v.get(k)
+        new = -x * c if cur is None else cur - x * c
+        if new.is_zero():
+            if cur is not None:
+                del v[k]
+        else:
+            v[k] = new
+
+
+class UnfusedEch(SparseEch):
+    """``SparseEch`` whose reduce and back-substitution form each entry as a
+    product and then a difference, and whose insert always normalises the
+    row by the inverse of its pivot coefficient."""
+
+    __slots__ = ()
+
+    def reduce(self, vec: Vec) -> Vec:
+        v = dict(vec)
+        rows = self.rows
+        hits = [k for k in v if k in rows]
+        while hits:
+            for p in hits:
+                c = v.get(p)
+                if c is None:
+                    continue
+                del v[p]
+                _subtract_row(v, rows[p], p, c)
+            hits = [k for k in v if k in rows]
+        return v
+
+    def insert(self, vec: Vec) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = v[p].inverse()
+        row = {k: x * inv for k, x in v.items()}
+        row[p] = ONE
+        if p < self.low:
+            self.low = p
+            self.rows[p] = row
+            return True
+        for r in self.rows.values():
+            c = r.get(p)
+            if c is not None:
+                del r[p]
+                _subtract_row(r, row, p, c)
+        self.rows[p] = row
+        return True
+
+
+def smash_mul_per_entry(sm, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
+    """``SmashProduct.mul`` with each entry formed as a product and then a
+    sum, and the entries that cancel filtered out at the end."""
+    alg, nH = sm.alg, sm.nH
+
+    def h_parts(vec: Vec) -> dict[int, Vec]:
+        parts: dict[int, Vec] = {}
+        for key, c in vec.items():
+            i, h = divmod(key, nH)
+            parts.setdefault(i, {})[h] = c
+        return parts
+
+    right = h_parts(w)
+    out: Vec = {}
+    for i, h in h_parts(v).items():
+        for j, k in right.items():
+            for h1, leg in sm._legs(h, k).items():
+                amul = sm.action.columns(h1, dw)[j]
+                if dv:
+                    amul = alg.mul({i: ONE}, dv, amul, dw)
+                for ai, ac in amul.items():
+                    base = ai * nH
+                    for hi, hc in leg.items():
+                        cur = out.get(base + hi)
+                        out[base + hi] = ac * hc if cur is None else cur + ac * hc
+    return {key: x for key, x in out.items() if not x.is_zero()}
+
+
+def tensor_mul_per_pair(hopf, s: dict, t: dict) -> dict:
+    """(a ⊗ b)(c ⊗ d) = ac ⊗ bd summed over the terms of s and t, one dict
+    of products per pair of terms, added in unfused."""
+    out: dict = {}
+    for (a, b), x in s.items():
+        for (c, d), y in t.items():
+            left, right = hopf.mult[a][c], hopf.mult[b][d]
+            vec_addto_unfused(out, {(p, q): xp * xq for p, xp in left.items()
+                                    for q, xq in right.items()}, x * y)
+    return out
 
 
 def mul_left_words(alg, v: Vec, dv: int, w: Vec, dw: int) -> Vec:

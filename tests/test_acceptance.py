@@ -10,9 +10,11 @@ that uses them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -513,3 +515,19 @@ def test_fast_paths_leave_the_deep_report_unchanged(name, monkeypatch):
     assert {"ncreflect.ncalg", "ncreflect.invariants", "ncreflect.smash"} <= patched
     slow_report = report_json(analyze(catalog.build(name, max_degree=depth), depth).document)
     assert fast == slow_report
+
+
+REPORT_HASHES = Path(__file__).with_name("report_hashes_d24.json")
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_report_at_degree_24_matches_its_recorded_hash(name):
+    """The report past the fixture bound is the one whose SHA-256
+    ``tools/regen_fixtures.py`` recorded, byte for byte."""
+    recorded = json.loads(REPORT_HASHES.read_text())
+    assert sorted(recorded["sha256"]) == sorted(catalog.shipped())
+    depth = recorded["max_degree"]
+    result = analyze(catalog.build(name, max_degree=depth), depth)
+    assert result.exit_code == 0
+    text = report_json(result.document)
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded["sha256"][name]

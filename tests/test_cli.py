@@ -21,7 +21,7 @@ from ncreflect.exprs import (
     MAX_TERMS,
     MAX_WORD_LENGTH,
 )
-from ncreflect.ncalg import MAX_CARRIER
+from ncreflect.ncalg import MAX_CARRIER, MAX_WORK
 from ncreflect.presentation import MAX_JSON_DEPTH
 from ncreflect.presets import catalog
 from ncreflect.presets.groups import CLOSURE_CAP
@@ -189,6 +189,25 @@ def test_analyze_slice_carrier_above_maximum(tmp_path, capsys):
     assert main(["analyze", path, "--max-degree", "6"]) == 2
     err = capsys.readouterr().err
     assert f"error: degree 3 needs a carrier of 64000 words, above the maximum {MAX_CARRIER}" in err
+
+
+def test_analyze_elimination_work_above_maximum(tmp_path, capsys):
+    # six commuting variables: every carrier is under MAX_CARRIER up to
+    # degree 13, but the squared carrier sizes add up past MAX_WORK at
+    # degree 10, after 6^2 + 36^2 + ... + 7722^2 = 92882556 through degree 9
+    names = [f"x{k}" for k in range(6)]
+
+    def commuting(d):
+        d["algebra"]["generators"] = [{"name": n, "degree": 1} for n in names]
+        d["algebra"]["relations"] = [f"{b}*{a} - {a}*{b}"
+                                     for k, a in enumerate(names) for b in names[k + 1:]]
+        d["action"]["matrices"]["e"] = names
+
+    path = mutate_shipped(tmp_path, "trivial", commuting)
+    assert main(["analyze", path, "--max-degree", "12"]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: degree 10 would bring the elimination work to {92882556 + 12012 ** 2} "
+            f"(the sum of the squared carrier sizes), above the maximum {MAX_WORK}") in err
 
 
 @pytest.mark.parametrize("name, node, pointer", [

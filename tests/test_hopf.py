@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,7 +42,9 @@ from oracles import (
     kac_palyutkin_idempotents,
     keyed_character_table,
     linear_characters_by_enumeration,
+    normal_forms,
     symmetric3,
+    tensor_mul_per_pair,
 )
 
 
@@ -247,6 +250,45 @@ def test_index_of_matches_the_keyed_scan(name):
         for lookup in (chars.index_of, lambda c: index_by_key(chars, c)):
             with pytest.raises(ValueError, match="character not in group"):
                 lookup(Character(h, values))
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_tensor_mul_matches_the_per_pair_form(name):
+    """Products in H ⊗ H added term by term through the fused a + x·c
+    kernel give the entries and normal forms of one dict of products per
+    pair of terms, added unfused: on Δ(b_i)Δ(b_j) for every basis pair,
+    on seeded sums, and on (1⊗1 − x)(1⊗1 + x), whose terms x cancel
+    when H is not a dual group algebra (in k^G a product of basis tensors
+    is zero or the one tensor they share, so no two terms meet) and not
+    the trivial one (x = 1⊗1)."""
+    preset = catalog.build(name, max_degree=4)
+    h = preset.hopf
+
+    def same(s: dict, t: dict) -> bool:
+        """Checks one product; True if some of its terms cancel."""
+        got = h.tensor_mul(s, t)
+        assert normal_forms(got) == normal_forms(tensor_mul_per_pair(h, s, t))
+        return len(got) < len({(p, q) for a, b in s for c, d in t
+                               for p in h.mult[a][c] for q in h.mult[b][d]})
+
+    deltas = [h.comult_vec(h.basis_vec(i)) for i in range(h.dim)]
+    for s in deltas:
+        for t in deltas:
+            same(s, t)
+    rng = random.Random(19)
+    coeffs = [ONE, MINUS_ONE, I, Cyc.rational(1, 2)]
+    for _ in range(40):
+        same(*({(rng.randrange(h.dim), rng.randrange(h.dim)): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 4))} for _ in range(2)))
+    one = {(p, q): up * uq for p, up in h.unit.items() for q, uq in h.unit.items()}
+    cancelled = 0
+    for _ in range(4):
+        x = (rng.randrange(h.dim), rng.randrange(h.dim))
+        minus, plus = dict(one), dict(one)
+        vec_addto(minus, {x: MINUS_ONE})
+        vec_addto(plus, {x: ONE})
+        cancelled += same(minus, plus)
+    assert cancelled or h.dim == 1 or preset.action.kind == "dual_group"
 
 
 def test_character_group_makes_no_subfield_solve(monkeypatch):

@@ -19,7 +19,15 @@ from ncreflect.linalg import (
 )
 from ncreflect.scalars import Cyc, I, ONE, ZERO, zeta
 
-from oracles import ScanningEch, dense_eigenvectors, dense_rref, zassenhaus_intersect
+from oracles import (
+    ScanningEch,
+    UnfusedEch,
+    dense_eigenvectors,
+    dense_rref,
+    normal_forms,
+    vec_addto_unfused,
+    zassenhaus_intersect,
+)
 
 
 def cols_of(m: Matrix) -> list:
@@ -222,6 +230,78 @@ def test_guarded_insert_matches_scanning_insert(case, data):
             assert fast.insert(v) == slow.insert(v)
             assert fast.low == min(fast.rows, default=n)
         assert fast.rows == slow.rows
+
+
+@st.composite
+def fused_batches(draw):
+    """An ambient dimension and a batch of sparse vectors over Q, Q(i) or
+    Q(zeta_12), half of them with a leading coefficient of 1 (a unit
+    pivot when nothing stored reduces it), with scalar multiples and
+    combinations that cancel mixed in."""
+    n = draw(st.integers(1, 9))
+    conductor = draw(st.sampled_from([1, 4, 12]))
+    units = [zeta(conductor, k) for k in range(conductor)]
+    scalar = st.builds(lambda r, u: r * u,
+                       st.sampled_from([ONE, -ONE, Cyc.rational(2), Cyc.rational(-1, 3),
+                                        Cyc.rational(5, 2)]),
+                       st.sampled_from(units))
+    vec = st.dictionaries(st.integers(0, n - 1), scalar, max_size=min(n, 5))
+    batch = []
+    for v in draw(st.lists(vec, max_size=12)):
+        if v and draw(st.booleans()):
+            v[min(v)] = ONE
+        batch.append(v)
+    for _ in range(draw(st.integers(0, 3))):
+        if len(batch) < 2:
+            break
+        u, w = draw(st.sampled_from(batch)), draw(st.sampled_from(batch))
+        combo = {}
+        vec_addto_unfused(combo, u, draw(scalar))
+        vec_addto_unfused(combo, w, draw(scalar))
+        batch.insert(draw(st.integers(0, len(batch))), combo)
+    return n, batch
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(fused_batches(), st.data())
+def test_fused_echelon_matches_the_unfused_one(case, data):
+    """Reduce and insert through the fused a + x·c kernel, with a unit
+    pivot stored as it is, leave the rows, their entries' normal forms,
+    ``low``, the rank and every return value of the unfused echelon:
+    inserted one at a time in two orders, and through ``extend``."""
+    n, batch = case
+
+    def state(ech):
+        return {p: normal_forms(r) for p, r in ech.rows.items()}, ech.low, ech.rank
+
+    for order in (batch, data.draw(st.permutations(batch))):
+        fast, slow = SparseEch(n), UnfusedEch(n)
+        for v in order:
+            assert fast.insert(v) == slow.insert(v)
+            assert state(fast) == state(slow)
+        for v in batch:
+            assert normal_forms(fast.reduce(v)) == normal_forms(slow.reduce(v))
+    fast, slow = SparseEch(n), UnfusedEch(n)
+    fast.extend(batch)
+    slow.extend(batch)
+    assert state(fast) == state(slow)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(fused_batches(), st.data())
+def test_fused_vec_addto_matches_the_unfused_one(case, data):
+    """acc += c·v through the kernel leaves the entries, their normal forms
+    and their order of the product-then-sum loop, cancellations included."""
+    n, batch = case
+    fast, slow = {}, {}
+    for v in batch:
+        c = data.draw(st.sampled_from([ONE, -ONE, Cyc.rational(3, 2), I, zeta(12, 5)]))
+        vec_addto(fast, v, c)
+        vec_addto_unfused(slow, v, c)
+        assert list(normal_forms(fast).items()) == list(normal_forms(slow).items())
+        vec_addto(fast, v, -c)
+        vec_addto_unfused(slow, v, -c)
+        assert list(normal_forms(fast).items()) == list(normal_forms(slow).items())
 
 
 @pytest.mark.parametrize("dim, ks", [(0, []), (3, []), (1, [0]), (5, [4, 1, 3]),

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ncreflect.exprs import show_scalar
-from ncreflect.scalars import Cyc, I, ONE, ZERO, coerce, cyclotomic, euler_phi, zeta
+from ncreflect.scalars import Cyc, I, ONE, ZERO, addmul, coerce, cyclotomic, euler_phi, zeta
 from oracles import FractionCyc
 
 
@@ -236,3 +236,74 @@ def test_rational_operands_match_fraction_oracle(p, num, den):
                       (a * r, ra * r), (r * a, ra * r)):
         assert normal_form(got)
         assert same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the fused a + x * c against the product and the sum it replaces
+
+
+# conductor pairs: each operand of a + x * c takes one of the pair, so the
+# mixed pairs give every join of a rational or cyclotomic a with a product
+# of equal, rational or mixed factors; 8 & 12 mixes two cyclotomic
+# factors, which is the fallback
+ADDMUL_CONDUCTORS = [(1, 1), (3, 3), (4, 4), (5, 5), (8, 8), (12, 12),
+                     (1, 4), (3, 4), (4, 12), (8, 12)]
+
+
+@st.composite
+def values_at(draw, n):
+    """A Cyc at conductor n; a third of the draws lie in the subfield of a
+    proper divisor of n, and so may fall to a smaller conductor."""
+    proper = [d for d in (1, 3, 4) if d < n and n % d == 0]
+    d = draw(st.sampled_from(proper)) if proper and draw(st.integers(0, 2)) == 0 else n
+    coeffs = draw(st.lists(_coefficient, min_size=euler_phi(d), max_size=euler_phi(d)))
+    coeffs = FractionCyc(d, coeffs)._lift(n) if d != 1 else coeffs + [0] * (euler_phi(n) - 1)
+    return Cyc(n, coeffs)
+
+
+@st.composite
+def addmul_cases(draw):
+    pair = draw(st.sampled_from(ADDMUL_CONDUCTORS))
+    x, c = (draw(values_at(draw(st.sampled_from(pair))).filter(bool)) for _ in range(2))
+    kind = draw(st.sampled_from(["none", "value", "value", "cancel"]))
+    if kind == "none":
+        a = None
+    elif kind == "cancel":
+        a = -(x * c)
+    else:
+        a = draw(values_at(draw(st.sampled_from(pair))))
+    return a, x, c
+
+
+def _parts(x):
+    return None if x is None else (x.n, x.nums, x.den)
+
+
+@DETERMINISTIC
+@given(addmul_cases())
+def test_addmul_matches_the_product_and_the_sum(case):
+    """addmul(a, x, c) is a + x * c in the same normal form, with None for
+    zero both ways: None for a, and None for a sum that cancels."""
+    a, x, c = case
+    want = x * c if a is None else a + x * c
+    got = addmul(a, x, c)
+    assert _parts(got) == (None if want.is_zero() else _parts(want))
+    if got is not None:
+        assert normal_form(got)
+        assert not got.is_zero()
+
+
+def test_addmul_cases_reach_every_path():
+    """The named cases of the kernel: a cancelling sum, a rational drop,
+    a non-unit denominator and the mixed-conductor fallback."""
+    z3, z8, z12 = zeta(3), zeta(8), zeta(12)
+    half = Cyc.rational(1, 2)
+    assert addmul(None, half, Cyc.rational(4, 3)) == Cyc.rational(2, 3)
+    assert addmul(Cyc.rational(-2, 3), half, Cyc.rational(4, 3)) is None
+    assert addmul(ONE, I, I) is None  # 1 + i·i
+    assert _parts(addmul(I, I, I)) == _parts(I - 1)
+    assert _parts(addmul(half * I, I, half)) == (4, (0, 1), 1)
+    assert _parts(addmul(z3, half, 2 * z3 * z3)) == (1, (-1,), 1)  # z3 + z3^2 = -1
+    assert addmul(-(z8 * z12), z8, z12) is None
+    assert _parts(addmul(z3, z8, z12)) == _parts(z3 + z8 * z12)
+    assert _parts(addmul(I, z3, half)) == _parts(I + z3 * half)

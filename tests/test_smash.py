@@ -45,9 +45,11 @@ from oracles import (
     integral_span_full_products,
     kac_palyutkin_idempotents,
     matrix_block_units,
+    normal_forms,
     pairwise_integral_span,
     pairwise_intersection,
     pertinency_one_at_a_time,
+    smash_mul_per_entry,
     smash_mul_per_leg,
     zassenhaus_intersect,
 )
@@ -269,6 +271,28 @@ def test_smash_mul_matches_the_per_leg_formula(name):
         # (1#Λ)(1#Λ) = 1#Λ: the product keeps no entry that cancels
         assert sm.mul(lam, 0, sm.include_a({0: ONE}, 0), 0) == smash_mul_per_leg(
             sm, lam, 0, sm.include_a({0: ONE}, 0), 0)
+
+
+@pytest.mark.parametrize("name", ["e42-kacpalyutkin", "l41-mystic(2,4)"])
+def test_smash_mul_matches_the_per_entry_sum(name):
+    """Each term added through the fused a + x·c kernel, with the entries
+    that cancel pruned as they cancel, gives the entries and normal forms
+    of the product-then-sum loop filtered at the end: on (1#h)(e_i#b_j),
+    with a left factor of positive degree, and on sums that cancel."""
+    p = catalog.build(name, max_degree=4)
+    projectors = central_idempotents(p.hopf, p.chars)
+    for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
+        lam = sm.unit_integral()
+        cases = [(sm.include_h({h: ONE}), 0, {key: ONE}, d)
+                 for h in range(sm.nH) for d in range(3) for key in range(sm.dim(d))]
+        cases += [({v: ONE}, dv, {w: ONE}, dw) for dv in (1, 2) for v in range(sm.dim(dv))
+                  for dw in (0, 1) for w in range(sm.dim(dw))]
+        for d in range(3):
+            mixed = {key: Cyc.rational(key + 1, 2) + I for key in range(sm.dim(d))}
+            cases += [(lam, 0, mixed, d), ({h: I for h in range(sm.nH)}, 0, mixed, d)]
+        cases.append((lam, 0, sm.include_a({0: ONE}, 0), 0))  # (1#Λ)(1#Λ) = 1#Λ
+        for v, dv, w, dw in cases:
+            assert normal_forms(sm.mul(v, dv, w, dw)) == normal_forms(smash_mul_per_entry(sm, v, dv, w, dw))
 
 
 def test_radical_slices_makes_no_subfield_solve(monkeypatch):

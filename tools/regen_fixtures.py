@@ -9,7 +9,11 @@ For every catalogue entry with fixed parameters this writes
 ``src/ncreflect/presets/data/<stem>.spec`` and ``<stem>.fixture.json``,
 checks that the presentation file realises back to the catalogue bundle,
 and refuses to write a fixture whose tagged expected values disagree with
-the freshly computed report.
+the freshly computed report.  It then writes the SHA-256 of each of
+their reports at degree bound 24 to ``tests/report_hashes_d24.json``:
+past the fixture bound, where the split of each A_d into character
+components and their complement differs from degree 12.  A tier-1 test
+checks the reports against them.
 
 Every expected value carries a provenance tag:
 
@@ -22,7 +26,9 @@ The tables below are maintained by hand; the script never invents one.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 from ncreflect import presentation
 from ncreflect.analysis import analyze, report_json
@@ -30,6 +36,8 @@ from ncreflect.cli import _pointer
 from ncreflect.presets import catalog
 
 DEGREE = 12
+HASH_DEGREE = 24
+HASH_PATH = Path(__file__).resolve().parents[1] / "tests" / "report_hashes_d24.json"
 
 # preferred source spelling of the relations (parse-equal to the
 # catalogue's own; the rendered canonical form is harder to read)
@@ -215,6 +223,22 @@ def main() -> None:
             json.dumps(fixture, indent=2) + "\n")
         print(f"{stem}: wrote {spec_path.name} and fixture "
               f"({len(expected)} expected values)")
+
+    hashes = {}
+    for name in catalog.shipped():
+        result = analyze(catalog.build(name, HASH_DEGREE), HASH_DEGREE)
+        if result.exit_code != 0:
+            raise SystemExit(f"{name}: analysis exit {result.exit_code} "
+                             f"at degree {HASH_DEGREE}")
+        hashes[name] = report_sha256(result.document)
+    HASH_PATH.write_text(json.dumps(
+        {"max_degree": HASH_DEGREE, "sha256": hashes}, indent=2) + "\n")
+    print(f"wrote {HASH_PATH.name} ({len(hashes)} reports at degree {HASH_DEGREE})")
+
+
+def report_sha256(document) -> str:
+    """SHA-256 of the byte-stable report text, as UTF-8."""
+    return hashlib.sha256(report_json(document).encode()).hexdigest()
 
 
 if __name__ == "__main__":
