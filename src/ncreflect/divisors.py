@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ncalg import Elem, GradedAlgebra, cofactor, monic
-from .scalars import Cyc, ONE, ZERO, zeta
+from .scalars import Cyc, ONE, ZERO, addmul, zeta
 from .structure import tp_det
 
 # A binary form sum_k c[k] s^k t^(n-k) as its coefficient list c[0..n].
@@ -45,17 +45,14 @@ def form_degree(form: Form) -> int:
 
 def form_eval(form: Form, s0: Cyc, t0: Cyc) -> Cyc:
     n = form_degree(form)
-    total = ZERO
+    total = None
     for k, c in enumerate(form):
         if c.is_zero():
             continue
-        term = c
-        for _ in range(k):
-            term = term * s0
-        for _ in range(n - k):
-            term = term * t0
-        total = total + term
-    return total
+        mono = s0 ** k * t0 ** (n - k)
+        if mono:
+            total = addmul(total, c, mono)
+    return ZERO if total is None else total
 
 
 def form_div_linear(form: Form, s0: Cyc, t0: Cyc) -> Form:

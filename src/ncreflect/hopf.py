@@ -75,26 +75,12 @@ class Group:
     def order(self) -> int:
         return len(self.labels)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def power(self, g: int, k: int) -> int:
-        out = self.identity
-        if k < 0:
-            g, k = self.inverse[g], -k
-        for _ in range(k):
-            out = self.table[out][g]
-        return out
-
     def element_order(self, g: int) -> int:
         k, cur = 1, g
         while cur != self.identity:
             cur = self.table[cur][g]
             k += 1
         return k
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
     def closure(self, gens: Iterable[int]) -> set[int]:
         out = {self.identity}
@@ -322,11 +308,6 @@ class HopfAlgebra:
         self._integral = lam
         return dict(lam)
 
-    def show_vec(self, v: Vec) -> str:
-        from .exprs import show
-
-        return show({(k,): c for k, c in v.items()}, self.labels) if v else "0"
-
 
 # ---------------------------------------------------------------------------
 # group and dual-group Hopf algebras
@@ -371,10 +352,12 @@ class Character:
     def __call__(self, v) -> Cyc:
         if isinstance(v, int):
             return self.values[v]
-        acc = ZERO
+        acc = None
         for i, c in v.items():
-            acc = acc + c * self.values[i]
-        return acc
+            x = self.values[i]
+            if x:
+                acc = addmul(acc, c, x)
+        return ZERO if acc is None else acc
 
     def is_algebra_map(self) -> bool:
         h = self.hopf

@@ -12,7 +12,12 @@ keyed by pivot column.  Ideal slices and smash-product spans are built by
 inserting thousands of mostly-sparse vectors, so the echelon is
 maintained eagerly (every stored row has pivot coefficient 1 and is
 reduced against every other pivot).  A reduced vector whose pivot
-coefficient is already 1 is stored as it is.
+coefficient is already 1 is stored as it is.  Since no stored row holds
+another pivot column, subtracting a multiple of one row from a vector
+leaves its entries at the other pivot columns as they were: ``reduce``
+clears every pivot in one pass over the pivot entries of its input.
+``insert`` keeps the invariant (the new row is reduced, and its pivot is
+eliminated from every stored row), and so does ``Subspace.units``.
 
 A batch goes in through ``extend``, in descending order of leading
 (smallest) column.  A stored row holds only columns at or above its own
@@ -127,26 +132,21 @@ class SparseEch:
         return len(self.rows)
 
     def reduce(self, vec: Vec) -> Vec:
-        """vec minus its projection onto the span (a fresh dict)."""
+        """vec minus its projection onto the span (a fresh dict), in one
+        pass over the pivot entries of vec: a stored row holds no other
+        pivot column, so subtracting it leaves the others as they were."""
         v = dict(vec)
         rows = self.rows
-        hits = [k for k in v if k in rows]
-        while hits:
-            for p in hits:
-                c = v.get(p)
-                if c is None:
+        for p in [k for k in vec if k in rows]:
+            c = -v.pop(p)
+            for k, x in rows[p].items():
+                if k == p:
                     continue
-                del v[p]
-                c = -c
-                for k, x in rows[p].items():
-                    if k == p:
-                        continue
-                    new = addmul(v.get(k), x, c)
-                    if new is None:
-                        del v[k]
-                    else:
-                        v[k] = new
-            hits = [k for k in v if k in rows]
+                new = addmul(v.get(k), x, c)
+                if new is None:
+                    del v[k]
+                else:
+                    v[k] = new
         return v
 
     def contains(self, vec: Vec) -> bool:
@@ -262,16 +262,6 @@ class Subspace:
     def __hash__(self):
         raise TypeError("subspaces are unhashable")
 
-    def __add__(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        s = Subspace(self.ambient)
-        for v in self._ech.rows.values():
-            s.add(v)
-        for v in other._ech.rows.values():
-            s.add(v)
-        return s
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V: the combinations of the rows of the smaller operand whose
         residues modulo the larger operand's echelon cancel."""
@@ -362,8 +352,14 @@ def eigenvectors(dim: int, maps: Iterable[tuple[Sequence[Vec], Cyc]]) -> list[Ve
         for c, col in enumerate(cols):
             for r, x in col.items():
                 rows[r][c] = x
+        neg = -lam
         for r, row in enumerate(rows):
-            vec_addto(row, {r: ONE}, -lam)
+            if neg:
+                x = addmul(row.get(r), ONE, neg)
+                if x is None:
+                    del row[r]
+                else:
+                    row[r] = x
             ech.insert(row)
     out = []
     for f in range(dim):
@@ -405,9 +401,6 @@ class Matrix:
             return Matrix([])
         return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
-    def col(self, j: int) -> list:
-        return [row[j] for row in self.rows]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -415,16 +408,6 @@ class Matrix:
 
     def __hash__(self):
         raise TypeError("matrices are unhashable")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> "Matrix":
-        c = coerce(c)
-        return Matrix([[a * c for a in row] for row in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -440,17 +423,6 @@ class Matrix:
                             acc[j] = addmul(acc[j], a, b)
             out.append([ZERO if x is None else x for x in acc])
         return Matrix(out)
-
-    def apply(self, vec: Sequence) -> list:
-        out = []
-        vec = [coerce(x) for x in vec]
-        for row in self.rows:
-            acc = None
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = addmul(acc, a, x)
-            out.append(ZERO if acc is None else acc)
-        return out
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row-echelon form and the pivot column list.
@@ -469,9 +441,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -23,8 +23,12 @@ for a Hopf algebra that is neither.
 Malformed JSON raises :class:`SpecSyntaxError` with the decoder's
 line/column; schema violations raise :class:`SpecSchemaError` with a
 JSON-pointer path to the offending value.  Expression errors keep their
-character offset inside the schema message.  ``realize`` turns a parsed
-document into the same bundle shape the built-in catalogue produces;
+character offset inside the schema message.  Validating an expression
+means parsing it, so the parse phase keeps what it builds: the relations,
+generator and Nakayama images as free polynomials, the structure
+constants and character values as scalars (divisor candidates stay
+text).  ``realize`` builds the bundle from those values with no second
+parse, into the same shape the built-in catalogue produces;
 errors raised there (a multiplication table that is not a group, say)
 concern the mathematics rather than the document and propagate as plain
 ``ValueError`` for the caller to classify.
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NoReturn, Sequence
 
-from .exprs import ExprError, p_degree, parse, parse_scalar, show, show_scalar
+from .exprs import ExprError, FreePoly, p_degree, parse, parse_scalar, show, show_scalar
 from .hopf import (
     Character,
     CharacterGroup,
@@ -54,7 +58,7 @@ from .linalg import Matrix, Vec
 from .ncalg import GradedAlgebra, RelationAboveBound
 from .presets.catalog import Preset
 from .presets.groups import CLOSURE_CAP
-from .scalars import MAX_CONDUCTOR, ZERO
+from .scalars import MAX_CONDUCTOR, ZERO, Cyc
 
 SPEC_FORMAT = "ncreflect-spec/1"
 
@@ -193,7 +197,7 @@ class GroupData:
 class GroupActionData:
     kind: str  # "group"
     group: GroupData
-    matrices: dict[str, list[str]]  # element label -> image of each generator
+    matrices: dict[str, list[FreePoly]]  # element label -> image of each generator
 
 
 @dataclass
@@ -207,15 +211,15 @@ class DualGroupActionData:
 class TableActionData:
     kind: str  # "table"
     basis: list[str]
-    unit: dict[str, str]
-    mult: list[list[dict[str, str]]]
-    comult: list[list[tuple[str, str, str]]]
-    counit: list[str]
-    antipode: list[dict[str, str]]
-    characters: list[tuple[str, list[str]]]
-    matrices: dict[str, list[str]]  # basis label -> image of each generator
-    integral: dict[str, str] | None
-    idempotents: list[dict[str, str]] | None
+    unit: dict[str, Cyc]
+    mult: list[list[dict[str, Cyc]]]
+    comult: list[list[tuple[str, str, Cyc]]]
+    counit: list[Cyc]
+    antipode: list[dict[str, Cyc]]
+    characters: list[tuple[str, list[Cyc]]]
+    matrices: dict[str, list[FreePoly]]  # basis label -> image of each generator
+    integral: dict[str, Cyc] | None
+    idempotents: list[dict[str, Cyc]] | None
 
 
 @dataclass
@@ -224,11 +228,11 @@ class InputSpec:
     description: str
     conductor: int
     generators: list[tuple[str, int]]
-    relations: list[str]
+    relations: list[FreePoly]
     action: GroupActionData | DualGroupActionData | TableActionData
     max_degree: int | None
     hdet: str | None
-    nakayama: list[str] | None
+    nakayama: list[FreePoly] | None
     divisor_candidates: list[str]
     assertions: dict[str, bool]
 
@@ -298,7 +302,7 @@ def parse_document(doc) -> InputSpec:
     )
 
 
-def _parse_algebra(node: _Node) -> tuple[list[tuple[str, int]], list[str]]:
+def _parse_algebra(node: _Node) -> tuple[list[tuple[str, int]], list[FreePoly]]:
     keys = node.keys(["generators", "relations"])
     generators: list[tuple[str, int]] = []
     for g in keys["generators"].as_list():
@@ -320,7 +324,7 @@ def _parse_algebra(node: _Node) -> tuple[list[tuple[str, int]], list[str]]:
         poly = r.expr(gen_names)
         if poly and p_degree(poly, weights) is None:
             r.fail("relation is not homogeneous for the generator degrees")
-        relations.append(r.as_str())
+        relations.append(poly)
     return generators, relations
 
 
@@ -349,7 +353,7 @@ def _parse_group(node: _Node) -> GroupData:
 
 def _parse_images(
     node: _Node, gen_names: Sequence[str], weights: Sequence[int], letters_only: bool
-) -> list[str]:
+) -> list[FreePoly]:
     """One image expression per generator, homogeneous of that generator's
     degree (zero allowed); for matrix actions only single letters may occur."""
     out = []
@@ -361,17 +365,16 @@ def _parse_images(
         if letters_only and any(len(w) != 1 for w in poly):
             img.fail("a matrix action sends each generator to a combination "
                      "of generators")
-        out.append(img.as_str())
+        out.append(poly)
     return out
 
 
-def _vec_doc(node: _Node, labels: Sequence[str]) -> dict[str, str]:
+def _vec_doc(node: _Node, labels: Sequence[str]) -> dict[str, Cyc]:
     out = {}
     for key, cell in node.entries():
         if key not in labels:
             cell.fail(f"unknown basis label {key!r}")
-        cell.scalar()
-        out[key] = cell.as_str()
+        out[key] = cell.scalar()
     return out
 
 
@@ -383,7 +386,7 @@ def _parse_action(node: _Node, gen_names: list[str], weights: list[int]):
     if kind == "group":
         keys = node.keys(["kind", "group", "matrices"])
         group = _parse_group(keys["group"])
-        matrices: dict[str, list[str]] = {}
+        matrices: dict[str, list[FreePoly]] = {}
         for label, images in keys["matrices"].entries():
             if label not in group.labels:
                 images.fail(f"{label!r} is not an element of the group")
@@ -431,13 +434,9 @@ def _parse_action(node: _Node, gen_names: list[str], weights: list[int]):
                     parts[0].fail(f"unknown basis label {j!r}")
                 if k not in basis:
                     parts[1].fail(f"unknown basis label {k!r}")
-                parts[2].scalar()
-                terms.append((j, k, parts[2].as_str()))
+                terms.append((j, k, parts[2].scalar()))
             comult.append(terms)
-        counit = []
-        for cell in keys["counit"].as_list(n):
-            cell.scalar()
-            counit.append(cell.as_str())
+        counit = [cell.scalar() for cell in keys["counit"].as_list(n)]
         antipode = [_vec_doc(v, basis) for v in keys["antipode"].as_list(n)]
         characters = []
         for ch in keys["characters"].as_list():
@@ -445,14 +444,10 @@ def _parse_action(node: _Node, gen_names: list[str], weights: list[int]):
             label = f["label"].as_str()
             if label in [l for l, _ in characters]:
                 f["label"].fail(f"duplicate character label {label!r}")
-            values = []
-            for cell in f["values"].as_list(n):
-                cell.scalar()
-                values.append(cell.as_str())
-            characters.append((label, values))
+            characters.append((label, [cell.scalar() for cell in f["values"].as_list(n)]))
         if not characters:
             keys["characters"].fail("need at least one character")
-        matrices: dict[str, list[str]] = {}
+        matrices: dict[str, list[FreePoly]] = {}
         for label, images in keys["matrices"].entries():
             if label not in basis:
                 images.fail(f"unknown basis label {label!r}")
@@ -474,7 +469,7 @@ def _parse_action(node: _Node, gen_names: list[str], weights: list[int]):
 def _parse_options(node: _Node | None, gen_names: list[str], weights: list[int]):
     max_degree: int | None = None
     hdet: str | None = None
-    nakayama: list[str] | None = None
+    nakayama: list[FreePoly] | None = None
     candidates: list[str] = []
     assertions = {"domain": True, "as_regular_fixed_ring": True}
     if node is None:
@@ -505,43 +500,24 @@ def _parse_options(node: _Node | None, gen_names: list[str], weights: list[int])
 # realization
 
 
-def _letter_matrix(ngens: int, image_texts: Sequence[str], gen_names: Sequence[str]) -> Matrix:
+def _letter_matrix(ngens: int, images: Sequence[FreePoly]) -> Matrix:
     rows = [[ZERO] * ngens for _ in range(ngens)]
-    for j, text in enumerate(image_texts):
-        for word, c in parse(text, gen_names).items():
+    for j, poly in enumerate(images):
+        for word, c in poly.items():
             rows[word[0]][j] = c
     return Matrix(rows)
 
 
-def _image_vec(alg: GradedAlgebra, text: str, gen_index: int) -> Vec:
-    poly = parse(text, alg.gen_names)
-    if not poly:
-        return {}
-    deg, vec = alg.nf(poly)
-    if vec and deg != alg.weights[gen_index]:
-        raise ValueError(
-            f"the image of {alg.gen_names[gen_index]} has degree {deg}, "
-            f"expected {alg.weights[gen_index]}"
-        )
-    return vec
-
-
-def _vec_values(doc: dict[str, str], index: dict[str, int]) -> Vec:
-    out: Vec = {}
-    for label, text in doc.items():
-        c = parse_scalar(text)
-        if not c.is_zero():
-            out[index[label]] = c
-    return out
+def _vec_values(doc: dict[str, Cyc], index: dict[str, int]) -> Vec:
+    return {index[label]: c for label, c in doc.items() if c}
 
 
 def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
     """Build the presentation into the same bundle shape the catalogue uses."""
     D = max_degree if max_degree is not None else (spec.max_degree or 12)
     gen_names = spec.gen_names
-    rels = [parse(t, gen_names) for t in spec.relations]
     try:
-        alg = GradedAlgebra(gen_names, rels, weights=spec.weights, max_degree=D)
+        alg = GradedAlgebra(gen_names, spec.relations, weights=spec.weights, max_degree=D)
     except RelationAboveBound as e:
         raise SpecSchemaError(f"/algebra/relations/{e.index}",
                               f"degree {e.degree} exceeds the degree bound {e.bound}") from None
@@ -551,7 +527,7 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
         group = Group(data.group.labels, data.group.table)
         hopf = group_algebra(group)
         assigned = {
-            group.labels.index(label): _letter_matrix(alg.ngens, images, gen_names)
+            group.labels.index(label): _letter_matrix(alg.ngens, images)
             for label, images in data.matrices.items()
         }
         action = HopfAction.from_group_matrices(hopf, alg, group, assigned)
@@ -568,25 +544,19 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
             data.basis,
             _vec_values(data.unit, index),
             [[_vec_values(cell, index) for cell in row] for row in data.mult],
-            [
-                [(index[j], index[k], parse_scalar(c)) for j, k, c in row]
-                for row in data.comult
-            ],
-            [parse_scalar(c) for c in data.counit],
+            [[(index[j], index[k], c) for j, k, c in row] for row in data.comult],
+            data.counit,
             [_vec_values(v, index) for v in data.antipode],
         )
-        declared = [Character(hopf, [parse_scalar(v) for v in values], label)
-                    for label, values in data.characters]
+        declared = [Character(hopf, values, label) for label, values in data.characters]
         # outside input: checked on every pair of basis elements, since
         # CharacterGroup reads a character off its values on S
         for ch in declared:
             if not ch.is_algebra_map():
                 raise ValueError(f"character {ch.label!r} is not an algebra map")
         chars = CharacterGroup(hopf, declared)
-        images = [
-            [_image_vec(alg, text, i) for i, text in enumerate(data.matrices[label])]
-            for label in data.basis
-        ]
+        images = [[alg.nf(poly)[1] for poly in data.matrices[label]]
+                  for label in data.basis]
         action = HopfAction.from_matrices(hopf, alg, images)
         if data.integral is not None:
             options["integral"] = _vec_values(data.integral, index)
@@ -595,9 +565,7 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
     if spec.hdet is not None and all(ch.label != spec.hdet for ch in chars.chars):
         raise SpecSchemaError("/options/hdet", f"no character is labelled {spec.hdet!r}")
     if spec.nakayama is not None:
-        options["nakayama"] = [
-            _image_vec(alg, text, i) for i, text in enumerate(spec.nakayama)
-        ]
+        options["nakayama"] = [alg.nf(poly)[1] for poly in spec.nakayama]
     if spec.divisor_candidates:
         options["divisor_candidates"] = list(spec.divisor_candidates)
     options["assertions"] = dict(spec.assertions)

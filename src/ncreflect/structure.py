@@ -31,7 +31,7 @@ from .invariants import (
     series_is_polynomial,
     series_quotient,
 )
-from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_addto, vec_scale, vec_to_dense
+from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_addto, vec_to_dense
 from .ncalg import Elem, GradedAlgebra, cofactor, is_normal
 from .scalars import Cyc, ONE, ZERO
 
@@ -193,16 +193,6 @@ def tp_mul(p: TPoly, q: TPoly) -> TPoly:
     return out
 
 
-def tp_proportional(p: TPoly, q: TPoly) -> bool:
-    if not p or not q:
-        return not p and not q
-    if set(p) != set(q):
-        return False
-    e = min(p)
-    ratio = q[e] / p[e]
-    return all(q[e2] == c * ratio for e2, c in p.items())
-
-
 def tp_divide(q: TPoly, p: TPoly) -> TPoly | None:
     """Exact division q / p (single-divisor reduction, lex leading terms);
     None when p does not divide q."""
@@ -316,7 +306,10 @@ def trace_discriminant(
 ) -> TraceDiscriminantData:
     """det of the trace pairing tr(f_g f_h) over the fixed ring, where
     tr is left-fixed-ring-linear on the free decomposition A = (+) R f_g
-    (tr(r f_g) = |G| r for g trivial, 0 otherwise).
+    (tr(r f_g) = |G| r for g trivial, 0 otherwise).  The matrix is
+    monomial, so its determinant is read off as a signed product of the
+    cocycles c_{g,g⁻¹}, and is their product up to a scalar by
+    construction (``docs/component-grading.md``).
 
     Preconditions: dual group action, polynomial commutative fixed ring,
     generators in degree one, complete cocycle table, and slice-wise
@@ -349,37 +342,24 @@ def trace_discriminant(
     model = FixedPolyModel(alg, fixed)
     g0 = chars.group
     n = g0.order
-    order = Cyc.rational(n)
-    entries: list[list[TPoly | None]] = [[None] * n for _ in range(n)]
+    # f_g f_h = c_{g,h} f_{gh}, so row g of the trace matrix holds the one
+    # entry |G| c_{g,g⁻¹} at h = g⁻¹: the determinant is sgn(g ↦ g⁻¹)
+    # |G|^n Π_g c_{g,g⁻¹}, the sign -1 per pair {g, g⁻¹} with g ≠ g⁻¹
+    swaps = sum(1 for g in range(n) if g0.inverse[g] != g) // 2
+    dis = {(0,) * model.nvars: Cyc.rational((-1) ** swaps * n ** n)}
     for g in range(n):
-        for h in range(n):
-            if g0.table[g][h] != g0.identity:
-                continue
-            c = cocycles.table[g][h]
-            poly = model.to_poly(c)
-            if poly is None:
-                notes.append("a cocycle escaped the generator model")
-                return TraceDiscriminantData(
-                    False, notes, None, [], None, None, None, "not-computable"
-                )
-            entries[g][h] = vec_scale(poly, order)
-    dis = tp_det(entries, model.nvars)
-
-    pair = {(0,) * model.nvars: ONE}
-    ok = True
-    for g in range(n):
-        c = cocycles.table[g][g0.inverse[g]]
-        poly = model.to_poly(c)
+        poly = model.to_poly(cocycles.table[g][g0.inverse[g]])
         if poly is None:
-            ok = False
-            break
-        pair = tp_mul(pair, poly)
-    is_product = tp_proportional(dis, pair) if ok else None
+            notes.append("a cocycle escaped the generator model")
+            return TraceDiscriminantData(
+                False, notes, None, [], None, None, None, "not-computable"
+            )
+        dis = tp_mul(dis, poly)
 
     delta_poly = model.to_poly(delta) if delta.degree <= max_degree else None
     if delta_poly is None:
         return TraceDiscriminantData(
-            True, notes, dis, model.names(), is_product, None, None, "radical-unresolved"
+            True, notes, dis, model.names(), True, None, None, "radical-unresolved"
         )
     delta_divides = tp_divide(dis, delta_poly) is not None
     divides_power = False
@@ -391,7 +371,7 @@ def trace_discriminant(
             break
     verdict = "radical-equal" if (delta_divides and divides_power) else "radical-unresolved"
     return TraceDiscriminantData(
-        True, notes, dis, model.names(), is_product, delta_divides, divides_power, verdict
+        True, notes, dis, model.names(), True, delta_divides, divides_power, verdict
     )
 
 

@@ -104,12 +104,20 @@ with one dict of products per pair of terms.
 
 ``ScanningEch`` inserts by scanning every stored row for the new pivot,
 the reference for ``SparseEch.insert``, which skips the scan for a pivot
-below every stored one.  ``mul_left_words`` always lets the words of the
+below every stored one.  ``LoopingEch`` reduces by re-scanning the
+vector for pivot columns until none is left, the reference for
+``SparseEch.reduce``, which clears them in one pass.  ``mul_left_words`` always lets the words of the
 left factor act on the right one, the reference for
 ``GradedAlgebra.mul``, which lets the shorter side act.
 ``ideal_slices_eliminating`` eliminates every degree of a left, right or
 two-sided ideal, the reference for the three ``ncalg`` ideal functions,
 which write a slice down as whole once the slices below it are.
+
+``trace_matrix_determinant`` writes the trace pairing tr(f_g f_h) out as
+its n×n entry table and expands the determinant by ``structure.tp_det``,
+the reference for ``structure.trace_discriminant``, which reads it off as
+a signed product of the cocycles c_{g,g⁻¹}; ``tp_proportional`` compares
+two polynomials in the fixed-ring generators up to a scalar.
 
 ``FractionCyc`` is the textbook cyclotomic scalar: ``Fraction``
 coefficients modulo Phi_n, products by convolution and power-table
@@ -155,11 +163,13 @@ from ncreflect.scalars import (
     ZERO,
     Cyc,
     ONE,
+    addmul,
     coerce,
     cyclotomic,
     divisors,
     euler_phi,
 )
+from ncreflect.structure import TPoly, tp_det
 
 
 def dense_rref(rows: list[list]) -> tuple[list[list[Cyc]], list[int]]:
@@ -244,6 +254,35 @@ class ScanningEch(SparseEch):
                 vec_addto(r, row, -c)
         self.rows[p] = row
         return True
+
+
+class LoopingEch(SparseEch):
+    """``SparseEch`` whose reduce subtracts the row of every pivot column it
+    finds and scans the vector again, until no pivot column is left."""
+
+    __slots__ = ()
+
+    def reduce(self, vec: Vec) -> Vec:
+        v = dict(vec)
+        rows = self.rows
+        hits = [k for k in v if k in rows]
+        while hits:
+            for p in hits:
+                c = v.get(p)
+                if c is None:
+                    continue
+                del v[p]
+                c = -c
+                for k, x in rows[p].items():
+                    if k == p:
+                        continue
+                    new = addmul(v.get(k), x, c)
+                    if new is None:
+                        del v[k]
+                    else:
+                        v[k] = new
+            hits = [k for k in v if k in rows]
+        return v
 
 
 def normal_forms(vec: dict) -> dict:
@@ -1236,3 +1275,28 @@ class FractionCyc:
 
     def __hash__(self) -> int:
         return hash(self.key())
+
+
+def tp_proportional(p: TPoly, q: TPoly) -> bool:
+    """p and q agree up to a nonzero scalar (both zero counts)."""
+    if not p or not q:
+        return not p and not q
+    if set(p) != set(q):
+        return False
+    e = min(p)
+    ratio = q[e] / p[e]
+    return all(q[e2] == c * ratio for e2, c in p.items())
+
+
+def trace_matrix_determinant(chars, cocycles, model) -> TPoly:
+    """det of the trace pairing by Laplace expansion of its entry table:
+    |G| c_{g,h} where gh = 1, nothing elsewhere."""
+    g0 = chars.group
+    n = g0.order
+    entries = [[None] * n for _ in range(n)]
+    for g in range(n):
+        for h in range(n):
+            if g0.table[g][h] == g0.identity:
+                entries[g][h] = vec_scale(model.to_poly(cocycles.table[g][h]),
+                                          Cyc.rational(n))
+    return tp_det(entries, model.nvars)

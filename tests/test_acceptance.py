@@ -25,6 +25,7 @@ from oracles import (
     is_abelian,
     isotypic_images,
     mul_left_words,
+    tp_proportional,
 )
 from ncreflect import linalg, ncalg
 from ncreflect.analysis import analyze, report_json
@@ -52,7 +53,6 @@ from ncreflect.structure import (
     jacobian_transfer,
     nakayama_check,
     steinberg_factorization,
-    tp_proportional,
     trace_discriminant,
 )
 

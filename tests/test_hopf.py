@@ -66,7 +66,7 @@ def test_dihedral8():
     d8 = dihedral8()
     assert d8.order == 8
     assert not is_abelian(d8)
-    p, r = d8.index("p"), d8.index("r")
+    p, r = d8.labels.index("p"), d8.labels.index("r")
     assert d8.element_order(p) == 4
     assert d8.element_order(r) == 2
     # r p r = p^{-1}
@@ -139,7 +139,8 @@ def test_kac_palyutkin_character_group_is_klein_four():
     g = chars.group
     assert g.labels == ["eps", "g", "gp", "ggp"]
     assert all(g.element_order(i) in (1, 2) for i in range(4))
-    assert g.table[g.index("g")][g.index("gp")] == g.index("ggp")
+    index = g.labels.index
+    assert g.table[index("g")][index("gp")] == index("ggp")
 
 
 def test_character_values_on_z():

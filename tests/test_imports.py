@@ -76,24 +76,32 @@ def defined_functions(source: str) -> list[str]:
     return out
 
 
-def referenced_names(sources) -> set[str]:
-    """Every name, attribute and string constant in the sources (the
-    benchmark's tracer finds the functions it wraps by their names)."""
-    out: set[str] = set()
+def referenced_names(sources) -> tuple[set[str], set[str]]:
+    """The bare names in the sources, and their attribute names and string
+    constants (the benchmark's tracer finds the functions it wraps by
+    their names).  A method is reached only through the second kind: a
+    local variable that shares its name does not call it."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
-                out.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
+                attributes.add(node.value)
+    return names, attributes
+
+
+def uncalled(defining: str, refs: tuple[set[str], set[str]]) -> list[str]:
+    names, attributes = refs
+    out = []
+    for name in defined_functions(defining):
+        owner, _, short = name.rpartition(".")
+        if short not in attributes and (owner or short not in names):
+            out.append(name)
     return out
-
-
-def uncalled(defining: str, refs: set[str]) -> list[str]:
-    return [name for name in defined_functions(defining)
-            if name.rsplit(".", 1)[-1] not in refs]
 
 
 def test_every_function_has_a_caller_outside_the_tests():
@@ -106,6 +114,9 @@ def test_every_function_has_a_caller_outside_the_tests():
 def test_detects_a_function_nothing_calls():
     defining = ("def used(): pass\ndef unused(): pass\ndef named(): pass\n"
                 "class C:\n    def __init__(self): pass\n"
-                "    def m(self): pass\n    def n(self): pass\n")
-    caller = 'used()\nC().m()\nwrap(module, "named")\n'
-    assert uncalled(defining, referenced_names([defining, caller])) == ["unused", "C.n"]
+                "    def m(self): pass\n    def n(self): pass\n"
+                "    def hidden(self): pass\n")
+    # the loop variable shares the name of C.hidden but calls nothing
+    caller = 'used()\nC().m()\nwrap(module, "named")\nfor hidden in range(3):\n    print(hidden)\n'
+    assert uncalled(defining, referenced_names([defining, caller])) == [
+        "unused", "C.n", "C.hidden"]

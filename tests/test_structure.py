@@ -22,6 +22,7 @@ from ncreflect.scalars import Cyc, ONE, zeta
 from ncreflect.smash import dual_group_shortcut, principal_radical, radical_slices
 from ncreflect.structure import (
     AlgebraEndo,
+    FixedPolyModel,
     cocycle_table,
     frobenius_pairing,
     isotypic_series,
@@ -31,7 +32,6 @@ from ncreflect.structure import (
     tp_det,
     tp_divide,
     tp_mul,
-    tp_proportional,
     trace_discriminant,
 )
 
@@ -39,6 +39,8 @@ from oracles import (
     isotypic_images,
     kac_palyutkin_idempotents,
     normal_in_every_degree,
+    tp_proportional,
+    trace_matrix_determinant,
     transfer_by_products,
 )
 
@@ -172,6 +174,24 @@ def test_dihedral3_trace_discriminant():
     assert data.delta_divides
     assert data.divides_delta_power
     assert data.verdict == "radical-equal"
+
+
+@pytest.mark.parametrize("D", [12, 24])
+def test_trace_discriminant_matches_the_expanded_matrix(D):
+    """The determinant read off the monomial trace matrix is the Laplace
+    expansion of the whole entry table.  The character group of e22 is
+    D8, whose one pair {p, p³} makes g ↦ g⁻¹ odd: the sign is −1."""
+    p, comp, fixed, hdet, jac, coc = bundle("e22-dualD8", D)
+    data = trace_discriminant(p.action, p.chars, comp, fixed, coc, jac.delta_left, D)
+    assert data.is_product_of_pair_products is True
+    model = FixedPolyModel(p.algebra, fixed)
+    assert data.discriminant == trace_matrix_determinant(p.chars, coc, model)
+    g0 = p.chars.group
+    assert sum(1 for g in range(g0.order) if g0.inverse[g] != g) == 2
+    pair = {(0,) * model.nvars: Cyc.rational(-(8 ** 8))}
+    for g in range(g0.order):
+        pair = tp_mul(pair, model.to_poly(coc.table[g][g0.inverse[g]]))
+    assert data.discriminant == pair
 
 
 def test_kac_trace_discriminant_not_applicable():

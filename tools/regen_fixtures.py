@@ -13,7 +13,10 @@ the freshly computed report.  It then writes the SHA-256 of each of
 their reports at degree bound 24 to ``tests/report_hashes_d24.json``:
 past the fixture bound, where the split of each A_d into character
 components and their complement differs from degree 12.  A tier-1 test
-checks the reports against them.
+checks the reports against them.  Last it writes the SHA-256 of the
+reports of the three deepest presets at degree bound 36 to
+``tests/report_hashes_d36.json``, which the CI step "Deep presets at
+degree 36" checks the reports of ``ncreflect analyze`` against.
 
 Every expected value carries a provenance tag:
 
@@ -36,8 +39,10 @@ from ncreflect.cli import _pointer
 from ncreflect.presets import catalog
 
 DEGREE = 12
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 HASH_DEGREE = 24
-HASH_PATH = Path(__file__).resolve().parents[1] / "tests" / "report_hashes_d24.json"
+DEEP_DEGREE = 36
+DEEP_PRESETS = ["e22-dualD8", "l41-mystic(2,4)", "e42-kacpalyutkin"]
 
 # preferred source spelling of the relations (parse-equal to the
 # catalogue's own; the rendered canonical form is harder to read)
@@ -224,16 +229,23 @@ def main() -> None:
         print(f"{stem}: wrote {spec_path.name} and fixture "
               f"({len(expected)} expected values)")
 
+    write_hashes(catalog.shipped(), HASH_DEGREE)
+    write_hashes(DEEP_PRESETS, DEEP_DEGREE)
+
+
+def write_hashes(names, degree: int) -> None:
+    """Record the SHA-256 of each preset's report at the degree bound in
+    ``tests/report_hashes_d<degree>.json``."""
     hashes = {}
-    for name in catalog.shipped():
-        result = analyze(catalog.build(name, HASH_DEGREE), HASH_DEGREE)
+    for name in names:
+        result = analyze(catalog.build(name, degree), degree)
         if result.exit_code != 0:
             raise SystemExit(f"{name}: analysis exit {result.exit_code} "
-                             f"at degree {HASH_DEGREE}")
+                             f"at degree {degree}")
         hashes[name] = report_sha256(result.document)
-    HASH_PATH.write_text(json.dumps(
-        {"max_degree": HASH_DEGREE, "sha256": hashes}, indent=2) + "\n")
-    print(f"wrote {HASH_PATH.name} ({len(hashes)} reports at degree {HASH_DEGREE})")
+    path = TESTS / f"report_hashes_d{degree}.json"
+    path.write_text(json.dumps({"max_degree": degree, "sha256": hashes}, indent=2) + "\n")
+    print(f"wrote {path.name} ({len(hashes)} reports at degree {degree})")
 
 
 def report_sha256(document) -> str:
