@@ -368,10 +368,10 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     doc["divisors"] = {}
     two_sided_ok = True
     for key, target in (("jacobian", jac.j), ("arrangement", jac.a)):
-        sides = {}
-        for side in ("left", "right"):
-            sides[side] = divisor_report(alg, target, side, mode,
-                                         preset.conductor, extra)
+        # the arrangement's reports are the Jacobian's when a = j
+        if key == "jacobian" or target != jac.j:
+            sides = {side: divisor_report(alg, target, side, mode, preset.conductor, extra)
+                     for side in ("left", "right")}
         left_lines = [elem_doc(alg, e)["poly"] for e in sides["left"].lines]
         right_lines = [elem_doc(alg, e)["poly"] for e in sides["right"].lines]
         both = sorted(set(left_lines) & set(right_lines))
@@ -398,7 +398,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     pr = principal_radical(alg, slices, D)
     declared = opts.get("idempotents")
     rife = rife_action_check(action, chars, projectors if declared is None else declared,
-                             jac.j, slices, D)
+                             jac.j, slices, D, pr)
     doc["radical"] = {
         "method": method,
         "dims": [s.dim for s in slices],

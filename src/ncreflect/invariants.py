@@ -2,7 +2,8 @@
 
 Everything here is computed degree by degree, exactly:
 
-* the character components A_g (simultaneous eigenspaces of the action),
+* the character components A_g (simultaneous eigenspaces of the action,
+  refined one algebra generator of H at a time),
 * the fixed subring R with detected generator degrees and a polynomiality
   certificate on its Hilbert series,
 * the homological determinant by two independent routes (the top of the
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
 from .exprs import show_scalar
-from .linalg import Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_scale
+from .linalg import Expressor, Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -49,28 +50,70 @@ def graded_components(
 ) -> list[list[Subspace]]:
     """slices[i][d] = {a in A_d : h.a = chars[i](h) a for all h}.  The h
     with h.a = chars[i](h) a form a subalgebra of H, so h runs over the
-    algebra generators of H (docs/component-grading.md)."""
+    algebra generators S of H (docs/component-grading.md).
+
+    Each degree is refined one probe s in S at a time.  A class is the
+    characters that agree on the probes so far, with the joint eigenspace
+    of those values.  The first probe takes one kernel of C_s − λ on A_d
+    for each value λ = χ(s); a later one restricts each class to the kernel
+    of C_s − μ for each value μ its characters take on s, read off the
+    relations among the images (C_s − μ)b of a basis b of the class.  The
+    characters differ on S, so each final class is one character
+    (docs/component-grading.md, "Joint eigenspaces, probe by probe")."""
     alg = action.alg
-    out: list[list[Subspace]] = []
+    out: list[list[Subspace]] = [[] for _ in chars.chars]
     if action.kind == "dual_group":
         # character i is evaluation at group element i, so the component
         # is the span of the basis words of that G-degree
-        for i in range(len(chars)):
-            slices = []
+        for i, slices in enumerate(out):
             for d in range(max_degree + 1):
                 ks = [k for k, g in enumerate(action.word_gdeg(d)) if g == i]
                 slices.append(Subspace.units(alg.dim(d), ks))
-            out.append(slices)
         return out
 
     probes = action.hopf.generators()
-    for ch in chars.chars:
-        slices = []
-        for d in range(max_degree + 1):
-            maps = [(action.columns(h, d), ch.values[h]) for h in probes]
-            slices.append(Subspace.span(alg.dim(d), eigenvectors(alg.dim(d), maps)))
-        out.append(slices)
+    for d in range(max_degree + 1):
+        dim = alg.dim(d)
+        # (characters, a basis of their joint eigenspace); None is all of A_d
+        classes: list[tuple[list[int], list[Vec] | None]] = [(list(range(len(out))), None)]
+        for s in probes:
+            cols = action.columns(s, d)
+            refined = []
+            for members, basis in classes:
+                for value, group in _split_by_value(chars, members, s):
+                    if basis is None:
+                        kernel = eigenvectors(dim, [(cols, value)])
+                    elif basis:
+                        images = []
+                        for b in basis:
+                            image = apply_cols(cols, b)
+                            vec_addto(image, b, -value)
+                            images.append(image)
+                        kernel = [apply_cols(basis, c)
+                                  for c in Expressor(dim, images).relations()]
+                    else:
+                        kernel = []
+                    refined.append((group, kernel))
+            classes = refined
+        for (i,), basis in classes:
+            out[i].append(alg.slice_space(d) if basis is None
+                          else Subspace.span(dim, basis))
     return out
+
+
+def _split_by_value(chars: CharacterGroup, members: list[int], s: int) -> list[tuple]:
+    """The members grouped by their value at s, in order of first
+    appearance: [(value, [member, ...]), ...]."""
+    groups: list[tuple] = []
+    for i in members:
+        value = chars.chars[i].values[s]
+        for v, group in groups:
+            if v == value:
+                group.append(i)
+                break
+        else:
+            groups.append((value, [i]))
+    return groups
 
 
 def check_component_multiplicativity(

@@ -37,6 +37,12 @@ degree, decided in the generator degrees of S).
 A relation row rho * b starts at the normal word b: a basis word is its
 own unit coordinate vector, so each word of rho applies only its letters
 after the first to it, not every letter of the word times b from degree 0.
+
+`QuotientModule` keeps a left submodule A·G of A^n by its quotient
+M = A^n / A·G, built the way the slices are: M_d is ⊕_i x_i ⊗ M_{d - w_i}
+modulo the relation rows rho * m and the images of G_d, so its work
+follows dim M_d, not n * dim A_d.  The smash layer keeps the pertinency
+ideal so.
 """
 
 from __future__ import annotations
@@ -374,6 +380,129 @@ class Elem:
 
 
 # ---------------------------------------------------------------------------
+# quotient modules
+
+
+class QuotientModule:
+    """The graded left A-module M = A^n / A·G, kept by its quotient.
+
+    A vector of A^n_d has coordinates k * n + h: basis word k of A_d in
+    copy h.  ``gens[d]`` spans G_d, and the module is built through
+    ``len(gens) - 1``.  M_0 = k^n / <G_0>; for d > 0, M_d is the carrier
+    ⊕_i x_i ⊗ M_{d - w_i} modulo the relation rows ρ·m, over relations ρ
+    and m over a basis of M_{d - deg ρ}, and the images of G_d.  That is
+    the argument of ``GradedAlgebra._build_next`` with G = 0
+    (docs/radical-spanning.md, "The pertinency ideal by its quotient
+    module").  The basis of M_d is the carrier columns off the pivots, and
+    the letter maps X_i: M_{d - w_i} -> M_d are read off the echelon.
+    π(u ⊗ e_h) = X_i π(u' ⊗ e_h) for u = x_i u' is formed only for the
+    entries asked for (``image``), and kept.
+    """
+
+    def __init__(self, alg: GradedAlgebra, n: int, gens: Sequence[Sequence[Vec]]):
+        self.alg = alg
+        self.n = n
+        self.dims: list[int] = []
+        self._letters: dict[tuple[int, int], list[Vec]] = {}
+        self._images: dict[tuple[int, int, int], Vec] = {}
+        self._labels: list[list[tuple[int, Word]]] = []
+        alg.build(len(gens) - 1)
+        for d, gd in enumerate(gens):
+            self._build(d, gd)
+
+    def _build(self, d: int, gens: Sequence[Vec]) -> None:
+        alg, n, dims = self.alg, self.n, self.dims
+        # a carrier column is labelled (copy, word) by the basis element of
+        # M it came from and its letter; the columns run in descending
+        # order of their labels, so that the echelon pivots on the largest
+        if d == 0:
+            labels = [(h, ()) for h in range(n)]
+        else:
+            labels, starts = [], {}
+            for i, w in enumerate(alg.weights):
+                if w <= d:
+                    starts[i] = len(labels)
+                    labels.extend((h, (i,) + word) for h, word in self._labels[d - w])
+        order = sorted(range(len(labels)), key=labels.__getitem__, reverse=True)
+        col = [0] * len(labels)
+        for c, j in enumerate(order):
+            col[j] = c
+        if d == 0:
+            rows = [{col[h]: x for h, x in g.items()} for g in gens]
+            cols = {}
+        else:
+            # the carrier columns of x_i ⊗ M_{d - w_i}
+            cols = {i: col[s:s + dims[d - alg.weights[i]]] for i, s in starts.items()}
+            rows = []
+            for rel, rdeg in zip(alg.relations, alg.relation_degrees):
+                if rdeg > d:
+                    continue
+                for m in range(dims[d - rdeg]):
+                    vec: Vec = {}
+                    for word, coeff in rel.items():
+                        tail = self._word(word[1:], {m: ONE}, d - rdeg)
+                        at = cols[word[0]]
+                        vec_addto(vec, {at[k]: x for k, x in tail.items()}, coeff)
+                    rows.append(vec)
+            words, index = alg._basis[d], alg._index
+            for g in gens:
+                vec = {}
+                for key, c in g.items():
+                    k, h = divmod(key, n)
+                    i = words[k][0]
+                    e = d - alg.weights[i]
+                    at = cols[i]
+                    image = self.image(e, index[e][words[k][1:]], h)
+                    vec_addto(vec, {at[j]: x for j, x in image.items()}, c)
+                rows.append(vec)
+        ech = SparseEch(len(labels))
+        ech.extend(rows)
+        survivors = [c for c in range(len(labels)) if c not in ech.rows]
+        position = {c: j for j, c in enumerate(survivors)}
+
+        def project(c: int) -> Vec:
+            return {position[k]: x for k, x in ech.reduce({c: ONE}).items()}
+
+        if d == 0:
+            for h in range(n):
+                self._images[(0, 0, h)] = project(col[h])
+        for i, cs in cols.items():
+            self._letters[(i, d - alg.weights[i])] = [project(c) for c in cs]
+        self._labels.append([labels[order[c]] for c in survivors])
+        dims.append(len(survivors))
+
+    def letter(self, i: int, degree: int) -> list[Vec]:
+        """Columns of X_i: M_degree -> M_{degree + w_i}."""
+        return self._letters[(i, degree)]
+
+    def _word(self, word: Word, vec: Vec, degree: int) -> Vec:
+        """X_word vec for vec in M_degree: the letters applied right to left."""
+        for letter in reversed(word):
+            vec = apply_cols(self._letters[(letter, degree)], vec)
+            degree += self.alg.weights[letter]
+            if not vec:
+                break
+        return vec
+
+    def image(self, degree: int, k: int, h: int) -> Vec:
+        """π(u ⊗ e_h) in M_degree for basis word k of A_degree, through the
+        letters of u: each π on the way down is kept."""
+        alg, images = self.alg, self._images
+        todo = []
+        while (degree, k, h) not in images:
+            todo.append((degree, k))
+            word = alg._basis[degree][k]
+            degree -= alg.weights[word[0]]
+            k = alg._index[degree][word[1:]]
+        vec = images[(degree, k, h)]
+        for top, k in reversed(todo):
+            i = alg._basis[top][k][0]
+            vec = apply_cols(self._letters[(i, top - alg.weights[i])], vec)
+            images[(top, k, h)] = vec
+        return vec
+
+
+# ---------------------------------------------------------------------------
 # ideal slices
 
 
@@ -396,12 +525,8 @@ def _images(letter, weights, spaces: list[Subspace], degree: int) -> list[Vec]:
     return out
 
 
-def push_left(alg, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
-    """acc += sum_i x_i * spaces[degree - w_i].
-
-    ``alg`` needs only ``weights`` and ``left_letter(i, degree)``, so a
-    ``smash.SmashProduct`` runs the same recursion on A # H.
-    """
+def _push_left(alg: GradedAlgebra, spaces: list[Subspace], degree: int, acc: Subspace) -> None:
+    """acc += sum_i x_i * spaces[degree - w_i]."""
     acc.extend(_images(alg.left_letter, alg.weights, spaces, degree))
 
 
@@ -430,7 +555,7 @@ def _ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int,
 
 def left_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
     """Degreewise slices of the left ideal A * <gens>."""
-    return _ideal_slices(alg, gens, max_degree, (push_left,))
+    return _ideal_slices(alg, gens, max_degree, (_push_left,))
 
 
 def right_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
@@ -440,7 +565,7 @@ def right_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int
 
 def two_sided_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree: int) -> list[Subspace]:
     """Degreewise slices of the two-sided ideal generated by gens."""
-    return _ideal_slices(alg, gens, max_degree, (push_left, _push_right))
+    return _ideal_slices(alg, gens, max_degree, (_push_left, _push_right))
 
 
 def mul_space_elem(alg: GradedAlgebra, space: Subspace, sdeg: int, e: Elem) -> Subspace:

@@ -7,9 +7,11 @@ its trace on A (the radical ideal), the dual-group shortcut, the rife
 checks at the Hopf and at the action level, the dis-radical inside the
 fixed ring, and the principal-generator search for the radical.
 
-The pertinency slices come from ``ncalg``'s left-ideal recursion, run on
-the letters of A lifted to A # H (``SmashProduct.left_letter``), started
-at S_d = (1#Λ)(A_d # H).  Given the character components of A, S_d is
+The pertinency ideal P is the left A-submodule of A # H = A^{dim H} that
+the S_d = (1#Λ)(A_d # H) generate.  It is kept by its quotient module
+(A#H)/P (``ncalg.QuotientModule``), whose dimension stays at the
+codimension of P_d while A_d # H grows; P_d itself is never eliminated.
+Given the character components of A, S_d is
 spanned through them: on A_ψ the product (1#Λ)(a#1) is a # (ψ⇀Λ), so
 each component costs one product and only a complement of their sum is
 multiplied out.  Given central idempotents of H, the H-coordinates run
@@ -18,9 +20,10 @@ each echelon row stays inside one; the block of a character projector is
 a line, read off the character.  With both, a complement vector is
 multiplied out in the block of 1 − Σ p_χ alone: its part in the line of
 p_χ lies in A_{χ⁻¹} # p_χ, which the rows of the component of χ⁻¹ span.
-The trace on A is read off the residues of the a # 1 modulo a slice: the
-linear relations among them are the a with a # 1 in the slice, whatever
-the unit of H.
+The trace on A is the kernel of a ↦ π(a # 1), read off as the linear
+relations among the images of the basis words, with π(x_i u # 1) =
+X_i π(u # 1) through the letter maps of the module, whatever the unit
+of H.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra
-from .linalg import Expressor, Subspace, Vec, intersect_all, vec_addto, vec_scale
+from .linalg import Expressor, Subspace, Vec, apply_cols, intersect_all, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
+    QuotientModule,
     is_normal,
     left_ideal_slices,
     monic,
     mul_elem_space,
-    push_left,
     two_sided_ideal_slices,
 )
 from .scalars import ONE, addmul
@@ -104,9 +107,6 @@ class SmashProduct:
             vec_addto(out, self._coords[h], c)
         return out
 
-    def dim(self, degree: int) -> int:
-        return self.alg.dim(degree) * self.nH
-
     def include_a(self, vec: Vec, degree: int) -> Vec:
         """a # 1."""
         out: Vec = {}
@@ -166,12 +166,6 @@ class SmashProduct:
             legs = self._legs_of[key] = {h1: leg for h1, leg in legs.items() if leg}
         return legs
 
-    def left_letter(self, i: int, degree: int) -> list[Vec]:
-        """Columns of (x_i # 1) * (-) : A_degree # H -> A_{degree + w_i} # H."""
-        nH = self.nH
-        return [{ai * nH + h: ac for ai, ac in col.items()}
-                for col in self.alg.left_letter(i, degree) for h in range(nH)]
-
 
 def _nf_key(vec: Vec) -> tuple:
     """A hashable key of a vector by the normal forms of its entries, with
@@ -190,10 +184,11 @@ def _h_parts(vec: Vec, nH: int) -> dict[int, Vec]:
 
 
 def integral_span_slices(sm: SmashProduct, max_degree: int,
-                         components: Sequence[Sequence[Subspace]] = ()) -> list[Subspace]:
-    """S_d = (1#Λ)(A_d # H), spanned by the (1#Λ)(a#1) over a basis of A_d:
-    A_d # H = (1#H)(A_d # 1) and Λh = counit(h)Λ
-    (docs/radical-spanning.md, step 1).
+                         components: Sequence[Sequence[Subspace]] = ()) -> list[list[Vec]]:
+    """Vectors spanning S_d = (1#Λ)(A_d # H), degree by degree: the
+    (1#Λ)(a#1) over a basis of A_d span it, since A_d # H = (1#H)(A_d # 1)
+    and Λh = counit(h)Λ (docs/radical-spanning.md, step 1).  No echelon of
+    S_d is built.
 
     The basis of A_d runs through the given H-eigenspaces first.  On an
     eigenspace A_ψ, (1#Λ)(a#1) = a # λ with λ = ψ⇀Λ, so each eigenspace
@@ -226,30 +221,44 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
         pivots = {min(a) for a in eigen.basis()}
         vecs.extend(sm.mul(lam, 0, {i * nH + h: y for h, y in unit.items()}, d)
                     for i in range(sm.alg.dim(d)) if i not in pivots)
-        out.append(Subspace.span(sm.dim(d), vecs))
+        out.append(vecs)
     return out
 
 
 def pertinency_slices(sm: SmashProduct, max_degree: int,
-                      components: Sequence[Sequence[Subspace]] = ()) -> list[Subspace]:
-    """Slices of (A#H)(1#Λ)(A#H).
+                      components: Sequence[Sequence[Subspace]] = ()) -> QuotientModule:
+    """The pertinency ideal P = (A#H)(1#Λ)(A#H), kept by its quotient
+    module (A#H)/P.
 
-    Left factors collapse to A # Λ because h·Λ = counit(h)Λ, so the slice
-    in A-degree d is sum_e A_e · S_{d-e} with S as above; the sum is built
-    by the usual generated-in-positive-degree recursion.
+    Left factors collapse to A # Λ because h·Λ = counit(h)Λ, so P is the
+    left A-submodule of A # H = A^{dim H} that the S_d generate, and
+    (A#H)/P is ``ncalg.QuotientModule`` with n = dim H and G_d the
+    spanning vectors of S_d (docs/radical-spanning.md, "The pertinency
+    ideal by its quotient module").
     """
-    out = integral_span_slices(sm, max_degree, components)
+    return QuotientModule(sm.alg, sm.nH, integral_span_slices(sm, max_degree, components))
+
+
+def _trace_on_a(sm: SmashProduct, module: QuotientModule, max_degree: int) -> list[Subspace]:
+    """{a in A_d : a # 1 in P_d} in every degree: the kernel of
+    a ↦ π(a # 1), read off as the relations among the images of the basis
+    words, with π(x_i u # 1) = X_i π(u # 1)."""
+    alg = sm.alg
+    images = [[{}]]  # images[d][k] = π(u_k # 1)
+    for h, x in sm._unit.items():
+        vec_addto(images[0][0], module.image(0, 0, h), x)
+    out = []
     for d in range(max_degree + 1):
-        push_left(sm, out, d, out[d])
+        if d:
+            row = []
+            for word in alg.basis_words(d):
+                e = d - alg.weights[word[0]]
+                row.append(apply_cols(module.letter(word[0], e),
+                                      images[e][alg.word_index(e, word[1:])]))
+            images.append(row)
+        relations = Expressor(module.dims[d], images[d]).relations()
+        out.append(Subspace.span(alg.dim(d), relations))
     return out
-
-
-def _trace_on_a(sm: SmashProduct, space: Subspace, degree: int) -> Subspace:
-    """{a in A_d : a # 1 in space}: the relations among the residues of
-    the a # 1 modulo the slice."""
-    dim = sm.alg.dim(degree)
-    residues = [space.reduce(sm.include_a({i: ONE}, degree)) for i in range(dim)]
-    return Subspace.span(dim, Expressor(sm.dim(degree), residues).relations())
 
 
 @dataclass
@@ -270,13 +279,12 @@ def radical_slices(action: HopfAction, max_degree: int,
     one block H (docs/radical-spanning.md, "The pertinency ideal splits
     along central idempotents").  Given the character components, S_d is
     spanned through them (``integral_span_slices``); with projectors, they
-    must be the whole eigenspaces of ``characters``, in order.
+    must be the whole eigenspaces of ``characters``, in order.  The
+    codimension of P_d is the dimension of the quotient module in degree d.
     """
     sm = SmashProduct(action, projectors, characters)
-    pert = pertinency_slices(sm, max_degree, components)
-    slices = [_trace_on_a(sm, pert[d], d) for d in range(max_degree + 1)]
-    qdims = [sm.dim(d) - pert[d].dim for d in range(max_degree + 1)]
-    return RadicalData(slices, qdims)
+    module = pertinency_slices(sm, max_degree, components)
+    return RadicalData(_trace_on_a(sm, module, max_degree), list(module.dims))
 
 
 def dual_group_shortcut(
@@ -366,14 +374,21 @@ def rife_action_check(
     j: Elem,
     radical: list[Subspace],
     max_degree: int,
+    principal: "PrincipalRadicalData | None" = None,
 ) -> RifeData:
+    """The rife checks of j against the radical.  When the radical's lowest
+    generator w of ``principal`` is monic(j), j is a scalar multiple of w:
+    its normality and its left ideal A·j = A·w are taken from there."""
     alg = action.alg
     hopf_rife = rife_hopf_check(action.hopf, chars, idempotents)
-    # is_normal reads A only in its generator degrees
-    whole = {g: alg.slice_space(g) for g in set(alg.weights) if g <= max_degree}
-    j_normal = is_normal(alg, j, whole, whole.keys(), max_degree)
+    if principal is not None and principal.normal is not None \
+            and principal.generator == monic(alg, j.degree, j.vec):
+        j_normal, left = principal.normal, principal.ideal
+    else:
+        j_normal, left = _is_normal_in_a(alg, j, max_degree), None
     # a normal j has AjA = Aj up to the bound (docs/component-grading.md)
-    left = left_ideal_slices(alg, [j], max_degree) if j_normal or hopf_rife else None
+    if left is None and (j_normal or hopf_rife):
+        left = left_ideal_slices(alg, [j], max_degree)
     ideal = left if j_normal else two_sided_ideal_slices(alg, [j], max_degree)
     is_ideal = all(ideal[d] == radical[d] for d in range(max_degree + 1))
     contained = None
@@ -423,6 +438,14 @@ class PrincipalRadicalData:
     generator: Elem | None
     normal: bool | None
     reason: str
+    ideal: list[Subspace] | None = None  # A·w, once built
+
+
+def _is_normal_in_a(alg: GradedAlgebra, x: Elem, max_degree: int) -> bool:
+    """x A = A x up to the bound: is_normal reads A only in its generator
+    degrees."""
+    whole = {g: alg.slice_space(g) for g in set(alg.weights) if g <= max_degree}
+    return is_normal(alg, x, whole, whole.keys(), max_degree)
 
 
 def principal_radical(
@@ -440,13 +463,12 @@ def principal_radical(
             f"{radical[first].dim}",
         )
     w = monic(alg, first, radical[first].basis()[0])
-    whole = {g: alg.slice_space(g) for g in set(alg.weights) if g <= max_degree}
-    if not is_normal(alg, w, whole, whole.keys(), max_degree):
+    if not _is_normal_in_a(alg, w, max_degree):
         return PrincipalRadicalData(w, False, "lowest generator is not normal")
     ideal = left_ideal_slices(alg, [w], max_degree)  # AwA = Aw for a normal w
     for d in range(max_degree + 1):
         if ideal[d] != radical[d]:
             return PrincipalRadicalData(
-                w, True, f"(w) differs from the radical in degree {d}"
+                w, True, f"(w) differs from the radical in degree {d}", ideal
             )
-    return PrincipalRadicalData(w, True, "")
+    return PrincipalRadicalData(w, True, "", ideal)

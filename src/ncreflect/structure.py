@@ -31,7 +31,7 @@ from .invariants import (
     series_is_polynomial,
     series_quotient,
 )
-from .linalg import Matrix, Subspace, Vec, apply_cols, express, vec_addto, vec_to_dense
+from .linalg import Expressor, Matrix, Subspace, Vec, apply_cols, express, vec_addto, vec_to_dense
 from .ncalg import Elem, GradedAlgebra, cofactor, is_normal
 from .scalars import Cyc, ONE, ZERO
 
@@ -45,7 +45,15 @@ def fixed_coefficient(
 ) -> Elem | None:
     """Solve target = r * f (side "left") or target = f * r (side "right")
     with r in the fixed ring; None if impossible."""
-    rdeg = target.degree - f.degree
+    solver = _fixed_multiples(alg, fixed_slices, f, target.degree - f.degree, side)
+    return _solve(alg, solver, target)
+
+
+def _fixed_multiples(
+    alg: GradedAlgebra, fixed_slices: Sequence[Subspace], f: Elem, rdeg: int, side: str
+) -> tuple[int, list[Vec], Expressor] | None:
+    """(rdeg, a basis of R_rdeg, an Expressor over its products with f on
+    the given side); None when R_rdeg is out of range."""
     if rdeg < 0 or rdeg >= len(fixed_slices):
         return None
     basis = fixed_slices[rdeg].basis()
@@ -53,7 +61,15 @@ def fixed_coefficient(
         prods = [alg.mul(b, rdeg, f.vec, f.degree) for b in basis]
     else:
         prods = [alg.mul(f.vec, f.degree, b, rdeg) for b in basis]
-    coeffs = express(alg.dim(target.degree), prods, target.vec)
+    return rdeg, basis, Expressor(alg.dim(rdeg + f.degree), prods)
+
+
+def _solve(alg: GradedAlgebra, solver, target: Elem) -> Elem | None:
+    """The r of ``_fixed_multiples`` with r * f or f * r = target, or None."""
+    if solver is None:
+        return None
+    rdeg, basis, products = solver
+    coeffs = products.coeffs(target.vec)
     if coeffs is None:
         return None
     vec: Vec = {}
@@ -78,17 +94,22 @@ def cocycle_table(
     max_degree: int,
 ) -> CocycleData:
     """c[g][h] with f_g f_h = c_{g,h} f_{gh}; entries are None when a
-    component generator is missing or the product overflows the bound."""
+    component generator is missing or the product overflows the bound.
+    The products R_e·f_k are eliminated once for each k and degree e, and
+    shared by every pair (g, h) with gh = k; a cocycle met twice is tested
+    for normality once."""
     g0 = chars.group
     n = g0.order
     table: list[list[Elem | None]] = [[None] * n for _ in range(n)]
     failures: list[str] = []
     complete = True
     normal = True
+    solvers: dict[tuple[int, int], tuple | None] = {}
+    verdicts: list[tuple[Elem, bool]] = []  # is_normal of each cocycle met so far
     for g in range(n):
         for h in range(n):
-            fg, fh = comp.f[g], comp.f[h]
-            fk = comp.f[g0.table[g][h]]
+            k = g0.table[g][h]
+            fg, fh, fk = comp.f[g], comp.f[h], comp.f[k]
             if fg is None or fh is None or fk is None:
                 complete = False
                 continue
@@ -98,7 +119,10 @@ def cocycle_table(
                     f"product f_{g0.labels[g]} f_{g0.labels[h]} overflows the bound"
                 )
                 continue
-            c = fixed_coefficient(alg, fixed.slices, fk, fg * fh, side="left")
+            key = (k, fg.degree + fh.degree - fk.degree)
+            if key not in solvers:
+                solvers[key] = _fixed_multiples(alg, fixed.slices, fk, key[1], "left")
+            c = _solve(alg, solvers[key], fg * fh)
             if c is None:
                 complete = False
                 failures.append(
@@ -107,8 +131,13 @@ def cocycle_table(
                 )
                 continue
             table[g][h] = c
-            if c.degree > 0 and not is_normal(alg, c, fixed.slices, fixed.gen_degrees,
-                                               max_degree):
+            if c.degree == 0:
+                continue
+            verdict = next((v for x, v in verdicts if x == c), None)
+            if verdict is None:
+                verdict = is_normal(alg, c, fixed.slices, fixed.gen_degrees, max_degree)
+                verdicts.append((c, verdict))
+            if not verdict:
                 normal = False
                 failures.append(
                     f"cocycle at ({g0.labels[g]}, {g0.labels[h]}) is not normal "

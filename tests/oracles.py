@@ -22,10 +22,18 @@ which keeps only the coordinates of the unit in the complement block
 1 − Σ p_χ.  ``smash_mul_per_leg`` multiplies in A # H by ``alg.mul`` for
 every left factor and adds one re-keyed dict per leg, the reference for
 ``smash.SmashProduct.mul``, which takes a left factor of degree 0 as
-the unit of A and adds each term into the product.  ``pertinency_one_at_a_time`` grows the
-pertinency slices from it, adding one image at a time in generator
-order, the reference for ``smash.pertinency_slices``, whose
-``ncalg.push_left`` inserts each degree as one batch.
+the unit of A and adds each term into the product.
+``pertinency_by_pushes`` grows the pertinency slices P_d inside A_d # H
+by the push recursion P_d = S_d + Σ_i (x_i # 1) P_{d − w_i}, each degree
+one batch (``submodule_by_pushes`` on the letters ``lifted_letter`` to
+A ⊗ k^n), the reference for ``smash.pertinency_slices``, which keeps the
+quotient module ``ncalg.QuotientModule``; ``module_kernel`` recovers
+P_d from the module as the kernel of π over every basis element, and
+``residue_trace`` reads the trace off the residues of the a # 1 modulo
+P_d, the reference for ``smash._trace_on_a``.
+``pertinency_one_at_a_time`` adds one image at a time in generator
+order, the reference for the batches.  ``smash_dim`` is dim A_d # H, and
+``spans`` spans the vectors ``smash.integral_span_slices`` hands over.
 
 ``fixed_ring_all_pairs`` spans (R_+)^2_d from every product R_e R_{d-e},
 the reference for ``invariants.fixed_ring``, which spans it from the
@@ -54,8 +62,10 @@ the multiplicativity of Δ and ε on every basis pair, the reference for
 ``central_idempotents_all_basis`` read off and check Λ and the p_χ
 against every basis element, the references for ``HopfAlgebra.integral``
 and ``hopf.central_idempotents``; ``components_all_probes`` takes the
-common eigenspaces of every basis element, the reference for
-``invariants.graded_components``.  ``commutator_ideal_all_pairs``
+common eigenspaces of every basis element, and ``components_per_character``
+eliminates the rows of every probe once per character, the references for
+``invariants.graded_components``, which refines the joint eigenspaces one
+probe at a time.  ``commutator_ideal_all_pairs``
 closes the span of every basis commutator under products by every basis
 element, the reference for ``smash.commutator_ideal``.
 ``smash_blocks_by_products`` builds the adapted basis of H from every
@@ -142,6 +152,7 @@ from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.hopf import Group
 from ncreflect.invariants import series_is_polynomial, series_quotient
 from ncreflect.linalg import (
+    Expressor,
     SparseEch,
     Subspace,
     Vec,
@@ -169,6 +180,7 @@ from ncreflect.scalars import (
     divisors,
     euler_phi,
 )
+from ncreflect.smash import integral_span_slices
 from ncreflect.structure import TPoly, tp_det
 
 
@@ -468,13 +480,23 @@ def subalgebra_slices(alg, gens, max_degree: int) -> list[Subspace]:
     return out
 
 
+def smash_dim(sm, degree: int) -> int:
+    """dim A_degree # H."""
+    return sm.alg.dim(degree) * sm.nH
+
+
+def spans(sm, vecs_by_degree) -> list[Subspace]:
+    """The span in A_d # H of each degree's vectors."""
+    return [Subspace.span(smash_dim(sm, d), vecs) for d, vecs in enumerate(vecs_by_degree)]
+
+
 def pairwise_integral_span(sm, max_degree: int) -> list[Subspace]:
     """S_d = span{(1#Λ)(b#k)} over basis pairs of A_d x H."""
     lam = sm.unit_integral()
     out = []
     for d in range(max_degree + 1):
-        space = Subspace(sm.dim(d))
-        for key in range(sm.dim(d)):
+        space = Subspace(smash_dim(sm, d))
+        for key in range(smash_dim(sm, d)):
             space.add(sm.mul(lam, 0, {key: ONE}, d))
         out.append(space)
     return out
@@ -505,7 +527,7 @@ def integral_span_full_products(sm, max_degree: int, components=()) -> list[Subs
         pivots = {min(a) for a in eigen.basis()}
         vecs.extend(times_integral({i: ONE}, d)
                     for i in range(sm.alg.dim(d)) if i not in pivots)
-        out.append(Subspace.span(sm.dim(d), vecs))
+        out.append(Subspace.span(smash_dim(sm, d), vecs))
     return out
 
 
@@ -532,6 +554,58 @@ def smash_mul_per_leg(sm, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
     return out
 
 
+def lifted_letter(alg, n: int, i: int, degree: int) -> list[Vec]:
+    """Columns of x_i acting on A_degree ⊗ k^n, coordinates k * n + h."""
+    return [{ai * n + h: ac for ai, ac in col.items()}
+            for col in alg.left_letter(i, degree) for h in range(n)]
+
+
+def submodule_by_pushes(alg, n: int, gens, max_degree: int) -> list[Subspace]:
+    """Slices of the left submodule A·G of A^n that gens[d] (vectors over
+    the coordinates k * n + h) generate, by the recursion
+    N_d = G_d + Σ_i x_i N_{d - w_i}, each degree inserted as one batch."""
+    out: list[Subspace] = []
+    for d in range(max_degree + 1):
+        acc = Subspace.span(alg.dim(d) * n, gens[d])
+        images = []
+        for i, w in enumerate(alg.weights):
+            if w <= d:
+                cols = lifted_letter(alg, n, i, d - w)
+                images.extend(apply_cols(cols, v) for v in out[d - w].basis())
+        acc.extend(images)
+        out.append(acc)
+    return out
+
+
+def pertinency_by_pushes(sm, max_degree: int, components=()) -> list[Subspace]:
+    """Slices of the pertinency ideal by the push recursion
+    P_d = S_d + Σ_i (x_i # 1) P_{d - w_i} inside A_d # H, the reference for
+    ``smash.pertinency_slices``, which keeps the quotient module."""
+    return submodule_by_pushes(sm.alg, sm.nH, integral_span_slices(sm, max_degree, components),
+                               max_degree)
+
+
+def module_kernel(module, max_degree: int) -> list[Subspace]:
+    """The slices of A·G recovered from a ``QuotientModule``: the kernel of
+    π over every basis element u ⊗ e_h of A^n_d."""
+    alg, n = module.alg, module.n
+    out = []
+    for d in range(max_degree + 1):
+        images = [module.image(d, k, h) for k in range(alg.dim(d)) for h in range(n)]
+        relations = Expressor(module.dims[d], images).relations()
+        out.append(Subspace.span(alg.dim(d) * n, relations))
+    return out
+
+
+def residue_trace(sm, space: Subspace, degree: int) -> Subspace:
+    """{a in A_d : a # 1 in space}: the relations among the residues of the
+    a # 1 modulo the slice, the reference for ``smash._trace_on_a``, which
+    reads the kernel of a ↦ π(a # 1) off the quotient module."""
+    dim = sm.alg.dim(degree)
+    residues = [space.reduce(sm.include_a({i: ONE}, degree)) for i in range(dim)]
+    return Subspace.span(dim, Expressor(smash_dim(sm, degree), residues).relations())
+
+
 def pertinency_one_at_a_time(sm, max_degree: int) -> list[Subspace]:
     """Slices of the pertinency ideal by the recursion P_d = S_d + sum_i
     (x_i # 1) P_{d - w_i}, each image added on its own."""
@@ -539,7 +613,7 @@ def pertinency_one_at_a_time(sm, max_degree: int) -> list[Subspace]:
     for d in range(max_degree + 1):
         for i, w in enumerate(sm.weights):
             if w <= d:
-                cols = sm.left_letter(i, d - w)
+                cols = lifted_letter(sm.alg, sm.nH, i, d - w)
                 for v in out[d - w].basis():
                     out[d].add(apply_cols(cols, v))
     return out
@@ -850,6 +924,18 @@ def components_all_probes(action, chars, max_degree: int) -> list[list[Subspace]
     alg, nH = action.alg, action.hopf.dim
     return [[Subspace.span(alg.dim(d), eigenvectors(
                 alg.dim(d), [(action.columns(h, d), ch.values[h]) for h in range(nH)]))
+             for d in range(max_degree + 1)]
+            for ch in chars.chars]
+
+
+def components_per_character(action, chars, max_degree: int) -> list[list[Subspace]]:
+    """slices[i][d]: one elimination per character and degree, of the rows
+    of every C_s − chars[i](s) over the algebra generators s of H, the
+    reference for ``invariants.graded_components``, which refines the joint
+    eigenspaces one probe at a time."""
+    alg, probes = action.alg, action.hopf.generators()
+    return [[Subspace.span(alg.dim(d), eigenvectors(
+                alg.dim(d), [(action.columns(s, d), ch.values[s]) for s in probes]))
              for d in range(max_degree + 1)]
             for ch in chars.chars]
 

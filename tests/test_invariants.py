@@ -17,6 +17,7 @@ from ncreflect.invariants import (
     component_report,
     covariant_data,
     fixed_ring,
+    graded_components,
     homological_determinant,
     jacobian_data,
     proportional,
@@ -27,7 +28,12 @@ from ncreflect.ncalg import left_ideal_slices, right_ideal_slices, two_sided_ide
 from ncreflect.presets import catalog
 from ncreflect.scalars import ONE
 
-from oracles import augmentation_module, fixed_ring_all_pairs, multiplicativity_by_products
+from oracles import (
+    augmentation_module,
+    components_per_character,
+    fixed_ring_all_pairs,
+    multiplicativity_by_products,
+)
 
 _CACHE: dict = {}
 
@@ -360,6 +366,15 @@ def test_fixed_ring_is_the_image_of_the_integral(name):
         dim = p.algebra.dim(d)
         image = Subspace.span(dim, [p.action.act(lam, {k: ONE}, d) for k in range(dim)])
         assert image == fixed.slices[d], d
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_components_refined_probe_by_probe_match_one_elimination_per_character(name):
+    """Refining the joint eigenspaces one probe at a time gives the slices
+    that eliminating the rows of every probe once per character gives."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    assert graded_components(p.action, p.chars, D) == components_per_character(p.action, p.chars, D)
 
 
 def test_free_slice_index_is_lexicographic():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncreflect.exprs import parse
 from ncreflect.linalg import Subspace
@@ -8,6 +10,7 @@ from ncreflect.ncalg import (
     DegreeOverflow,
     Elem,
     GradedAlgebra,
+    QuotientModule,
     RelationAboveBound,
     left_ideal_slices,
     mul_space_elem,
@@ -24,9 +27,11 @@ from oracles import (
     augmentation_module,
     free_words,
     ideal_slices_eliminating,
+    module_kernel,
     mul_left_words,
     products_inside,
     subalgebra_slices,
+    submodule_by_pushes,
 )
 
 
@@ -315,3 +320,37 @@ def test_ideal_slices_match_the_eliminating_recursion(name):
             full_top |= got[D].dim == got[D].ambient
     # the covariant ideal (R_+) is the whole slice at the bound
     assert full_top
+
+
+MODULE_DEGREE = 7
+MODULE_ALGEBRAS = {
+    "e22": catalog.build("e22-dualD8", max_degree=MODULE_DEGREE).algebra,
+    "quantum plane": quantum_plane(max_degree=MODULE_DEGREE),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.sampled_from(sorted(MODULE_ALGEBRAS)), st.integers(1, 2), st.data())
+def test_quotient_module_matches_the_submodule_its_generators_span(which, n, data):
+    """M = A^n / A·G kept by its quotient, for one to three homogeneous
+    generators of degree at most 3 with small integer coefficients: π is
+    onto, so dim M_d + dim (A·G)_d = n·dim A_d; its kernel over every basis
+    element is the submodule the push recursion spans, and for n = 1 the
+    left ideal of the generators."""
+    alg, D = MODULE_ALGEBRAS[which], MODULE_DEGREE
+    gens: list[list[dict]] = [[] for _ in range(D + 1)]
+    elems = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        degree = data.draw(st.integers(0, 3))
+        size = n * alg.dim(degree)
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        vec = {k: Cyc.rational(c) for k, c in enumerate(coeffs) if c}
+        gens[degree].append(vec)
+        elems.append(Elem(alg, degree, vec))
+    module = QuotientModule(alg, n, gens)
+    kernel = module_kernel(module, D)
+    assert kernel == submodule_by_pushes(alg, n, gens, D)
+    assert [module.dims[d] + kernel[d].dim for d in range(D + 1)] == [
+        n * alg.dim(d) for d in range(D + 1)]
+    if n == 1:
+        assert kernel == left_ideal_slices(alg, elems, D)

@@ -15,7 +15,7 @@ from ncreflect.invariants import (
     proportional,
 )
 from ncreflect.linalg import Subspace, express, intersect_all
-from ncreflect.ncalg import Elem, left_ideal_slices, right_ideal_slices, two_sided_ideal_slices
+from ncreflect.ncalg import Elem, left_ideal_slices, monic, right_ideal_slices, two_sided_ideal_slices
 from ncreflect.presets import catalog
 from ncreflect.presets.kac import (
     kac_palyutkin_characters,
@@ -23,7 +23,7 @@ from ncreflect.presets.kac import (
     skew_plane,
 )
 from ncreflect.presets.groups import dihedral8
-from ncreflect import scalars
+from ncreflect import scalars, smash
 from ncreflect.scalars import Cyc, I, ONE, ZERO
 from ncreflect.smash import (
     RifeData,
@@ -45,12 +45,17 @@ from oracles import (
     integral_span_full_products,
     kac_palyutkin_idempotents,
     matrix_block_units,
+    module_kernel,
     normal_forms,
     pairwise_integral_span,
     pairwise_intersection,
+    pertinency_by_pushes,
     pertinency_one_at_a_time,
+    residue_trace,
+    smash_dim,
     smash_mul_per_entry,
     smash_mul_per_leg,
+    spans,
     zassenhaus_intersect,
 )
 
@@ -89,7 +94,7 @@ def test_smash_multiplication_skew_plane():
     assert got == {1 * sm.nH + xz: ONE}
     # (1 # 1) is a two-sided unit.
     one = sm.include_h(p.hopf.unit)
-    for key in range(sm.dim(2)):
+    for key in range(smash_dim(sm, 2)):
         assert sm.mul(one, 0, {key: ONE}, 2) == {key: ONE}
         assert sm.mul({key: ONE}, 2, one, 0) == {key: ONE}
     # A embeds multiplicatively: (v#1)(u#1) = i uv # 1.
@@ -129,13 +134,13 @@ def test_pertinency_matches_raw_spanning_set():
     p, *_ = bundle("e42-kacpalyutkin", 10)
     sm = SmashProduct(p.action)
     lam = sm.unit_integral()
-    pert = pertinency_slices(sm, 3)
+    pert = module_kernel(pertinency_slices(sm, 3), 3)
     for d in range(4):
-        raw = Subspace(sm.dim(d))
+        raw = Subspace(smash_dim(sm, d))
         for e in range(d + 1):
             for a in range(p.algebra.dim(e)):
                 alam = sm.mul(sm.include_a({a: ONE}, e), e, lam, 0)
-                for key in range(sm.dim(d - e)):
+                for key in range(smash_dim(sm, d - e)):
                     raw.add(sm.mul(alam, e, {key: ONE}, d - e))
         assert raw == pert[d]
         for h in range(sm.nH):
@@ -156,9 +161,9 @@ def test_integral_span_from_a_hash_one_matches_every_pair(name):
     projectors = central_idempotents(p.hopf, p.chars)
     for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
         assert sm.action.kind != "dual_group"
-        plain = integral_span_slices(sm, D)
+        plain = spans(sm, integral_span_slices(sm, D))
         assert plain == pairwise_integral_span(sm, D)
-        assert integral_span_slices(sm, D, comp.slices) == plain
+        assert spans(sm, integral_span_slices(sm, D, comp.slices)) == plain
 
 
 @pytest.mark.parametrize("name", SMASH_PRESETS)
@@ -191,7 +196,7 @@ def test_integral_span_multiplies_out_the_complement_block_only(name):
     projectors = central_idempotents(p.hopf, p.chars)
     for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
         for components in ((), comp.slices):
-            assert (integral_span_slices(sm, D, components)
+            assert (spans(sm, integral_span_slices(sm, D, components))
                     == integral_span_full_products(sm, D, components))
 
 
@@ -238,7 +243,7 @@ def test_line_parts_of_integral_products_are_component_rows(name):
                 assert part == {k * nH + b: x * e[min(e)] for k, x in image.items()}
                 rows = [{k * nH + b: x for k, x in a.items()}
                         for a in comp.slices[inverse[b]][d].basis()]
-                assert Subspace.span(sm.dim(d), rows).contains(part)
+                assert Subspace.span(smash_dim(sm, d), rows).contains(part)
             rest = {key: x for key, x in full.items() if key % nH >= len(projectors)}
             assert rest == sm.mul(lam, 0, {i * nH + h: y for h, y in sm.complement.items()}, d)
 
@@ -255,17 +260,17 @@ def test_smash_mul_matches_the_per_leg_formula(name):
         lam = sm.unit_integral()
         for h in range(sm.nH):
             for d in range(3):
-                for key in range(sm.dim(d)):
+                for key in range(smash_dim(sm, d)):
                     one_h = sm.include_h({h: ONE})
                     assert sm.mul(one_h, 0, {key: ONE}, d) == smash_mul_per_leg(sm, one_h, 0, {key: ONE}, d)
         for dv in (1, 2):
-            for v in range(sm.dim(dv)):
+            for v in range(smash_dim(sm, dv)):
                 for dw in (0, 1, 2):
-                    for w in range(sm.dim(dw)):
+                    for w in range(smash_dim(sm, dw)):
                         got = sm.mul({v: ONE}, dv, {w: ONE}, dw)
                         assert got == smash_mul_per_leg(sm, {v: ONE}, dv, {w: ONE}, dw)
         for d in range(4):
-            mixed = {key: Cyc.rational(key + 1) + I for key in range(sm.dim(d))}
+            mixed = {key: Cyc.rational(key + 1) + I for key in range(smash_dim(sm, d))}
             for v in (lam, {h: I for h in range(sm.nH)}):
                 assert sm.mul(v, 0, mixed, d) == smash_mul_per_leg(sm, v, 0, mixed, d)
         # (1#Λ)(1#Λ) = 1#Λ: the product keeps no entry that cancels
@@ -284,11 +289,11 @@ def test_smash_mul_matches_the_per_entry_sum(name):
     for sm in (SmashProduct(p.action), SmashProduct(p.action, projectors, p.chars.chars)):
         lam = sm.unit_integral()
         cases = [(sm.include_h({h: ONE}), 0, {key: ONE}, d)
-                 for h in range(sm.nH) for d in range(3) for key in range(sm.dim(d))]
-        cases += [({v: ONE}, dv, {w: ONE}, dw) for dv in (1, 2) for v in range(sm.dim(dv))
-                  for dw in (0, 1) for w in range(sm.dim(dw))]
+                 for h in range(sm.nH) for d in range(3) for key in range(smash_dim(sm, d))]
+        cases += [({v: ONE}, dv, {w: ONE}, dw) for dv in (1, 2) for v in range(smash_dim(sm, dv))
+                  for dw in (0, 1) for w in range(smash_dim(sm, dw))]
         for d in range(3):
-            mixed = {key: Cyc.rational(key + 1, 2) + I for key in range(sm.dim(d))}
+            mixed = {key: Cyc.rational(key + 1, 2) + I for key in range(smash_dim(sm, d))}
             cases += [(lam, 0, mixed, d), ({h: I for h in range(sm.nH)}, 0, mixed, d)]
         cases.append((lam, 0, sm.include_a({0: ONE}, 0), 0))  # (1#Λ)(1#Λ) = 1#Λ
         for v, dv, w, dw in cases:
@@ -316,11 +321,53 @@ def test_radical_slices_makes_no_subfield_solve(monkeypatch):
 
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_pertinency_batches_match_one_at_a_time_adds(name):
-    """Inserting each degree as one batch gives the slices that adding
-    every image on its own gives."""
+    """The kernel of the quotient module and the push recursion, each
+    degree inserted as one batch, give the slices that adding every image
+    on its own gives."""
     D = 8
     sm = SmashProduct(catalog.build(name, max_degree=D).action)
-    assert pertinency_slices(sm, D) == pertinency_one_at_a_time(sm, D)
+    want = pertinency_one_at_a_time(sm, D)
+    assert module_kernel(pertinency_slices(sm, D), D) == want
+    assert pertinency_by_pushes(sm, D) == want
+
+
+def _check_module_against_pushes(p, D, projectors=(), components=()):
+    """The module's kernel, codimensions and trace against the push
+    recursion and the residue trace, and ``radical_slices`` against both."""
+    sm = SmashProduct(p.action, projectors, p.chars.chars if projectors else ())
+    module = pertinency_slices(sm, D, components)
+    pushed = pertinency_by_pushes(sm, D, components)
+    assert module_kernel(module, D) == pushed
+    assert module.dims == [smash_dim(sm, d) - pushed[d].dim for d in range(D + 1)]
+    traces = _trace_on_a(sm, module, D)
+    assert traces == [residue_trace(sm, pushed[d], d) for d in range(D + 1)]
+    rad = radical_slices(p.action, D, projectors, components,
+                         p.chars.chars if projectors else ())
+    assert rad.slices == traces and rad.quotient_dims == module.dims
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_quotient_module_matches_the_push_recursion(name):
+    """The pertinency ideal kept by its quotient module has the slices of
+    the push recursion inside A_d # H, codimension for codimension, and
+    the trace read off π(a # 1) is the residue trace: over the basis of H,
+    split along the projectors, and spanned through the components."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    _check_module_against_pushes(p, D)
+    _check_module_against_pushes(p, D, projectors)
+    _check_module_against_pushes(p, D, projectors, comp.slices)
+
+
+@pytest.mark.parametrize("name", ["l41-mystic(2,4)", "e42-kacpalyutkin"])
+def test_quotient_module_matches_the_push_recursion_deep(name):
+    """The same at degree 20, split and through the components."""
+    D = 20
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    _check_module_against_pushes(p, D, central_idempotents(p.hopf, p.chars), comp.slices)
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
@@ -341,7 +388,7 @@ def test_split_radical_matches_unsplit(name):
     sizes = [sm.block_of.count(b) for b in range(max(sm.block_of) + 1)]
     if len(p.hopf.unit) > 1:  # the unit is Σ p_g: no complement block
         assert len(sizes) == len(projectors)
-    pert = pertinency_slices(sm, D)
+    pert = module_kernel(pertinency_slices(sm, D), D)
     for d in range(D + 1):
         codims = [m * p.algebra.dim(d) for m in sizes]
         for row in pert[d].basis():
@@ -366,16 +413,19 @@ def test_trace_on_a_matches_intersection_with_a_hash_one(name, D, unit_terms):
     p = catalog.build(name, max_degree=D)
     sm = SmashProduct(p.action)
     assert len(p.hopf.unit) == unit_terms
-    pert = pertinency_slices(sm, D)
+    module = pertinency_slices(sm, D)
+    pert = module_kernel(module, D)
+    traces = _trace_on_a(sm, module, D)
     for d in range(D + 1):
         dim = p.algebra.dim(d)
         a_hash_one = [sm.include_a({i: ONE}, d) for i in range(dim)]
-        inter = zassenhaus_intersect(pert[d], Subspace.span(sm.dim(d), a_hash_one))
+        inter = zassenhaus_intersect(pert[d], Subspace.span(smash_dim(sm, d), a_hash_one))
         want = Subspace(dim)
         for w in inter.basis():
-            coeffs = express(sm.dim(d), a_hash_one, w)
+            coeffs = express(smash_dim(sm, d), a_hash_one, w)
             want.add({i: c for i, c in enumerate(coeffs) if not c.is_zero()})
-        assert _trace_on_a(sm, pert[d], d) == want, d
+        assert traces[d] == want, d
+        assert residue_trace(sm, pert[d], d) == want, d
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +607,30 @@ def test_normal_generators_have_equal_left_and_two_sided_ideals(name):
         if x is not None:
             assert (left_ideal_slices(alg, [x], 12) == two_sided_ideal_slices(alg, [x], 12)) is normal
     assert data.j_normal is (name != "e42-kacpalyutkin")
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_rife_check_shares_the_principal_ideal(name, monkeypatch):
+    """Handed the principal search, the rife check reaches the verdicts it
+    reaches alone.  Where monic(j) is the radical's lowest generator w, it
+    takes j's normality and A·j = A·w from there and builds no ideal."""
+    D = 12
+    p, comp, fixed, hdet, jac, rad = bundle(name, D)
+    alg = p.algebra
+    idem = central_idempotents(p.hopf, p.chars)
+    pr = principal_radical(alg, rad.slices, D)
+    alone = rife_action_check(p.action, p.chars, idem, jac.j, rad.slices, D)
+    if pr.ideal is not None:
+        assert pr.ideal == left_ideal_slices(alg, [pr.generator], D)
+    shared = pr.generator == monic(alg, jac.j.degree, jac.j.vec)
+    assert shared is (name in ("trivial", "e22-dualD8", "l41-cyclic-n-m(z3,2,3)",
+                               "l41-mystic(1,2)", "l41-mystic(2,4)"))
+    built = []
+    for fn in (left_ideal_slices, two_sided_ideal_slices):
+        monkeypatch.setattr(smash, fn.__name__,
+                            lambda *args, fn=fn: built.append(fn.__name__) or fn(*args))
+    assert rife_action_check(p.action, p.chars, idem, jac.j, rad.slices, D, pr) == alone
+    assert (built == []) is (shared and pr.normal)
 
 
 def test_rife_without_a_normal_jacobian_compares_the_two_sided_ideal():

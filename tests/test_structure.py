@@ -24,6 +24,7 @@ from ncreflect.structure import (
     AlgebraEndo,
     FixedPolyModel,
     cocycle_table,
+    fixed_coefficient,
     frobenius_pairing,
     isotypic_series,
     jacobian_transfer,
@@ -94,6 +95,23 @@ def test_tpoly_determinant():
 
 # ---------------------------------------------------------------------------
 # cocycles
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_cocycle_table_matches_a_solve_per_pair(name):
+    """One elimination of R_e·f_k per target k and degree e, shared by every
+    pair with gh = k, gives the table a solve per pair gives."""
+    p, comp, fixed, hdet, jac, coc = bundle(name, 12)
+    g0 = p.chars.group
+    for g in range(g0.order):
+        for h in range(g0.order):
+            fg, fh, fk = comp.f[g], comp.f[h], comp.f[g0.table[g][h]]
+            if None in (fg, fh, fk) or fg.degree + fh.degree > 12:
+                assert coc.table[g][h] is None
+                continue
+            want = fixed_coefficient(p.algebra, fixed.slices, fk, fg * fh, side="left")
+            got = coc.table[g][h]
+            assert got == want if want is not None else got is None
 
 
 def test_kac_cocycles():
