@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import DivisorReport, divisor_report
-from .exprs import show, show_scalar
-from .hopf import central_idempotents
+from .exprs import show, show_labelled, show_scalar
+from .hopf import CharacterGroup, HopfAlgebra, central_idempotents
 from .invariants import (
     check_component_multiplicativity,
     component_report,
@@ -155,8 +155,14 @@ def tpoly_doc(p: TPoly | None, nvars: int) -> dict | None:
     return {"poly": " + ".join(terms), "scalar_class": show_scalar(c)[0]}
 
 
-def _vec_text(vec: Vec, labels: list[str]) -> dict[str, str]:
-    return {labels[k]: show_scalar(vec[k])[0] for k in sorted(vec)}
+def _hopf_doc(hopf: HopfAlgebra, witnesses: list[str], integral: Vec | None,
+              chars: CharacterGroup) -> dict:
+    return {
+        "dimension": hopf.dim,
+        "witnesses": witnesses,
+        "integral": None if integral is None else show_labelled(integral, hopf.labels),
+        "characters": [ch.label for ch in chars.chars],
+    }
 
 
 def _series_doc(coeffs: list[Fraction]) -> list:
@@ -233,12 +239,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
             integral = hopf.integral()
         except ValueError as e:
             checks.append(Check("integral-exists", "verification", "fail", str(e)))
-    doc["hopf"] = {
-        "dimension": hopf.dim,
-        "witnesses": hopf_witnesses,
-        "integral": None if integral is None else _vec_text(integral, hopf.labels),
-        "characters": [ch.label for ch in chars.chars],
-    }
+    doc["hopf"] = _hopf_doc(hopf, hopf_witnesses, integral, chars)
     declared_integral = opts.get("integral")
     if declared_integral is not None and integral is not None:
         checks.append(Check(
@@ -387,14 +388,12 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
 
     # -- radical and dis-radical --------------------------------------------
     if action.kind == "dual_group":
-        slices = dual_group_shortcut(alg, comp.slices, D)
+        rad = dual_group_shortcut(alg, comp.slices, D)
         method = "component-intersection"
-        quotient_dims = [alg.dim(d) - slices[d].dim for d in range(D + 1)]
     else:
         rad = radical_slices(action, D, projectors, comp.slices, chars.chars)
-        slices = rad.slices
         method = "smash-pertinency"
-        quotient_dims = rad.quotient_dims
+    slices = rad.slices
     pr = principal_radical(alg, slices, D)
     declared = opts.get("idempotents")
     rife = rife_action_check(action, chars, projectors if declared is None else declared,
@@ -402,7 +401,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     doc["radical"] = {
         "method": method,
         "dims": [s.dim for s in slices],
-        "quotient_dims": quotient_dims,
+        "quotient_dims": rad.quotient_dims,
         "principal": pr.reason == "",
         "generator": elem_doc(alg, pr.generator),
         "normal": pr.normal,

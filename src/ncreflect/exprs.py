@@ -30,6 +30,7 @@ from .scalars import MAX_CONDUCTOR, Cyc, I, ONE, ZERO, coerce, zeta
 Word = tuple  # tuple[int, ...]
 FreePoly = dict  # dict[Word, Cyc]
 
+# names the grammar claims for itself (i and the roots z<n>)
 RESERVED_NAME = re.compile(r"^(i|z[0-9]+)$")
 
 # int() refuses strings of over 4300 digits; longer literals are refused
@@ -326,6 +327,11 @@ def show_scalar(c: Cyc) -> tuple[str, bool]:
     for piece in pieces[1:]:
         text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return text, len(pieces) > 1
+
+
+def show_labelled(vec: dict, labels: Sequence[str]) -> dict[str, str]:
+    """A sparse vector as {label of its index: its scalar}, in index order."""
+    return {labels[k]: show_scalar(vec[k])[0] for k in sorted(vec)}
 
 
 def _show_word(word: Word, gens: Sequence[str]) -> str:

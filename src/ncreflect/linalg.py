@@ -39,9 +39,7 @@ Kernels are read off one way: ``Expressor.relations``.  ``U ∩ V`` is
 the set of combinations of the rows of U whose residues modulo V's
 echelon cancel, so ``Subspace.intersect`` reduces the rows of the
 smaller operand by the larger one's existing echelon and combines them
-along the relations among the residues; ``intersect_all`` takes the
-relations among the residues of the unit vectors modulo every operand
-at once.
+along the relations among the residues.
 
 ``Matrix`` is a small dense value type for group elements and generator
 matrices.  Column convention: ``M[i][j]`` is the coefficient of basis
@@ -275,24 +273,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def intersect_all(ambient: int, spaces: Sequence[Subspace]) -> Subspace:
-    """∩ V_i inside k^ambient (the whole space when there are none): the
-    kernel of x ↦ (x mod V_i)_i, read off as the relations among the
-    stacked residues of the unit vectors.  A residue modulo V_i lives on
-    the non-pivot columns of V_i, so near-full spaces give short rows."""
-    if any(s.ambient != ambient for s in spaces):
-        raise ValueError("ambient dimensions differ")
-    residues = []
-    for k in range(ambient):
-        stacked: Vec = {}
-        for i, s in enumerate(spaces):
-            for c, x in s.reduce({k: ONE}).items():
-                stacked[i * ambient + c] = x
-        residues.append(stacked)
-    relations = Expressor(len(spaces) * ambient, residues).relations()
-    return Subspace.span(ambient, relations)
 
 
 # ---------------------------------------------------------------------------

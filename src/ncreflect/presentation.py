@@ -42,7 +42,17 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NoReturn, Sequence
 
-from .exprs import ExprError, FreePoly, p_degree, parse, parse_scalar, show, show_scalar
+from .exprs import (
+    RESERVED_NAME,
+    ExprError,
+    FreePoly,
+    p_degree,
+    parse,
+    parse_scalar,
+    show,
+    show_labelled,
+    show_scalar,
+)
 from .hopf import (
     Character,
     CharacterGroup,
@@ -62,8 +72,6 @@ from .scalars import MAX_CONDUCTOR, ZERO, Cyc
 
 SPEC_FORMAT = "ncreflect-spec/1"
 
-# names the expression grammar claims for itself (i and the roots z<n>)
-_RESERVED = re.compile(r"^(i|z[0-9]+)$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 # json.loads recurses once per array or object, so deeper nesting is
@@ -310,7 +318,7 @@ def _parse_algebra(node: _Node) -> tuple[list[tuple[str, int]], list[FreePoly]]:
         gname = f["name"].as_str()
         if not _NAME.match(gname):
             f["name"].fail(f"{gname!r} is not a usable generator name")
-        if _RESERVED.match(gname):
+        if RESERVED_NAME.match(gname):
             f["name"].fail(f"{gname!r} is reserved by the scalar grammar")
         if gname in [n for n, _ in generators]:
             f["name"].fail(f"duplicate generator {gname!r}")
@@ -577,10 +585,6 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
 # rendering (the inverse direction, used to generate the shipped files)
 
 
-def _vec_text(vec: Vec, labels: Sequence[str]) -> dict[str, str]:
-    return {labels[k]: show_scalar(vec[k])[0] for k in sorted(vec)}
-
-
 def _image_texts(action: HopfAction, h: int) -> list[str]:
     alg = action.alg
     return [
@@ -626,14 +630,14 @@ def render(preset: Preset) -> dict:
         doc["action"] = {
             "kind": "table",
             "basis": list(labels),
-            "unit": _vec_text(hopf.unit, labels),
-            "mult": [[_vec_text(v, labels) for v in row] for row in hopf.mult],
+            "unit": show_labelled(hopf.unit, labels),
+            "mult": [[show_labelled(v, labels) for v in row] for row in hopf.mult],
             "comult": [
                 [[labels[j], labels[k], show_scalar(c)[0]] for j, k, c in row]
                 for row in hopf.comult
             ],
             "counit": [show_scalar(c)[0] for c in hopf.counit],
-            "antipode": [_vec_text(v, labels) for v in hopf.antipode],
+            "antipode": [show_labelled(v, labels) for v in hopf.antipode],
             "characters": [
                 {"label": ch.label, "values": [show_scalar(v)[0] for v in ch.values]}
                 for ch in preset.chars.chars

@@ -23,7 +23,8 @@ p_χ lies in A_{χ⁻¹} # p_χ, which the rows of the component of χ⁻¹ span
 The trace on A is the kernel of a ↦ π(a # 1), read off as the linear
 relations among the images of the basis words, with π(x_i u # 1) =
 X_i π(u # 1) through the letter maps of the module, whatever the unit
-of H.
+of H.  The dual-group shortcut ∩_g A·A_g is read off the same way: it is
+the kernel of a ↦ π(a ⊗ Σ_g e_g) on the quotient module ⊕_g A/A·A_g.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra
-from .linalg import Expressor, Subspace, Vec, apply_cols, intersect_all, vec_addto, vec_scale
+from .linalg import Expressor, Subspace, Vec, apply_cols, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -239,13 +240,16 @@ def pertinency_slices(sm: SmashProduct, max_degree: int,
     return QuotientModule(sm.alg, sm.nH, integral_span_slices(sm, max_degree, components))
 
 
-def _trace_on_a(sm: SmashProduct, module: QuotientModule, max_degree: int) -> list[Subspace]:
-    """{a in A_d : a # 1 in P_d} in every degree: the kernel of
-    a ↦ π(a # 1), read off as the relations among the images of the basis
-    words, with π(x_i u # 1) = X_i π(u # 1)."""
-    alg = sm.alg
-    images = [[{}]]  # images[d][k] = π(u_k # 1)
-    for h, x in sm._unit.items():
+def _trace_on_a(module: QuotientModule, unit: Vec, max_degree: int) -> list[Subspace]:
+    """{a in A_d : π(a ⊗ u) = 0} in every degree, for u = Σ_h unit[h] e_h
+    in k^n: the kernel of a ↦ π(a ⊗ u), read off as the relations among
+    the images of the basis words, with π(x_i w ⊗ u) = X_i π(w ⊗ u).  For
+    the pertinency module and u the unit of H it is the trace of P on A;
+    for the stacked module of the dual-group shortcut and u = Σ_g e_g it
+    is ∩_g A·A_g."""
+    alg = module.alg
+    images = [[{}]]  # images[d][k] = π(w_k ⊗ u)
+    for h, x in unit.items():
         vec_addto(images[0][0], module.image(0, 0, h), x)
     out = []
     for d in range(max_degree + 1):
@@ -284,29 +288,28 @@ def radical_slices(action: HopfAction, max_degree: int,
     """
     sm = SmashProduct(action, projectors, characters)
     module = pertinency_slices(sm, max_degree, components)
-    return RadicalData(_trace_on_a(sm, module, max_degree), list(module.dims))
+    return RadicalData(_trace_on_a(module, sm._unit, max_degree), list(module.dims))
 
 
 def dual_group_shortcut(
     alg: GradedAlgebra, comp_slices: list[list[Subspace]], max_degree: int
-) -> list[Subspace]:
+) -> RadicalData:
     """For dual group actions the radical equals the intersection of the
-    left ideals A·A_g over the component grading.  A component holding 1
-    gives A·A_g = A and is skipped (docs/radical-spanning.md)."""
-    ideals = []
-    for slices in comp_slices:
-        if slices[0].dim:
-            continue
-        gens = [
-            Elem(alg, d, v)
-            for d in range(max_degree + 1)
-            for v in slices[d].basis()
-        ]
-        ideals.append(left_ideal_slices(alg, gens, max_degree))
-    return [
-        intersect_all(alg.dim(d), [ideal[d] for ideal in ideals])
-        for d in range(max_degree + 1)
-    ]
+    left ideals A·A_g over the component grading, the kernel of
+    A → ⊕_g A/A·A_g.  That is ``_trace_on_a`` on the quotient module with
+    one copy per component and G_d = ⊕_g A_{g,d} in copy g, at
+    u = Σ_g e_g.  A component holding 1 gives A·A_g = A and is skipped;
+    with none left the radical is all of A (docs/radical-spanning.md,
+    "The dual-group radical by its quotient module").  ``quotient_dims``
+    are the codimensions of the radical slices."""
+    kept = [slices for slices in comp_slices if not slices[0].dim]
+    n = len(kept)
+    gens = [[{k * n + g: x for k, x in v.items()}
+             for g, slices in enumerate(kept) for v in slices[d].basis()]
+            for d in range(max_degree + 1)]
+    module = QuotientModule(alg, n, gens)
+    slices = _trace_on_a(module, {g: ONE for g in range(n)}, max_degree)
+    return RadicalData(slices, [alg.dim(d) - s.dim for d, s in enumerate(slices)])
 
 
 # ---------------------------------------------------------------------------

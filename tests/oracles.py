@@ -39,8 +39,8 @@ order, the reference for the batches.  ``smash_dim`` is dim A_d # H, and
 the reference for ``invariants.fixed_ring``, which spans it from the
 generators found below d.  ``pairwise_intersection`` builds A·A_g for
 every component, the one holding 1 included, and intersects them one
-pair at a time, the reference for ``smash.dual_group_shortcut`` and its
-one-kernel ``linalg.intersect_all``.
+pair at a time, the reference for ``smash.dual_group_shortcut``, which
+reads the intersection off one kernel of a stacked quotient module.
 
 ``normal_in_every_degree`` compares x * S_d with S_d * x in every
 degree, the reference for ``ncalg.is_normal``, which compares them only
@@ -180,7 +180,7 @@ from ncreflect.scalars import (
     divisors,
     euler_phi,
 )
-from ncreflect.smash import integral_span_slices
+from ncreflect.smash import RadicalData, integral_span_slices
 from ncreflect.structure import TPoly, tp_det
 
 
@@ -637,9 +637,9 @@ def fixed_ring_all_pairs(alg, slices, max_degree: int):
     return gen_degrees, gens
 
 
-def pairwise_intersection(alg, comp_slices, max_degree: int) -> list[Subspace]:
-    """Slices of the intersection of the left ideals A·A_g over every
-    component, each degree folded one pair at a time."""
+def pairwise_intersection(alg, comp_slices, max_degree: int) -> RadicalData:
+    """Slices and codimensions of the intersection of the left ideals A·A_g
+    over every component, each degree folded one pair at a time."""
     ideals = [left_ideal_slices(alg, [Elem(alg, d, v) for d in range(max_degree + 1)
                                       for v in slices[d].basis()], max_degree)
               for slices in comp_slices]
@@ -649,7 +649,7 @@ def pairwise_intersection(alg, comp_slices, max_degree: int) -> list[Subspace]:
         for ideal in ideals[1:]:
             acc = acc.intersect(ideal[d])
         out.append(acc)
-    return out
+    return RadicalData(out, [alg.dim(d) - s.dim for d, s in enumerate(out)])
 
 
 def normal_in_every_degree(alg, x, slices, max_degree: int) -> bool:

@@ -12,7 +12,6 @@ from ncreflect.linalg import (
     Subspace,
     eigenvectors,
     express,
-    intersect_all,
     vec_addto,
     vec_from_dense,
     vec_to_dense,
@@ -77,36 +76,6 @@ def test_sum_and_intersection():
     assert w.dim == 1
     assert w.contains(vec_from_dense([0, 1, 0]))
     assert span_sum(u, v).dim == 3
-    assert intersect_all(3, [u, v, u]) == w
-    assert intersect_all(3, []) == Subspace.span(3, [{k: ONE} for k in range(3)])
-
-
-@st.composite
-def subspace_families(draw):
-    """An ambient dimension and up to four subspaces of it, each spanned by
-    a shared part and a part of its own, so that intersections are often
-    nonzero."""
-    n = draw(st.integers(1, 6))
-    entry = st.sampled_from([ZERO, ZERO, ONE, -ONE, Cyc.rational(2), Cyc.rational(1, 2), I])
-    vec = st.lists(entry, min_size=n, max_size=n).map(vec_from_dense)
-    shared = draw(st.lists(vec, max_size=2))
-    count = draw(st.integers(0, 4))
-    return n, [Subspace.span(n, shared + draw(st.lists(vec, max_size=n))) for _ in range(count)]
-
-
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
-@given(subspace_families())
-def test_intersect_all_matches_pairwise_fold(family):
-    n, spaces = family
-    acc = Subspace.span(n, [{k: ONE} for k in range(n)])
-    for s in spaces:
-        acc = acc.intersect(s)
-    assert intersect_all(n, spaces) == acc
-
-
-def test_intersect_all_refuses_mixed_ambients():
-    with pytest.raises(ValueError):
-        intersect_all(3, [Subspace(3), Subspace(2)])
 
 
 def test_intersection_dimension_formula_randomised():

@@ -14,7 +14,7 @@ from ncreflect.invariants import (
     jacobian_data,
     proportional,
 )
-from ncreflect.linalg import Subspace, express, intersect_all
+from ncreflect.linalg import Subspace, express
 from ncreflect.ncalg import Elem, left_ideal_slices, monic, right_ideal_slices, two_sided_ideal_slices
 from ncreflect.presets import catalog
 from ncreflect.presets.kac import (
@@ -339,7 +339,7 @@ def _check_module_against_pushes(p, D, projectors=(), components=()):
     pushed = pertinency_by_pushes(sm, D, components)
     assert module_kernel(module, D) == pushed
     assert module.dims == [smash_dim(sm, d) - pushed[d].dim for d in range(D + 1)]
-    traces = _trace_on_a(sm, module, D)
+    traces = _trace_on_a(module, sm._unit, D)
     assert traces == [residue_trace(sm, pushed[d], d) for d in range(D + 1)]
     rad = radical_slices(p.action, D, projectors, components,
                          p.chars.chars if projectors else ())
@@ -415,7 +415,7 @@ def test_trace_on_a_matches_intersection_with_a_hash_one(name, D, unit_terms):
     assert len(p.hopf.unit) == unit_terms
     module = pertinency_slices(sm, D)
     pert = module_kernel(module, D)
-    traces = _trace_on_a(sm, module, D)
+    traces = _trace_on_a(module, sm._unit, D)
     for d in range(D + 1):
         dim = p.algebra.dim(d)
         a_hash_one = [sm.include_a({i: ONE}, d) for i in range(dim)]
@@ -549,8 +549,7 @@ def test_dihedral3_radical_is_jacobian_ideal():
     pr = principal_radical(alg, rad.slices, 6)
     assert proportional(pr.generator, alg.element("z*x*y"))
     assert pr.normal is True and pr.reason == ""
-    shortcut = dual_group_shortcut(alg, comp.slices, 6)
-    assert all(shortcut[d] == rad.slices[d] for d in range(7))
+    assert dual_group_shortcut(alg, comp.slices, 6).slices == rad.slices
     data = rife_action_check(
         p.action, p.chars, central_idempotents(p.hopf, p.chars), jac.j, rad.slices, 6
     )
@@ -571,11 +570,13 @@ def test_dihedral3_component_intersection_forms():
     left = left_ideal_slices(alg, [fm], 6)
     right = right_ideal_slices(alg, [fm], 6)
     per_g = [left_ideal_slices(alg, [comp.f[g]], 6) for g in range(g0.order)]
-    via_f = [intersect_all(alg.dim(d), [ideal[d] for ideal in per_g]) for d in range(7)]
     for d in range(7):
+        via_f = per_g[0][d]
+        for ideal in per_g[1:]:
+            via_f = via_f.intersect(ideal[d])
         assert left[d] == rad.slices[d]
         assert right[d] == rad.slices[d]
-        assert via_f[d] == rad.slices[d]
+        assert via_f == rad.slices[d]
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
@@ -591,6 +592,16 @@ def test_dual_group_shortcut_matches_pairwise_intersection(name):
     # intersection already lies inside A·A_g
     for slices in comp.slices:
         assert dual_group_shortcut(alg, [slices], 12) == pairwise_intersection(alg, [slices], 12)
+
+
+@pytest.mark.parametrize("name", ["e22-dualD8", "e23-downup-dualD8"])
+def test_dual_group_shortcut_matches_pairwise_intersection_deep(name):
+    """The kernel of the stacked quotient module against the pairwise fold
+    at degree 20, on the two dual group actions."""
+    D = 20
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    assert dual_group_shortcut(p.algebra, comp.slices, D) == pairwise_intersection(p.algebra, comp.slices, D)
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
@@ -655,8 +666,7 @@ def test_downup_radical_strictly_inside_jacobian_ideal():
     gap = [d for d in range(9) if rad.slices[d].dim < ideal[d].dim]
     assert gap and gap[0] == 2  # (u^2) already separates in degree two
     assert rad.slices[2].dim == 0 and ideal[2].dim == 1
-    shortcut = dual_group_shortcut(alg, comp.slices, 8)
-    assert all(shortcut[d] == rad.slices[d] for d in range(9))
+    assert dual_group_shortcut(alg, comp.slices, 8).slices == rad.slices
     data = rife_action_check(
         p.action, p.chars, central_idempotents(p.hopf, p.chars), jac.j, rad.slices, 8
     )
