@@ -13,10 +13,21 @@ rho * b over relations rho and normal words b of degree d - deg(rho).
 lower slices are exact, so no Groebner-basis completion is needed — each
 degree is an honest finite-dimensional elimination.)
 
-Carrier coordinates are sorted by their word in descending graded-lex
-order, so the echelon engine (which pivots on the smallest index) always
-eliminates the largest word of a relation.  The surviving words form the
-canonical monomial basis of the slice, reported in ascending order.
+One routine builds every such graded quotient.  `QuotientModule` keeps a
+left submodule A·G of A^n by its quotient M = A^n / A·G: M_d is the
+carrier ⊕_i x_i ⊗ M_{d - w_i} modulo the relation rows rho * m, over m in
+a basis of M_{d - deg(rho)}, and the images of G_d, so its work follows
+dim M_d, not n * dim A_d.  A is the case n = 1, G = 0: a `GradedAlgebra`
+holds the module A^1 / A·0 and reads its slice bases and left letter maps
+off it.  The smash layer keeps the pertinency ideal and the dual-group
+radical by such modules (docs/radical-spanning.md).
+
+Carrier columns run in descending order of their labels (copy, word), so
+the echelon engine (which pivots on the smallest index) always eliminates
+the largest word of a relation.  The surviving columns, in ascending
+label order, are the basis of M_d; for A, the monomial basis of the slice
+in ascending graded-lex order.  A relation row starts at the column
+X_last[m] of the last letter of each word and is added into in one pass.
 
 Elements of a slice are sparse coordinate vectors over that basis; `Elem`
 bundles a vector with its degree for convenience.  `mul(v, dv, w, dw)`
@@ -33,25 +44,16 @@ whole, and the slice tests the other layers share: `monic` (the
 normalised generator of a line), `cofactor` (q with m = d * q or
 m = q * d, an exact solve) and `is_normal` (x * S_d = S_d * x in every
 degree, decided in the generator degrees of S).
-
-A relation row rho * b starts at the normal word b: a basis word is its
-own unit coordinate vector, so each word of rho applies only its letters
-after the first to it, not every letter of the word times b from degree 0.
-
-`QuotientModule` keeps a left submodule A·G of A^n by its quotient
-M = A^n / A·G, built the way the slices are: M_d is ⊕_i x_i ⊗ M_{d - w_i}
-modulo the relation rows rho * m and the images of G_d, so its work
-follows dim M_d, not n * dim A_d.  The smash layer keeps the pertinency
-ideal so.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Mapping, Sequence
 
 from .exprs import FreePoly, Word, p_degree, parse, show
 from .linalg import SparseEch, Subspace, Vec, apply_cols, express, vec_addto
-from .scalars import ONE, coerce
+from .scalars import ONE, addmul, coerce
 
 
 class DegreeOverflow(RuntimeError):
@@ -139,11 +141,14 @@ class GradedAlgebra:
             self.relations.append(dict(rel))
             self.relation_degrees.append(deg)
         self.max_degree = max_degree
-        self._basis: list[list[Word]] = [[()]]
-        self._index: list[dict[Word, int]] = [{(): 0}]
-        self._left: dict[tuple[int, int], list[Vec]] = {}
+        self._basis: list[list[Word]] = []
+        self._index: list[dict[Word, int]] = []
         self._right: dict[tuple[int, int], list[Vec]] = {}
         self._work = 0  # the sum of the squared carrier sizes of the built slices
+        # A = A^1 / A·0: its slices and left letter maps are the module's.
+        # The module sees A through a weak proxy, so that no reference
+        # cycle keeps a dropped algebra alive until the next collection.
+        self._module = QuotientModule(weakref.proxy(self), 1, ())
 
     # -- slice construction ---------------------------------------------
 
@@ -162,43 +167,10 @@ class GradedAlgebra:
         if work > MAX_WORK:
             raise WorkTooLarge(d, size, work)
         self._work = work
-        carrier_words: list[Word] = []
-        for i, w in enumerate(self.weights):
-            if w <= d:
-                for u in self._basis[d - w]:
-                    carrier_words.append((i,) + u)
-        carrier_words.sort(reverse=True)
-        cidx = {word: c for c, word in enumerate(carrier_words)}
-
-        ech = SparseEch(len(carrier_words))
-        for rel, rdeg in zip(self.relations, self.relation_degrees):
-            if rdeg > d:
-                continue
-            for b in range(len(self._basis[d - rdeg])):
-                vec: Vec = {}
-                for word, coeff in rel.items():
-                    i = word[0]
-                    # the normal form of a basis word is the unit vector at its index
-                    tail = self._left_word(word[1:], {b: ONE}, d - rdeg)
-                    lower = self._basis[d - self.weights[i]]
-                    vec_addto(vec, {cidx[(i,) + lower[k]]: c for k, c in tail.items()},
-                              coeff)
-                ech.insert(vec)
-
-        survivors = [c for c in range(len(carrier_words)) if c not in ech.rows]
-        basis = sorted(carrier_words[c] for c in survivors)
-        index = {word: k for k, word in enumerate(basis)}
+        self._module._build(d, ())
+        basis = [word for _, word in self._module._labels[d]]
         self._basis.append(basis)
-        self._index.append(index)
-
-        def project(vec: Vec) -> Vec:
-            return {index[carrier_words[c]]: x for c, x in vec.items()}
-
-        for i, w in enumerate(self.weights):
-            if w <= d:
-                lower = self._basis[d - w]
-                cols = [project(ech.reduce({cidx[(i,) + u]: ONE})) for u in lower]
-                self._left[(i, d - w)] = cols
+        self._index.append({word: k for k, word in enumerate(basis)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -226,7 +198,7 @@ class GradedAlgebra:
     def left_letter(self, i: int, degree: int) -> list[Vec]:
         """Columns of x_i * (-) : A_degree -> A_{degree + w_i}."""
         self.build(degree + self.weights[i])
-        return self._left[(i, degree)]
+        return self._module.letter(i, degree)
 
     def right_letter(self, i: int, degree: int) -> list[Vec]:
         """Columns of (-) * x_i : A_degree -> A_{degree + w_i}."""
@@ -251,15 +223,6 @@ class GradedAlgebra:
         self._right[key] = cols
         return cols
 
-    def _left_word(self, word: Word, vec: Vec, degree: int) -> Vec:
-        """word * vec for vec in A_degree: the letters applied right to left."""
-        for letter in reversed(word):
-            vec = apply_cols(self.left_letter(letter, degree), vec)
-            degree += self.weights[letter]
-            if not vec:
-                break
-        return vec
-
     def _right_word(self, word: Word, vec: Vec, degree: int) -> Vec:
         """vec * word for vec in A_degree: the letters applied left to right."""
         for letter in word:
@@ -271,7 +234,7 @@ class GradedAlgebra:
 
     def nf_word(self, word: Word) -> Vec:
         """Coordinates of an arbitrary free word in its slice basis."""
-        return self._left_word(word, {0: ONE}, 0)
+        return self._module.act(word, {0: ONE}, 0)
 
     def nf(self, poly: FreePoly, degree: int | None = None) -> tuple[int | None, Vec]:
         """Normal form of a homogeneous free polynomial: (degree, vector)."""
@@ -296,7 +259,7 @@ class GradedAlgebra:
             self.build(dv)
             words = self._basis[dv]
             for k, c in v.items():
-                vec_addto(out, self._left_word(words[k], w, dw), c)
+                vec_addto(out, self._module.act(words[k], w, dw), c)
         else:
             self.build(dw)
             words = self._basis[dw]
@@ -390,13 +353,19 @@ class QuotientModule:
     copy h.  ``gens[d]`` spans G_d, and the module is built through
     ``len(gens) - 1``.  M_0 = k^n / <G_0>; for d > 0, M_d is the carrier
     ⊕_i x_i ⊗ M_{d - w_i} modulo the relation rows ρ·m, over relations ρ
-    and m over a basis of M_{d - deg ρ}, and the images of G_d.  That is
-    the argument of ``GradedAlgebra._build_next`` with G = 0
+    and m over a basis of M_{d - deg ρ}, and the images of G_d
     (docs/radical-spanning.md, "The pertinency ideal by its quotient
-    module").  The basis of M_d is the carrier columns off the pivots, and
-    the letter maps X_i: M_{d - w_i} -> M_d are read off the echelon.
-    π(u ⊗ e_h) = X_i π(u' ⊗ e_h) for u = x_i u' is formed only for the
-    entries asked for (``image``), and kept.
+    module").  A is built by the same code as the case n = 1, G = 0: its
+    ``GradedAlgebra`` calls ``_build`` one degree at a time.
+
+    The basis of M_d is the carrier columns off the pivots, in ascending
+    order of their labels (copy, word), so for n = 1 and G = 0 it is the
+    basis of A_d.  The relation row of ρ = Σ c_w w at m is
+    Σ c_w x_{w_1} ⊗ X_{w_2} ... X_{w_last} m, formed from the column
+    X_last[m] and added into the row in one pass.  The letter maps
+    X_i: M_{d - w_i} -> M_d are read off the echelon.  π(u ⊗ e_h) =
+    X_i π(u' ⊗ e_h) for u = x_i u' is formed only for the entries asked
+    for (``image``), and kept.
     """
 
     def __init__(self, alg: GradedAlgebra, n: int, gens: Sequence[Sequence[Vec]]):
@@ -411,7 +380,7 @@ class QuotientModule:
             self._build(d, gd)
 
     def _build(self, d: int, gens: Sequence[Vec]) -> None:
-        alg, n, dims = self.alg, self.n, self.dims
+        alg, n, dims, letters = self.alg, self.n, self.dims, self._letters
         # a carrier column is labelled (copy, word) by the basis element of
         # M it came from and its letter; the columns run in descending
         # order of their labels, so that the echelon pivots on the largest
@@ -437,27 +406,29 @@ class QuotientModule:
             for rel, rdeg in zip(alg.relations, alg.relation_degrees):
                 if rdeg > d:
                     continue
-                for m in range(dims[d - rdeg]):
-                    vec: Vec = {}
+                e = d - rdeg
+                for m in range(dims[e]):
+                    # ρ·m = Σ c_w x_{w_1} ⊗ X_{w'} m, from the column X_last[m]
+                    row: Vec = {}
                     for word, coeff in rel.items():
-                        tail = self._word(word[1:], {m: ONE}, d - rdeg)
-                        at = cols[word[0]]
-                        vec_addto(vec, {at[k]: x for k, x in tail.items()}, coeff)
-                    rows.append(vec)
-            words, index = alg._basis[d], alg._index
+                        tail = {m: ONE} if len(word) == 1 else letters[(word[-1], e)][m]
+                        if len(word) > 2:
+                            tail = self.act(word[1:-1], tail, e + alg.weights[word[-1]])
+                        _add_at(row, cols[word[0]], tail, coeff)
+                    rows.append(row)
             for g in gens:
-                vec = {}
+                words, index = alg._basis[d], alg._index
+                row = {}
                 for key, c in g.items():
                     k, h = divmod(key, n)
                     i = words[k][0]
                     e = d - alg.weights[i]
-                    at = cols[i]
-                    image = self.image(e, index[e][words[k][1:]], h)
-                    vec_addto(vec, {at[j]: x for j, x in image.items()}, c)
-                rows.append(vec)
+                    _add_at(row, cols[i], self.image(e, index[e][words[k][1:]], h), c)
+                rows.append(row)
         ech = SparseEch(len(labels))
         ech.extend(rows)
-        survivors = [c for c in range(len(labels)) if c not in ech.rows]
+        # the basis of M_d, in ascending order of its labels
+        survivors = [c for c in reversed(range(len(labels))) if c not in ech.rows]
         position = {c: j for j, c in enumerate(survivors)}
 
         def project(c: int) -> Vec:
@@ -467,7 +438,7 @@ class QuotientModule:
             for h in range(n):
                 self._images[(0, 0, h)] = project(col[h])
         for i, cs in cols.items():
-            self._letters[(i, d - alg.weights[i])] = [project(c) for c in cs]
+            letters[(i, d - alg.weights[i])] = [project(c) for c in cs]
         self._labels.append([labels[order[c]] for c in survivors])
         dims.append(len(survivors))
 
@@ -475,11 +446,17 @@ class QuotientModule:
         """Columns of X_i: M_degree -> M_{degree + w_i}."""
         return self._letters[(i, degree)]
 
-    def _word(self, word: Word, vec: Vec, degree: int) -> Vec:
-        """X_word vec for vec in M_degree: the letters applied right to left."""
+    def act(self, word: Word, vec: Vec, degree: int) -> Vec:
+        """X_word vec for vec in M_degree: the letters applied right to left.
+        A letter map not built yet is one of A's own, built on demand."""
+        letters, weights = self._letters, self.alg.weights
         for letter in reversed(word):
-            vec = apply_cols(self._letters[(letter, degree)], vec)
-            degree += self.alg.weights[letter]
+            cols = letters.get((letter, degree))
+            if cols is None:
+                self.alg.build(degree + weights[letter])
+                cols = letters[(letter, degree)]
+            vec = apply_cols(cols, vec)
+            degree += weights[letter]
             if not vec:
                 break
         return vec
@@ -500,6 +477,18 @@ class QuotientModule:
             vec = apply_cols(self._letters[(i, top - alg.weights[i])], vec)
             images[(top, k, h)] = vec
         return vec
+
+
+def _add_at(acc: Vec, at: Sequence[int], vec: Vec, c) -> None:
+    """acc += c * vec with entry k of vec at acc[at[k]], in one pass."""
+    get = acc.get
+    for k, x in vec.items():
+        key = at[k]
+        new = addmul(get(key), x, c)
+        if new is None:
+            del acc[key]
+        else:
+            acc[key] = new
 
 
 # ---------------------------------------------------------------------------

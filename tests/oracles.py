@@ -135,11 +135,16 @@ reduction, inverses by the extended Euclidean algorithm over Q[z], and
 ``key()`` by a dense solve against the embedded subfield bases.  It is
 the reference for the integer representation of ``scalars.Cyc``.
 
-The quotient oracle builds each graded slice the slow, obviously-correct
+``QuotientOracle`` builds each graded slice the slow, obviously-correct
 way: enumerate every free word of the degree, span the full two-sided
 relation-ideal slice u * rho * v inside the free slice, and eliminate.
-The engine's recursive construction must reproduce its basis and normal
-forms exactly.
+It is the reference for ``ncalg.QuotientModule`` in the case n = 1,
+G = 0, which is how ``GradedAlgebra`` builds A: the basis words, the
+normal form of every free word (``nf_word``) and the left letter maps
+(``left_letter``) must agree with it exactly, on the shipped relations
+and on random presentations.  The module tests for n > 1 or G ≠ 0
+(``module_kernel``, ``submodule_by_pushes``) use A's letters, so they
+rest on it too.
 """
 
 from __future__ import annotations
@@ -1134,8 +1139,14 @@ class QuotientOracle:
         self.nletters = nletters
         self.weights = weights if weights is not None else [1] * nletters
         self.relations = relations
+        self._slices: dict = {}
 
     def slice(self, degree: int):
+        if degree not in self._slices:
+            self._slices[degree] = self._eliminate(degree)
+        return self._slices[degree]
+
+    def _eliminate(self, degree: int):
         words = sorted(free_words(self.nletters, self.weights, degree), reverse=True)
         idx = {w: c for c, w in enumerate(words)}
         ech = SparseEch(len(words))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,51 @@ def test_engine_matches_quotient_oracle():
             assert {words[k]: c for k, c in got.items()} == oracle.nf(word)
 
 
+@st.composite
+def presentations(draw):
+    """2-3 letters of weight 1 or 2 and 1-3 homogeneous relations of degree
+    2-4, each a few distinct words with integer coefficients in -2..2, the
+    first of them nonzero."""
+    nletters = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=nletters, max_size=nletters))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.sampled_from([r for r in (2, 3, 4) if free_words(nletters, weights, r)]))
+        words = draw(st.lists(st.sampled_from(free_words(nletters, weights, degree)),
+                              min_size=1, max_size=4, unique=True))
+        coeffs = [draw(st.sampled_from([-2, -1, 1, 2]))]
+        coeffs += draw(st.lists(st.integers(-2, 2), min_size=len(words) - 1,
+                                max_size=len(words) - 1))
+        rels.append({w: Cyc.rational(c) for w, c in zip(words, coeffs) if c})
+    return nletters, weights, rels
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(presentations())
+def test_random_presentations_match_quotient_oracle(presentation):
+    """Basis words, the normal form of every free word and the left letter
+    maps agree with the full free-slice elimination through degree 5."""
+    nletters, weights, rels = presentation
+    D = 5
+    alg = GradedAlgebra(["g%d" % k for k in range(nletters)], rels, weights=weights, max_degree=D)
+    oracle = QuotientOracle(nletters, rels, weights)
+
+    def words_of(vec, degree):
+        words = alg.basis_words(degree)
+        return {words[k]: c for k, c in vec.items()}
+
+    for d in range(D + 1):
+        assert alg.basis_words(d) == oracle.basis(d), d
+        for word in free_words(nletters, weights, d):
+            assert words_of(alg.nf_word(word), d) == oracle.nf(word), word
+    for i, w in enumerate(weights):
+        for e in range(D - w + 1):
+            cols = alg.left_letter(i, e)
+            assert len(cols) == alg.dim(e)
+            for b, col in zip(alg.basis_words(e), cols):
+                assert words_of(col, e + w) == oracle.nf((i,) + b), (i, b)
+
+
 def test_presentation_invariance():
     gens = ["x", "y", "z"]
     rels = [parse(s, gens) for s in ("z*x + x*z", "y*x - z*y", "y*z - x*y")]
@@ -155,6 +202,24 @@ def test_degree_overflow():
         alg.dim(6)
     with pytest.raises(DegreeOverflow):
         alg.element("u^2") * alg.element("v^4")
+    # reports name the first slice past the bound, not the product's degree
+    with pytest.raises(DegreeOverflow) as exc:
+        alg.element("u^2") * alg.element("v^5")
+    assert exc.value.degree == 6
+
+
+def test_algebra_is_freed_by_reference_counting():
+    """A keeps its slices in its own quotient module; no reference cycle
+    between them may hold a dropped algebra until the next collection."""
+    alg = quantum_plane(max_degree=6)
+    assert alg.element("u") * alg.element("v^3") == alg.element("u*v^3")
+    ref = weakref.ref(alg)
+    gc.disable()
+    try:
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_rejects_bad_presentations():
