@@ -5,7 +5,9 @@ adds a multiple of one vector into another (``vec_addto`` and through it
 ``apply_cols``, ``eigenvectors`` and ``Expressor``; ``SparseEch.reduce``
 and the back-substitution of ``insert``; the dense ``Matrix`` products)
 forms each entry as ``scalars.addmul(cur, x, c)``, which prunes an entry
-that cancels by returning None.
+that cancels by returning None.  ``apply_cols`` skips a zero column
+before the call: the letter maps of a quotient module and the columns of
+the dual-group action hold many of them.
 
 ``SparseEch`` is the one elimination engine: a row-reduced sparse span
 keyed by pivot column.  Ideal slices and smash-product spans are built by
@@ -81,10 +83,13 @@ def vec_scale(v: Vec, c: Cyc) -> Vec:
 
 
 def apply_cols(cols: Sequence[Vec], vec: Vec) -> Vec:
-    """Image of vec under the linear map whose k-th column is cols[k]."""
+    """Image of vec under the linear map whose k-th column is cols[k]; a
+    zero column adds nothing and is skipped."""
     out: Vec = {}
     for k, c in vec.items():
-        vec_addto(out, cols[k], c)
+        col = cols[k]
+        if col:
+            vec_addto(out, col, c)
     return out
 
 

@@ -253,7 +253,11 @@ class GradedAlgebra:
     def mul(self, v: Vec, dv: int, w: Vec, dw: int) -> Vec:
         """Product of degree-dv and degree-dw coordinate vectors.  The words
         of the side with fewer letters in all, about len(v) * dv against
-        len(w) * dw, act on the other side letter by letter."""
+        len(w) * dw, act on the other side letter by letter.  A product
+        past the degree bound raises DegreeOverflow with its own degree
+        dv + dw before anything is built."""
+        if dv + dw > self.max_degree:
+            raise DegreeOverflow(dv + dw, self.max_degree)
         out: Vec = {}
         if len(v) * dv <= len(w) * dw:
             self.build(dv)
@@ -363,9 +367,12 @@ class QuotientModule:
     basis of A_d.  The relation row of ρ = Σ c_w w at m is
     Σ c_w x_{w_1} ⊗ X_{w_2} ... X_{w_last} m, formed from the column
     X_last[m] and added into the row in one pass.  The letter maps
-    X_i: M_{d - w_i} -> M_d are read off the echelon.  π(u ⊗ e_h) =
-    X_i π(u' ⊗ e_h) for u = x_i u' is formed only for the entries asked
-    for (``image``), and kept.
+    X_i: M_{d - w_i} -> M_d are read off the echelon with no reduction
+    (``_project``): each stored row has 1 at its pivot and its other
+    entries off the pivots, so a carrier column off the pivots is the
+    basis element at its position, and a pivot column is minus the rest
+    of its row.  π(u ⊗ e_h) = X_i π(u' ⊗ e_h) for u = x_i u' is formed
+    only for the entries asked for (``image``), and kept.
     """
 
     def __init__(self, alg: GradedAlgebra, n: int, gens: Sequence[Sequence[Vec]]):
@@ -430,15 +437,11 @@ class QuotientModule:
         # the basis of M_d, in ascending order of its labels
         survivors = [c for c in reversed(range(len(labels))) if c not in ech.rows]
         position = {c: j for j, c in enumerate(survivors)}
-
-        def project(c: int) -> Vec:
-            return {position[k]: x for k, x in ech.reduce({c: ONE}).items()}
-
         if d == 0:
             for h in range(n):
-                self._images[(0, 0, h)] = project(col[h])
+                self._images[(0, 0, h)] = _project(ech, position, col[h])
         for i, cs in cols.items():
-            letters[(i, d - alg.weights[i])] = [project(c) for c in cs]
+            letters[(i, d - alg.weights[i])] = [_project(ech, position, c) for c in cs]
         self._labels.append([labels[order[c]] for c in survivors])
         dims.append(len(survivors))
 
@@ -477,6 +480,17 @@ class QuotientModule:
             vec = apply_cols(self._letters[(i, top - alg.weights[i])], vec)
             images[(top, k, h)] = vec
         return vec
+
+
+def _project(ech: SparseEch, position: dict[int, int], c: int) -> Vec:
+    """The image of carrier column c in M_d, over the basis of M_d (the
+    columns off the pivots, at ``position``), read off the echelon: a
+    column off the pivots is its own basis element, and a pivot column is
+    minus the rest of its row, which holds only columns off the pivots."""
+    row = ech.rows.get(c)
+    if row is None:
+        return {position[c]: ONE}
+    return {position[k]: -x for k, x in row.items() if k != c}
 
 
 def _add_at(acc: Vec, at: Sequence[int], vec: Vec, c) -> None:

@@ -27,6 +27,17 @@ elimination loop: it returns a + x * c in the normal form above, the
 same ``(n, nums, den)`` as ``a + x * c``, and builds one value instead of
 two.  ``None`` stands for zero both ways: a = None is 0, and a sum that
 cancels is None, so a loop deletes its entry.  x and c must be nonzero.
+
+Shared integers: the integers p / 1 with |p| <= ``SMALL_INT`` are built
+once, at import, and ``_raw``, which every arithmetic path ends in,
+returns the shared instance for one of them.  Nearly every value the
+elimination loops of the shipped presets form is such an integer, most
+of them 0 or ±1.  Sharing changes no result: a value is immutable, and
+the ``_key`` that ``key()`` caches depends only on the value.
+
+Hashing: a rational value hashes as its ``Fraction``, so it hashes like
+the equal int or ``Fraction`` (``{ONE: x}.get(1)`` finds x); any other
+value hashes by ``key()``, its coefficients at its minimal conductor.
 """
 
 from __future__ import annotations
@@ -227,9 +238,20 @@ def _poly_inverse(a: tuple[int, ...], phi: tuple[int, ...]) -> list[Fraction]:
 
 _new = object.__new__
 
+# The integers p / 1 with |p| <= SMALL_INT, one shared Cyc each (filled at
+# the end of the module).  Of the integers _raw forms for e22, e42,
+# cyclic(z3,2,3) and mystic(2,4) at degree bound 24, 95% are 0 or ±1,
+# 99.5% lie within 32 and 99.9% within 64.
+SMALL_INT = 64
+_SMALL: dict[int, "Cyc"] = {}
+
 
 def _raw(n: int, nums: tuple[int, ...], den: int) -> "Cyc":
     """A Cyc from parts already in normal form."""
+    if n == 1 and den == 1:
+        x = _SMALL.get(nums[0])
+        if x is not None:
+            return x
     x = _new(Cyc)
     x.n = n
     x.nums = nums
@@ -570,6 +592,9 @@ class Cyc:
         return self._lift(m), self.den
 
     def __hash__(self) -> int:
+        # as the equal int or Fraction, which == already treats as equal
+        if self.n == 1:
+            return hash(Fraction(self.nums[0], self.den))
         return hash(self.key())
 
     def __repr__(self) -> str:
@@ -623,8 +648,9 @@ def zeta(n: int, k: int = 1) -> Cyc:
     return x
 
 
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
-MINUS_ONE = Cyc.rational(-1)
+_SMALL.update((p, _raw(1, (p,), 1)) for p in range(-SMALL_INT, SMALL_INT + 1))
+ZERO = _SMALL[0]
+ONE = _SMALL[1]
+MINUS_ONE = _SMALL[-1]
 I = zeta(4, 1)
 HALF = Cyc.rational(1, 2)

@@ -135,6 +135,11 @@ reduction, inverses by the extended Euclidean algorithm over Q[z], and
 ``key()`` by a dense solve against the embedded subfield bases.  It is
 the reference for the integer representation of ``scalars.Cyc``.
 
+``project_by_reduce`` maps a carrier column of a quotient module to M_d
+by reducing its unit vector modulo the relation rows, the reference for
+``ncalg._project``, which reads the column off the echelon: a column off
+the pivots as its basis element, a pivot column as minus its row.
+
 ``QuotientOracle`` builds each graded slice the slow, obviously-correct
 way: enumerate every free word of the degree, span the full two-sided
 relation-ideal slice u * rho * v inside the free slice, and eliminate.
@@ -1122,6 +1127,12 @@ def direct_product(a: Group, b: Group) -> Group:
     return Group(labels, table)
 
 
+def project_by_reduce(ech: SparseEch, position: dict[int, int], c: int) -> Vec:
+    """The image of carrier column c in M_d: the unit vector at c reduced
+    modulo the relation rows, over the basis columns at ``position``."""
+    return {position[k]: x for k, x in ech.reduce({c: ONE}).items()}
+
+
 def free_words(nletters: int, weights: list[int], degree: int) -> list[Word]:
     if degree == 0:
         return [()]
@@ -1371,7 +1382,9 @@ class FractionCyc:
         return n, c
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        """A rational value hashes as its Fraction, so as the equal int."""
+        n, c = self.key()
+        return hash(c[0]) if n == 1 else hash((n, c))
 
 
 def tp_proportional(p: TPoly, q: TPoly) -> bool:

@@ -1,11 +1,13 @@
 import gc
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncreflect import ncalg
 from ncreflect.exprs import parse
 from ncreflect.linalg import Subspace
 from ncreflect.ncalg import (
@@ -32,6 +34,7 @@ from oracles import (
     module_kernel,
     mul_left_words,
     products_inside,
+    project_by_reduce,
     subalgebra_slices,
     submodule_by_pushes,
 )
@@ -159,6 +162,28 @@ def test_random_presentations_match_quotient_oracle(presentation):
                 assert words_of(col, e + w) == oracle.nf((i,) + b), (i, b)
 
 
+def module_parts(module: QuotientModule) -> tuple:
+    """What a quotient module reads off its echelons: the dimensions, the
+    basis labels, the letter maps and the images π(u ⊗ e_h) kept so far."""
+    return module.dims, module._labels, module._letters, module._images
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(presentations())
+def test_letter_maps_read_off_the_echelon_match_reduction(presentation):
+    """The letter maps of A read off the echelon are the ones that reducing
+    each carrier column modulo the relation rows gives."""
+    nletters, weights, rels = presentation
+    D = 5
+    names = ["g%d" % k for k in range(nletters)]
+    got = GradedAlgebra(names, rels, weights=weights, max_degree=D)
+    got.build(D)
+    with mock.patch.object(ncalg, "_project", project_by_reduce):
+        want = GradedAlgebra(names, rels, weights=weights, max_degree=D)
+        want.build(D)
+    assert module_parts(got._module) == module_parts(want._module)
+
+
 def test_presentation_invariance():
     gens = ["x", "y", "z"]
     rels = [parse(s, gens) for s in ("z*x + x*z", "y*x - z*y", "y*z - x*y")]
@@ -202,10 +227,10 @@ def test_degree_overflow():
         alg.dim(6)
     with pytest.raises(DegreeOverflow):
         alg.element("u^2") * alg.element("v^4")
-    # reports name the first slice past the bound, not the product's degree
+    # reports name the product's degree, not the first slice past the bound
     with pytest.raises(DegreeOverflow) as exc:
         alg.element("u^2") * alg.element("v^5")
-    assert exc.value.degree == 6
+    assert exc.value.degree == 7
 
 
 def test_algebra_is_freed_by_reference_counting():

@@ -6,8 +6,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ncreflect import scalars
 from ncreflect.exprs import show_scalar
-from ncreflect.scalars import Cyc, I, ONE, ZERO, addmul, coerce, cyclotomic, euler_phi, zeta
+from ncreflect.scalars import (
+    SMALL_INT,
+    Cyc,
+    I,
+    ONE,
+    ZERO,
+    _from_fractions,
+    addmul,
+    coerce,
+    cyclotomic,
+    euler_phi,
+    zeta,
+)
 from oracles import FractionCyc
 
 
@@ -307,3 +320,111 @@ def test_addmul_cases_reach_every_path():
     assert addmul(-(z8 * z12), z8, z12) is None
     assert _parts(addmul(z3, z8, z12)) == _parts(z3 + z8 * z12)
     assert _parts(addmul(I, z3, half)) == _parts(I + z3 * half)
+
+
+# ---------------------------------------------------------------------------
+# the shared small integers against the value rebuilt from Fractions
+
+
+SHARE_CONDUCTORS = (1, 1, 3, 4, 8, 12)  # rational twice: the integers live there
+
+_share_coefficient = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3 * SMALL_INT, 3 * SMALL_INT),  # both sides of the shared range
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+
+
+@st.composite
+def share_operands(draw):
+    """(Cyc, FractionCyc) of one value: small and large integers, fractions
+    and values at conductors 3, 4, 8 and 12."""
+    n = draw(st.sampled_from(SHARE_CONDUCTORS))
+    coeffs = draw(st.lists(_share_coefficient, min_size=euler_phi(n), max_size=euler_phi(n)))
+    return Cyc(n, coeffs), FractionCyc(n, coeffs)
+
+
+def _share_results(a, ra, b, rb):
+    """(name, result, reference) for every operation on a and b."""
+    out = [("+", a + b, ra + rb), ("-", a - b, ra - rb), ("*", a * b, ra * rb),
+           ("neg", -a, -ra)]
+    if not b.is_zero():
+        out += [("/", a / b, ra / rb), ("inverse", b.inverse(), rb.inverse())]
+    if not a.is_zero() and not b.is_zero():
+        out.append(("addmul", addmul(a, a, b), ra + ra * rb))
+        out.append(("addmul None", addmul(None, a, b), ra * rb))
+    return out
+
+
+def _is_shared_when_small(x: Cyc) -> bool:
+    """An integer |p| <= SMALL_INT is the shared instance; any other value
+    is an object of its own."""
+    if x.n == 1 and x.den == 1 and abs(x.nums[0]) <= SMALL_INT:
+        return x is scalars._SMALL[x.nums[0]]
+    return all(x is not y for y in scalars._SMALL.values())
+
+
+@DETERMINISTIC
+@given(share_operands(), share_operands())
+def test_shared_integers_match_the_value_rebuilt_from_fractions(p, q):
+    (a, ra), (b, rb) = p, q
+    first = []
+    for name, got, ref in _share_results(a, ra, b, rb):
+        if got is None:  # addmul's cancelled sum
+            assert ref.is_zero(), name
+            first.append(None)
+            continue
+        want = _from_fractions(ref.n, ref.c)
+        assert _parts(got) == _parts(want), name
+        assert got.key() == ref.key(), name
+        assert _is_shared_when_small(got), name
+        first.append(_parts(got))
+    # a key or a hash taken on a shared value changes no later result
+    for x in (a, b, *scalars._SMALL.values()):
+        x.key()
+        hash(x)
+    again = [None if got is None else _parts(got) for _, got, _ in _share_results(a, ra, b, rb)]
+    assert again == first
+    assert all(_parts(x) == (1, (p,), 1) and x.key() == (1, (Fraction(p),))
+               for p, x in scalars._SMALL.items())
+
+
+def test_shared_integers_on_every_path():
+    """Each fast path hands out the shared instance, and a value just past
+    the range is built anew each time."""
+    three, big = coerce(3), SMALL_INT + 1
+    assert three is Cyc.rational(3) is Cyc.rational(6, 2) is scalars._SMALL[3]
+    assert ONE is coerce(1) is coerce(Fraction(2, 2)) is Cyc.rational(1)
+    assert -three is coerce(-3) and three * 2 is coerce(6)
+    assert addmul(None, three, coerce(2)) is coerce(6) and addmul(ONE, three, three) is coerce(10)
+    assert Cyc.rational(1, 3).inverse() is three and (I * I) is coerce(-1)
+    assert (I + 2) - I is coerce(2)
+    assert coerce(big) is not coerce(big) and coerce(big) == coerce(big)
+    assert -coerce(-big) is not coerce(big)
+
+
+# ---------------------------------------------------------------------------
+# hashing: equal values hash alike across Cyc, int and Fraction
+
+
+@DETERMINISTIC
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4), st.sampled_from(CONDUCTORS))
+def test_rational_hash_matches_fraction(num, den, n):
+    """A rational Cyc hashes as its Fraction, so a dict finds it by the
+    equal int or Fraction and the other way round, whatever conductor the
+    value was written at."""
+    f = Fraction(num, den)
+    x = Cyc(n, [f] + [0] * (euler_phi(n) - 1))
+    assert x == f and hash(x) == hash(f)
+    assert {x: "x"}.get(f) == "x" and {f: "f"}.get(x) == "f"
+    if f.denominator == 1:
+        p = f.numerator
+        assert x == p and hash(x) == hash(p) and {x: "x"}.get(p) == "x"
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    assert ONE == 1 and {ONE: "one"}.get(1) == "one"
+    assert {Cyc.rational(1, 2): "half"}.get(Fraction(1, 2)) == "half"
+    assert {1: "one"}.get(ONE) == "one" and {ZERO: "zero"}.get(0) == "zero"
+    # a cyclotomic value keeps hashing by its key
+    assert hash(zeta(12, 4)) == hash(zeta(3)) == hash(zeta(3).key())

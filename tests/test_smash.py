@@ -4,6 +4,8 @@ a principal radical generator."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from ncreflect.hopf import Group, central_idempotents, group_algebra, group_linear_characters
@@ -15,7 +17,14 @@ from ncreflect.invariants import (
     proportional,
 )
 from ncreflect.linalg import Subspace, express
-from ncreflect.ncalg import Elem, left_ideal_slices, monic, right_ideal_slices, two_sided_ideal_slices
+from ncreflect.ncalg import (
+    Elem,
+    QuotientModule,
+    left_ideal_slices,
+    monic,
+    right_ideal_slices,
+    two_sided_ideal_slices,
+)
 from ncreflect.presets import catalog
 from ncreflect.presets.kac import (
     kac_palyutkin_characters,
@@ -23,7 +32,7 @@ from ncreflect.presets.kac import (
     skew_plane,
 )
 from ncreflect.presets.groups import dihedral8
-from ncreflect import scalars, smash
+from ncreflect import ncalg, scalars, smash
 from ncreflect.scalars import Cyc, I, ONE, ZERO
 from ncreflect.smash import (
     RifeData,
@@ -51,6 +60,7 @@ from oracles import (
     pairwise_intersection,
     pertinency_by_pushes,
     pertinency_one_at_a_time,
+    project_by_reduce,
     residue_trace,
     smash_dim,
     smash_mul_per_entry,
@@ -577,6 +587,41 @@ def test_dihedral3_component_intersection_forms():
         assert left[d] == rad.slices[d]
         assert right[d] == rad.slices[d]
         assert via_f == rad.slices[d]
+
+
+def _three_modules(name: str, D: int) -> list[QuotientModule]:
+    """A's quotient module, the pertinency module (spanned through the
+    components) and the dual-group module of a preset, built to D."""
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    made = []
+
+    class Recording(QuotientModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(smash, "QuotientModule", Recording):
+        pertinency_slices(SmashProduct(p.action), D, comp.slices)
+        dual_group_shortcut(p.algebra, comp.slices, D)
+    p.algebra.build(D)
+    return [p.algebra._module] + made
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_module_letter_maps_read_off_the_echelon_match_reduction(name):
+    """For A, the pertinency module and the dual-group module, the letter
+    maps and images read off the echelon are the ones that reducing each
+    carrier column modulo the relation rows gives."""
+    D = 12
+    got = _three_modules(name, D)
+    with mock.patch.object(ncalg, "_project", project_by_reduce):
+        want = _three_modules(name, D)
+    assert len(got) == len(want) == 3
+    for module, reference in zip(got, want):
+        assert module.dims == reference.dims and module._labels == reference._labels
+        assert module._letters == reference._letters
+        assert module._images == reference._images
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
