@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
 from .exprs import show_scalar
-from .linalg import Expressor, Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
+from .linalg import Matrix, Subspace, Vec, apply_cols, kernel, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -38,7 +38,7 @@ from .ncalg import (
     right_ideal_slices,
     two_sided_ideal_slices,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, addmul
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +57,11 @@ def graded_components(
     of those values.  The first probe takes one kernel of C_s − λ on A_d
     for each value λ = χ(s); a later one restricts each class to the kernel
     of C_s − μ for each value μ its characters take on s, read off the
-    relations among the images (C_s − μ)b of a basis b of the class.  The
-    characters differ on S, so each final class is one character
-    (docs/component-grading.md, "Joint eigenspaces, probe by probe")."""
+    kernel of the images (C_s − μ)b of the basis b of the class.  Each
+    basis is a reduced echelon basis (``linalg.kernel``), so each final
+    one is written down as it is.  The characters differ on S, so each
+    final class is one character (docs/component-grading.md, "Joint
+    eigenspaces, probe by probe")."""
     alg = action.alg
     out: list[list[Subspace]] = [[] for _ in chars.chars]
     if action.kind == "dual_group":
@@ -67,8 +69,8 @@ def graded_components(
         # is the span of the basis words of that G-degree
         for i, slices in enumerate(out):
             for d in range(max_degree + 1):
-                ks = [k for k, g in enumerate(action.word_gdeg(d)) if g == i]
-                slices.append(Subspace.units(alg.dim(d), ks))
+                slices.append(Subspace.echelon(alg.dim(d), [
+                    {k: ONE} for k, g in enumerate(action.word_gdeg(d)) if g == i]))
         return out
 
     probes = action.hopf.generators()
@@ -82,22 +84,31 @@ def graded_components(
             for members, basis in classes:
                 for value, group in _split_by_value(chars, members, s):
                     if basis is None:
-                        kernel = eigenvectors(dim, [(cols, value)])
+                        # the columns of C_s − λ: −λ added on the diagonal
+                        neg = -value
+                        images = [dict(col) for col in cols]
+                        if neg:
+                            for k, image in enumerate(images):
+                                x = addmul(image.get(k), ONE, neg)
+                                if x is None:
+                                    del image[k]
+                                else:
+                                    image[k] = x
+                        found = kernel(images)
                     elif basis:
                         images = []
                         for b in basis:
                             image = apply_cols(cols, b)
                             vec_addto(image, b, -value)
                             images.append(image)
-                        kernel = [apply_cols(basis, c)
-                                  for c in Expressor(dim, images).relations()]
+                        found = [apply_cols(basis, c) for c in kernel(images)]
                     else:
-                        kernel = []
-                    refined.append((group, kernel))
+                        found = []
+                    refined.append((group, found))
             classes = refined
         for (i,), basis in classes:
             out[i].append(alg.slice_space(d) if basis is None
-                          else Subspace.span(dim, basis))
+                          else Subspace.echelon(dim, basis))
     return out
 
 
@@ -132,29 +143,59 @@ def check_component_multiplicativity(
     p_i, which is the dimension of that eigenspace (b).  Then every slice
     is its whole eigenspace, and the module-algebra law
     h.(ab) = sum (h_1.a)(h_2.b) puts A_g * A_h inside A_{g*h}
-    (docs/component-grading.md).  The reason names the first slice that
-    fails (a) or (b).
+    (docs/component-grading.md).
+
+    Once (a) holds, each slice has at most the dimension tr(p_i | A_d), so
+    (b) holds for every slice of degree d exactly when the slice
+    dimensions add up to the one trace of P = sum p_i on A_d, summed over
+    the support of P alone.  Only in a degree where (a) or that sum fails
+    are the p_i traced one by one, so the reason names the first slice
+    that fails (a) or (b).
     """
     probes = action.hopf.generators()
-    support = {h for p in projectors for h in p}
+    total: Vec = {}
+    for p in projectors:
+        vec_addto(total, p)
     for d in range(max_degree + 1):
-        traces = {}
-        for h in support:
-            cols = action.columns(h, d)
-            traces[h] = sum((col[k] for k, col in enumerate(cols) if k in col), ZERO)
+        leaves = None
         for i, ch in enumerate(chars.chars):
-            space = comps[i][d]
-            basis = space.basis()
-            for h in probes:
-                cols, value = action.columns(h, d), ch.values[h]
-                for v in basis:
-                    if apply_cols(cols, v) != vec_scale(v, value):
-                        return [f"A_{ch.label} in degree {d} leaves its eigenspace"]
-            trace = sum((c * traces[h] for h, c in projectors[i].items()), ZERO)
-            if trace != space.dim:
-                return [f"A_{ch.label} in degree {d} has dimension {space.dim}, "
-                        f"its projector trace {show_scalar(trace)[0]}"]
+            basis = comps[i][d].basis()
+            if any(apply_cols(action.columns(h, d), v) != vec_scale(v, ch.values[h])
+                   for h in probes for v in basis):
+                leaves = i
+                break
+        if leaves is None:
+            trace = None
+            for h, c in total.items():
+                for k, col in enumerate(action.columns(h, d)):
+                    x = col.get(k)
+                    if x is not None:
+                        trace = addmul(trace, x, c)
+            if (trace or ZERO) == sum(slices[d].dim for slices in comps):
+                continue
+        return [_first_failing_slice(action, chars, comps, d, projectors, leaves)]
     return []
+
+
+def _first_failing_slice(action, chars, comps, d, projectors, leaves) -> str:
+    """The reason for the first slice of degree d that fails (a) or (b),
+    given the first one, leaves (or None), that fails (a)."""
+    traces = {}
+    for i, ch in enumerate(chars.chars):
+        if i == leaves:
+            return f"A_{ch.label} in degree {d} leaves its eigenspace"
+        trace = ZERO
+        for h, c in projectors[i].items():
+            if h not in traces:
+                cols = action.columns(h, d)
+                traces[h] = sum((col[k] for k, col in enumerate(cols) if k in col), ZERO)
+            trace += c * traces[h]
+        dim = comps[i][d].dim
+        if trace != dim:
+            return (f"A_{ch.label} in degree {d} has dimension {dim}, "
+                    f"its projector trace {show_scalar(trace)[0]}")
+    # the traces of the p_i add up to the trace of P, which missed the sum
+    raise AssertionError("no slice fails in this degree")
 
 
 def minimal_component_generator(
@@ -283,23 +324,25 @@ def fixed_ring(
 
 
 def hilbert_poly_certificate(dims: Sequence[int], gen_degrees: Sequence[int], D: int) -> bool:
-    """True iff hilbert(R) * prod (1 - t^d_i) = 1 up to degree D."""
-    series = [Fraction(x) for x in dims]
+    """True iff hilbert(R) * prod (1 - t^d_i) = 1 up to degree D, in int."""
+    series = list(dims)
     for d in gen_degrees:
         series = [series[k] - (series[k - d] if k >= d else 0) for k in range(D + 1)]
     return series[0] == 1 and all(x == 0 for x in series[1:])
 
 
 def series_quotient(num: Sequence[int], den: Sequence[int], D: int) -> list[Fraction]:
-    """Power-series division num/den (den[0] must be nonzero)."""
-    out: list[Fraction] = []
+    """Power-series division num/den (den[0] must be nonzero), as Fractions.
+    A Hilbert series starts with 1, and dividing by a series with den[0] = 1
+    stays in int; only another leading coefficient divides."""
+    lead = den[0]
+    out: list = []
     for d in range(D + 1):
-        acc = Fraction(num[d]) if d < len(num) else Fraction(0)
-        for e in range(1, d + 1):
-            if e < len(den):
-                acc -= den[e] * out[d - e]
-        out.append(acc / den[0])
-    return out
+        acc = num[d] if d < len(num) else 0
+        for e in range(1, min(d, len(den) - 1) + 1):
+            acc -= den[e] * out[d - e]
+        out.append(acc if lead == 1 else Fraction(acc) / lead)
+    return [Fraction(x) for x in out]
 
 
 def series_is_polynomial(coeffs: Sequence[Fraction]) -> tuple[bool, int]:

@@ -19,7 +19,8 @@ another pivot column, subtracting a multiple of one row from a vector
 leaves its entries at the other pivot columns as they were: ``reduce``
 clears every pivot in one pass over the pivot entries of its input.
 ``insert`` keeps the invariant (the new row is reduced, and its pivot is
-eliminated from every stored row), and so does ``Subspace.units``.
+eliminated from every stored row), and ``Subspace.echelon`` is given
+rows that already keep it.
 
 A batch goes in through ``extend``, in descending order of leading
 (smallest) column.  A stored row holds only columns at or above its own
@@ -29,19 +30,24 @@ back-substitution scan over every stored row.  Inserted in arrival
 order, a low pivot is eliminated from every row that holds it.  The row
 space, and with it the unique reduced echelon form, does not depend on
 the order, so the rows come out the same either way.
-``Subspace.units`` writes a span of unit vectors as its echelon
-directly, with no insert.  On top of the engine sit ``Subspace``
-(canonical bases, sums and intersections), ``Expressor`` (coefficients
-of a target over a generator list, and the linear relations among the
-generators), and ``eigenvectors`` (common eigenvectors of maps given by
-sparse columns, read off one echelon: the Hopf integral and the
-character components).
+``Subspace.echelon`` writes down rows that are already a reduced
+echelon basis (unit vectors, or a kernel), with no insert.  On top of
+the engine sit ``Subspace`` (canonical bases, sums and intersections),
+``Expressor`` (coefficients of a target over a generator list), and
+``eigenvectors`` (common eigenvectors of maps given by sparse columns,
+read off one echelon: the Hopf integral).
 
-Kernels are read off one way: ``Expressor.relations``.  ``U ∩ V`` is
-the set of combinations of the rows of U whose residues modulo V's
-echelon cancel, so ``Subspace.intersect`` reduces the rows of the
-smaller operand by the larger one's existing echelon and combines them
-along the relations among the residues.
+Kernels are read off one way: ``kernel`` takes the images of the basis
+vectors and returns the kernel's reduced echelon basis, read off one
+echelon of the transposed images with the columns in descending order.
+It serves the character components, the trace of an ideal on A and
+``U ∩ V``: the set of combinations of the rows of U whose residues
+modulo V's echelon cancel, so ``Subspace.intersect`` reduces the rows of
+the smaller operand by the larger one's existing echelon and combines
+them along the kernel of the residues.  Rows of a reduced echelon basis
+taken in pivot order and combined along a kernel's reduced echelon
+basis give a reduced echelon basis again, so each of these results is
+written down by ``Subspace.echelon``.
 
 ``Matrix`` is a small dense value type for group elements and generator
 matrices.  Column convention: ``M[i][j]`` is the coefficient of basis
@@ -222,12 +228,14 @@ class Subspace:
         return s
 
     @classmethod
-    def units(cls, dim: int, ks: Iterable[int]) -> "Subspace":
-        """The span of the unit vectors at ks, written as its echelon: a
-        unit vector is its own reduced row, so nothing is eliminated."""
+    def echelon(cls, dim: int, rows: Iterable[Vec]) -> "Subspace":
+        """The span of rows that already form a reduced echelon basis (each
+        row 1 at its pivot, its smallest column, and no entry at another
+        row's pivot), written down as they are: nothing is eliminated.  The
+        subspace keeps the row dicts themselves."""
         s = cls(dim)
         ech = s._ech
-        ech.rows = {k: {k: ONE} for k in sorted(ks)}
+        ech.rows = {min(r): r for r in rows}
         ech.low = min(ech.rows, default=dim)
         return s
 
@@ -267,14 +275,15 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V: the combinations of the rows of the smaller operand whose
-        residues modulo the larger operand's echelon cancel."""
+        residues modulo the larger operand's echelon cancel.  The rows in
+        pivot order, combined along the reduced echelon basis of those
+        combinations, are again a reduced echelon basis."""
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
         small, large = (self, other) if self.dim <= other.dim else (other, self)
-        rows = list(small._ech.rows.values())
-        residues = [large.reduce(u) for u in rows]
-        relations = Expressor(self.ambient, residues).relations()
-        return Subspace.span(self.ambient, [apply_cols(rows, c) for c in relations])
+        rows = [small._ech.rows[p] for p in sorted(small._ech.rows)]
+        relations = kernel([large.reduce(u) for u in rows])
+        return Subspace.echelon(self.ambient, [apply_cols(rows, c) for c in relations])
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -312,20 +321,46 @@ class Expressor:
             out[k - self.dim] = -x
         return out
 
-    def relations(self) -> list[Vec]:
-        """Basis of {c : sum c_i * gens[i] = 0}, as vectors over the
-        generator indices: the echelon rows pivoting in the tracking block."""
-        dim = self.dim
-        return [{k - dim: x for k, x in row.items()}
-                for p, row in sorted(self._ech.rows.items()) if p >= dim]
-
 
 def express(dim: int, gens: Sequence[Vec], target: Vec) -> list | None:
     return Expressor(dim, gens).coeffs(target)
 
 
+def kernel(images: Sequence[Vec]) -> list[Vec]:
+    """Reduced echelon basis of {c : Σ_j c_j images[j] = 0}, in ascending
+    order of pivot, read off one echelon.
+
+    The rows of the map whose j-th column is images[j] go in with column j
+    at position n − 1 − j, as ``ncalg.QuotientModule`` orders its carrier,
+    so that each stored row pivots on its largest index and holds only
+    free indices below it.  Each free index f gives the vector with 1 at f
+    and, at each pivot p whose row holds f, minus that entry: its smallest
+    index is f and it holds no other free index, so the vectors are the
+    kernel's reduced echelon rows, with no further elimination.
+    """
+    n = len(images)
+    rows: dict[int, Vec] = {}
+    for j, image in enumerate(images):
+        c = n - 1 - j
+        for r, x in image.items():
+            row = rows.get(r)
+            if row is None:
+                rows[r] = {c: x}
+            else:
+                row[c] = x
+    ech = SparseEch(n)
+    ech.extend(rows.values())
+    out = {n - 1 - c: {n - 1 - c: ONE} for c in range(n) if c not in ech.rows}
+    for p, row in ech.rows.items():
+        for c, x in row.items():
+            if c != p:
+                out[n - 1 - c][n - 1 - p] = -x
+    return [dict(sorted(out[f].items())) for f in sorted(out)]
+
+
 def eigenvectors(dim: int, maps: Iterable[tuple[Sequence[Vec], Cyc]]) -> list[Vec]:
-    """Basis of {x : C x = lam x for all (columns of C, lam) in maps}.
+    """Basis of {x : C x = lam x for all (columns of C, lam) in maps}, the
+    Hopf integral's common eigenvectors (``HopfAlgebra.integral``).
 
     The rows of every C - lam go into one echelon; each free column f
     gives one vector, in ascending order of f: 1 at f and, at each pivot

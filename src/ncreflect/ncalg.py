@@ -290,7 +290,7 @@ class GradedAlgebra:
     def slice_space(self, degree: int) -> Subspace:
         """The whole of A_degree."""
         dim = self.dim(degree)
-        return Subspace.units(dim, range(dim))
+        return Subspace.echelon(dim, [{k: ONE} for k in range(dim)])
 
 
 class Elem:

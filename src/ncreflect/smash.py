@@ -20,8 +20,8 @@ each echelon row stays inside one; the block of a character projector is
 a line, read off the character.  With both, a complement vector is
 multiplied out in the block of 1 − Σ p_χ alone: its part in the line of
 p_χ lies in A_{χ⁻¹} # p_χ, which the rows of the component of χ⁻¹ span.
-The trace on A is the kernel of a ↦ π(a # 1), read off as the linear
-relations among the images of the basis words, with π(x_i u # 1) =
+The trace on A is the kernel of a ↦ π(a # 1), read off one echelon of
+the images of the basis words (``linalg.kernel``), with π(x_i u # 1) =
 X_i π(u # 1) through the letter maps of the module, whatever the unit
 of H.  The dual-group shortcut ∩_g A·A_g is read off the same way: it is
 the kernel of a ↦ π(a ⊗ Σ_g e_g) on the quotient module ⊕_g A/A·A_g.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra
-from .linalg import Expressor, Subspace, Vec, apply_cols, vec_addto, vec_scale
+from .linalg import Subspace, Vec, apply_cols, kernel, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -242,8 +242,8 @@ def pertinency_slices(sm: SmashProduct, max_degree: int,
 
 def _trace_on_a(module: QuotientModule, unit: Vec, max_degree: int) -> list[Subspace]:
     """{a in A_d : π(a ⊗ u) = 0} in every degree, for u = Σ_h unit[h] e_h
-    in k^n: the kernel of a ↦ π(a ⊗ u), read off as the relations among
-    the images of the basis words, with π(x_i w ⊗ u) = X_i π(w ⊗ u).  For
+    in k^n: the kernel of a ↦ π(a ⊗ u), read off the images of the basis
+    words by ``linalg.kernel``, with π(x_i w ⊗ u) = X_i π(w ⊗ u).  For
     the pertinency module and u the unit of H it is the trace of P on A;
     for the stacked module of the dual-group shortcut and u = Σ_g e_g it
     is ∩_g A·A_g."""
@@ -260,8 +260,7 @@ def _trace_on_a(module: QuotientModule, unit: Vec, max_degree: int) -> list[Subs
                 row.append(apply_cols(module.letter(word[0], e),
                                       images[e][alg.word_index(e, word[1:])]))
             images.append(row)
-        relations = Expressor(module.dims[d], images[d]).relations()
-        out.append(Subspace.span(alg.dim(d), relations))
+        out.append(Subspace.echelon(alg.dim(d), kernel(images[d])))
     return out
 
 

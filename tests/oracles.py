@@ -8,6 +8,15 @@ kernel of stacked C - lam rows off it, the reference for
 ``zassenhaus_intersect`` is the doubled-coordinate intersection: it
 eliminates both operands anew, the reference for
 ``Subspace.intersect``, which reuses the larger operand's echelon.
+``fraction_series_quotient`` divides power series with every
+coefficient a ``Fraction``, the reference for
+``invariants.series_quotient``, which stays in int when the leading
+coefficient of the divisor is 1.
+``tracked_kernel`` appends tracking coordinates to the images, reads
+the relations among them off the echelon rows that pivot in the
+tracking block and spans them anew, the reference for
+``linalg.kernel``, which reads the reduced echelon basis of the kernel
+off one echelon of the transposed images.
 
 ``augmentation_module`` builds A * S_+ or S_+ * A from every slice of a
 subalgebra S (``subalgebra_slices``), the reference for the covariant
@@ -77,6 +86,9 @@ and names each one that leaves A_{gh} (``products_inside`` tests one
 pair of slices), the reference for
 ``invariants.check_component_multiplicativity``, which certifies the
 grading from the character projectors without forming a product.
+``certificate_per_character`` is that certificate with one trace of p_i
+per character and degree, the reference for the check's one trace of
+Σ p_i per degree.
 ``greedy_generating_set`` takes each group element outside the subgroup
 of the ones before it, the reference for ``HopfAlgebra.generators`` on
 a group algebra.
@@ -161,8 +173,8 @@ from math import gcd
 from ncreflect.exprs import FreePoly, Word, p_degree
 from ncreflect.hopf import Group
 from ncreflect.invariants import series_is_polynomial, series_quotient
+from ncreflect.exprs import show_scalar
 from ncreflect.linalg import (
-    Expressor,
     SparseEch,
     Subspace,
     Vec,
@@ -238,6 +250,33 @@ def dense_eigenvectors(dim: int, maps) -> list[dict]:
             v[p] = -red[i][f]
         out.append({k: x for k, x in enumerate(v) if not x.is_zero()})
     return out
+
+
+def fraction_series_quotient(num, den, D: int) -> list[Fraction]:
+    """Power-series division num/den with every coefficient a Fraction."""
+    out: list[Fraction] = []
+    for d in range(D + 1):
+        acc = Fraction(num[d]) if d < len(num) else Fraction(0)
+        for e in range(1, d + 1):
+            if e < len(den):
+                acc -= den[e] * out[d - e]
+        out.append(acc / den[0])
+    return out
+
+
+def tracked_kernel(dim: int, gens: list[Vec]) -> Subspace:
+    """{c : Σ c_i gens[i] = 0} for gens in k^dim: each generator with 1 at
+    its own tracking coordinate dim + i appended goes into one echelon,
+    and the rows that pivot in the tracking block, shifted down by dim,
+    are spanned anew."""
+    ech = SparseEch(dim + len(gens))
+    for i, g in enumerate(gens):
+        row = dict(g)
+        row[dim + i] = ONE
+        ech.insert(row)
+    relations = [{k - dim: x for k, x in row.items()}
+                 for p, row in sorted(ech.rows.items()) if p >= dim]
+    return Subspace.span(len(gens), relations)
 
 
 def zassenhaus_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -602,8 +641,7 @@ def module_kernel(module, max_degree: int) -> list[Subspace]:
     out = []
     for d in range(max_degree + 1):
         images = [module.image(d, k, h) for k in range(alg.dim(d)) for h in range(n)]
-        relations = Expressor(module.dims[d], images).relations()
-        out.append(Subspace.span(alg.dim(d) * n, relations))
+        out.append(tracked_kernel(module.dims[d], images))
     return out
 
 
@@ -613,7 +651,7 @@ def residue_trace(sm, space: Subspace, degree: int) -> Subspace:
     reads the kernel of a ↦ π(a # 1) off the quotient module."""
     dim = sm.alg.dim(degree)
     residues = [space.reduce(sm.include_a({i: ONE}, degree)) for i in range(dim)]
-    return Subspace.span(dim, Expressor(smash_dim(sm, degree), residues).relations())
+    return tracked_kernel(smash_dim(sm, degree), residues)
 
 
 def pertinency_one_at_a_time(sm, max_degree: int) -> list[Subspace]:
@@ -966,6 +1004,33 @@ def multiplicativity_by_products(action, chars, comps, max_degree: int) -> list[
                         bad.append(f"A_{g0.labels[i]} * A_{g0.labels[j]} leaves "
                                    f"A_{g0.labels[k]} in degree {e + f}")
     return bad
+
+
+def certificate_per_character(action, chars, comps, max_degree: int, projectors) -> list[str]:
+    """The component certificate with (b) checked slice by slice: in each
+    degree, each slice in turn must pass (a), the eigenvector test at the
+    algebra generators of H, and (b), dim = tr(p_i | A_d), from the trace
+    of every basis element in the support of some p_i."""
+    probes = action.hopf.generators()
+    support = {h for p in projectors for h in p}
+    for d in range(max_degree + 1):
+        traces = {}
+        for h in support:
+            cols = action.columns(h, d)
+            traces[h] = sum((col[k] for k, col in enumerate(cols) if k in col), ZERO)
+        for i, ch in enumerate(chars.chars):
+            space = comps[i][d]
+            basis = space.basis()
+            for h in probes:
+                cols, value = action.columns(h, d), ch.values[h]
+                for v in basis:
+                    if apply_cols(cols, v) != vec_scale(v, value):
+                        return [f"A_{ch.label} in degree {d} leaves its eigenspace"]
+            trace = sum((c * traces[h] for h, c in projectors[i].items()), ZERO)
+            if trace != space.dim:
+                return [f"A_{ch.label} in degree {d} has dimension {space.dim}, "
+                        f"its projector trace {show_scalar(trace)[0]}"]
+    return []
 
 
 def commutator_ideal_all_pairs(hopf) -> Subspace:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncreflect.hopf import central_idempotents
 from ncreflect.invariants import (
@@ -30,6 +32,8 @@ from ncreflect.scalars import ONE
 
 from oracles import (
     augmentation_module,
+    certificate_per_character,
+    fraction_series_quotient,
     components_per_character,
     fixed_ring_all_pairs,
     multiplicativity_by_products,
@@ -131,6 +135,78 @@ def test_certificate_refuses_a_vector_of_another_component():
         "A_g in degree 4 leaves its eigenspace"]
     witnesses = multiplicativity_by_products(p.action, p.chars, bad, 6)
     assert "A_g * A_eps leaves A_g in degree 4" in witnesses
+
+
+def _traded(comps, i, j, d):
+    """Slot i of degree d loses its last basis vector to slot j: the two
+    slices trade a dimension, so the slice dimensions keep their sum."""
+    basis = comps[i][d].basis()
+    out = _with_slice(comps, i, d, Subspace.span(comps[i][d].ambient, basis[:-1]))
+    out[j][d] = Subspace.span(comps[j][d].ambient, comps[j][d].basis() + basis[-1:])
+    return out
+
+
+def test_traded_dimensions_are_caught_by_containment():
+    """Two slices that trade a dimension keep the sum of the dimensions, so
+    the one trace of Σ p_i agrees; (a) catches the slice that took a
+    vector of another eigenspace, and the reason names the first slice
+    that fails, as the trace per character does."""
+    p, comp, _, _ = bundle("e42-kacpalyutkin")
+    projectors = central_idempotents(p.hopf, p.chars)
+    eps, g = cidx(p, "eps"), cidx(p, "g")
+    bad = _traded(comp.slices, eps, g, 4)
+    assert sum(s[4].dim for s in bad) == sum(s[4].dim for s in comp.slices)
+    reason = ["A_eps in degree 4 has dimension 1, its projector trace 2"]
+    assert check_component_multiplicativity(p.action, p.chars, bad, 6, projectors) == reason
+    assert certificate_per_character(p.action, p.chars, bad, 6, projectors) == reason
+    grown = _with_slice(comp.slices, g, 4, bad[g][4])
+    assert check_component_multiplicativity(p.action, p.chars, grown, 6, projectors) == [
+        "A_g in degree 4 leaves its eigenspace"]
+
+
+def test_one_trace_matches_the_trace_per_character_on_corrupted_slices():
+    """The corrupted slices of the tests above, and a traded dimension:
+    the same verdict and the same reason as tracing each p_i."""
+    p, comp, _, _ = bundle("e42-kacpalyutkin")
+    projectors = central_idempotents(p.hopf, p.chars)
+    eps, g, gp = cidx(p, "eps"), cidx(p, "g"), cidx(p, "gp")
+    swapped = list(comp.slices)
+    swapped[eps], swapped[g] = swapped[g], swapped[eps]
+    full = comp.slices[eps][4]
+    cases = [swapped,
+             _with_slice(comp.slices, eps, 4, Subspace.span(full.ambient, full.basis()[:1])),
+             _with_slice(comp.slices, g, 4, comp.slices[gp][4]),
+             _traded(comp.slices, eps, g, 4),
+             _traded(comp.slices, g, eps, 4)]
+    for bad in cases:
+        got = check_component_multiplicativity(p.action, p.chars, bad, 6, projectors)
+        assert got and got == certificate_per_character(p.action, p.chars, bad, 6, projectors)
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_one_trace_matches_the_trace_per_character_on_every_preset(name):
+    """At D = 12 on every shipped preset: both pass on the components, and
+    in every degree a shrunk slice and a traded dimension get the same
+    reason from both."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    comps = graded_components(p.action, p.chars, D)
+    projectors = central_idempotents(p.hopf, p.chars)
+    assert check_component_multiplicativity(p.action, p.chars, comps, D, projectors) == []
+    assert certificate_per_character(p.action, p.chars, comps, D, projectors) == []
+    n = len(p.chars.chars)
+    for d in range(D + 1):
+        i = next((i for i in range(n) if comps[i][d].dim), None)
+        if i is None:
+            continue
+        space = comps[i][d]
+        cases = [_with_slice(comps, i, d, Subspace.span(space.ambient, space.basis()[:-1]))]
+        if n > 1:
+            cases.append(_traded(comps, i, (i + 1) % n, d))
+        for bad in cases:
+            got = check_component_multiplicativity(p.action, p.chars, bad, D, projectors)
+            assert got and got == certificate_per_character(p.action, p.chars, bad, D,
+                                                            projectors)
 
 
 def test_kac_fixed_ring():
@@ -391,3 +467,16 @@ def test_free_slice_index_is_lexicographic():
         got, index = _free_slice_index(ngens, length)
         assert got == words(ngens, length) == sorted(got)
         assert all(index[w] == n for n, w in enumerate(got))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(st.integers(-9, 9), max_size=8),
+       st.sampled_from([1, 2, -3]), st.lists(st.integers(-4, 4), max_size=6),
+       st.integers(0, 10))
+def test_series_quotient_matches_fraction_division(num, lead, tail, D):
+    """In int when the divisor starts with 1, by Fractions otherwise: the
+    same Fractions as dividing with every coefficient a Fraction."""
+    den = [lead, *tail]
+    got = series_quotient(num, den, D)
+    assert got == fraction_series_quotient(num, den, D)
+    assert all(type(x) is Fraction for x in got)

@@ -12,6 +12,7 @@ from ncreflect.linalg import (
     Subspace,
     eigenvectors,
     express,
+    kernel,
     vec_addto,
     vec_from_dense,
     vec_to_dense,
@@ -25,6 +26,7 @@ from oracles import (
     dense_eigenvectors,
     dense_rref,
     normal_forms,
+    tracked_kernel,
     vec_addto_unfused,
     zassenhaus_intersect,
 )
@@ -304,13 +306,14 @@ def test_no_row_holds_another_pivot_column(case, data):
     """After every insert, no stored row holds a pivot column other than its
     own and no reduced vector holds any, whether the batch comes in
     descending leading column (each new pivot below ``low``) or shuffled,
-    from nothing or from ``Subspace.units``: so one pass of ``reduce``
+    from nothing or from unit rows written down by ``Subspace.echelon``:
+    so one pass of ``reduce``
     clears every pivot.  The reduce that re-scans until no pivot column
     is left gives the same rows and the same residues."""
     n, batch, start = case
     for order in (sorted(batch, key=lambda v: min(v, default=n), reverse=True),
                   data.draw(st.permutations(batch))):
-        fast = SparseEch(n) if start is None else Subspace.units(n, start)._ech
+        fast = SparseEch(n) if start is None else Subspace.echelon(n, unit_rows(start))._ech
         slow = LoopingEch(n)
         slow.rows = {p: dict(r) for p, r in fast.rows.items()}
         slow.low = fast.low
@@ -326,10 +329,16 @@ def test_no_row_holds_another_pivot_column(case, data):
                 assert normal_forms(residue) == normal_forms(slow.reduce(w))
 
 
+def unit_rows(ks) -> list:
+    return [{k: ONE} for k in sorted(set(ks))]
+
+
 @pytest.mark.parametrize("dim, ks", [(0, []), (3, []), (1, [0]), (5, [4, 1, 3]),
                                      (6, range(6)), (4, [2, 2])])
 def test_units_equals_the_span_built_by_add(dim, ks):
-    units = Subspace.units(dim, ks)
+    """Unit rows written down by ``Subspace.echelon`` are the span that
+    ``add`` builds, and the echelon takes later inserts alike."""
+    units = Subspace.echelon(dim, unit_rows(ks))
     added = Subspace(dim)
     for k in ks:
         added.add({k: ONE})
@@ -344,6 +353,8 @@ def test_units_equals_the_span_built_by_add(dim, ks):
 
 @pytest.mark.parametrize("conductor", [1, 8, 12])
 def test_expressor_relations_span_the_kernel(conductor):
+    """``kernel`` gives the reduced echelon basis of the relations that the
+    tracking-coordinate oracle reads off, and each one cancels."""
     rng = random.Random(4000 + conductor)
     units = [zeta(conductor, k) for k in range(conductor)]
 
@@ -360,7 +371,8 @@ def test_expressor_relations_span_the_kernel(conductor):
             vec_addto(extra, rng.choice(gens), scalar())
             vec_addto(extra, rng.choice(gens), scalar())
             gens.insert(rng.randint(0, len(gens)), extra)
-        rels = Expressor(dim, gens).relations()
+        rels = kernel(gens)
+        assert rels == tracked_kernel(dim, gens).basis()
         rank = Subspace.span(dim, gens).dim
         assert len(rels) == len(gens) - rank
         assert Subspace.span(len(gens), rels).dim == len(rels)
@@ -370,6 +382,74 @@ def test_expressor_relations_span_the_kernel(conductor):
             for i, c in rel.items():
                 vec_addto(combo, gens[i], c)
             assert combo == {}
+
+
+@st.composite
+def kernel_batches(draw):
+    """A target dimension and a list of images over Q, Q(i) or Q(zeta_12),
+    possibly empty, with zero images, repeated images and scalar
+    multiples mixed in."""
+    n = draw(st.integers(1, 7))
+    conductor = draw(st.sampled_from([1, 4, 12]))
+    units = [zeta(conductor, k) for k in range(conductor)]
+    scalar = st.builds(lambda r, u: r * u,
+                       st.sampled_from([ONE, -ONE, Cyc.rational(2), Cyc.rational(-1, 3)]),
+                       st.sampled_from(units))
+    vec = st.dictionaries(st.integers(0, n - 1), scalar, max_size=min(n, 4))
+    images = draw(st.lists(vec, max_size=9))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple"]))
+        if kind == "zero" or not images:
+            extra = {}
+        else:
+            v = draw(st.sampled_from(images))
+            c = ONE if kind == "repeat" else draw(scalar)
+            extra = {k: x * c for k, x in v.items()}
+        images.insert(draw(st.integers(0, len(images))), extra)
+    return n, images
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(kernel_batches())
+def test_kernel_matches_the_tracking_oracle(case):
+    """The kernel read off one echelon of the transposed images is the
+    reduced echelon basis of the relations the tracking-coordinate oracle
+    finds: the same rows in ascending pivot order, each 1 at its pivot
+    and holding no other pivot, and each combination of the images
+    cancels."""
+    n, images = case
+    got = kernel(images)
+    want = tracked_kernel(n, images)
+    assert got == want.basis()
+    assert Subspace.echelon(len(images), got) == want
+    pivots = [min(v) for v in got]
+    assert pivots == sorted(set(pivots))
+    for v in got:
+        assert v[min(v)] == ONE
+        assert not set(v) & set(pivots) - {min(v)}
+        combo = {}
+        for j, c in v.items():
+            vec_addto(combo, images[j], c)
+        assert combo == {}
+    assert len(got) == len(images) - Subspace.span(n, images).dim
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(insert_batches(), st.data())
+def test_echelon_of_canonical_rows_equals_the_span(case, data):
+    """``Subspace.echelon`` of a reduced echelon basis, in any order, is the
+    subspace ``Subspace.span`` eliminates from the same rows: equal, with
+    the same ``low`` and rank, and a later insert acts alike on both."""
+    n, batch = case
+    rows = Subspace.span(n, batch).basis()
+    shuffled = [dict(r) for r in data.draw(st.permutations(rows))]
+    written, spanned = Subspace.echelon(n, shuffled), Subspace.span(n, rows)
+    assert written == spanned
+    assert written._ech.low == spanned._ech.low
+    assert written.dim == spanned.dim == len(rows)
+    for v in [{k: Cyc.rational(k + 1) for k in range(0, n, 2)}, *batch]:
+        assert written.add(v) == spanned.add(v)
+        assert written == spanned
 
 
 def test_expressor():

@@ -15,8 +15,9 @@ past the fixture bound, where the split of each A_d into character
 components and their complement differs from degree 12.  A tier-1 test
 checks the reports against them.  Last it writes the SHA-256 of the
 reports of every shipped preset at degree bound 36 to
-``tests/report_hashes_d36.json``, which the CI step "Deep presets at
-degree 36" checks the reports of ``ncreflect analyze`` against.
+``tests/report_hashes_d36.json``.  The CI step "Every shipped preset at
+degrees 24 and 36" checks the reports of ``ncreflect analyze`` against
+both files.
 
 Every expected value carries a provenance tag:
 
