@@ -133,6 +133,11 @@ class HopfAlgebra:
             self._delta.append(tensor)
         self._integral: Vec | None = None
         self._generators: list[int] | None = None
+        # the validated table of kG or k^G, set by group_algebra and
+        # dual_group_algebra only: such an H is a Hopf algebra by
+        # construction (docs/component-grading.md, "What a validated
+        # group table implies")
+        self.group: Group | None = None
 
     # -- operations on coordinate vectors --------------------------------
 
@@ -187,7 +192,12 @@ class HopfAlgebra:
         ε over the pairs (x, s).  Given the unit law, the middle factors
         that pass form a subalgebra, and given associativity too, so do
         the right factors; so S decides both for H
-        (docs/component-grading.md)."""
+        (docs/component-grading.md).
+
+        ``analyze`` calls it on every H but kG and k^G, which it takes as
+        verified by their construction from a validated group table;
+        ``validate`` calls it on every H, and the tests run it on kG and
+        k^G as the oracle of that skip."""
         bad: list[str] = []
         rng = range(self.dim)
         lab = self.labels
@@ -319,7 +329,9 @@ def group_algebra(group: Group) -> HopfAlgebra:
     comult = [[(i, i, ONE)] for i in range(n)]
     counit = [ONE] * n
     antipode = [{group.inverse[i]: ONE} for i in range(n)]
-    return HopfAlgebra(group.labels, {group.identity: ONE}, mult, comult, counit, antipode)
+    hopf = HopfAlgebra(group.labels, {group.identity: ONE}, mult, comult, counit, antipode)
+    hopf.group = group
+    return hopf
 
 
 def dual_group_algebra(group: Group) -> HopfAlgebra:
@@ -332,7 +344,9 @@ def dual_group_algebra(group: Group) -> HopfAlgebra:
     counit = [ONE if i == group.identity else ZERO for i in range(n)]
     antipode = [{group.inverse[i]: ONE} for i in range(n)]
     unit = {i: ONE for i in range(n)}
-    return HopfAlgebra(group.labels, unit, mult, comult, counit, antipode)
+    hopf = HopfAlgebra(group.labels, unit, mult, comult, counit, antipode)
+    hopf.group = group
+    return hopf
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +749,8 @@ class HopfAction:
     def verify(self) -> list[str]:
         """Check the module-algebra laws on generators and relations, the
         module law (ab)·x_j = a·(b·x_j) for b in ``hopf.generators()``: on
-        a verified H, which every caller checks first, that decides it
+        a verified H, which every caller checks first or builds from a
+        validated group table, that decides it
         (docs/component-grading.md, "The module law holds at S")."""
         bad: list[str] = []
         alg, hopf = self.alg, self.hopf

@@ -65,8 +65,9 @@ def graded_components(
     alg = action.alg
     out: list[list[Subspace]] = [[] for _ in chars.chars]
     if action.kind == "dual_group":
-        # character i is evaluation at group element i, so the component
-        # is the span of the basis words of that G-degree
+        # character i is evaluation at group element i (asserted where the
+        # action and the characters are bundled, presets.catalog.Preset),
+        # so the component is the span of the basis words of that G-degree
         for i, slices in enumerate(out):
             for d in range(max_degree + 1):
                 slices.append(Subspace.echelon(alg.dim(d), [
@@ -151,6 +152,11 @@ def check_component_multiplicativity(
     the support of P alone.  Only in a degree where (a) or that sum fails
     are the p_i traced one by one, so the reason names the first slice
     that fails (a) or (b).
+
+    ``analyze`` calls it on every action but a dual-group action of k^G,
+    whose slices satisfy (a) and (b) by construction
+    (docs/component-grading.md, "What a validated group table implies");
+    the tests run it there as the oracle of that skip.
     """
     probes = action.hopf.generators()
     total: Vec = {}

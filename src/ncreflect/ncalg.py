@@ -573,18 +573,14 @@ def two_sided_ideal_slices(alg: GradedAlgebra, gens: Sequence[Elem], max_degree:
 
 def mul_space_elem(alg: GradedAlgebra, space: Subspace, sdeg: int, e: Elem) -> Subspace:
     """The image space * e inside degree sdeg + e.degree."""
-    out = Subspace(alg.dim(sdeg + e.degree))
-    for v in space.basis():
-        out.add(alg.mul(v, sdeg, e.vec, e.degree))
-    return out
+    return Subspace.span(alg.dim(sdeg + e.degree),
+                         [alg.mul(v, sdeg, e.vec, e.degree) for v in space.basis()])
 
 
 def mul_elem_space(alg: GradedAlgebra, e: Elem, space: Subspace, sdeg: int) -> Subspace:
     """The image e * space inside degree e.degree + sdeg."""
-    out = Subspace(alg.dim(e.degree + sdeg))
-    for v in space.basis():
-        out.add(alg.mul(e.vec, e.degree, v, sdeg))
-    return out
+    return Subspace.span(alg.dim(e.degree + sdeg),
+                         [alg.mul(e.vec, e.degree, v, sdeg) for v in space.basis()])
 
 
 # ---------------------------------------------------------------------------

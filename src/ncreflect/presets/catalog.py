@@ -37,7 +37,7 @@ from ..hopf import (
 )
 from ..linalg import Matrix, Vec
 from ..ncalg import GradedAlgebra
-from ..scalars import Cyc, I, ONE, coerce
+from ..scalars import Cyc, I, ONE, ZERO, coerce
 from . import groups, kac
 
 
@@ -51,6 +51,18 @@ class Preset:
     chars: CharacterGroup
     conductor: int
     options: dict
+
+    def __post_init__(self) -> None:
+        # graded_components reads the component of character i of a
+        # dual-group action off the basis words of G-degree i, and analyze
+        # skips the component certificate on that ground: both need
+        # character i to be evaluation at group element i
+        if self.action.kind == "dual_group":
+            n = self.action.group.order
+            if [ch.values for ch in self.chars.chars] != [
+                    [ONE if h == i else ZERO for h in range(n)] for i in range(n)]:
+                raise AssertionError("the characters of a dual-group action are "
+                                     "not the evaluations in group order")
 
 
 def _algebra(gen_names: list[str], rel_texts: list[str], max_degree: int) -> GradedAlgebra:

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import ncreflect
-from ncreflect import smash
-from ncreflect.analysis import report_json
+from ncreflect import analysis, smash
+from ncreflect.analysis import SECTIONS, report_json
 from ncreflect.cli import EXIT_INTERNAL, MAX_DEGREE, main
 from ncreflect.exprs import (
     MAX_EXPANSION,
@@ -331,6 +331,57 @@ def test_analyze_wrong_nakayama_candidate_exits_5(tmp_path, monkeypatch):
         lambda d: d["options"].__setitem__("nakayama", ["u", "v"]))
     assert main(["analyze", path, "--format", "machine",
                  "--out", str(tmp_path / "e42.report")]) == 5
+
+
+def test_table_spec_with_a_broken_axiom_fails_hopf_axioms(tmp_path):
+    """A kind: table H is verified in full: S(xz) = xz breaks the
+    antipode law."""
+    path = mutate_shipped(tmp_path, "e42-kacpalyutkin",
+                          lambda d: d["action"]["antipode"].__setitem__(5, {"xz": "1"}))
+    out = tmp_path / "e42.report"
+    assert main(["analyze", path, "--max-degree", "4", "--format", "machine",
+                 "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    witnesses = ["antipode (right): z", "antipode (left): xz",
+                 "antipode (right): xz", "antipode (left): xyz"]
+    assert doc["hopf"]["witnesses"] == witnesses
+    assert doc["checks"] == [{"name": "hopf-axioms", "class": "verification",
+                              "status": "fail", "detail": "; ".join(witnesses)}]
+
+
+# x*y has G-degree g and y*y degree e: the relation is not G-homogeneous
+INHOMOGENEOUS_DUAL_GROUP_SPEC = {
+    "format": "ncreflect-spec/1",
+    "field": {"conductor": 1},
+    "algebra": {"generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}],
+                "relations": ["x*y - y*y"]},
+    "action": {"kind": "dual_group",
+               "group": {"labels": ["e", "g"], "table": [[0, 1], [1, 0]]},
+               "generator_degrees": ["g", "e"]},
+}
+
+
+def test_inhomogeneous_dual_group_relation_stops_before_the_components(tmp_path, monkeypatch):
+    """The grading of a dual-group action, on which analyze skips the
+    component certificate, rests on module-algebra: a relation that is
+    not G-homogeneous fails it, and no component is formed."""
+    def refuse(*args):
+        raise AssertionError("a component was formed")
+
+    monkeypatch.setattr(analysis, "component_report", refuse)
+    path = tmp_path / "inhomogeneous.spec"
+    path.write_text(json.dumps(INHOMOGENEOUS_DUAL_GROUP_SPEC))
+    out = tmp_path / "inhomogeneous.report"
+    assert main(["analyze", str(path), "--max-degree", "6", "--format", "machine",
+                 "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert doc["checks"] == [
+        {"name": "hopf-axioms", "class": "verification", "status": "pass", "detail": ""},
+        {"name": "module-algebra", "class": "verification", "status": "fail",
+         "detail": "e does not preserve relation 0; g does not preserve relation 0"},
+    ]
+    assert set(doc) == {"format", "name", "max_degree", "conductor", "hopf", *SECTIONS}
+    assert all(doc[s] == {"skipped": "verification failed"} for s in SECTIONS if s != "checks")
 
 
 def test_declared_idempotents_do_not_reach_the_radical(tmp_path):

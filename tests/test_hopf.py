@@ -107,6 +107,29 @@ def test_dual_group_algebra_axioms():
     assert h.integral() == {g.identity: ONE}
 
 
+def _shipped_groups() -> list[Group]:
+    return [p.hopf.group for p in (catalog.build(name, 4) for name in catalog.shipped())
+            if p.hopf.group is not None]
+
+
+@pytest.mark.parametrize("group", _shipped_groups() + [Group.cyclic(n) for n in range(1, 13)],
+                         ids=lambda g: f"order{g.order}-{'-'.join(g.labels[:3])}")
+def test_group_tables_give_hopf_algebras(group):
+    """analyze takes kG and k^G as verified by construction; the full
+    verify is the oracle of that skip."""
+    for build in (group_algebra, dual_group_algebra):
+        h = build(group)
+        assert h.group is group
+        assert h.verify() == []
+
+
+def test_only_the_group_constructors_mark_h():
+    kg = group_algebra(dihedral8())
+    rebuilt = HopfAlgebra(kg.labels, kg.unit, kg.mult, kg.comult, kg.counit, kg.antipode)
+    assert rebuilt.group is None
+    assert kac_palyutkin_hopf().group is None
+
+
 def test_kac_palyutkin_axioms_and_integral():
     h = kac_palyutkin_hopf()
     assert h.verify() == []

@@ -7,13 +7,16 @@ wherever only the line of an element is pinned down.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncreflect.hopf import central_idempotents
+from ncreflect import analysis
+from ncreflect.analysis import analyze
+from ncreflect.hopf import CharacterGroup, HopfAlgebra, central_idempotents
 from ncreflect.invariants import (
     check_component_multiplicativity,
     component_report,
@@ -207,6 +210,52 @@ def test_one_trace_matches_the_trace_per_character_on_every_preset(name):
             got = check_component_multiplicativity(p.action, p.chars, bad, D, projectors)
             assert got and got == certificate_per_character(p.action, p.chars, bad, D,
                                                             projectors)
+
+
+@pytest.mark.parametrize("name", ["e22-dualD8", "e23-downup-dualD8"])
+def test_certificate_holds_on_dual_group_presets_at_every_bound(name):
+    """analyze skips the certificate on a dual-group action; it stays the
+    oracle of that skip."""
+    p = catalog.build(name, max_degree=12)
+    projectors = central_idempotents(p.hopf, p.chars)
+    for D in range(13):
+        comps = graded_components(p.action, p.chars, D)
+        assert check_component_multiplicativity(p.action, p.chars, comps, D,
+                                                projectors) == [], D
+
+
+def test_dual_group_characters_must_be_the_evaluations_in_group_order():
+    """graded_components and the skip of the certificate both read
+    character i as evaluation at group element i; a bundle whose
+    characters are in another order is refused."""
+    p = catalog.build("e22-dualD8", max_degree=4)
+    permuted = CharacterGroup(p.hopf, p.chars.chars[::-1])
+    with pytest.raises(AssertionError, match="not the evaluations in group order"):
+        dataclasses.replace(p, chars=permuted)
+
+
+@pytest.mark.parametrize("name", catalog.shipped())
+def test_analyze_derives_what_a_group_table_implies(name, monkeypatch):
+    """verify runs only on an H not built from a group table, and the
+    certificate only on an action that is not dual-group; the two checks
+    read pass with no detail either way."""
+    calls = {"verify": 0, "certificate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HopfAlgebra, "verify", counted("verify", HopfAlgebra.verify))
+    monkeypatch.setattr(analysis, "check_component_multiplicativity",
+                        counted("certificate", check_component_multiplicativity))
+    p = catalog.build(name, max_degree=6)
+    result = analyze(p)
+    assert calls == {"verify": int(p.hopf.group is None),
+                     "certificate": int(p.action.kind != "dual_group")}
+    checks = {c.name: (c.status, c.detail) for c in result.checks}
+    assert checks["hopf-axioms"] == checks["component-multiplicativity"] == ("pass", "")
 
 
 def test_kac_fixed_ring():
