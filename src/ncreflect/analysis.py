@@ -256,7 +256,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     # -- components and fixed ring ---------------------------------------
     comp = component_report(action, chars, D)
     projectors = central_idempotents(hopf, chars)
-    if action.kind == "dual_group" and hopf.group is not None:
+    if action.kind == "dual_group" and hopf.dual:
         # the slices are read off the G-degrees of the basis words, which
         # is what the certificate would read again; the grading itself
         # rests on the G-homogeneous relations module-algebra checked

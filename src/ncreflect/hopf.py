@@ -136,8 +136,9 @@ class HopfAlgebra:
         # the validated table of kG or k^G, set by group_algebra and
         # dual_group_algebra only: such an H is a Hopf algebra by
         # construction (docs/component-grading.md, "What a validated
-        # group table implies")
+        # group table implies"); ``dual`` tells k^G from kG
         self.group: Group | None = None
+        self.dual = False
 
     # -- operations on coordinate vectors --------------------------------
 
@@ -281,6 +282,7 @@ class HopfAlgebra:
         while True:
             while todo:
                 v = todo.pop()
+                # one at a time: only a vector that raises the rank is spanned
                 if span.add(v):
                     spanned.append(v)
                     todo.extend(self.mul_vec(self.basis_vec(s), v) for s in gens)
@@ -346,6 +348,7 @@ def dual_group_algebra(group: Group) -> HopfAlgebra:
     unit = {i: ONE for i in range(n)}
     hopf = HopfAlgebra(group.labels, unit, mult, comult, counit, antipode)
     hopf.group = group
+    hopf.dual = True
     return hopf
 
 
@@ -528,7 +531,16 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
     property h p = ch(h) p = p h for h in ``generators()``, which gives it
     for every h.  Then ch'(p_ch) = δ, p_ch is a central idempotent, the
     projectors are orthogonal, and dim H of them sum to 1
-    (docs/component-grading.md, "What `central_idempotents` checks")."""
+    (docs/component-grading.md, "What `central_idempotents` checks").
+
+    On the k^G of a validated group table an algebra map is evaluation at
+    one g, and p_ch = δ_g is returned with no product; a character that is
+    not an evaluation takes the full path, which refuses it
+    (docs/component-grading.md, "What a validated group table implies")."""
+    if hopf.dual:
+        points = [_evaluation_point(ch) for ch in chars.chars]
+        if None not in points:
+            return [{g: ONE} for g in points]
     lam = hopf.integral()
     gens = hopf.generators()
     out = []
@@ -541,6 +553,14 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
                                  f"h p = {ch.label}(h) p = p h")
         out.append(p)
     return out
+
+
+def _evaluation_point(ch: Character) -> int | None:
+    """The g with ch(δ_h) = [h = g] for every h, if ch has that form."""
+    hits = [h for h, x in enumerate(ch.values) if x]
+    if len(hits) == 1 and ch.values[hits[0]] == ONE:
+        return hits[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +771,16 @@ class HopfAction:
         module law (ab)·x_j = a·(b·x_j) for b in ``hopf.generators()``: on
         a verified H, which every caller checks first or builds from a
         validated group table, that decides it
-        (docs/component-grading.md, "The module law holds at S")."""
+        (docs/component-grading.md, "The module law holds at S").  A
+        dual-group action of the k^G of a validated table keeps the module
+        law by construction, (δ_a δ_b)·x_j = [a = b][a = g_j] x_j =
+        δ_a·(δ_b·x_j), so there only the unit and the relations are checked
+        (docs/component-grading.md, "What a validated group table
+        implies")."""
         bad: list[str] = []
         alg, hopf = self.alg, self.hopf
         lab = hopf.labels
-        gens = hopf.generators()
+        gens = [] if self.kind == "dual_group" and hopf.dual else hopf.generators()
         for j in range(alg.ngens):
             w = alg.weights[j]
             xj = alg.nf_word((j,))

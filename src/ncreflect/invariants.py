@@ -314,6 +314,7 @@ def fixed_ring(
         span.extend(alg.mul(g.vec, g.degree, v, d - g.degree)
                     for g in gens for v in slices[d - g.degree].basis())
         for vec in slices[d].basis():
+            # one at a time: a basis vector that raises the rank is a generator
             if span.add(vec):
                 gen_degrees.append(d)
                 gens.append(monic(alg, d, vec))
@@ -414,20 +415,18 @@ def koszul_route(
     top_s = None
     top_space: Subspace | None = None
     prev: Subspace | None = None
+    rel_basis = rel_space.basis()
     for s in range(n, max_degree + 1):
         words, index = _free_slice_index(ngens, s)
         total = ngens ** s
         spaces = []
         for i in range(s - n + 1):
-            sp = Subspace(total)
             # V^i (x) Rel (x) V^(s-n-i)
             left_words, _ = _free_slice_index(ngens, i)
             right_words, _ = _free_slice_index(ngens, s - n - i)
-            for lw in left_words:
-                for rv in rel_space.basis():
-                    for rw in right_words:
-                        sp.add({index[lw + words_n[m] + rw]: c for m, c in rv.items()})
-            spaces.append(sp)
+            spaces.append(Subspace.span(total, (
+                {index[lw + words_n[m] + rw]: c for m, c in rv.items()}
+                for lw in left_words for rv in rel_basis for rw in right_words)))
         cur = spaces[0]
         for sp in spaces[1:]:
             cur = cur.intersect(sp)
@@ -640,11 +639,10 @@ def _graded_frobenius(
 
 def _quotient_lifts(alg: GradedAlgebra, ideal_slice: Subspace, d: int) -> list[Vec]:
     """Standard-basis lifts of a basis of A_d / ideal_slice."""
-    span = Subspace(alg.dim(d))
-    for v in ideal_slice.basis():
-        span.add(v)
+    span = Subspace.echelon(alg.dim(d), ideal_slice.basis())
     out = []
     for k in range(alg.dim(d)):
+        # one at a time: a unit vector that raises the rank is a lift
         if span.add({k: ONE}):
             out.append({k: ONE})
     return out

@@ -5,9 +5,11 @@ adds a multiple of one vector into another (``vec_addto`` and through it
 ``apply_cols``, ``eigenvectors`` and ``Expressor``; ``SparseEch.reduce``
 and the back-substitution of ``insert``; the dense ``Matrix`` products)
 forms each entry as ``scalars.addmul(cur, x, c)``, which prunes an entry
-that cancels by returning None.  ``apply_cols`` skips a zero column
-before the call: the letter maps of a quotient module and the columns of
-the dual-group action hold many of them.
+that cancels by returning None.  Into an empty dict nothing can cancel,
+and ``vec_addto`` copies v there when the factor is ``ONE``.
+``apply_cols`` skips a zero column before the call: the letter maps of a
+quotient module and the columns of the dual-group action hold many of
+them.
 
 ``SparseEch`` is the one elimination engine: a row-reduced sparse span
 keyed by pivot column.  Ideal slices and smash-product spans are built by
@@ -70,8 +72,21 @@ Vec = dict  # dict[int, Cyc], zero entries omitted
 
 
 def vec_addto(acc: Vec, v: Vec, c: Cyc = ONE) -> None:
-    """In-place acc += c * v, pruning entries that cancel to zero."""
+    """In-place acc += c * v, pruning entries that cancel to zero.
+
+    Into an empty acc nothing can cancel, since x·c ≠ 0 in a field: a
+    factor that is the shared ``ONE`` copies v's entries in, and any other
+    factor writes ``addmul(None, x, c)`` per entry with no lookup.  The
+    entries are immutable values, so acc shares them with v, not v
+    itself."""
     if c.is_zero():
+        return
+    if not acc:
+        if c is ONE:
+            acc.update(v)
+        else:
+            for k, x in v.items():
+                acc[k] = addmul(None, x, c)
         return
     get = acc.get
     for k, x in v.items():

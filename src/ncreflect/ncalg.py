@@ -494,7 +494,15 @@ def _project(ech: SparseEch, position: dict[int, int], c: int) -> Vec:
 
 
 def _add_at(acc: Vec, at: Sequence[int], vec: Vec, c) -> None:
-    """acc += c * vec with entry k of vec at acc[at[k]], in one pass."""
+    """acc += c * vec with entry k of vec at acc[at[k]], in one pass.  Into
+    an empty acc nothing can cancel, as in ``linalg.vec_addto``."""
+    if not acc:
+        if c is ONE:
+            acc.update(zip(map(at.__getitem__, vec), vec.values()))
+        else:
+            for k, x in vec.items():
+                acc[at[k]] = addmul(None, x, c)
+        return
     get = acc.get
     for k, x in vec.items():
         key = at[k]
@@ -510,11 +518,8 @@ def _add_at(acc: Vec, at: Sequence[int], vec: Vec, c) -> None:
 
 
 def _span_of(alg: GradedAlgebra, elems: Sequence[Elem], degree: int) -> Subspace:
-    s = Subspace(alg.dim(degree))
-    for e in elems:
-        if e.degree == degree and not e.is_zero():
-            s.add(e.vec)
-    return s
+    return Subspace.span(alg.dim(degree),
+                         (e.vec for e in elems if e.degree == degree and not e.is_zero()))
 
 
 def _images(letter, weights, spaces: list[Subspace], degree: int) -> list[Vec]:

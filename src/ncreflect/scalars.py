@@ -27,6 +27,12 @@ elimination loop: it returns a + x * c in the normal form above, the
 same ``(n, nums, den)`` as ``a + x * c``, and builds one value instead of
 two.  ``None`` stands for zero both ways: a = None is 0, and a sum that
 cancels is None, so a loop deletes its entry.  x and c must be nonzero.
+Into an empty target (a = None) a unit factor costs no arithmetic: a
+factor that is the shared ``ONE`` returns the other one, and the shared
+``MINUS_ONE`` returns the other one negated.  Most calls of the
+elimination loops are of this kind.  Every value is immutable and in
+normal form, so the copy is the value the product would build; an equal
+but unshared 1 takes the general path to the same result.
 
 Shared integers: the integers p / 1 with |p| <= ``SMALL_INT`` are built
 once, at import, and ``_raw``, which every arithmetic path ends in,
@@ -341,6 +347,16 @@ def addmul(a: "Cyc | None", x: "Cyc", c: "Cyc") -> "Cyc | None":
     conductor ``a + x * c`` would reach (the normal form is unique at a
     conductor), and a mix of conductors the joins below do not cover goes
     through ``a + x * c`` itself."""
+    if a is None:
+        # x * 1 is x and x * -1 is -x, both already in normal form
+        if c is ONE:
+            return x
+        if x is ONE:
+            return c
+        if c is MINUS_ONE:
+            return -x
+        if x is MINUS_ONE:
+            return -c
     n = x.n
     if n == c.n:
         if n == 1:
@@ -489,6 +505,8 @@ class Cyc:
         return coerce(other).__sub__(self)
 
     def __neg__(self) -> "Cyc":
+        if self.n == 1:
+            return _raw(1, (-self.nums[0],), self.den)
         return _raw(self.n, tuple(map(neg, self.nums)), self.den)
 
     def __mul__(self, other) -> "Cyc":

@@ -208,7 +208,7 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
     parts: dict[int, Vec] = {}  # λ of each eigenspace, over the adapted basis
     out = []
     for d in range(max_degree + 1):
-        vecs, eigen = [], Subspace(sm.alg.dim(d))
+        vecs, rows = [], []
         for c, slices in enumerate(components):
             for a in slices[d].basis():
                 if c not in parts:
@@ -218,7 +218,8 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
                                 if key // nH == k}
                 vecs.append({i * nH + h: x * y for i, x in a.items()
                              for h, y in parts[c].items()})
-                eigen.add(a)
+                rows.append(a)
+        eigen = Subspace.span(sm.alg.dim(d), rows)
         pivots = {min(a) for a in eigen.basis()}
         vecs.extend(sm.mul(lam, 0, {i * nH + h: y for h, y in unit.items()}, d)
                     for i in range(sm.alg.dim(d)) if i not in pivots)
@@ -330,6 +331,7 @@ def commutator_ideal(hopf: HopfAlgebra) -> Subspace:
     space = Subspace(hopf.dim)
     while todo:
         v = todo.pop()
+        # one at a time: only a vector that raises the rank is closed under S
         if space.add(v):
             for s in gens:
                 todo.append(hopf.mul_vec(hopf.basis_vec(s), v))
@@ -351,11 +353,9 @@ def rife_hopf_check(
         return True
     icom = commutator_ideal(hopf)
     basis = icom.basis()
-    ambient = Subspace(hopf.dim * hopf.dim)
-    for u in basis:
-        for w in basis:
-            ambient.add({i * hopf.dim + j: a * b
-                         for i, a in u.items() for j, b in w.items()})
+    ambient = Subspace.span(hopf.dim * hopf.dim, (
+        {i * hopf.dim + j: a * b for i, a in u.items() for j, b in w.items()}
+        for u in basis for w in basis))
     flat = {i * hopf.dim + j: c for (i, j), c in residual.items()}
     return ambient.contains(flat)
 

@@ -410,12 +410,9 @@ def _graded_central_spans(alg: GradedAlgebra, fixed: FixedRing) -> bool:
         span = Subspace.span(
             alg.dim(d), [g.vec for g in fixed.gens if g.degree == d]
         )
-        left = Subspace(alg.dim(d + 1))
-        right = Subspace(alg.dim(d + 1))
-        for v in span.basis():
-            for k in range(alg.dim(1)):
-                left.add(alg.mul(v, d, {k: ONE}, 1))
-                right.add(alg.mul({k: ONE}, 1, v, d))
+        basis, units = span.basis(), [{k: ONE} for k in range(alg.dim(1))]
+        left = Subspace.span(alg.dim(d + 1), (alg.mul(v, d, u, 1) for v in basis for u in units))
+        right = Subspace.span(alg.dim(d + 1), (alg.mul(u, 1, v, d) for v in basis for u in units))
         if left != right:
             return False
     return True

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -120,13 +121,47 @@ def test_group_tables_give_hopf_algebras(group):
     for build in (group_algebra, dual_group_algebra):
         h = build(group)
         assert h.group is group
+        assert h.dual == (build is dual_group_algebra)
         assert h.verify() == []
+
+
+@pytest.mark.parametrize("group", _shipped_groups() + [Group.cyclic(n) for n in range(1, 13)],
+                         ids=lambda g: f"order{g.order}-{'-'.join(g.labels[:3])}")
+def test_marked_dual_group_skips_match_the_full_paths(group):
+    """On a marked k^G, central_idempotents returns the point masses and
+    the action check skips the module law; the same algebra unmarked
+    takes the full paths, which agree: on projectors, and on the
+    witnesses of a G-graded and of a non-graded relation."""
+    h = dual_group_algebra(group)
+    chars = dual_group_characters(h, group)
+    n, g = group.order, 1 % group.order
+    alg = GradedAlgebra(["x", "y"], [parse("x*y - y*x", ["x", "y"]),
+                                     parse("x*x + y*y", ["x", "y"])], max_degree=3)
+    action = HopfAction.from_grading(h, alg, group, [g, group.inverse[g]])
+    derived = central_idempotents(h, chars), action.verify()
+    h.dual = False
+    full = central_idempotents(h, chars), action.verify()
+    assert derived == full
+    assert derived[0] == [{k: ONE} for k in range(n)]
+    # x*x + y*y is G-homogeneous exactly when g^2 = g^-2
+    homogeneous = group.table[g][g] == group.table[group.inverse[g]][group.inverse[g]]
+    assert (derived[1] == []) == homogeneous
+
+
+def test_marked_dual_group_refuses_a_character_that_is_no_evaluation():
+    """A value list that is not evaluation at one g is no algebra map of
+    k^G: it takes the full path, which refuses it."""
+    g = Group.cyclic(3)
+    h = dual_group_algebra(g)
+    two_points = Character(h, [ONE, ONE, ZERO], "e+g")
+    with pytest.raises(ValueError, match="fails h p"):
+        central_idempotents(h, SimpleNamespace(chars=[two_points]))
 
 
 def test_only_the_group_constructors_mark_h():
     kg = group_algebra(dihedral8())
     rebuilt = HopfAlgebra(kg.labels, kg.unit, kg.mult, kg.comult, kg.counit, kg.antipode)
-    assert rebuilt.group is None
+    assert rebuilt.group is None and not rebuilt.dual
     assert kac_palyutkin_hopf().group is None
 
 
@@ -442,8 +477,10 @@ def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
         assert total == h.unit
     if h.dim > 1:
         # the winding of the unit is the unit, which no character of a
-        # nontrivial H singles out
+        # nontrivial H singles out; a marked k^G reads no integral, so the
+        # full path runs on it unmarked
         monkeypatch.setattr(HopfAlgebra, "integral", lambda self: dict(self.unit))
+        monkeypatch.setattr(h, "dual", False)
         with pytest.raises(ValueError):
             central_idempotents(h, chars)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ncreflect import analysis
 from ncreflect.analysis import analyze
-from ncreflect.hopf import CharacterGroup, HopfAlgebra, central_idempotents
+from ncreflect.hopf import CharacterGroup, HopfAction, HopfAlgebra, central_idempotents
 from ncreflect.invariants import (
     check_component_multiplicativity,
     component_report,
@@ -238,8 +238,11 @@ def test_dual_group_characters_must_be_the_evaluations_in_group_order():
 def test_analyze_derives_what_a_group_table_implies(name, monkeypatch):
     """verify runs only on an H not built from a group table, and the
     certificate only on an action that is not dual-group; the two checks
-    read pass with no detail either way."""
-    calls = {"verify": 0, "certificate": 0}
+    read pass with no detail either way.  On a dual-group action of k^G
+    neither the module law of the action check nor the projectors ask
+    for the generators of H, whose products they would form."""
+    calls = {"verify": 0, "certificate": 0, "module-law": 0, "projectors": 0}
+    inside = []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -247,13 +250,34 @@ def test_analyze_derives_what_a_group_table_implies(name, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def scoped(key, fn):
+        def wrapper(*args, **kwargs):
+            inside.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    generators = HopfAlgebra.generators
+
+    def generators_in_scope(self):
+        if inside:
+            calls[inside[-1]] += 1
+        return generators(self)
+
     monkeypatch.setattr(HopfAlgebra, "verify", counted("verify", HopfAlgebra.verify))
     monkeypatch.setattr(analysis, "check_component_multiplicativity",
                         counted("certificate", check_component_multiplicativity))
+    monkeypatch.setattr(HopfAlgebra, "generators", generators_in_scope)
+    monkeypatch.setattr(HopfAction, "verify", scoped("module-law", HopfAction.verify))
+    monkeypatch.setattr(analysis, "central_idempotents",
+                        scoped("projectors", central_idempotents))
     p = catalog.build(name, max_degree=6)
     result = analyze(p)
-    assert calls == {"verify": int(p.hopf.group is None),
-                     "certificate": int(p.action.kind != "dual_group")}
+    full = int(p.action.kind != "dual_group")
+    assert calls == {"verify": int(p.hopf.group is None), "certificate": full,
+                     "module-law": full, "projectors": full}
     checks = {c.name: (c.status, c.detail) for c in result.checks}
     assert checks["hopf-axioms"] == checks["component-multiplicativity"] == ("pass", "")
 

@@ -285,6 +285,32 @@ def test_fused_vec_addto_matches_the_unfused_one(case, data):
         assert list(normal_forms(fast).items()) == list(normal_forms(slow).items())
 
 
+# ±1 shared and built anew, and factors that are no unit
+EMPTY_TARGET_FACTORS = [ONE, -ONE, Cyc(1, [1]), Cyc(1, [-1]), Cyc.rational(3, 2), I,
+                        zeta(12, 5)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(fused_batches(), st.sampled_from(EMPTY_TARGET_FACTORS), st.data())
+def test_vec_addto_into_nothing_matches_the_general_loop(case, c, data):
+    """Into an empty acc, c·v copied or written entry by entry has the
+    entries, normal forms and order of the product-then-sum loop, and
+    changing acc afterwards leaves v as it was."""
+    _, batch = case
+    for v in batch:
+        before = list(normal_forms(v).items())
+        fast, slow = {}, {}
+        vec_addto(fast, v, c)
+        vec_addto_unfused(slow, v, c)
+        assert list(normal_forms(fast).items()) == list(normal_forms(slow).items())
+        if fast:
+            k = data.draw(st.sampled_from(sorted(fast)))
+            vec_addto(fast, {k: fast[k]}, Cyc.rational(2))
+            fast[max(fast) + 1] = ONE
+            del fast[k]
+        assert list(normal_forms(v).items()) == before
+
+
 @st.composite
 def pivot_batches(draw):
     """An ambient dimension, a batch of sparse vectors over Q, Q(i) or

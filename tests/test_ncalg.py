@@ -162,6 +162,40 @@ def test_random_presentations_match_quotient_oracle(presentation):
                 assert words_of(col, e + w) == oracle.nf((i,) + b), (i, b)
 
 
+def add_at_by_lookup(acc, at, vec, c) -> None:
+    """acc += c·vec at the positions ``at``, each entry looked up, formed as
+    a product and then a sum, and deleted when it cancels."""
+    for k, x in vec.items():
+        key, cur = at[k], acc.get(at[k])
+        new = x * c if cur is None else cur + x * c
+        if new.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = new
+
+
+_entry = st.sampled_from([ONE, -ONE, Cyc.rational(2), Cyc.rational(-1, 3), I, I + 1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), _entry), min_size=1, max_size=4),
+       st.permutations(range(6)),
+       st.sampled_from([ONE, -ONE, Cyc(1, [1]), Cyc(1, [-1]), Cyc.rational(3, 2), I]))
+def test_add_at_matches_the_lookup_loop(vecs, at, c):
+    """_add_at into an empty acc (the first vector) and into a filled one
+    (the rest) leaves the entries, normal forms and order of the lookup
+    loop, and changing acc afterwards leaves each vector as it was."""
+    before = [list(v.items()) for v in vecs]
+    fast, slow = {}, {}
+    for v in vecs:
+        ncalg._add_at(fast, at, v, c)
+        add_at_by_lookup(slow, at, v, c)
+        assert [(k, (x.n, x.nums, x.den)) for k, x in fast.items()] == \
+            [(k, (x.n, x.nums, x.den)) for k, x in slow.items()]
+    fast.clear()
+    assert [list(v.items()) for v in vecs] == before
+
+
 def module_parts(module: QuotientModule) -> tuple:
     """What a quotient module reads off its echelons: the dimensions, the
     basis labels, the letter maps and the images π(u ⊗ e_h) kept so far."""

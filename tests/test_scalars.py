@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -7,11 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ncreflect import scalars
+from ncreflect.analysis import analyze
 from ncreflect.exprs import show_scalar
 from ncreflect.scalars import (
     SMALL_INT,
     Cyc,
     I,
+    MINUS_ONE,
     ONE,
     ZERO,
     _from_fractions,
@@ -21,6 +26,7 @@ from ncreflect.scalars import (
     euler_phi,
     zeta,
 )
+from ncreflect.presets import catalog
 from oracles import FractionCyc
 
 
@@ -401,6 +407,93 @@ def test_shared_integers_on_every_path():
     assert (I + 2) - I is coerce(2)
     assert coerce(big) is not coerce(big) and coerce(big) == coerce(big)
     assert -coerce(-big) is not coerce(big)
+
+
+# ---------------------------------------------------------------------------
+# the unit factors of addmul into an empty target against the product
+
+
+UNIT_CONDUCTORS = (1, 3, 4, 8, 12)
+
+
+def _units():
+    """±1 shared, and ±1 built anew, which equal them but are not them."""
+    return [ONE, MINUS_ONE, Cyc(1, [1]), Cyc(1, [-1])]
+
+
+@st.composite
+def unit_operands(draw):
+    """A nonzero value at one of UNIT_CONDUCTORS, or a shared or unshared ±1."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_units()))
+    return draw(values_at(draw(st.sampled_from(UNIT_CONDUCTORS))).filter(bool))
+
+
+@DETERMINISTIC
+@given(unit_operands(), unit_operands())
+def test_addmul_into_nothing_with_a_unit_matches_the_product(x, c):
+    """addmul(None, x, c) has the (n, nums, den) of x * c whichever factor
+    is a unit, shared or not; a shared 1 hands back the other factor
+    itself, and any other integer result within SMALL_INT is the shared
+    one."""
+    got = addmul(None, x, c)
+    assert _parts(got) == _parts(x * c)
+    assert normal_form(got)
+    assert got is x or got is c or _is_shared_when_small(got)
+    if c is ONE:
+        assert got is x
+    elif x is ONE:
+        assert got is c
+
+
+def test_unshared_units_are_not_the_shared_ones():
+    """The test above reaches the general path only if these differ."""
+    one, minus_one = _units()[2:]
+    assert one == ONE and one is not ONE
+    assert minus_one == MINUS_ONE and minus_one is not MINUS_ONE
+
+
+@DETERMINISTIC
+@given(share_operands())
+def test_negation_matches_the_tuple_negated_value(p):
+    """-x is the value with every numerator negated over the same
+    denominator, and an integer within SMALL_INT comes back shared."""
+    x, ref = p
+    got = -x
+    assert _parts(got) == (x.n, tuple(-v for v in x.nums), x.den)
+    assert same(got, -ref) and _is_shared_when_small(got)
+
+
+def test_unit_factors_into_nothing_never_reach_the_general_branch():
+    """In one analysis of l41-mystic(2,4) at D = 8, every addmul call into
+    an empty target with a shared ±1 factor returns before the first line
+    of the general branch, and no other call returns there.  Each call is
+    read by a profile hook: its arguments at the call, the line it returns
+    from at the return."""
+    code = addmul.__code__
+    lines, start = inspect.getsourcelines(addmul)
+    general = start + next(i for i, line in enumerate(lines) if line.strip() == "n = x.n")
+    counts = Counter()
+    calls = []
+
+    def profile(frame, event, arg):
+        if frame.f_code is not code:
+            return
+        if event == "call":
+            loc = frame.f_locals
+            calls.append(loc["a"] is None and any(
+                v is ONE or v is MINUS_ONE for v in (loc["x"], loc["c"])))
+        elif event == "return":
+            counts[calls.pop(), frame.f_lineno >= general] += 1
+
+    preset = catalog.build("l41-mystic(2,4)", max_degree=8)
+    sys.setprofile(profile)
+    try:
+        analyze(preset)
+    finally:
+        sys.setprofile(None)
+    assert counts[True, True] == 0 and counts[False, False] == 0
+    assert counts[True, False] > 0 and counts[False, True] > 0
 
 
 # ---------------------------------------------------------------------------
