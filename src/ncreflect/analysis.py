@@ -405,8 +405,9 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     slices = rad.slices
     pr = principal_radical(alg, slices, D)
     declared = opts.get("idempotents")
-    rife = rife_action_check(action, chars, projectors if declared is None else declared,
-                             jac.j, slices, D, pr)
+    # the verified projectors decide Hopf-rife by a block count, declared
+    # ones by the residual (docs/component-grading.md)
+    rife = rife_action_check(action, chars, declared, jac.j, slices, D, pr)
     doc["radical"] = {
         "method": method,
         "dims": [s.dim for s in slices],
@@ -421,8 +422,12 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
         "action_rife": rife.action_rife,
         "inside_jacobian_ideal": rife.radical_inside_left_ideal,
     }
-    checks.append(Check("radical-inside-jacobian-ideal", "theorem",
-                        "pass" if rife.radical_inside_left_ideal else "fail", ""))
+    if rife.radical_inside_left_ideal is None:
+        checks.append(Check("radical-inside-jacobian-ideal", "theorem", "skip",
+                            "H is not Hopf-rife"))
+    else:
+        checks.append(Check("radical-inside-jacobian-ideal", "theorem",
+                            "pass" if rife.radical_inside_left_ideal else "fail", ""))
     checks.append(Check("radical-eq-jacobian-ideal", "observation",
                         "pass" if rife.radical_is_jacobian_ideal else "fail",
                         "the action is rife" if rife.action_rife

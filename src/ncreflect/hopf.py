@@ -8,7 +8,9 @@ conditions that are multiplicative in one factor (associativity, and Δ
 and ε being algebra maps) are checked with that factor running over a
 set of algebra generators (``HopfAlgebra.generators``), which decides
 them for all of H (docs/component-grading.md, "H is checked at its
-algebra generators").  So are the integral and the character projectors.
+algebra generators").  So are the integral and the character projectors,
+except on the kG and k^G of a validated group table, where they are read
+off the table.
 
 Characters (one-dimensional representations) form a group under the
 convolution product; they grade the invariant theory downstream.  The
@@ -302,8 +304,16 @@ class HopfAlgebra:
         the h with hΛ = ε(h)Λ, or Λh = ε(h)Λ, form a subalgebra.  So Λ is
         a left integral by construction, and only Λs = ε(s)Λ is checked.
         hΛ = ε(h)Λ for every h gives Λ² = ε(Λ)Λ = Λ, so idempotence needs
-        no check."""
+        no check.
+
+        On the kG of a validated group table Λ = (1/|G|) Σ_g g, with no
+        product (docs/component-grading.md, "What a validated group table
+        implies")."""
         if self._integral is not None:
+            return dict(self._integral)
+        if self.group is not None and not self.dual:
+            share = Cyc.rational(1, self.dim)
+            self._integral = {g: share for g in range(self.dim)}
             return dict(self._integral)
         gens = self.generators()
         kernel = eigenvectors(self.dim, [(self.mult[s], self.counit[s]) for s in gens])
@@ -534,13 +544,24 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
     (docs/component-grading.md, "What `central_idempotents` checks").
 
     On the k^G of a validated group table an algebra map is evaluation at
-    one g, and p_ch = δ_g is returned with no product; a character that is
-    not an evaluation takes the full path, which refuses it
-    (docs/component-grading.md, "What a validated group table implies")."""
-    if hopf.dual:
+    one g, and p_ch = δ_g is returned with no product.  On the kG of one
+    the winding is p_ch = (1/|G|) Σ_g ch(g⁻¹) g, and p s = ch(s) p reads
+    ch(sh) = ch(s) ch(h) on the Cayley edges of s in ``generators()``,
+    which make ch a homomorphism, so h p = ch(h) p too; a value list that
+    passes the edges gets p_ch with no product.  Any other value list
+    takes the full path, which refuses it (docs/component-grading.md,
+    "What a validated group table implies")."""
+    group = hopf.group
+    if group is not None and hopf.dual:
         points = [_evaluation_point(ch) for ch in chars.chars]
         if None not in points:
             return [{g: ONE} for g in points]
+    elif group is not None:
+        gens = hopf.generators()
+        if all(_is_homomorphism(group, gens, ch) for ch in chars.chars):
+            share = Cyc.rational(1, group.order)
+            return [{g: share * ch.values[group.inverse[g]] for g in range(group.order)}
+                    for ch in chars.chars]
     lam = hopf.integral()
     gens = hopf.generators()
     out = []
@@ -561,6 +582,15 @@ def _evaluation_point(ch: Character) -> int | None:
     if len(hits) == 1 and ch.values[hits[0]] == ONE:
         return hits[0]
     return None
+
+
+def _is_homomorphism(group: Group, gens: list[int], ch: Character) -> bool:
+    """ch(sh) = ch(s) ch(h) on every Cayley edge, s in gens: the a with
+    ch(ah) = ch(a) ch(h) for every h are closed under products and hold
+    gens, which generate G when they generate kG."""
+    values, table = ch.values, group.table
+    return all(values[table[s][h]] == values[s] * values[h]
+               for s in gens for h in range(group.order))
 
 
 # ---------------------------------------------------------------------------
@@ -774,13 +804,18 @@ class HopfAction:
         (docs/component-grading.md, "The module law holds at S").  A
         dual-group action of the k^G of a validated table keeps the module
         law by construction, (δ_a δ_b)·x_j = [a = b][a = g_j] x_j =
-        δ_a·(δ_b·x_j), so there only the unit and the relations are checked
-        (docs/component-grading.md, "What a validated group table
-        implies")."""
+        δ_a·(δ_b·x_j), so there only the unit and the relations are checked.
+        So too on the group-matrix action of the kG of that action's table:
+        ``from_group_matrices`` compared M_sh with M_s M_h on every Cayley
+        edge, so g -> M_g is a homomorphism (docs/component-grading.md,
+        "What a validated group table implies")."""
         bad: list[str] = []
         alg, hopf = self.alg, self.hopf
         lab = hopf.labels
-        gens = [] if self.kind == "dual_group" and hopf.dual else hopf.generators()
+        derived = hopf.group is not None and (
+            self.kind == "dual_group" if hopf.dual
+            else self.kind == "group" and hopf.group is self.group)
+        gens = [] if derived else hopf.generators()
         for j in range(alg.ngens):
             w = alg.weights[j]
             xj = alg.nf_word((j,))

@@ -115,6 +115,17 @@ Kac-Paljutkin radical the tests check the engine against; ``is_abelian``,
 ``commutator_subgroup``, ``symmetric3`` and ``direct_product`` build and
 test small groups.
 
+``permutation_group`` closes a list of permutations under composition
+and ``small_permutation_groups`` builds S3, D8, Q8, A4 and S4 with it;
+``group_tables`` adds them to the shipped groups and the cyclic groups
+of order up to 12, the groups the skips on kG and k^G are tested on.
+``rife_by_tensor_span`` is the residual test of Hopf-rife with the
+residual formed as one dense tensor per term and I_com ⊗ I_com spanned
+from every pair of basis vectors in dimension dim H², the reference for
+``smash.rife_hopf_check``, which counts blocks or reads the residual row
+by row and column by column (``in_square_by_span`` is its membership
+test alone).
+
 ``vec_addto_unfused`` and ``UnfusedEch`` form each entry of a sparse
 accumulation or elimination as a product and then a sum, and always
 normalise a new row by the inverse of its pivot, the references for
@@ -183,6 +194,7 @@ from ncreflect.linalg import (
     vec_addto,
     vec_scale,
 )
+from ncreflect.presets import catalog
 from ncreflect.ncalg import (
     Elem,
     left_ideal_slices,
@@ -202,7 +214,7 @@ from ncreflect.scalars import (
     divisors,
     euler_phi,
 )
-from ncreflect.smash import RadicalData, integral_span_slices
+from ncreflect.smash import RadicalData, commutator_ideal, integral_span_slices
 from ncreflect.structure import TPoly, tp_det
 
 
@@ -1167,6 +1179,71 @@ def symmetric3() -> Group:
     perms = list(permutations(range(3)))
     table = [[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms]
     return Group(["".join(map(str, p)) for p in perms], table)
+
+
+def permutation_group(gens: list[tuple[int, ...]]) -> Group:
+    """The group the permutations gens generate, composed right to left:
+    the identity "e" first, then each permutation, labelled by its images,
+    in the order a breadth-first closure meets it."""
+    n = len(gens[0])
+    elems = [tuple(range(n))]
+    index = {elems[0]: 0}
+    for a in elems:  # grows while it is read
+        for g in gens:
+            t = tuple(g[a[k]] for k in range(n))
+            if t not in index:
+                index[t] = len(elems)
+                elems.append(t)
+    table = [[index[tuple(a[b[k]] for k in range(n))] for b in elems] for a in elems]
+    return Group(["e"] + ["".join(map(str, p)) for p in elems[1:]], table)
+
+
+def small_permutation_groups() -> dict[str, Group]:
+    """S3, D8, Q8, A4 and S4 as permutation groups; Q8 acts on
+    ±1, ±i, ±j, ±k (points 0 to 7) by left multiplication by i and j."""
+    return {
+        "S3": permutation_group([(1, 0, 2), (1, 2, 0)]),
+        "D8": permutation_group([(1, 2, 3, 0), (3, 2, 1, 0)]),
+        "Q8": permutation_group([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]),
+        "A4": permutation_group([(1, 2, 0, 3), (1, 0, 3, 2)]),
+        "S4": permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)]),
+    }
+
+
+def group_tables() -> list[Group]:
+    """The group of every shipped preset built from a table,
+    ``Group.cyclic(n)`` for n ≤ 12, and S3, D8, Q8, A4 and S4."""
+    shipped = [p.hopf.group for p in (catalog.build(name, 4) for name in catalog.shipped())
+               if p.hopf.group is not None]
+    return (shipped + [Group.cyclic(n) for n in range(1, 13)]
+            + list(small_permutation_groups().values()))
+
+
+def group_table_id(group: Group) -> str:
+    return f"order{group.order}-{'-'.join(group.labels[:3])}"
+
+
+def in_square_by_span(space: Subspace, x: dict, dim: int) -> bool:
+    """x in space ⊗ space, decided in dimension dim² against the span of
+    every u ⊗ w over a basis of the space."""
+    basis = space.basis()
+    square = Subspace(dim * dim)
+    for u in basis:
+        for w in basis:
+            square.add({i * dim + j: a * b for i, a in u.items() for j, b in w.items()})
+    return square.contains({i * dim + j: c for (i, j), c in x.items()})
+
+
+def rife_by_tensor_span(hopf, chars, idempotents) -> bool:
+    """Δ(Λ) − Σ_g p_g ⊗ p_{g⁻¹} in I_com ⊗ I_com, each term a dense
+    tensor and the square of I_com spanned in dimension dim H²."""
+    residual = dict(hopf.comult_vec(hopf.integral()))
+    g0 = chars.group
+    for g in range(g0.order):
+        p, q = idempotents[g], idempotents[g0.inverse[g]]
+        vec_addto(residual, {(i, j): a * b for i, a in p.items() for j, b in q.items()},
+                  -ONE)
+    return not residual or in_square_by_span(commutator_ideal(hopf), residual, hopf.dim)
 
 
 def direct_product(a: Group, b: Group) -> Group:

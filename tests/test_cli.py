@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ncreflect
-from ncreflect import analysis, smash
+from ncreflect import analysis, presentation, smash
 from ncreflect.analysis import SECTIONS, report_json
 from ncreflect.cli import EXIT_INTERNAL, MAX_DEGREE, main
 from ncreflect.exprs import (
@@ -406,6 +406,64 @@ def test_declared_idempotents_do_not_reach_the_radical(tmp_path):
         assert wrong_idem["radical"][key] == plain["radical"][key], key
     assert wrong_idem["transfer"] == plain["transfer"]
     assert plain["transfer"]["xi"] == [1, 0, 2, 0, 1, 0, 0, 0, 0]
+
+
+def test_radical_inside_jacobian_ideal_is_skipped_when_h_is_not_hopf_rife(tmp_path):
+    """radical ⊆ A·j is a theorem for Hopf-rife H only.  Wrong declared
+    idempotents make e42 read as not Hopf-rife, and the check then reads
+    skip with its reason, not fail with no detail; the run still fails
+    on the isotypic check those idempotents break."""
+    wrong = [{"1": "1"}, {"x": "1"}, {"y": "1"}, {"1": "1/2", "z": "1/2"}]
+    path = mutate_shipped(tmp_path, "e42-kacpalyutkin",
+                          lambda d: d["action"].__setitem__("idempotents", wrong))
+    out = tmp_path / "wrong.report"
+    assert main(["analyze", path, "--max-degree", "8", "--format", "machine",
+                 "--out", str(out)]) == 5
+    doc = json.loads(out.read_text())
+    assert doc["radical"]["hopf_rife"] is False
+    assert doc["radical"]["inside_jacobian_ideal"] is None
+    checks = {c["name"]: c for c in doc["checks"]}
+    inside = checks["radical-inside-jacobian-ideal"]
+    assert (inside["class"], inside["status"], inside["detail"]) == \
+        ("theorem", "skip", "H is not Hopf-rife")
+    assert sorted(n for n, c in checks.items() if c["status"] == "fail") == \
+        ["isotypic-idempotents-match", "radical-eq-jacobian-ideal"]
+
+
+S3_PERMUTING_XYZ = """{
+ "format": "ncreflect-spec/1",
+ "name": "s3-permuting-xyz",
+ "field": {"conductor": 1},
+ "algebra": {
+   "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1},
+                  {"name": "z", "degree": 1}],
+   "relations": ["y*x - x*y", "z*x - x*z", "z*y - y*z"]},
+ "action": {"kind": "group",
+            "group": {"labels": ["e", "a", "b", "c", "r", "rr"],
+                      "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
+                                [2, 5, 0, 4, 3, 1], [3, 4, 5, 0, 1, 2],
+                                [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]]},
+            "matrices": {"a": ["y", "x", "z"], "r": ["y", "z", "x"]}}}
+"""
+
+
+def test_non_abelian_group_reports_alike_marked_and_unmarked():
+    """S3 permuting x, y, z of k[x, y, z] at D = 8: with kG marked, its
+    integral, projectors and module law are read off the table and
+    Hopf-rife off the block count; unmarked, all of them are proved by
+    products.  The two reports are byte-identical, and H is Hopf-rife
+    with I_com of dimension 6 − 2."""
+    reports = []
+    for marked in (True, False):
+        preset = presentation.realize(presentation.loads(S3_PERMUTING_XYZ), 8)
+        if not marked:
+            preset.hopf.group = None
+        result = analysis.analyze(preset)
+        assert result.exit_code == 0
+        reports.append(report_json(result.document))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["radical"]["hopf_rife"] is True
+    assert smash.commutator_ideal(preset.hopf).dim == 4
 
 
 @pytest.mark.parametrize("idempotents", [

@@ -38,12 +38,15 @@ from oracles import (
     dense_eigenvectors,
     direct_product,
     greedy_generating_set,
+    group_table_id,
+    group_tables,
     index_by_key,
     is_abelian,
     kac_palyutkin_idempotents,
     keyed_character_table,
     linear_characters_by_enumeration,
     normal_forms,
+    small_permutation_groups,
     symmetric3,
     tensor_mul_per_pair,
 )
@@ -108,13 +111,7 @@ def test_dual_group_algebra_axioms():
     assert h.integral() == {g.identity: ONE}
 
 
-def _shipped_groups() -> list[Group]:
-    return [p.hopf.group for p in (catalog.build(name, 4) for name in catalog.shipped())
-            if p.hopf.group is not None]
-
-
-@pytest.mark.parametrize("group", _shipped_groups() + [Group.cyclic(n) for n in range(1, 13)],
-                         ids=lambda g: f"order{g.order}-{'-'.join(g.labels[:3])}")
+@pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_group_tables_give_hopf_algebras(group):
     """analyze takes kG and k^G as verified by construction; the full
     verify is the oracle of that skip."""
@@ -125,8 +122,7 @@ def test_group_tables_give_hopf_algebras(group):
         assert h.verify() == []
 
 
-@pytest.mark.parametrize("group", _shipped_groups() + [Group.cyclic(n) for n in range(1, 13)],
-                         ids=lambda g: f"order{g.order}-{'-'.join(g.labels[:3])}")
+@pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_marked_dual_group_skips_match_the_full_paths(group):
     """On a marked k^G, central_idempotents returns the point masses and
     the action check skips the module law; the same algebra unmarked
@@ -139,7 +135,7 @@ def test_marked_dual_group_skips_match_the_full_paths(group):
                                      parse("x*x + y*y", ["x", "y"])], max_degree=3)
     action = HopfAction.from_grading(h, alg, group, [g, group.inverse[g]])
     derived = central_idempotents(h, chars), action.verify()
-    h.dual = False
+    h.group = None
     full = central_idempotents(h, chars), action.verify()
     assert derived == full
     assert derived[0] == [{k: ONE} for k in range(n)]
@@ -156,6 +152,60 @@ def test_marked_dual_group_refuses_a_character_that_is_no_evaluation():
     two_points = Character(h, [ONE, ONE, ZERO], "e+g")
     with pytest.raises(ValueError, match="fails h p"):
         central_idempotents(h, SimpleNamespace(chars=[two_points]))
+
+
+def _unmarked(h: HopfAlgebra) -> HopfAlgebra:
+    """The same structure constants with no group mark."""
+    return HopfAlgebra(h.labels, h.unit, h.mult, h.comult, h.counit, h.antipode)
+
+
+def _regular_action(h: HopfAlgebra, group: Group) -> HopfAction:
+    """kG acting on x_0, ..., x_{n-1} by g·x_j = x_{gj}, given on the
+    generators of kG, with the relations x_0² and, for n > 1, [x_0, x_1],
+    which every g but e moves out of the relation ideal."""
+    n = group.order
+    names = [f"x{i}" for i in range(n)]
+    rels = [parse("x0*x0", names)] + ([parse("x0*x1 - x1*x0", names)] if n > 1 else [])
+    alg = GradedAlgebra(names, rels, max_degree=2)
+    mats = {s: Matrix([[ONE if i == group.table[s][j] else ZERO for j in range(n)]
+                       for i in range(n)]) for s in h.generators()}
+    return HopfAction.from_group_matrices(h, alg, group, mats)
+
+
+@pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
+def test_marked_group_algebra_closed_forms_match_the_full_paths(group):
+    """On a marked kG the integral and the projectors are read off the
+    table and the action check skips the module law; the same algebra
+    unmarked takes the full paths, which agree on all three."""
+    h = group_algebra(group)
+    chars = group_linear_characters(h, group)
+    action = _regular_action(h, group)
+    derived = h.integral(), central_idempotents(h, chars), action.verify()
+    plain = _unmarked(h)
+    plain_chars = CharacterGroup(plain, [Character(plain, ch.values, ch.label)
+                                         for ch in chars.chars])
+    plain_action = _regular_action(plain, group)
+    full = plain.integral(), central_idempotents(plain, plain_chars), plain_action.verify()
+    assert derived == full
+    assert derived[0] == {g: Cyc.rational(1, group.order) for g in range(group.order)}
+    # every g but e moves x_0² out of the ideal, so both lists hold witnesses
+    assert [w for w in derived[2] if w.endswith("relation 0")] == [
+        f"{group.labels[g]} does not preserve relation 0"
+        for g in range(group.order) if g != group.identity]
+
+
+@pytest.mark.parametrize("group, values", [
+    (Group.cyclic(3), [ONE, ONE, zeta(3)]),          # not multiplicative on g·g
+    (Group.cyclic(3), [ONE, zeta(3), zeta(3)]),      # g² gets ζ where ζ² is due
+    (Group.cyclic(3), [Cyc.rational(2), ONE, ONE]),  # 2 at e fails every edge g·e
+    (small_permutation_groups()["S3"], [ONE, MINUS_ONE] + [ONE] * 4),  # one transposition
+], ids=["c3-gg", "c3-g2", "c3-e", "s3-one-transposition"])
+def test_marked_group_algebra_refuses_a_value_list_that_is_no_homomorphism(group, values):
+    """A value list that is not a homomorphism G -> k^x is no algebra map
+    of kG: it takes the full path, which refuses it."""
+    h = group_algebra(group)
+    with pytest.raises(ValueError, match="fails h p"):
+        central_idempotents(h, SimpleNamespace(chars=[Character(h, values, "bad")]))
 
 
 def test_only_the_group_constructors_mark_h():
@@ -477,10 +527,10 @@ def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
         assert total == h.unit
     if h.dim > 1:
         # the winding of the unit is the unit, which no character of a
-        # nontrivial H singles out; a marked k^G reads no integral, so the
-        # full path runs on it unmarked
+        # nontrivial H singles out; a marked kG or k^G reads no integral,
+        # so the full path runs on it unmarked
         monkeypatch.setattr(HopfAlgebra, "integral", lambda self: dict(self.unit))
-        monkeypatch.setattr(h, "dual", False)
+        monkeypatch.setattr(h, "group", None)
         with pytest.raises(ValueError):
             central_idempotents(h, chars)
 

@@ -4,11 +4,21 @@ a principal radical generator."""
 
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 import pytest
 
-from ncreflect.hopf import Group, central_idempotents, group_algebra, group_linear_characters
+from ncreflect.hopf import (
+    Character,
+    CharacterGroup,
+    Group,
+    central_idempotents,
+    dual_group_algebra,
+    dual_group_characters,
+    group_algebra,
+    group_linear_characters,
+)
 from ncreflect.invariants import (
     component_report,
     fixed_ring,
@@ -16,7 +26,7 @@ from ncreflect.invariants import (
     jacobian_data,
     proportional,
 )
-from ncreflect.linalg import Subspace, express
+from ncreflect.linalg import Subspace, express, vec_addto
 from ncreflect.ncalg import (
     Elem,
     QuotientModule,
@@ -51,6 +61,9 @@ from ncreflect.smash import (
 
 from oracles import (
     constrained_left_ideal,
+    group_table_id,
+    group_tables,
+    in_square_by_span,
     integral_span_full_products,
     kac_palyutkin_idempotents,
     matrix_block_units,
@@ -62,6 +75,7 @@ from oracles import (
     pertinency_one_at_a_time,
     project_by_reduce,
     residue_trace,
+    rife_by_tensor_span,
     smash_dim,
     smash_mul_per_entry,
     smash_mul_per_leg,
@@ -545,6 +559,82 @@ def test_rife_hopf_other_examples():
     # dimension 8 - 4.
     hd8 = group_algebra(dihedral8())
     assert commutator_ideal(hd8).dim == 4
+
+
+def _rife_three_ways(hopf, chars) -> tuple[bool, bool, bool]:
+    """The block count, the residual test on the verified projectors and
+    the residual spanned in dimension dim H²."""
+    idem = central_idempotents(hopf, chars)
+    return (rife_hopf_check(hopf, chars), rife_hopf_check(hopf, chars, idem),
+            rife_by_tensor_span(hopf, chars, idem))
+
+
+@pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
+def test_block_count_matches_the_residual_test(group):
+    """kG and k^G are Hopf-rife for every group: the block count, the
+    residual read row by row and column by column, and the residual
+    spanned in H ⊗ H agree."""
+    for build, characters in ((group_algebra, group_linear_characters),
+                              (dual_group_algebra, dual_group_characters)):
+        h = build(group)
+        assert _rife_three_ways(h, characters(h, group)) == (True, True, True)
+
+
+def test_block_count_matches_the_residual_test_on_e42():
+    h = kac_palyutkin_hopf()
+    assert _rife_three_ways(h, kac_palyutkin_characters(h)) == (True, True, True)
+
+
+def test_block_count_matches_the_residual_test_on_incomplete_characters():
+    """A character group that misses some one-dimensional block leaves a
+    commutative part of the residual outside I_com ⊗ I_com: kC3 with the
+    trivial character alone, and k^C4 with the evaluations at 0 and 2."""
+    c3 = group_algebra(Group.cyclic(3))
+    trivial = CharacterGroup(c3, [Character(c3, [ONE] * 3, "triv")])
+    assert _rife_three_ways(c3, trivial) == (False, False, False)
+    c4 = dual_group_algebra(Group.cyclic(4))
+    even = CharacterGroup(c4, [Character(c4, [ONE if i == g else ZERO for i in range(4)],
+                                         str(g)) for g in (0, 2)])
+    assert _rife_three_ways(c4, even) == (False, False, False)
+
+
+def test_declared_idempotents_match_the_residual_span():
+    """Declared idempotents take the residual test, which reaches the
+    verdict of the span in H ⊗ H on the Kac-Paljutkin projectors and on
+    four wrong vectors."""
+    h = kac_palyutkin_hopf()
+    chars = kac_palyutkin_characters(h)
+    at = {label: k for k, label in enumerate(h.labels)}
+    half = Cyc.rational(1, 2)
+    wrong = [{at["1"]: ONE}, {at["x"]: ONE}, {at["y"]: ONE}, {at["1"]: half, at["z"]: half}]
+    for idem, want in ((kac_palyutkin_idempotents(), True), (wrong, False)):
+        assert rife_hopf_check(h, chars, idem) is want
+        assert rife_by_tensor_span(h, chars, idem) is want
+
+
+def test_rows_and_columns_decide_the_tensor_square():
+    """x lies in I ⊗ I exactly when its rows and columns lie in I: checked
+    against the span of every u ⊗ w on random tensors built from I_com of
+    kD8 (dimension 4 in 8), from I ⊗ I alone and with one term of I ⊗ H,
+    H ⊗ I or H ⊗ H added."""
+    rng = random.Random(7)
+    hd8 = group_algebra(dihedral8())
+    icom = commutator_ideal(hd8)
+    inside, whole = icom.basis(), [{i: ONE} for i in range(hd8.dim)]
+
+    def term(left, right):
+        u, w = rng.choice(left), rng.choice(right)
+        c = Cyc.rational(rng.randint(-3, 3) or 1)
+        return {(i, j): a * b * c for i, a in u.items() for j, b in w.items()}
+
+    for _ in range(60):
+        x: dict = {}
+        for _ in range(rng.randint(0, 3)):
+            vec_addto(x, term(inside, inside))
+        extra = rng.choice([None, (inside, whole), (whole, inside), (whole, whole)])
+        if extra is not None:
+            vec_addto(x, term(*extra))
+        assert smash._in_square(icom, x) is in_square_by_span(icom, x, hd8.dim)
 
 
 # ---------------------------------------------------------------------------
