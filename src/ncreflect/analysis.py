@@ -397,7 +397,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
 
     # -- radical and dis-radical --------------------------------------------
     if action.kind == "dual_group":
-        rad = dual_group_shortcut(alg, comp.slices, D)
+        rad = dual_group_shortcut(action, D)
         method = "component-intersection"
     else:
         rad = radical_slices(action, D, projectors, comp.slices, chars.chars)

@@ -97,6 +97,12 @@ class Group:
                     frontier.append(t)
         return out
 
+    def commutator_subgroup(self) -> set[int]:
+        """[G, G]: the closure of the commutators a b a⁻¹ b⁻¹."""
+        t, inv = self.table, self.inverse
+        return self.closure({t[t[a][b]][t[inv[a]][inv[b]]]
+                             for a in range(self.order) for b in range(a)})
+
     @staticmethod
     def cyclic(n: int, prefix: str = "g") -> "Group":
         labels = ["e"] + [f"{prefix}{k}" if k > 1 else prefix for k in range(1, n)]

@@ -20,7 +20,10 @@ a basis of M_{d - deg(rho)}, and the images of G_d, so its work follows
 dim M_d, not n * dim A_d.  A is the case n = 1, G = 0: a `GradedAlgebra`
 holds the module A^1 / A·0 and reads its slice bases and left letter maps
 off it.  The smash layer keeps the pertinency ideal and the dual-group
-radical by such modules (docs/radical-spanning.md).
+radical by such modules (docs/radical-spanning.md).  The dual-group
+module is given a G-grading of its copies (`CopyGrading`) in place of
+generators: A·A_g in copy g is the whole G-degree-g block modulo the
+relations, so that block gets no carrier column and no relation row.
 
 Carrier columns run in descending order of their labels (copy, word), so
 the echelon engine (which pivots on the smallest index) always eliminates
@@ -49,7 +52,7 @@ degree, decided in the generator degrees of S).
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exprs import FreePoly, Word, p_degree, parse, show
 from .linalg import SparseEch, Subspace, Vec, apply_cols, express, vec_addto
@@ -350,6 +353,30 @@ class Elem:
 # quotient modules
 
 
+class CopyGrading(NamedTuple):
+    """A G-grading of A and of the copies of A^n: the G-degree of each
+    letter, the group table and identity, and the element killed in each
+    copy h, whose whole G-degree block the module quotients out."""
+
+    letters: Sequence[int]
+    table: Sequence[Sequence[int]]
+    identity: int
+    killed: Sequence[int]
+
+    def relation_degree(self, index: int, rel: FreePoly, names: Sequence[str]) -> int:
+        """The G-degree of relation ``index``; ValueError when its words
+        do not share one."""
+        found = set()
+        for word in rel:
+            g = self.identity
+            for letter in word:
+                g = self.table[g][self.letters[letter]]
+            found.add(g)
+        if len(found) != 1:
+            raise ValueError(f"relation {index} ({show(rel, names)}) is not G-homogeneous")
+        return found.pop()
+
+
 class QuotientModule:
     """The graded left A-module M = A^n / A·G, kept by its quotient.
 
@@ -361,6 +388,15 @@ class QuotientModule:
     (docs/radical-spanning.md, "The pertinency ideal by its quotient
     module").  A is built by the same code as the case n = 1, G = 0: its
     ``GradedAlgebra`` calls ``_build`` one degree at a time.
+
+    With a ``grading`` (a ``CopyGrading``, and no generator vectors) the
+    module is ⊕_h A/A·A_{g_h}, g_h = ``killed[h]``.  The G-degree of each
+    label is kept in ``_gdegs``, alongside ``_labels``; a label of G-degree
+    g_h in copy h gets no carrier column and a relation row of that
+    G-degree is never formed, since the G-degree-g_h block of the carrier
+    modulo the relations is the image of A_{g_h} (docs/radical-spanning.md,
+    "The dual-group radical by its quotient module").  Every relation must
+    be G-homogeneous; one that is not raises ValueError.
 
     The basis of M_d is the carrier columns off the pivots, in ascending
     order of their labels (copy, word), so for n = 1 and G = 0 it is the
@@ -375,19 +411,25 @@ class QuotientModule:
     only for the entries asked for (``image``), and kept.
     """
 
-    def __init__(self, alg: GradedAlgebra, n: int, gens: Sequence[Sequence[Vec]]):
+    def __init__(self, alg: GradedAlgebra, n: int, gens: Sequence[Sequence[Vec]],
+                 grading: CopyGrading | None = None):
         self.alg = alg
         self.n = n
+        self.grading = grading
         self.dims: list[int] = []
         self._letters: dict[tuple[int, int], list[Vec]] = {}
         self._images: dict[tuple[int, int, int], Vec] = {}
         self._labels: list[list[tuple[int, Word]]] = []
+        if grading is not None:
+            self._gdegs: list[list[int]] = []  # the G-degree of each label
+            self._relation_gdegs = [grading.relation_degree(r, rel, alg.gen_names)
+                                    for r, rel in enumerate(alg.relations)]
         alg.build(len(gens) - 1)
         for d, gd in enumerate(gens):
             self._build(d, gd)
 
     def _build(self, d: int, gens: Sequence[Vec]) -> None:
-        alg, n, dims, letters = self.alg, self.n, self.dims, self._letters
+        alg, n, dims, letters, grading = self.alg, self.n, self.dims, self._letters, self.grading
         # a carrier column is labelled (copy, word) by the basis element of
         # M it came from and its letter; the columns run in descending
         # order of their labels, so that the echelon pivots on the largest
@@ -399,8 +441,21 @@ class QuotientModule:
                 if w <= d:
                     starts[i] = len(labels)
                     labels.extend((h, (i,) + word) for h, word in self._labels[d - w])
-        order = sorted(range(len(labels)), key=labels.__getitem__, reverse=True)
-        col = [0] * len(labels)
+        if grading is None:
+            live = range(len(labels))
+        else:
+            # a label of G-degree killed[h] in copy h gets no carrier column
+            if d == 0:
+                gdegs = [grading.identity] * n
+            else:
+                gdegs = []
+                for i in starts:
+                    row = grading.table[grading.letters[i]]
+                    gdegs.extend(row[g] for g in self._gdegs[d - alg.weights[i]])
+            killed = grading.killed
+            live = [j for j, (h, _) in enumerate(labels) if gdegs[j] != killed[h]]
+        order = sorted(live, key=labels.__getitem__, reverse=True)
+        col: list[int | None] = [None] * len(labels)
         for c, j in enumerate(order):
             col[j] = c
         if d == 0:
@@ -410,11 +465,18 @@ class QuotientModule:
             # the carrier columns of x_i ⊗ M_{d - w_i}
             cols = {i: col[s:s + dims[d - alg.weights[i]]] for i, s in starts.items()}
             rows = []
-            for rel, rdeg in zip(alg.relations, alg.relation_degrees):
+            for r, (rel, rdeg) in enumerate(zip(alg.relations, alg.relation_degrees)):
                 if rdeg > d:
                     continue
                 e = d - rdeg
-                for m in range(dims[e]):
+                if grading is None:
+                    ms = range(dims[e])
+                else:
+                    # ρ·m has G-degree g_ρ·g_m; a row in a killed block is never formed
+                    row_g = grading.table[self._relation_gdegs[r]]
+                    ms = [m for m, ((h, _), g) in enumerate(zip(self._labels[e], self._gdegs[e]))
+                          if row_g[g] != killed[h]]
+                for m in ms:
                     # ρ·m = Σ c_w x_{w_1} ⊗ X_{w'} m, from the column X_last[m]
                     row: Vec = {}
                     for word, coeff in rel.items():
@@ -432,10 +494,10 @@ class QuotientModule:
                     e = d - alg.weights[i]
                     _add_at(row, cols[i], self.image(e, index[e][words[k][1:]], h), c)
                 rows.append(row)
-        ech = SparseEch(len(labels))
+        ech = SparseEch(len(order))
         ech.extend(rows)
         # the basis of M_d, in ascending order of its labels
-        survivors = [c for c in reversed(range(len(labels))) if c not in ech.rows]
+        survivors = [c for c in reversed(range(len(order))) if c not in ech.rows]
         position = {c: j for j, c in enumerate(survivors)}
         if d == 0:
             for h in range(n):
@@ -443,6 +505,8 @@ class QuotientModule:
         for i, cs in cols.items():
             letters[(i, d - alg.weights[i])] = [_project(ech, position, c) for c in cs]
         self._labels.append([labels[order[c]] for c in survivors])
+        if grading is not None:
+            self._gdegs.append([gdegs[order[c]] for c in survivors])
         dims.append(len(survivors))
 
     def letter(self, i: int, degree: int) -> list[Vec]:
@@ -482,14 +546,15 @@ class QuotientModule:
         return vec
 
 
-def _project(ech: SparseEch, position: dict[int, int], c: int) -> Vec:
+def _project(ech: SparseEch, position: dict[int, int], c: int | None) -> Vec:
     """The image of carrier column c in M_d, over the basis of M_d (the
     columns off the pivots, at ``position``), read off the echelon: a
     column off the pivots is its own basis element, and a pivot column is
-    minus the rest of its row, which holds only columns off the pivots."""
+    minus the rest of its row, which holds only columns off the pivots.
+    A label with no column (c None) lies in a killed block: its image is 0."""
     row = ech.rows.get(c)
     if row is None:
-        return {position[c]: ONE}
+        return {position[c]: ONE} if c is not None else {}
     return {position[k]: -x for k, x in row.items() if k != c}
 
 

@@ -23,8 +23,9 @@ p_χ lies in A_{χ⁻¹} # p_χ, which the rows of the component of χ⁻¹ span
 The trace on A is the kernel of a ↦ π(a # 1), read off one echelon of
 the images of the basis words (``linalg.kernel``), with π(x_i u # 1) =
 X_i π(u # 1) through the letter maps of the module, whatever the unit
-of H.  The dual-group shortcut ∩_g A·A_g is read off the same way: it is
-the kernel of a ↦ π(a ⊗ Σ_g e_g) on the quotient module ⊕_g A/A·A_g.
+of H.  The dual-group shortcut ∩_{g≠e} A·A_g is read off the same way:
+it is the kernel of a ↦ π(a ⊗ Σ_g e_g) on the quotient module
+⊕_{g≠e} A/A·A_g, built from the G-grading with no generator rows.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Sequence
 from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra
 from .linalg import Subspace, Vec, apply_cols, kernel, vec_addto, vec_scale
 from .ncalg import (
+    CopyGrading,
     Elem,
     GradedAlgebra,
     QuotientModule,
@@ -246,8 +248,8 @@ def _trace_on_a(module: QuotientModule, unit: Vec, max_degree: int) -> list[Subs
     in k^n: the kernel of a ↦ π(a ⊗ u), read off the images of the basis
     words by ``linalg.kernel``, with π(x_i w ⊗ u) = X_i π(w ⊗ u).  For
     the pertinency module and u the unit of H it is the trace of P on A;
-    for the stacked module of the dual-group shortcut and u = Σ_g e_g it
-    is ∩_g A·A_g."""
+    for the graded module of the dual-group shortcut and u = Σ_g e_g it
+    is ∩_{g≠e} A·A_g."""
     alg = module.alg
     images = [[{}]]  # images[d][k] = π(w_k ⊗ u)
     for h, x in unit.items():
@@ -291,24 +293,22 @@ def radical_slices(action: HopfAction, max_degree: int,
     return RadicalData(_trace_on_a(module, sm._unit, max_degree), list(module.dims))
 
 
-def dual_group_shortcut(
-    alg: GradedAlgebra, comp_slices: list[list[Subspace]], max_degree: int
-) -> RadicalData:
-    """For dual group actions the radical equals the intersection of the
-    left ideals A·A_g over the component grading, the kernel of
-    A → ⊕_g A/A·A_g.  That is ``_trace_on_a`` on the quotient module with
-    one copy per component and G_d = ⊕_g A_{g,d} in copy g, at
-    u = Σ_g e_g.  A component holding 1 gives A·A_g = A and is skipped;
-    with none left the radical is all of A (docs/radical-spanning.md,
-    "The dual-group radical by its quotient module").  ``quotient_dims``
-    are the codimensions of the radical slices."""
-    kept = [slices for slices in comp_slices if not slices[0].dim]
-    n = len(kept)
-    gens = [[{k * n + g: x for k, x in v.items()}
-             for g, slices in enumerate(kept) for v in slices[d].basis()]
-            for d in range(max_degree + 1)]
-    module = QuotientModule(alg, n, gens)
-    slices = _trace_on_a(module, {g: ONE for g in range(n)}, max_degree)
+def dual_group_shortcut(action: HopfAction, max_degree: int) -> RadicalData:
+    """For a dual-group action of k^G, A is G-graded and the radical is
+    ∩_{g≠e} A·A_g, the kernel of A → ⊕_{g≠e} A/A·A_g.  That is
+    ``_trace_on_a`` at u = Σ_g e_g on the quotient module with one copy
+    per g ≠ e, built from the G-grading with no generator rows: copy g
+    drops its G-degree-g block, which is the image of A_g modulo the
+    G-homogeneous relation rows (docs/radical-spanning.md, "The
+    dual-group radical by its quotient module").  A relation that is not
+    G-homogeneous raises ValueError.  ``quotient_dims`` are the
+    codimensions of the radical slices."""
+    alg, group = action.alg, action.group
+    killed = [g for g in range(group.order) if g != group.identity]
+    n = len(killed)
+    grading = CopyGrading(action.grading, group.table, group.identity, killed)
+    module = QuotientModule(alg, n, [()] * (max_degree + 1), grading)
+    slices = _trace_on_a(module, {h: ONE for h in range(n)}, max_degree)
     return RadicalData(slices, [alg.dim(d) - s.dim for d, s in enumerate(slices)])
 
 
@@ -348,11 +348,15 @@ def rife_hopf_check(
     ``central_idempotents`` verified, and the test is a block count: H is
     Hopf-rife exactly when dim I_com + |chars| = dim H, with no product at
     all when there are dim H characters (docs/component-grading.md,
-    "Hopf-rife is a block count").  Declared idempotents are not assumed
-    to be projectors and take the residual test, X = Δ(Λ) − Σ p_χ ⊗ p_χ⁻¹
-    read row by row and column by column (``_in_square``)."""
+    "Hopf-rife is a block count").  On a marked kG, dim I_com is
+    |G| − |G/[G, G]|, read off the table.  Declared idempotents are not
+    assumed to be projectors and take the residual test,
+    X = Δ(Λ) − Σ p_χ ⊗ p_χ⁻¹ read row by row and column by column
+    (``_in_square``)."""
     if idempotents is None:
-        n = len(chars)
+        n, group = len(chars), hopf.group
+        if group is not None and not hopf.dual:
+            return n * len(group.commutator_subgroup()) == group.order
         return n == hopf.dim or commutator_ideal(hopf).dim + n == hopf.dim
     residual = hopf.comult_vec(hopf.integral())
     g0 = chars.group

@@ -49,7 +49,13 @@ the reference for ``invariants.fixed_ring``, which spans it from the
 generators found below d.  ``pairwise_intersection`` builds A·A_g for
 every component, the one holding 1 included, and intersects them one
 pair at a time, the reference for ``smash.dual_group_shortcut``, which
-reads the intersection off one kernel of a stacked quotient module.
+reads the intersection off one kernel of a quotient module.
+``stacked_module`` builds that module as ``QuotientModule`` with the
+components as generator rows, one copy per component without 1, and
+``dual_group_by_generators`` reads the kernel off it: the reference for
+``smash.dual_group_shortcut``, which drops copy g's G-degree-g block
+instead of eliminating generator rows.  ``downup_s3_spec`` is the downup
+algebra graded by S3, a dual-group action no preset ships.
 
 ``normal_in_every_degree`` compares x * S_d with S_d * x in every
 degree, the reference for ``ncalg.is_normal``, which compares them only
@@ -124,7 +130,9 @@ residual formed as one dense tensor per term and I_com ⊗ I_com spanned
 from every pair of basis vectors in dimension dim H², the reference for
 ``smash.rife_hopf_check``, which counts blocks or reads the residual row
 by row and column by column (``in_square_by_span`` is its membership
-test alone).
+test alone).  ``block_count_by_ideal`` is the block count with I_com
+built by products, the reference for ``rife_hopf_check`` on a marked kG,
+which reads dim I_com = |G| − |G/[G, G]| off the table.
 
 ``vec_addto_unfused`` and ``UnfusedEch`` form each entry of a sparse
 accumulation or elimination as a product and then a sum, and always
@@ -195,8 +203,10 @@ from ncreflect.linalg import (
     vec_scale,
 )
 from ncreflect.presets import catalog
+from ncreflect import smash
 from ncreflect.ncalg import (
     Elem,
+    QuotientModule,
     left_ideal_slices,
     monic,
     mul_elem_space,
@@ -712,6 +722,28 @@ def pairwise_intersection(alg, comp_slices, max_degree: int) -> RadicalData:
     return RadicalData(out, [alg.dim(d) - s.dim for d, s in enumerate(out)])
 
 
+def stacked_module(alg, comp_slices, max_degree: int) -> QuotientModule:
+    """⊕_j A/A·A_{g_j} over the components with A_{g_j,0} = 0, as
+    ``QuotientModule`` with one copy per component and the basis of
+    A_{g_j,d} as generator rows in copy j."""
+    kept = [slices for slices in comp_slices if not slices[0].dim]
+    n = len(kept)
+    gens = [[{k * n + g: x for k, x in v.items()}
+             for g, slices in enumerate(kept) for v in slices[d].basis()]
+            for d in range(max_degree + 1)]
+    return QuotientModule(alg, n, gens)
+
+
+def dual_group_by_generators(alg, comp_slices, max_degree: int) -> RadicalData:
+    """∩_g A·A_g over the components with A_{g,0} = 0, the kernel of
+    a ↦ π(a ⊗ Σ_j e_j) on ``stacked_module``, the reference for
+    ``smash.dual_group_shortcut``, which drops the G-degree-g block of
+    copy g instead of eliminating generator rows."""
+    module = stacked_module(alg, comp_slices, max_degree)
+    slices = smash._trace_on_a(module, {g: ONE for g in range(module.n)}, max_degree)
+    return RadicalData(slices, [alg.dim(d) - s.dim for d, s in enumerate(slices)])
+
+
 def normal_in_every_degree(alg, x, slices, max_degree: int) -> bool:
     """x * S_d = S_d * x for every d with d + deg x within the bound."""
     return all(
@@ -1181,6 +1213,19 @@ def symmetric3() -> Group:
     return Group(["".join(map(str, p)) for p in perms], table)
 
 
+def downup_s3_spec() -> dict:
+    """The downup algebra graded by S3, d ↦ (01) and u ↦ (12), as a spec:
+    a dual-group action of k^{S3} that no preset ships."""
+    s3 = symmetric3()
+    return {"format": "ncreflect-spec/1", "name": "downup-dualS3",
+            "field": {"conductor": 1},
+            "algebra": {"generators": [{"name": "d", "degree": 1}, {"name": "u", "degree": 1}],
+                        "relations": ["d*u^2 - u^2*d", "d^2*u - u*d^2"]},
+            "action": {"kind": "dual_group",
+                       "group": {"labels": s3.labels, "table": s3.table},
+                       "generator_degrees": ["102", "021"]}}
+
+
 def permutation_group(gens: list[tuple[int, ...]]) -> Group:
     """The group the permutations gens generate, composed right to left:
     the identity "e" first, then each permutation, labelled by its images,
@@ -1246,6 +1291,15 @@ def rife_by_tensor_span(hopf, chars, idempotents) -> bool:
     return not residual or in_square_by_span(commutator_ideal(hopf), residual, hopf.dim)
 
 
+def block_count_by_ideal(hopf, chars) -> bool:
+    """dim I_com + |chars| = dim H with I_com built by products
+    (``smash.commutator_ideal``), the reference for
+    ``smash.rife_hopf_check`` on a marked kG, which reads dim I_com off
+    [G, G] in the table."""
+    n = len(chars)
+    return n == hopf.dim or commutator_ideal(hopf).dim + n == hopf.dim
+
+
 def direct_product(a: Group, b: Group) -> Group:
     """a x b, element (i, j) at index i * |b| + j, labelled "e", a single
     factor's label, or "ai.bj"."""
@@ -1269,9 +1323,12 @@ def direct_product(a: Group, b: Group) -> Group:
     return Group(labels, table)
 
 
-def project_by_reduce(ech: SparseEch, position: dict[int, int], c: int) -> Vec:
+def project_by_reduce(ech: SparseEch, position: dict[int, int], c: int | None) -> Vec:
     """The image of carrier column c in M_d: the unit vector at c reduced
-    modulo the relation rows, over the basis columns at ``position``."""
+    modulo the relation rows, over the basis columns at ``position``.  A
+    label of a killed G-degree block has no column (c None) and is 0."""
+    if c is None:
+        return {}
     return {position[k]: x for k, x in ech.reduce({c: ONE}).items()}
 
 

@@ -436,7 +436,7 @@ def test_independent_oracles_match_engine():
         if p.action.kind != "dual_group":
             continue
         rad = radical_slices(p.action, D)
-        short = dual_group_shortcut(p.algebra, comp.slices, D)
+        short = dual_group_shortcut(p.action, D)
         assert short.slices == rad.slices, name
 
     # closed-form dimension counts for every stored table

@@ -384,6 +384,16 @@ def test_inhomogeneous_dual_group_relation_stops_before_the_components(tmp_path,
     assert all(doc[s] == {"skipped": "verification failed"} for s in SECTIONS if s != "checks")
 
 
+def test_dual_group_shortcut_refuses_an_inhomogeneous_relation():
+    """Called on its own, the shortcut reads a row's G-degree block off its
+    relation: one whose words differ in G-degree is refused by its index,
+    not read off one word."""
+    spec = presentation.loads(json.dumps(INHOMOGENEOUS_DUAL_GROUP_SPEC))
+    p = presentation.realize(spec, 6)
+    with pytest.raises(ValueError, match=r"^relation 0 \(x\*y - y\^2\) is not G-homogeneous$"):
+        smash.dual_group_shortcut(p.action, 6)
+
+
 def test_declared_idempotents_do_not_reach_the_radical(tmp_path):
     """The radical and the Jacobian transfer split along the projectors the
     analysis verifies, never along the spec's own idempotents: well-formed

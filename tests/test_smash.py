@@ -4,6 +4,7 @@ a principal radical generator."""
 
 from __future__ import annotations
 
+import json
 import random
 from unittest import mock
 
@@ -35,6 +36,7 @@ from ncreflect.ncalg import (
     right_ideal_slices,
     two_sided_ideal_slices,
 )
+from ncreflect.presentation import loads, realize
 from ncreflect.presets import catalog
 from ncreflect.presets.kac import (
     kac_palyutkin_characters,
@@ -60,7 +62,10 @@ from ncreflect.smash import (
 )
 
 from oracles import (
+    block_count_by_ideal,
     constrained_left_ideal,
+    downup_s3_spec,
+    dual_group_by_generators,
     group_table_id,
     group_tables,
     in_square_by_span,
@@ -80,10 +85,13 @@ from oracles import (
     smash_mul_per_entry,
     smash_mul_per_leg,
     spans,
+    stacked_module,
     zassenhaus_intersect,
 )
 
 _CACHE: dict = {}
+
+DUAL_PRESETS = ["e22-dualD8", "e23-downup-dualD8"]
 
 # the shipped presets whose radical comes from the smash product
 SMASH_PRESETS = ["trivial", "e42-kacpalyutkin", "l41-cyclic-n-m(z3,2,3)", "l41-mystic(1,2)",
@@ -580,6 +588,21 @@ def test_block_count_matches_the_residual_test(group):
         assert _rife_three_ways(h, characters(h, group)) == (True, True, True)
 
 
+@pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
+def test_group_table_block_count_matches_the_commutator_ideal(group, monkeypatch):
+    """On a marked kG, |chars|·|[G, G]| = |G| is the block count that
+    commutator_ideal gave, for all the linear characters and for the
+    cyclic subgroup each one generates; no product is formed."""
+    h = group_algebra(group)
+    full = group_linear_characters(h, group)
+    lists = [full] + [CharacterGroup(h, [full.chars[k] for k in sorted(full.group.closure([i]))])
+                      for i in range(len(full))]
+    want = [block_count_by_ideal(h, chars) for chars in lists]
+    assert want[0] is True
+    monkeypatch.setattr(smash, "commutator_ideal", None)
+    assert [rife_hopf_check(h, chars) for chars in lists] == want
+
+
 def test_block_count_matches_the_residual_test_on_e42():
     h = kac_palyutkin_hopf()
     assert _rife_three_ways(h, kac_palyutkin_characters(h)) == (True, True, True)
@@ -649,7 +672,7 @@ def test_dihedral3_radical_is_jacobian_ideal():
     pr = principal_radical(alg, rad.slices, 6)
     assert proportional(pr.generator, alg.element("z*x*y"))
     assert pr.normal is True and pr.reason == ""
-    assert dual_group_shortcut(alg, comp.slices, 6).slices == rad.slices
+    assert dual_group_shortcut(p.action, 6).slices == rad.slices
     data = rife_action_check(
         p.action, p.chars, central_idempotents(p.hopf, p.chars), jac.j, rad.slices, 6
     )
@@ -681,7 +704,9 @@ def test_dihedral3_component_intersection_forms():
 
 def _three_modules(name: str, D: int) -> list[QuotientModule]:
     """A's quotient module, the pertinency module (spanned through the
-    components) and the dual-group module of a preset, built to D."""
+    components) and the stacked module of the components of a preset
+    (``stacked_module``), built to D; on a dual-group action also the
+    G-graded module of ``dual_group_shortcut``."""
     p = catalog.build(name, max_degree=D)
     comp = component_report(p.action, p.chars, D)
     made = []
@@ -693,21 +718,23 @@ def _three_modules(name: str, D: int) -> list[QuotientModule]:
 
     with mock.patch.object(smash, "QuotientModule", Recording):
         pertinency_slices(SmashProduct(p.action), D, comp.slices)
-        dual_group_shortcut(p.algebra, comp.slices, D)
+        if p.action.kind == "dual_group":
+            dual_group_shortcut(p.action, D)
     p.algebra.build(D)
-    return [p.algebra._module] + made
+    return [p.algebra._module, made[0], stacked_module(p.algebra, comp.slices, D)] + made[1:]
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_module_letter_maps_read_off_the_echelon_match_reduction(name):
-    """For A, the pertinency module and the dual-group module, the letter
-    maps and images read off the echelon are the ones that reducing each
-    carrier column modulo the relation rows gives."""
+    """For A, the pertinency module, the stacked module and the G-graded
+    dual-group module, the letter maps and images read off the echelon
+    are the ones that reducing each carrier column modulo the relation
+    rows gives."""
     D = 12
     got = _three_modules(name, D)
     with mock.patch.object(ncalg, "_project", project_by_reduce):
         want = _three_modules(name, D)
-    assert len(got) == len(want) == 3
+    assert len(got) == len(want) == (4 if name in DUAL_PRESETS else 3)
     for module, reference in zip(got, want):
         assert module.dims == reference.dims and module._labels == reference._labels
         assert module._letters == reference._letters
@@ -717,26 +744,106 @@ def test_module_letter_maps_read_off_the_echelon_match_reduction(name):
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_dual_group_shortcut_matches_pairwise_intersection(name):
     # skipping the component that holds 1 (A·A_g = A there) and reading
-    # the intersection off one kernel give the pairwise fold over every
-    # component, whatever the action
+    # the intersection off one kernel of the stacked module give the
+    # pairwise fold over every component, whatever the action
     p, comp, *_ = bundle(name, 12)
     alg = p.algebra
-    assert dual_group_shortcut(alg, comp.slices, 12) == pairwise_intersection(alg, comp.slices, 12)
+    assert dual_group_by_generators(alg, comp.slices, 12) == pairwise_intersection(alg, comp.slices, 12)
     # one component alone: A·A_g is all of A only when 1 is in A_g, so a
     # component without 1 is never skipped, even where the others'
     # intersection already lies inside A·A_g
     for slices in comp.slices:
-        assert dual_group_shortcut(alg, [slices], 12) == pairwise_intersection(alg, [slices], 12)
+        assert dual_group_by_generators(alg, [slices], 12) == pairwise_intersection(alg, [slices], 12)
 
 
-@pytest.mark.parametrize("name", ["e22-dualD8", "e23-downup-dualD8"])
+@pytest.mark.parametrize("name", DUAL_PRESETS)
 def test_dual_group_shortcut_matches_pairwise_intersection_deep(name):
-    """The kernel of the stacked quotient module against the pairwise fold
-    at degree 20, on the two dual group actions."""
+    """The kernel of the G-graded quotient module against the pairwise
+    fold at degree 20, on the two dual group actions."""
     D = 20
     p = catalog.build(name, max_degree=D)
     comp = component_report(p.action, p.chars, D)
-    assert dual_group_shortcut(p.algebra, comp.slices, D) == pairwise_intersection(p.algebra, comp.slices, D)
+    assert dual_group_shortcut(p.action, D) == pairwise_intersection(p.algebra, comp.slices, D)
+
+
+def _graded_and_stacked(name: str, D: int) -> tuple[QuotientModule, QuotientModule]:
+    """The G-graded module of ``dual_group_shortcut`` and the stacked
+    module of the parent route, both built to D."""
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    made = []
+
+    class Recording(QuotientModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(smash, "QuotientModule", Recording):
+        dual_group_shortcut(p.action, D)
+    return made[0], stacked_module(p.algebra, comp.slices, D)
+
+
+@pytest.mark.parametrize("D", [12, 20])
+@pytest.mark.parametrize("name", DUAL_PRESETS)
+def test_graded_module_equals_the_stacked_module(name, D):
+    """Each relation row lies in one G-degree block, so dropping copy g's
+    G-degree-g block leaves the live blocks to eliminate as the generator
+    rows did: the dimensions, the basis labels, the letter maps and the
+    degree-0 images are those of the stacked module."""
+    graded, stacked = _graded_and_stacked(name, D)
+    assert graded.dims == stacked.dims
+    assert graded._labels == stacked._labels
+    assert graded._letters == stacked._letters
+    degree0 = {key: v for key, v in stacked._images.items() if key[0] == 0}
+    assert graded._images == degree0
+
+
+@pytest.mark.parametrize("name", DUAL_PRESETS)
+def test_graded_module_forms_no_generator_images(name, monkeypatch):
+    """Building the module of ``dual_group_shortcut`` calls
+    ``QuotientModule.image`` not once, and inserts fewer rows than building
+    the stacked module with its generator rows."""
+    D = 12
+    counts = {"image": 0, "insert": 0}
+    image, insert = QuotientModule.image, ncalg.SparseEch.insert
+
+    def counting_image(self, *args):
+        counts["image"] += 1
+        return image(self, *args)
+
+    def counting_insert(self, vec):
+        counts["insert"] += 1
+        return insert(self, vec)
+
+    builds = []
+
+    class Counted(QuotientModule):
+        def __init__(self, *args):
+            before = dict(counts)
+            super().__init__(*args)
+            builds.append({k: counts[k] - before[k] for k in counts})
+
+    p = catalog.build(name, max_degree=D)
+    comp = component_report(p.action, p.chars, D)
+    p.algebra.build(D)
+    monkeypatch.setattr(QuotientModule, "image", counting_image)
+    monkeypatch.setattr(ncalg.SparseEch, "insert", counting_insert)
+    monkeypatch.setattr(smash, "QuotientModule", Counted)
+    dual_group_shortcut(p.action, D)
+    counts.update(image=0, insert=0)
+    stacked_module(p.algebra, comp.slices, D)
+    graded, stacked = builds[0], dict(counts)
+    assert graded["image"] == 0 and stacked["image"] > 0
+    assert graded["insert"] < stacked["insert"]
+
+
+def test_graded_downup_agrees_with_pairwise_intersection():
+    """A grading no preset ships: the downup algebra with d ↦ (01) and
+    u ↦ (12) in S3, whose components are the G-degrees of the words."""
+    D = 8
+    p = realize(loads(json.dumps(downup_s3_spec())), D)
+    comp = component_report(p.action, p.chars, D)
+    assert dual_group_shortcut(p.action, D) == pairwise_intersection(p.algebra, comp.slices, D)
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
@@ -801,7 +908,7 @@ def test_downup_radical_strictly_inside_jacobian_ideal():
     gap = [d for d in range(9) if rad.slices[d].dim < ideal[d].dim]
     assert gap and gap[0] == 2  # (u^2) already separates in degree two
     assert rad.slices[2].dim == 0 and ideal[2].dim == 1
-    assert dual_group_shortcut(alg, comp.slices, 8).slices == rad.slices
+    assert dual_group_shortcut(p.action, 8).slices == rad.slices
     data = rife_action_check(
         p.action, p.chars, central_idempotents(p.hopf, p.chars), jac.j, rad.slices, 8
     )

@@ -313,7 +313,7 @@ def test_generator_degree_normality_matches_every_degree(name):
         assert got == normal_in_every_degree(alg, c, fixed.slices, D), c
         verdicts.append(got)
     if p.action.kind == "dual_group":
-        radical = dual_group_shortcut(alg, comp.slices, D).slices
+        radical = dual_group_shortcut(p.action, D).slices
     else:
         radical = radical_slices(p.action, D, central_idempotents(p.hopf, p.chars),
                                  (), p.chars.chars).slices
