@@ -225,10 +225,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     alg.build(D)
 
     # -- verification --------------------------------------------------
-    # kG and k^G built from a validated group table are Hopf algebras by
-    # construction (docs/component-grading.md, "What a validated group
-    # table implies")
-    hopf_witnesses = [] if hopf.group is not None else hopf.verify()
+    hopf_witnesses = hopf.verify()
     checks.append(Check("hopf-axioms", "verification",
                         "fail" if hopf_witnesses else "pass",
                         "; ".join(hopf_witnesses[:4])))
@@ -256,7 +253,7 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
     # -- components and fixed ring ---------------------------------------
     comp = component_report(action, chars, D)
     projectors = central_idempotents(hopf, chars)
-    if action.kind == "dual_group" and hopf.dual:
+    if action.kind == "dual_group":
         # the slices are read off the G-degrees of the basis words, which
         # is what the certificate would read again; the grading itself
         # rests on the G-homogeneous relations module-algebra checked
@@ -372,15 +369,13 @@ def analyze(preset: Preset, max_degree: int | None = None) -> AnalysisResult:
                         f"left={jac.a_divides_j_left} right={jac.a_divides_j_right}"))
 
     # -- divisors -----------------------------------------------------------
-    extra = tuple(alg.element(t, 1)
-                  for t in opts.get("divisor_candidates", ()))
-    mode = "certificate" if alg.ngens == 2 and alg.dim(1) == 2 else "candidates"
     doc["divisors"] = {}
     two_sided_ok = True
     for key, target in (("jacobian", jac.j), ("arrangement", jac.a)):
         # the arrangement's reports are the Jacobian's when a = j
         if key == "jacobian" or target != jac.j:
-            sides = {side: divisor_report(alg, target, side, mode, preset.conductor, extra)
+            sides = {side: divisor_report(alg, target, side, conductor=preset.conductor,
+                                          extra_candidates=opts.get("divisor_candidates", ()))
                      for side in ("left", "right")}
         left_lines = [elem_doc(alg, e)["poly"] for e in sides["left"].lines]
         right_lines = [elem_doc(alg, e)["poly"] for e in sides["right"].lines]

@@ -303,16 +303,13 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
             EXIT_INPUT,
             f"--element: degree {degree} exceeds the bound {bound}")
     f = alg.element(args.element, degree)
-    mode = "certificate" if alg.ngens == 2 and alg.dim(1) == 2 else "candidates"
-    extra = tuple(alg.element(t, 1)
-                  for t in preset.options.get("divisor_candidates") or ())
     sides = ("left", "right") if args.side == "both" else (args.side,)
+    reports = [divisor_report(alg, f, side, conductor=preset.conductor,
+                              extra_candidates=preset.options.get("divisor_candidates") or ())
+               for side in sides]
     shown = alg.show_vec(f.vec, f.degree)
-    print(f"element: {shown} (degree {degree}, {mode} mode)")
-    for side in sides:
-        report = divisor_report(alg, f, side, mode=mode,
-                                conductor=preset.conductor,
-                                extra_candidates=extra)
+    print(f"element: {shown} (degree {degree}, {reports[0].mode} mode)")
+    for side, report in zip(sides, reports):
         print(f"{side}:")
         if not report.lines:
             print("  no degree-one divisors")

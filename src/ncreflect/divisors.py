@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .ncalg import Elem, GradedAlgebra, cofactor, monic
 from .scalars import Cyc, ONE, ZERO, addmul, zeta
@@ -124,10 +125,12 @@ def gcd_of_forms(forms: list[Form]) -> Form | None:
 
 
 def candidate_lines(
-    alg: GradedAlgebra, conductor: int, extra: tuple[Elem, ...] = ()
+    alg: GradedAlgebra, conductor: int, extra: Sequence[Elem | str] = ()
 ) -> list[Elem]:
     """Degree-one generators, pairwise combinations over the roots of
-    unity of the conductor, and any extra lines, deduplicated."""
+    unity of the conductor, and any extra lines, deduplicated.  An extra
+    line may be given as the text of a degree-one element, as a spec's
+    ``divisor_candidates`` hold them."""
     out: list[Elem] = []
     seen: set = set()
 
@@ -149,6 +152,8 @@ def candidate_lines(
             push(xi + xj.scale(root))
             root = root * z
     for e in extra:
+        if isinstance(e, str):
+            e = alg.element(e, 1)
         if e.degree != 1 or e.is_zero():
             raise ValueError("extra candidates must be nonzero of degree 1")
         push(e)
@@ -255,10 +260,14 @@ def divisor_report(
     alg: GradedAlgebra,
     f: Elem,
     side: str = "left",
-    mode: str = "candidates",
+    mode: str | None = None,
     conductor: int = 4,
-    extra_candidates: tuple[Elem, ...] = (),
+    extra_candidates: Sequence[Elem | str] = (),
 ) -> DivisorReport:
+    """``mode`` None is certificate mode on two generators of degree one,
+    candidates mode otherwise."""
+    if mode is None:
+        mode = "certificate" if alg.ngens == 2 and alg.dim(1) == 2 else "candidates"
     if side not in ("left", "right"):
         raise ValueError("side must be left or right")
     if f.is_zero():

@@ -8,9 +8,13 @@ conditions that are multiplicative in one factor (associativity, and Δ
 and ε being algebra maps) are checked with that factor running over a
 set of algebra generators (``HopfAlgebra.generators``), which decides
 them for all of H (docs/component-grading.md, "H is checked at its
-algebra generators").  So are the integral and the character projectors,
-except on the kG and k^G of a validated group table, where they are read
-off the table.
+algebra generators").  So are the integral and the character projectors.
+The kG and k^G of a validated group table are their own types, which
+hold their ``Group`` and read off it, here and nowhere else, what it
+implies: the Hopf axioms, kG's integral, the projectors, dim I_com, the
+character table, and the module law of the action kinds ``group`` and
+``dual_group``, which only they accept (docs/component-grading.md,
+"What a validated group table implies").
 
 Characters (one-dimensional representations) form a group under the
 convolution product; they grade the invariant theory downstream.  The
@@ -27,10 +31,11 @@ algebra case, where basis words act diagonally).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .exprs import FreePoly, Word, p_mul
-from .linalg import Matrix, Subspace, Vec, apply_cols, eigenvectors, vec_addto, vec_scale
+from .linalg import Matrix, Subspace, Vec, apply_cols, eigen_images, kernel, vec_addto, vec_scale
 from .ncalg import GradedAlgebra
 from .scalars import Cyc, ONE, ZERO, addmul, zeta
 
@@ -103,6 +108,27 @@ class Group:
         return self.closure({t[t[a][b]][t[inv[a]][inv[b]]]
                              for a in range(self.order) for b in range(a)})
 
+    def extend(self, images: dict, one, mul=operator.mul) -> tuple[dict, int | None]:
+        """The map m given by images on the elements s it keys, extended
+        over every Cayley edge h -> s h of the subgroup they generate as
+        m(e) = one and m(s h) = mul(m(s), m(h)).  Returns the map and the
+        first element two routes reach with different values, or None
+        when every edge agrees, which makes m a homomorphism."""
+        values = {self.identity: one}
+        frontier = [self.identity]
+        while frontier:
+            h = frontier.pop()
+            for s, image in images.items():
+                t = self.table[s][h]
+                val = mul(image, values[h])
+                got = values.get(t)
+                if got is None:
+                    values[t] = val
+                    frontier.append(t)
+                elif got != val:
+                    return values, t
+        return values, None
+
     @staticmethod
     def cyclic(n: int, prefix: str = "g") -> "Group":
         labels = ["e"] + [f"{prefix}{k}" if k > 1 else prefix for k in range(1, n)]
@@ -141,12 +167,6 @@ class HopfAlgebra:
             self._delta.append(tensor)
         self._integral: Vec | None = None
         self._generators: list[int] | None = None
-        # the validated table of kG or k^G, set by group_algebra and
-        # dual_group_algebra only: such an H is a Hopf algebra by
-        # construction (docs/component-grading.md, "What a validated
-        # group table implies"); ``dual`` tells k^G from kG
-        self.group: Group | None = None
-        self.dual = False
 
     # -- operations on coordinate vectors --------------------------------
 
@@ -203,10 +223,10 @@ class HopfAlgebra:
         the right factors; so S decides both for H
         (docs/component-grading.md).
 
-        ``analyze`` calls it on every H but kG and k^G, which it takes as
-        verified by their construction from a validated group table;
-        ``validate`` calls it on every H, and the tests run it on kG and
-        k^G as the oracle of that skip."""
+        ``analyze`` and ``validate`` call it on every H.  ``GroupAlgebra``
+        and ``DualGroupAlgebra`` override it: a validated group table makes
+        them Hopf algebras by construction, and the tests call this body
+        on them, as ``HopfAlgebra.verify(h)``, as the oracle of that."""
         bad: list[str] = []
         rng = range(self.dim)
         lab = self.labels
@@ -306,26 +326,18 @@ class HopfAlgebra:
 
     def integral(self) -> Vec:
         """The two-sided integral normalised by counit(Λ) = 1, read off the
-        common eigenvectors of the L_s − ε(s) with s in ``generators()``:
-        the h with hΛ = ε(h)Λ, or Λh = ε(h)Λ, form a subalgebra.  So Λ is
-        a left integral by construction, and only Λs = ε(s)Λ is checked.
-        hΛ = ε(h)Λ for every h gives Λ² = ε(Λ)Λ = Λ, so idempotence needs
-        no check.
-
-        On the kG of a validated group table Λ = (1/|G|) Σ_g g, with no
-        product (docs/component-grading.md, "What a validated group table
-        implies")."""
+        kernel of the stacked columns of L_s − ε(s) with s in
+        ``generators()``: the h with hΛ = ε(h)Λ, or Λh = ε(h)Λ, form a
+        subalgebra.  So Λ is a left integral by construction, and only
+        Λs = ε(s)Λ is checked.  hΛ = ε(h)Λ for every h gives
+        Λ² = ε(Λ)Λ = Λ, so idempotence needs no check."""
         if self._integral is not None:
             return dict(self._integral)
-        if self.group is not None and not self.dual:
-            share = Cyc.rational(1, self.dim)
-            self._integral = {g: share for g in range(self.dim)}
-            return dict(self._integral)
         gens = self.generators()
-        kernel = eigenvectors(self.dim, [(self.mult[s], self.counit[s]) for s in gens])
-        if not kernel:
+        found = kernel(eigen_images(self.dim, [(self.mult[s], self.counit[s]) for s in gens]))
+        if not found:
             raise ValueError("no left integral found")
-        lam = kernel[0]
+        lam = found[0]
         eps = self.counit_vec(lam)
         if eps.is_zero():
             raise ValueError("integral is killed by the counit (algebra not semisimple?)")
@@ -336,36 +348,124 @@ class HopfAlgebra:
         self._integral = lam
         return dict(lam)
 
+    def commutator_dim(self) -> int:
+        """dim I_com, the ideal ``commutator_ideal`` builds by products."""
+        return commutator_ideal(self).dim
+
+    def closed_form_projectors(self, chars: "CharacterGroup") -> list[Vec] | None:
+        """The projectors of chars read off a group table, or None where
+        ``central_idempotents`` must form and check them: on every H but
+        kG and k^G."""
+        return None
+
+
+def commutator_ideal(hopf: HopfAlgebra) -> Subspace:
+    """The two-sided ideal generated by the commutators of H.  Since
+    [xy, z] = x[y, z] + [x, z]y, the [s, b] with s in ``generators()`` and b
+    a basis element generate it, and since S generates H, closing under
+    products by S on each side closes it (docs/component-grading.md)."""
+    gens = hopf.generators()
+    todo = []
+    for s in gens:
+        for b in range(hopf.dim):
+            com = dict(hopf.mult[s][b])
+            vec_addto(com, hopf.mult[b][s], -ONE)
+            todo.append(com)
+    space = Subspace(hopf.dim)
+    while todo:
+        v = todo.pop()
+        # one at a time: only a vector that raises the rank is closed under S
+        if space.add(v):
+            for s in gens:
+                todo.append(hopf.mul_vec(hopf.basis_vec(s), v))
+                todo.append(hopf.mul_vec(v, hopf.basis_vec(s)))
+    return space
+
 
 # ---------------------------------------------------------------------------
 # group and dual-group Hopf algebras
 
 
-def group_algebra(group: Group) -> HopfAlgebra:
-    n = group.order
-    mult = [[{group.table[i][j]: ONE} for j in range(n)] for i in range(n)]
-    comult = [[(i, i, ONE)] for i in range(n)]
-    counit = [ONE] * n
-    antipode = [{group.inverse[i]: ONE} for i in range(n)]
-    hopf = HopfAlgebra(group.labels, {group.identity: ONE}, mult, comult, counit, antipode)
-    hopf.group = group
-    return hopf
+class GroupAlgebra(HopfAlgebra):
+    """kG of a validated group table, with Δg = g ⊗ g and ε(g) = 1.  The
+    table implies the Hopf axioms, Λ = (1/|G|) Σ_g g, the projectors of
+    the homomorphisms G -> k^x and dim I_com = |G| − |G/[G, G]|
+    (docs/component-grading.md, "What a validated group table implies")."""
+
+    def __init__(self, group: Group):
+        n = group.order
+        super().__init__(group.labels, {group.identity: ONE},
+                         [[{group.table[i][j]: ONE} for j in range(n)] for i in range(n)],
+                         [[(i, i, ONE)] for i in range(n)], [ONE] * n,
+                         [{group.inverse[i]: ONE} for i in range(n)])
+        self.group = group
+
+    def verify(self) -> list[str]:
+        """No witnesses: a validated table makes kG a Hopf algebra."""
+        return []
+
+    def integral(self) -> Vec:
+        share = Cyc.rational(1, self.dim)
+        return {g: share for g in range(self.dim)}
+
+    def commutator_dim(self) -> int:
+        """I_com is spanned by the g − h with g[G, G] = h[G, G]."""
+        return self.dim - self.dim // len(self.group.commutator_subgroup())
+
+    def closed_form_projectors(self, chars: "CharacterGroup") -> list[Vec] | None:
+        """p_ch = (1/|G|) Σ_g ch(g⁻¹) g, the winding of Λ, when every ch
+        passes ch(sh) = ch(s) ch(h) on the Cayley edges of s in
+        ``generators()``, which makes ch a homomorphism, so h p = ch(h) p;
+        None otherwise, and the full path refuses the one that fails."""
+        table, gens, n = self.group.table, self.generators(), self.dim
+        if not all(ch.values[table[s][h]] == ch.values[s] * ch.values[h]
+                   for ch in chars.chars for s in gens for h in range(n)):
+            return None
+        share, inverse = Cyc.rational(1, n), self.group.inverse
+        return [{g: share * ch.values[inverse[g]] for g in range(n)} for ch in chars.chars]
 
 
-def dual_group_algebra(group: Group) -> HopfAlgebra:
-    n = group.order
-    mult = [[{i: ONE} if i == j else {} for j in range(n)] for i in range(n)]
-    comult: list[list[tuple[int, int, Cyc]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            comult[group.table[a][b]].append((a, b, ONE))
-    counit = [ONE if i == group.identity else ZERO for i in range(n)]
-    antipode = [{group.inverse[i]: ONE} for i in range(n)]
-    unit = {i: ONE for i in range(n)}
-    hopf = HopfAlgebra(group.labels, unit, mult, comult, counit, antipode)
-    hopf.group = group
-    hopf.dual = True
-    return hopf
+class DualGroupAlgebra(HopfAlgebra):
+    """k^G of a validated group table: the point masses δ_g, with
+    δ_a δ_b = [a = b] δ_a and Δδ_g = Σ_{ab = g} δ_a ⊗ δ_b.  The table
+    implies the Hopf axioms, that k^G is commutative, and that its algebra
+    maps are the evaluations at g, with projectors δ_g
+    (docs/component-grading.md, "What a validated group table implies")."""
+
+    def __init__(self, group: Group):
+        n = group.order
+        comult: list[list[tuple[int, int, Cyc]]] = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                comult[group.table[a][b]].append((a, b, ONE))
+        super().__init__(group.labels, {i: ONE for i in range(n)},
+                         [[{i: ONE} if i == j else {} for j in range(n)] for i in range(n)],
+                         comult, [ONE if i == group.identity else ZERO for i in range(n)],
+                         [{group.inverse[i]: ONE} for i in range(n)])
+        self.group = group
+
+    def verify(self) -> list[str]:
+        """No witnesses: a validated table makes k^G a Hopf algebra."""
+        return []
+
+    def commutator_dim(self) -> int:
+        """k^G is commutative, so I_com = 0."""
+        return 0
+
+    def closed_form_projectors(self, chars: "CharacterGroup") -> list[Vec] | None:
+        """δ_g for the evaluation at g; None when some value list is no
+        evaluation, which the full path then refuses."""
+        points = []
+        for ch in chars.chars:
+            hits = [h for h, x in enumerate(ch.values) if x]
+            if len(hits) != 1 or ch.values[hits[0]] != ONE:
+                return None
+            points.append(hits[0])
+        return [{g: ONE} for g in points]
+
+
+group_algebra = GroupAlgebra
+dual_group_algebra = DualGroupAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +529,11 @@ class CharacterGroup:
     map is fixed by its values on S = ``hopf.generators()``, so a character
     is looked up by those values and the match confirmed on every basis
     element, which keeps the closure check exact on an unverified H
-    (docs/component-grading.md, "The character group")."""
+    (docs/component-grading.md, "The character group").  Without the
+    ``table`` that a group gives, every product is convolved."""
 
-    def __init__(self, hopf: HopfAlgebra, chars: Sequence[Character]):
+    def __init__(self, hopf: HopfAlgebra, chars: Sequence[Character],
+                 table: list[list[int]] | None = None):
         self.hopf = hopf
         self._gens = hopf.generators()
         self.chars: list[Character] = []
@@ -439,7 +541,8 @@ class CharacterGroup:
             if self._find(ch) is not None:
                 raise ValueError("duplicate characters")
             self.chars.append(ch)
-        table = [[self._find(a.convolve(b)) for b in self.chars] for a in self.chars]
+        if table is None:
+            table = [[self._find(a.convolve(b)) for b in self.chars] for a in self.chars]
         for a, row in zip(self.chars, table):
             if None in row:
                 raise ValueError(f"characters are not closed under convolution: "
@@ -465,55 +568,39 @@ class CharacterGroup:
         return got
 
 
-def dual_group_characters(hopf: HopfAlgebra, group: Group) -> CharacterGroup:
-    """For H = (kG)^*: evaluation at g, labelled by g."""
-    chars = []
-    for g in range(group.order):
-        values = [ONE if i == g else ZERO for i in range(group.order)]
-        chars.append(Character(hopf, values, group.labels[g]))
-    return CharacterGroup(hopf, chars)
+def dual_group_characters(hopf: DualGroupAlgebra) -> CharacterGroup:
+    """For H = k^G: evaluation at g, labelled by g, in group order.  Since
+    ev_g · ev_h = ev_{gh}, their table is G's own."""
+    group = hopf.group
+    chars = [Character(hopf, [ONE if i == g else ZERO for i in range(group.order)],
+                       group.labels[g]) for g in range(group.order)]
+    return CharacterGroup(hopf, chars, group.table)
 
 
-def group_linear_characters(hopf: HopfAlgebra, group: Group) -> CharacterGroup:
-    """For H = kG (``group_algebra(group)``): the group homomorphisms
-    G -> k^x, built one algebra generator s in S = ``generators()`` at a
-    time: each one found on the subgroup the generators before s generate
-    is tried with every ord(s)-th root of unity at s and propagated over
-    the Cayley edges of the larger subgroup.  Sorted by their values on S
-    (docs/component-grading.md, "The linear characters of a group")."""
-    gens = hopf.generators()
+def group_linear_characters(hopf: GroupAlgebra) -> CharacterGroup:
+    """For H = kG: the group homomorphisms G -> k^x, built one algebra
+    generator s in S = ``generators()`` at a time: each one found on the
+    subgroup the generators before s generate is tried with every ord(s)-th
+    root of unity at s and extended over the Cayley edges of the larger
+    subgroup (``Group.extend``).  Sorted by their values on S
+    (docs/component-grading.md, "The linear characters of a group").  They
+    multiply pointwise, so each product is looked up by its values on S."""
+    group, gens = hopf.group, hopf.generators()
     found = [((), {group.identity: ONE})]  # (values on S so far, on their subgroup)
-    for k, s in enumerate(gens):
+    for s in gens:
         o = group.element_order(s)
-        roots = [zeta(o, e) for e in range(o)]
-        extended = ((on_s + (r,), _propagate(group, gens[:k + 1], on_s + (r,)))
-                    for on_s, _ in found for r in roots)
-        found = [(on_s, values) for on_s, values in extended if values is not None]
+        extended = ((on_s + (r,), group.extend(dict(zip(gens, on_s + (r,))), ONE))
+                    for on_s, _ in found for r in (zeta(o, e) for e in range(o)))
+        found = [(on_s, values) for on_s, (values, clash) in extended if clash is None]
     found.sort(key=lambda f: tuple(c.key() for c in f[0]))
     chars = []
-    for i, (_, values) in enumerate(found):
-        label = "triv" if all(v == ONE for v in values.values()) else f"chi{i}"
+    for i, (on_s, values) in enumerate(found):
+        label = "triv" if all(v == ONE for v in on_s) else f"chi{i}"
         chars.append(Character(hopf, [values[g] for g in range(group.order)], label))
-    return CharacterGroup(hopf, chars)
-
-
-def _propagate(group: Group, gens: list[int], on_gens: tuple[Cyc, ...]) -> dict[int, Cyc] | None:
-    """The map taking on_gens at gens, propagated over every Cayley edge
-    (g, h) of the subgroup they generate; None when two routes disagree."""
-    values = {group.identity: ONE}
-    frontier = [group.identity]
-    while frontier:
-        h = frontier.pop()
-        for g, on_g in zip(gens, on_gens):
-            t = group.table[g][h]
-            val = on_g * values[h]
-            got = values.get(t)
-            if got is None:
-                values[t] = val
-                frontier.append(t)
-            elif got != val:
-                return None
-    return values
+    on_gens = [on_s for on_s, _ in found]
+    table = [[on_gens.index(tuple(x * y for x, y in zip(a, b))) for b in on_gens]
+             for a in on_gens]
+    return CharacterGroup(hopf, chars, table)
 
 
 # ---------------------------------------------------------------------------
@@ -548,26 +635,12 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
     for every h.  Then ch'(p_ch) = δ, p_ch is a central idempotent, the
     projectors are orthogonal, and dim H of them sum to 1
     (docs/component-grading.md, "What `central_idempotents` checks").
-
-    On the k^G of a validated group table an algebra map is evaluation at
-    one g, and p_ch = δ_g is returned with no product.  On the kG of one
-    the winding is p_ch = (1/|G|) Σ_g ch(g⁻¹) g, and p s = ch(s) p reads
-    ch(sh) = ch(s) ch(h) on the Cayley edges of s in ``generators()``,
-    which make ch a homomorphism, so h p = ch(h) p too; a value list that
-    passes the edges gets p_ch with no product.  Any other value list
-    takes the full path, which refuses it (docs/component-grading.md,
-    "What a validated group table implies")."""
-    group = hopf.group
-    if group is not None and hopf.dual:
-        points = [_evaluation_point(ch) for ch in chars.chars]
-        if None not in points:
-            return [{g: ONE} for g in points]
-    elif group is not None:
-        gens = hopf.generators()
-        if all(_is_homomorphism(group, gens, ch) for ch in chars.chars):
-            share = Cyc.rational(1, group.order)
-            return [{g: share * ch.values[group.inverse[g]] for g in range(group.order)}
-                    for ch in chars.chars]
+    On kG and k^G the projectors are read off the table
+    (``closed_form_projectors``) where every value list has the form the
+    table allows; any other takes this path, which refuses it."""
+    closed = hopf.closed_form_projectors(chars)
+    if closed is not None:
+        return closed
     lam = hopf.integral()
     gens = hopf.generators()
     out = []
@@ -580,23 +653,6 @@ def central_idempotents(hopf: HopfAlgebra, chars: CharacterGroup) -> list[Vec]:
                                  f"h p = {ch.label}(h) p = p h")
         out.append(p)
     return out
-
-
-def _evaluation_point(ch: Character) -> int | None:
-    """The g with ch(δ_h) = [h = g] for every h, if ch has that form."""
-    hits = [h for h, x in enumerate(ch.values) if x]
-    if len(hits) == 1 and ch.values[hits[0]] == ONE:
-        return hits[0]
-    return None
-
-
-def _is_homomorphism(group: Group, gens: list[int], ch: Character) -> bool:
-    """ch(sh) = ch(s) ch(h) on every Cayley edge, s in gens: the a with
-    ch(ah) = ch(a) ch(h) for every h are closed under products and hold
-    gens, which generate G when they generate kG."""
-    values, table = ch.values, group.table
-    return all(values[table[s][h]] == values[s] * values[h]
-               for s in gens for h in range(group.order))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +669,10 @@ class HopfAction:
 
     For a dual group algebra the action is the diagonal one determined by
     a G-degree for each generator, and columns are computed directly.
+
+    The kinds ``group`` and ``dual_group`` are accepted over kG and k^G
+    only, and ``group`` is the group of that H, so ``kind`` alone tells
+    what the table implies about the action.
     """
 
     def __init__(
@@ -621,24 +681,21 @@ class HopfAction:
         alg: GradedAlgebra,
         kind: str,
         gen_images: list[list[Vec]] | None = None,
-        group: Group | None = None,
         grading: list[int] | None = None,
     ):
+        needs = {"group": GroupAlgebra, "dual_group": DualGroupAlgebra}.get(kind)
+        if needs is not None and not isinstance(hopf, needs):
+            raise ValueError(f"a {kind} action needs a {needs.__name__}")
         self.hopf = hopf
         self.alg = alg
         self.kind = kind
-        self.group = group
+        self.group: Group | None = None if needs is None else hopf.group
         self.grading = grading
         if kind == "dual_group":
-            if group is None or grading is None:
-                raise ValueError("dual group action needs the group and a grading")
-            gen_images = []
-            for h in range(hopf.dim):
-                row = []
-                for i in range(alg.ngens):
-                    img = alg.nf_word((i,)) if grading[i] == h else {}
-                    row.append(img)
-                gen_images.append(row)
+            if grading is None:
+                raise ValueError("dual group action needs a grading")
+            gen_images = [[alg.nf_word((i,)) if grading[i] == h else {} for i in range(alg.ngens)]
+                          for h in range(hopf.dim)]
         if gen_images is None:
             raise ValueError("action needs generator images")
         self.gen_images = gen_images
@@ -656,13 +713,14 @@ class HopfAction:
 
     @staticmethod
     def from_group_matrices(
-        hopf: HopfAlgebra,
+        hopf: GroupAlgebra,
         alg: GradedAlgebra,
-        group: Group,
         assigned: dict[int, Matrix],
     ) -> "HopfAction":
-        """Extend matrices given on group generators over the Cayley graph,
-        failing loudly if two products disagree."""
+        """Extend matrices given on generators of hopf's group over the
+        Cayley graph (``Group.extend``), failing loudly if two products
+        disagree."""
+        group = hopf.group
         for g, m in assigned.items():
             if m.nrows != alg.ngens or m.ncols != alg.ngens:
                 raise ValueError(f"matrix for {group.labels[g]} has the wrong shape")
@@ -672,21 +730,9 @@ class HopfAction:
                         raise ValueError("action matrix mixes generator degrees")
         if group.closure(assigned.keys()) != set(range(group.order)):
             raise ValueError("assigned matrices do not generate the group")
-        mats: dict[int, Matrix] = {group.identity: Matrix.identity(alg.ngens)}
-        frontier = [group.identity]
-        while frontier:
-            h = frontier.pop()
-            for s, ms in assigned.items():
-                t = group.table[s][h]
-                prod = ms @ mats[h]
-                if t in mats:
-                    if mats[t] != prod:
-                        raise ValueError(
-                            f"inconsistent action: two routes to {group.labels[t]} disagree"
-                        )
-                else:
-                    mats[t] = prod
-                    frontier.append(t)
+        mats, clash = group.extend(assigned, Matrix.identity(alg.ngens), operator.matmul)
+        if clash is not None:
+            raise ValueError(f"inconsistent action: two routes to {group.labels[clash]} disagree")
         letters = [alg.nf_word((i,)) for i in range(alg.ngens)]
         images = []
         for g in range(group.order):
@@ -697,13 +743,13 @@ class HopfAction:
                     vec_addto(out, letters[i], mats[g].rows[i][j])
                 row.append(out)
             images.append(row)
-        return HopfAction(hopf, alg, "group", gen_images=images, group=group)
+        return HopfAction(hopf, alg, "group", gen_images=images)
 
     @staticmethod
-    def from_grading(hopf: HopfAlgebra, alg: GradedAlgebra, group: Group, grading: list[int]) -> "HopfAction":
+    def from_grading(hopf: DualGroupAlgebra, alg: GradedAlgebra, grading: list[int]) -> "HopfAction":
         if len(grading) != alg.ngens:
             raise ValueError("grading must assign a group element to every generator")
-        return HopfAction(hopf, alg, "dual_group", group=group, grading=grading)
+        return HopfAction(hopf, alg, "dual_group", grading=grading)
 
     # -- the action ------------------------------------------------------------
 
@@ -805,23 +851,19 @@ class HopfAction:
     def verify(self) -> list[str]:
         """Check the module-algebra laws on generators and relations, the
         module law (ab)·x_j = a·(b·x_j) for b in ``hopf.generators()``: on
-        a verified H, which every caller checks first or builds from a
-        validated group table, that decides it
-        (docs/component-grading.md, "The module law holds at S").  A
-        dual-group action of the k^G of a validated table keeps the module
-        law by construction, (δ_a δ_b)·x_j = [a = b][a = g_j] x_j =
-        δ_a·(δ_b·x_j), so there only the unit and the relations are checked.
-        So too on the group-matrix action of the kG of that action's table:
-        ``from_group_matrices`` compared M_sh with M_s M_h on every Cayley
-        edge, so g -> M_g is a homomorphism (docs/component-grading.md,
-        "What a validated group table implies")."""
+        a verified H, which every caller checks first, that decides it
+        (docs/component-grading.md, "The module law holds at S").  The
+        kinds that only kG and k^G accept keep the module law by
+        construction, so there only the unit and the relations are
+        checked: a dual-group action has (δ_a δ_b)·x_j = [a = b][a = g_j] x_j
+        = δ_a·(δ_b·x_j), and ``from_group_matrices`` compared M_sh with
+        M_s M_h on every Cayley edge, so g -> M_g is a homomorphism
+        (docs/component-grading.md, "What a validated group table
+        implies")."""
         bad: list[str] = []
         alg, hopf = self.alg, self.hopf
         lab = hopf.labels
-        derived = hopf.group is not None and (
-            self.kind == "dual_group" if hopf.dual
-            else self.kind == "group" and hopf.group is self.group)
-        gens = [] if derived else hopf.generators()
+        gens = [] if self.kind in ("group", "dual_group") else hopf.generators()
         for j in range(alg.ngens):
             w = alg.weights[j]
             xj = alg.nf_word((j,))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction
 from .exprs import show_scalar
-from .linalg import Matrix, Subspace, Vec, apply_cols, kernel, vec_addto, vec_scale
+from .linalg import Matrix, Subspace, Vec, apply_cols, eigen_images, kernel, vec_addto, vec_scale
 from .ncalg import (
     Elem,
     GradedAlgebra,
@@ -85,17 +85,7 @@ def graded_components(
             for members, basis in classes:
                 for value, group in _split_by_value(chars, members, s):
                     if basis is None:
-                        # the columns of C_s − λ: −λ added on the diagonal
-                        neg = -value
-                        images = [dict(col) for col in cols]
-                        if neg:
-                            for k, image in enumerate(images):
-                                x = addmul(image.get(k), ONE, neg)
-                                if x is None:
-                                    del image[k]
-                                else:
-                                    image[k] = x
-                        found = kernel(images)
+                        found = kernel(eigen_images(dim, [(cols, value)]))
                     elif basis:
                         images = []
                         for b in basis:

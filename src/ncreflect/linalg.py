@@ -2,7 +2,7 @@
 
 Vectors are ``dict[int, Cyc]`` with no zero entries.  Every loop that
 adds a multiple of one vector into another (``vec_addto`` and through it
-``apply_cols``, ``eigenvectors`` and ``Expressor``; ``SparseEch.reduce``
+``apply_cols`` and ``Expressor``; ``SparseEch.reduce``
 and the back-substitution of ``insert``; the dense ``Matrix`` products)
 forms each entry as ``scalars.addmul(cur, x, c)``, which prunes an entry
 that cancels by returning None.  Into an empty dict nothing can cancel,
@@ -34,22 +34,22 @@ space, and with it the unique reduced echelon form, does not depend on
 the order, so the rows come out the same either way.
 ``Subspace.echelon`` writes down rows that are already a reduced
 echelon basis (unit vectors, or a kernel), with no insert.  On top of
-the engine sit ``Subspace`` (canonical bases, sums and intersections),
-``Expressor`` (coefficients of a target over a generator list), and
-``eigenvectors`` (common eigenvectors of maps given by sparse columns,
-read off one echelon: the Hopf integral).
+the engine sit ``Subspace`` (canonical bases, sums and intersections)
+and ``Expressor`` (coefficients of a target over a generator list).
 
 Kernels are read off one way: ``kernel`` takes the images of the basis
 vectors and returns the kernel's reduced echelon basis, read off one
 echelon of the transposed images with the columns in descending order.
-It serves the character components, the trace of an ideal on A and
-``U ∩ V``: the set of combinations of the rows of U whose residues
-modulo V's echelon cancel, so ``Subspace.intersect`` reduces the rows of
-the smaller operand by the larger one's existing echelon and combines
-them along the kernel of the residues.  Rows of a reduced echelon basis
-taken in pivot order and combined along a kernel's reduced echelon
-basis give a reduced echelon basis again, so each of these results is
-written down by ``Subspace.echelon``.
+It serves the Hopf integral and the character components, both as the
+common eigenvectors of maps given by sparse columns (``eigen_images``
+writes the columns of every C − λ as one set of images), the trace of
+an ideal on A and ``U ∩ V``: the set of combinations of the rows of U
+whose residues modulo V's echelon cancel, so ``Subspace.intersect``
+reduces the rows of the smaller operand by the larger one's existing
+echelon and combines them along the kernel of the residues.  Rows of a
+reduced echelon basis taken in pivot order and combined along a
+kernel's reduced echelon basis give a reduced echelon basis again, so
+each of these results is written down by ``Subspace.echelon``.
 
 ``Matrix`` is a small dense value type for group elements and generator
 matrices.  Column convention: ``M[i][j]`` is the coefficient of basis
@@ -373,36 +373,25 @@ def kernel(images: Sequence[Vec]) -> list[Vec]:
     return [dict(sorted(out[f].items())) for f in sorted(out)]
 
 
-def eigenvectors(dim: int, maps: Iterable[tuple[Sequence[Vec], Cyc]]) -> list[Vec]:
-    """Basis of {x : C x = lam x for all (columns of C, lam) in maps}, the
-    Hopf integral's common eigenvectors (``HopfAlgebra.integral``).
-
-    The rows of every C - lam go into one echelon; each free column f
-    gives one vector, in ascending order of f: 1 at f and, at each pivot
-    p, minus the f-entry of row p (the kernel basis an RREF yields).
-    """
-    ech = SparseEch(dim)
-    for cols, lam in maps:
-        rows: list[Vec] = [{} for _ in range(dim)]
+def eigen_images(dim: int, maps: Iterable[tuple[Sequence[Vec], Cyc]]) -> list[Vec]:
+    """The columns of x -> (C x − λ x) over every (columns of C, λ) in
+    maps, the rows of the m-th map at m·dim + r: ``kernel`` of them is
+    {x : C x = λ x for every map}.  The −λ goes on the diagonal of a copy
+    of each column."""
+    images: list[Vec] = [{} for _ in range(dim)]
+    for m, (cols, lam) in enumerate(maps):
+        shift, neg = m * dim, -lam
         for c, col in enumerate(cols):
+            image = images[c]
             for r, x in col.items():
-                rows[r][c] = x
-        neg = -lam
-        for r, row in enumerate(rows):
+                image[shift + r] = x
             if neg:
-                x = addmul(row.get(r), ONE, neg)
+                x = addmul(col.get(c), ONE, neg)
                 if x is None:
-                    del row[r]
+                    del image[shift + c]
                 else:
-                    row[r] = x
-            ech.insert(row)
-    out = []
-    for f in range(dim):
-        if f not in ech.rows:
-            vec = {p: -row[f] for p, row in ech.rows.items() if f in row}
-            vec[f] = ONE
-            out.append(dict(sorted(vec.items())))
-    return out
+                    image[shift + c] = x
+    return images
 
 
 # ---------------------------------------------------------------------------

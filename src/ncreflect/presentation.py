@@ -538,14 +538,14 @@ def realize(spec: InputSpec, max_degree: int | None = None) -> Preset:
             group.labels.index(label): _letter_matrix(alg.ngens, images)
             for label, images in data.matrices.items()
         }
-        action = HopfAction.from_group_matrices(hopf, alg, group, assigned)
-        chars = group_linear_characters(hopf, group)
+        action = HopfAction.from_group_matrices(hopf, alg, assigned)
+        chars = group_linear_characters(hopf)
     elif data.kind == "dual_group":
         group = Group(data.group.labels, data.group.table)
         hopf = dual_group_algebra(group)
         grading = [group.labels.index(label) for label in data.generator_degrees]
-        action = HopfAction.from_grading(hopf, alg, group, grading)
-        chars = dual_group_characters(hopf, group)
+        action = HopfAction.from_grading(hopf, alg, grading)
+        chars = dual_group_characters(hopf)
     else:
         index = {label: k for k, label in enumerate(data.basis)}
         hopf = HopfAlgebra(

@@ -74,8 +74,8 @@ def _trivial(max_degree: int) -> Preset:
     alg = _algebra(["x", "y"], ["y*x - x*y"], max_degree)
     group = Group.cyclic(1)
     hopf = group_algebra(group)
-    act = HopfAction.from_group_matrices(hopf, alg, group, {0: Matrix.identity(2)})
-    chars = group_linear_characters(hopf, group)
+    act = HopfAction.from_group_matrices(hopf, alg, {0: Matrix.identity(2)})
+    chars = group_linear_characters(hopf)
     return Preset(
         "trivial",
         "commutative plane under the trivial group (smoke test)",
@@ -94,8 +94,8 @@ def _e22(max_degree: int) -> Preset:
     group = groups.dihedral8()
     hopf = dual_group_algebra(group)
     lab = group.labels.index
-    act = HopfAction.from_grading(hopf, alg, group, [lab("r"), lab("rp"), lab("rp2")])
-    chars = dual_group_characters(hopf, group)
+    act = HopfAction.from_grading(hopf, alg, [lab("r"), lab("rp"), lab("rp2")])
+    chars = dual_group_characters(hopf)
     return Preset(
         "e22-dualD8",
         "three-generator algebra graded by the dihedral group of order 8, "
@@ -115,8 +115,8 @@ def _e23(max_degree: int) -> Preset:
     group = groups.dihedral8()
     hopf = dual_group_algebra(group)
     lab = group.labels.index
-    act = HopfAction.from_grading(hopf, alg, group, [lab("p"), lab("r")])
-    chars = dual_group_characters(hopf, group)
+    act = HopfAction.from_grading(hopf, alg, [lab("p"), lab("r")])
+    chars = dual_group_characters(hopf)
     return Preset(
         "e23-downup-dualD8",
         "a down-up algebra graded by the dihedral group of order 8; its "
@@ -160,9 +160,9 @@ def _cyclic(q: Cyc, n: int, m: int, max_degree: int) -> Preset:
     group, rep, gen_idx = groups.cyclic_scaling_group(n, m)
     hopf = group_algebra(group)
     act = HopfAction.from_group_matrices(
-        hopf, alg, group, {g: rep[g] for g in gen_idx}
+        hopf, alg, {g: rep[g] for g in gen_idx}
     )
-    chars = group_linear_characters(hopf, group)
+    chars = group_linear_characters(hopf)
     qtext = show_scalar(q)[0]
     return Preset(
         f"l41-cyclic-n-m({qtext},{n},{m})",
@@ -183,9 +183,9 @@ def _mystic(alpha: int, beta: int, max_degree: int) -> Preset:
     group, rep, gen_idx = groups.mystic_group(alpha, beta)
     hopf = group_algebra(group)
     act = HopfAction.from_group_matrices(
-        hopf, alg, group, {g: rep[g] for g in gen_idx}
+        hopf, alg, {g: rep[g] for g in gen_idx}
     )
-    chars = group_linear_characters(hopf, group)
+    chars = group_linear_characters(hopf)
     return Preset(
         f"l41-mystic({alpha},{beta})",
         f"quarter plane y x = -x y under the mystic reflection group "

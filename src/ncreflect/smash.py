@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra
+from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra, commutator_ideal
 from .linalg import Subspace, Vec, apply_cols, kernel, vec_addto, vec_scale
 from .ncalg import (
     CopyGrading,
@@ -316,29 +316,6 @@ def dual_group_shortcut(action: HopfAction, max_degree: int) -> RadicalData:
 # rife checks
 
 
-def commutator_ideal(hopf: HopfAlgebra) -> Subspace:
-    """The two-sided ideal generated by the commutators of H.  Since
-    [xy, z] = x[y, z] + [x, z]y, the [s, b] with s in ``generators()`` and b
-    a basis element generate it, and since S generates H, closing under
-    products by S on each side closes it (docs/component-grading.md)."""
-    gens = hopf.generators()
-    todo = []
-    for s in gens:
-        for b in range(hopf.dim):
-            com = dict(hopf.mult[s][b])
-            vec_addto(com, hopf.mult[b][s], -ONE)
-            todo.append(com)
-    space = Subspace(hopf.dim)
-    while todo:
-        v = todo.pop()
-        # one at a time: only a vector that raises the rank is closed under S
-        if space.add(v):
-            for s in gens:
-                todo.append(hopf.mul_vec(hopf.basis_vec(s), v))
-                todo.append(hopf.mul_vec(v, hopf.basis_vec(s)))
-    return space
-
-
 def rife_hopf_check(
     hopf: HopfAlgebra, chars: CharacterGroup, idempotents: list[Vec] | None = None
 ) -> bool:
@@ -348,16 +325,14 @@ def rife_hopf_check(
     ``central_idempotents`` verified, and the test is a block count: H is
     Hopf-rife exactly when dim I_com + |chars| = dim H, with no product at
     all when there are dim H characters (docs/component-grading.md,
-    "Hopf-rife is a block count").  On a marked kG, dim I_com is
-    |G| − |G/[G, G]|, read off the table.  Declared idempotents are not
+    "Hopf-rife is a block count"); ``hopf.commutator_dim`` reads dim I_com
+    off the table on kG and k^G.  Declared idempotents are not
     assumed to be projectors and take the residual test,
     X = Δ(Λ) − Σ p_χ ⊗ p_χ⁻¹ read row by row and column by column
     (``_in_square``)."""
     if idempotents is None:
-        n, group = len(chars), hopf.group
-        if group is not None and not hopf.dual:
-            return n * len(group.commutator_subgroup()) == group.order
-        return n == hopf.dim or commutator_ideal(hopf).dim + n == hopf.dim
+        n = len(chars)
+        return n == hopf.dim or hopf.commutator_dim() + n == hopf.dim
     residual = hopf.comult_vec(hopf.integral())
     g0 = chars.group
     for g in range(g0.order):

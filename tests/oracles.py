@@ -2,8 +2,8 @@
 
 ``dense_rref`` is the textbook dense Gauss-Jordan elimination that
 ``Matrix.rref`` is checked against; ``dense_eigenvectors`` reads the
-kernel of stacked C - lam rows off it, the reference for
-``linalg.eigenvectors``.
+kernel of stacked C - lam rows off it, the reference for ``linalg.kernel``
+of ``linalg.eigen_images``.
 
 ``zassenhaus_intersect`` is the doubled-coordinate intersection: it
 eliminates both operands anew, the reference for
@@ -82,7 +82,7 @@ eliminates the rows of every probe once per character, the references for
 ``invariants.graded_components``, which refines the joint eigenspaces one
 probe at a time.  ``commutator_ideal_all_pairs``
 closes the span of every basis commutator under products by every basis
-element, the reference for ``smash.commutator_ideal``.
+element, the reference for ``hopf.commutator_ideal``.
 ``smash_blocks_by_products`` builds the adapted basis of H from every
 product hE, the reference for ``smash.SmashProduct``, which reads the
 line of a character projector off its character.
@@ -125,6 +125,10 @@ test small groups.
 and ``small_permutation_groups`` builds S3, D8, Q8, A4 and S4 with it;
 ``group_tables`` adds them to the shipped groups and the cyclic groups
 of order up to 12, the groups the skips on kG and k^G are tested on.
+``unmarked`` rebuilds kG or k^G, its action and its characters as a
+plain ``HopfAlgebra``, a ``from_matrices`` action and convolved
+characters, the reference for everything ``GroupAlgebra`` and
+``DualGroupAlgebra`` read off their table.
 ``rife_by_tensor_span`` is the residual test of Hopf-rife with the
 residual formed as one dense tensor per term and I_com ⊗ I_com spanned
 from every pair of basis vectors in dimension dim H², the reference for
@@ -190,7 +194,14 @@ from itertools import permutations
 from math import gcd
 
 from ncreflect.exprs import FreePoly, Word, p_degree
-from ncreflect.hopf import Group
+from ncreflect.hopf import (
+    Character,
+    CharacterGroup,
+    Group,
+    HopfAction,
+    HopfAlgebra,
+    commutator_ideal,
+)
 from ncreflect.invariants import series_is_polynomial, series_quotient
 from ncreflect.exprs import show_scalar
 from ncreflect.linalg import (
@@ -198,7 +209,6 @@ from ncreflect.linalg import (
     Subspace,
     Vec,
     apply_cols,
-    eigenvectors,
     vec_addto,
     vec_scale,
 )
@@ -224,7 +234,7 @@ from ncreflect.scalars import (
     divisors,
     euler_phi,
 )
-from ncreflect.smash import RadicalData, commutator_ideal, integral_span_slices
+from ncreflect.smash import RadicalData, integral_span_slices
 from ncreflect.structure import TPoly, tp_det
 
 
@@ -876,7 +886,8 @@ def integral_all_basis(hopf) -> Vec:
     """Λ with ε(Λ) = 1 from the common eigenvectors of every L_h − ε(h),
     checked as hΛ = ε(h)Λ = Λh against every basis element h; raises
     ValueError where ``HopfAlgebra.integral`` documents it."""
-    kernel = eigenvectors(hopf.dim, [(hopf.mult[i], hopf.counit[i]) for i in range(hopf.dim)])
+    kernel = dense_eigenvectors(hopf.dim, [(hopf.mult[i], hopf.counit[i])
+                                           for i in range(hopf.dim)])
     if not kernel:
         raise ValueError("no left integral found")
     eps = hopf.counit_vec(kernel[0])
@@ -915,17 +926,16 @@ def char_key(ch) -> tuple:
     return tuple(c.key() for c in ch.values)
 
 
-def linear_characters_by_enumeration(hopf, group: Group) -> list:
+def linear_characters_by_enumeration(hopf) -> list:
     """Every homomorphism G -> k^x, from every assignment of an
     o(s)-th root of unity to each generator s of kG, propagated over the
     Cayley graph; sorted by ``char_key`` and labelled like
     ``hopf.group_linear_characters``."""
     from itertools import product
 
-    from ncreflect.hopf import Character
     from ncreflect.scalars import zeta
 
-    gens = hopf.generators()
+    group, gens = hopf.group, hopf.generators()
     orders = [group.element_order(g) for g in gens]
     chars = []
     for combo in product(*[range(o) for o in orders]):
@@ -1014,7 +1024,7 @@ def components_all_probes(action, chars, max_degree: int) -> list[list[Subspace]
     """slices[i][d]: the common eigenspace in A_d of every basis element h
     of H with eigenvalue chars[i](h)."""
     alg, nH = action.alg, action.hopf.dim
-    return [[Subspace.span(alg.dim(d), eigenvectors(
+    return [[Subspace.span(alg.dim(d), dense_eigenvectors(
                 alg.dim(d), [(action.columns(h, d), ch.values[h]) for h in range(nH)]))
              for d in range(max_degree + 1)]
             for ch in chars.chars]
@@ -1026,7 +1036,7 @@ def components_per_character(action, chars, max_degree: int) -> list[list[Subspa
     reference for ``invariants.graded_components``, which refines the joint
     eigenspaces one probe at a time."""
     alg, probes = action.alg, action.hopf.generators()
-    return [[Subspace.span(alg.dim(d), eigenvectors(
+    return [[Subspace.span(alg.dim(d), dense_eigenvectors(
                 alg.dim(d), [(action.columns(s, d), ch.values[s]) for s in probes]))
              for d in range(max_degree + 1)]
             for ch in chars.chars]
@@ -1258,14 +1268,27 @@ def small_permutation_groups() -> dict[str, Group]:
 def group_tables() -> list[Group]:
     """The group of every shipped preset built from a table,
     ``Group.cyclic(n)`` for n ≤ 12, and S3, D8, Q8, A4 and S4."""
-    shipped = [p.hopf.group for p in (catalog.build(name, 4) for name in catalog.shipped())
-               if p.hopf.group is not None]
+    shipped = [p.action.group for p in (catalog.build(name, 4) for name in catalog.shipped())
+               if p.action.group is not None]
     return (shipped + [Group.cyclic(n) for n in range(1, 13)]
             + list(small_permutation_groups().values()))
 
 
 def group_table_id(group: Group) -> str:
     return f"order{group.order}-{'-'.join(group.labels[:3])}"
+
+
+def unmarked(preset) -> tuple:
+    """A plain ``HopfAlgebra`` with the structure constants of
+    preset.hopf, a ``from_matrices`` action with the same generator
+    images, and the same characters: kG or k^G with nothing read off its
+    group table, so every check takes its full path."""
+    h = preset.hopf
+    plain = HopfAlgebra(h.labels, h.unit, h.mult, h.comult, h.counit, h.antipode)
+    action = HopfAction.from_matrices(plain, preset.action.alg, preset.action.gen_images)
+    chars = CharacterGroup(plain, [Character(plain, ch.values, ch.label)
+                                   for ch in preset.chars.chars])
+    return plain, action, chars
 
 
 def in_square_by_span(space: Subspace, x: dict, dim: int) -> bool:
@@ -1293,9 +1316,9 @@ def rife_by_tensor_span(hopf, chars, idempotents) -> bool:
 
 def block_count_by_ideal(hopf, chars) -> bool:
     """dim I_com + |chars| = dim H with I_com built by products
-    (``smash.commutator_ideal``), the reference for
-    ``smash.rife_hopf_check`` on a marked kG, which reads dim I_com off
-    [G, G] in the table."""
+    (``hopf.commutator_ideal``), the reference for
+    ``smash.rife_hopf_check`` on kG, whose ``commutator_dim`` reads
+    dim I_com off [G, G] in the table."""
     n = len(chars)
     return n == hopf.dim or commutator_ideal(hopf).dim + n == hopf.dim
 

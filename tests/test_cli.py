@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import ncreflect
 from ncreflect import analysis, presentation, smash
+from ncreflect.hopf import commutator_ideal
 from ncreflect.analysis import SECTIONS, report_json
 from ncreflect.cli import EXIT_INTERNAL, MAX_DEGREE, main
 from ncreflect.exprs import (
@@ -26,6 +28,8 @@ from ncreflect.presentation import MAX_JSON_DEPTH
 from ncreflect.presets import catalog
 from ncreflect.presets.groups import CLOSURE_CAP
 from ncreflect.scalars import MAX_CONDUCTOR
+
+from oracles import unmarked
 
 
 def spec_file(name: str):
@@ -280,6 +284,23 @@ def test_validate_corrupted_coproduct(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err
 
 
+# a loop of order 5: identity 0 and two-sided inverses, but (a·a)·b = b
+# while a·(a·b) = a·c = d
+NON_ASSOCIATIVE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_non_associative_group_table_is_refused_when_realised(tmp_path, capsys, command):
+    """hopf.Group refuses the table when the spec is realised, before any
+    Hopf axiom is checked: exit 3 with its message, for both commands."""
+    path = mutate_shipped(tmp_path, "e22-dualD8", lambda d: d["action"].update(
+        group={"labels": ["e", "a", "b", "c", "d"], "table": NON_ASSOCIATIVE},
+        generator_degrees=["a", "b", "c"]))
+    assert main([command, path]) == 3
+    assert capsys.readouterr().err == "error: multiplication table is not associative\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -458,22 +479,53 @@ S3_PERMUTING_XYZ = """{
 
 
 def test_non_abelian_group_reports_alike_marked_and_unmarked():
-    """S3 permuting x, y, z of k[x, y, z] at D = 8: with kG marked, its
-    integral, projectors and module law are read off the table and
-    Hopf-rife off the block count; unmarked, all of them are proved by
+    """S3 permuting x, y, z of k[x, y, z] at D = 8: on kG its integral,
+    projectors and module law are read off the table and Hopf-rife off
+    the block count; on the unmarked twin all of them are proved by
     products.  The two reports are byte-identical, and H is Hopf-rife
     with I_com of dimension 6 − 2."""
+    preset = presentation.realize(presentation.loads(S3_PERMUTING_XYZ), 8)
+    h, action, chars = unmarked(preset)
     reports = []
-    for marked in (True, False):
-        preset = presentation.realize(presentation.loads(S3_PERMUTING_XYZ), 8)
-        if not marked:
-            preset.hopf.group = None
-        result = analysis.analyze(preset)
+    for bundle in (preset, dataclasses.replace(preset, hopf=h, action=action, chars=chars)):
+        result = analysis.analyze(bundle)
         assert result.exit_code == 0
         reports.append(report_json(result.document))
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["radical"]["hopf_rife"] is True
-    assert smash.commutator_ideal(preset.hopf).dim == 4
+    assert commutator_ideal(h).dim == 4
+
+
+# the parts of a report that the dual-group radical route computes
+# differently from the smash-product route that the unmarked twin takes
+DUAL_GROUP_ROUTE = {"radical": ("method", "quotient_dims"), "discriminant": ("trace",)}
+
+
+@pytest.mark.parametrize("name", ["trivial", "l41-cyclic-n-m(z3,2,3)", "l41-mystic(1,2)",
+                                  "l41-mystic(2,4)", "e22-dualD8", "e23-downup-dualD8"])
+def test_shipped_group_presets_report_alike_on_their_unmarked_twin(name):
+    """analyze at D = 8 on each kG and k^G preset and on its unmarked twin
+    (plain H, ``from_matrices`` action, the same characters).  On kG the
+    reports are byte-identical.  On k^G the twin takes the smash-product
+    radical instead of the dual-group route: the radical's method differs,
+    and every part but that route's (``DUAL_GROUP_ROUTE`` and the
+    trace-discriminant-chain check) agrees."""
+    preset = catalog.build(name, max_degree=8)
+    h, action, chars = unmarked(preset)
+    twin = dataclasses.replace(preset, hopf=h, action=action, chars=chars)
+    got, want = analysis.analyze(preset), analysis.analyze(twin)
+    assert got.exit_code == want.exit_code == 0
+    if preset.action.kind == "group":
+        assert report_json(got.document) == report_json(want.document)
+        return
+    docs = [json.loads(report_json(r.document)) for r in (got, want)]
+    assert docs[0]["radical"]["method"] != docs[1]["radical"]["method"]
+    for doc in docs:
+        for section, keys in DUAL_GROUP_ROUTE.items():
+            for key in keys:
+                doc[section].pop(key, None)
+        doc["checks"] = [c for c in doc["checks"] if c["name"] != "trace-discriminant-chain"]
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("idempotents", [

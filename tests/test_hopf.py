@@ -20,7 +20,7 @@ from ncreflect.hopf import (
     winding_left_cols,
     winding_right_cols,
 )
-from ncreflect.linalg import Matrix, apply_cols, eigenvectors, vec_addto
+from ncreflect.linalg import Matrix, Subspace, apply_cols, eigen_images, kernel, vec_addto
 from ncreflect.ncalg import GradedAlgebra
 from ncreflect.presets import catalog
 from ncreflect.presets.groups import cyclic_scaling_group, dihedral8, mystic_group
@@ -49,6 +49,7 @@ from oracles import (
     small_permutation_groups,
     symmetric3,
     tensor_mul_per_pair,
+    unmarked,
 )
 
 
@@ -99,7 +100,7 @@ def test_group_validation():
 def test_group_algebra_axioms():
     for g in (Group.cyclic(4), dihedral8()):
         h = group_algebra(g)
-        assert h.verify() == []
+        assert HopfAlgebra.verify(h) == []
         lam = h.integral()
         assert lam == {i: Cyc.rational(1, g.order) for i in range(g.order)}
 
@@ -107,36 +108,36 @@ def test_group_algebra_axioms():
 def test_dual_group_algebra_axioms():
     g = dihedral8()
     h = dual_group_algebra(g)
-    assert h.verify() == []
+    assert HopfAlgebra.verify(h) == []
     assert h.integral() == {g.identity: ONE}
 
 
 @pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_group_tables_give_hopf_algebras(group):
-    """analyze takes kG and k^G as verified by construction; the full
-    verify is the oracle of that skip."""
+    """kG and k^G hold their group and verify to no witnesses by
+    construction; the base body of verify is the oracle of that."""
     for build in (group_algebra, dual_group_algebra):
         h = build(group)
         assert h.group is group
-        assert h.dual == (build is dual_group_algebra)
-        assert h.verify() == []
+        assert h.verify() == HopfAlgebra.verify(h) == []
 
 
 @pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_marked_dual_group_skips_match_the_full_paths(group):
-    """On a marked k^G, central_idempotents returns the point masses and
-    the action check skips the module law; the same algebra unmarked
-    takes the full paths, which agree: on projectors, and on the
-    witnesses of a G-graded and of a non-graded relation."""
+    """On k^G, central_idempotents returns the point masses and the
+    action check skips the module law; the unmarked twin takes the full
+    paths, which agree: on projectors, and on the witnesses of a
+    G-graded and of a non-graded relation."""
     h = dual_group_algebra(group)
-    chars = dual_group_characters(h, group)
+    chars = dual_group_characters(h)
     n, g = group.order, 1 % group.order
     alg = GradedAlgebra(["x", "y"], [parse("x*y - y*x", ["x", "y"]),
                                      parse("x*x + y*y", ["x", "y"])], max_degree=3)
-    action = HopfAction.from_grading(h, alg, group, [g, group.inverse[g]])
+    action = HopfAction.from_grading(h, alg, [g, group.inverse[g]])
     derived = central_idempotents(h, chars), action.verify()
-    h.group = None
-    full = central_idempotents(h, chars), action.verify()
+    plain, plain_action, plain_chars = unmarked(
+        SimpleNamespace(hopf=h, action=action, chars=chars))
+    full = central_idempotents(plain, plain_chars), plain_action.verify()
     assert derived == full
     assert derived[0] == [{k: ONE} for k in range(n)]
     # x*x + y*y is G-homogeneous exactly when g^2 = g^-2
@@ -154,37 +155,31 @@ def test_marked_dual_group_refuses_a_character_that_is_no_evaluation():
         central_idempotents(h, SimpleNamespace(chars=[two_points]))
 
 
-def _unmarked(h: HopfAlgebra) -> HopfAlgebra:
-    """The same structure constants with no group mark."""
-    return HopfAlgebra(h.labels, h.unit, h.mult, h.comult, h.counit, h.antipode)
-
-
-def _regular_action(h: HopfAlgebra, group: Group) -> HopfAction:
+def _regular_action(h: HopfAlgebra) -> HopfAction:
     """kG acting on x_0, ..., x_{n-1} by g·x_j = x_{gj}, given on the
     generators of kG, with the relations x_0² and, for n > 1, [x_0, x_1],
     which every g but e moves out of the relation ideal."""
+    group = h.group
     n = group.order
     names = [f"x{i}" for i in range(n)]
     rels = [parse("x0*x0", names)] + ([parse("x0*x1 - x1*x0", names)] if n > 1 else [])
     alg = GradedAlgebra(names, rels, max_degree=2)
     mats = {s: Matrix([[ONE if i == group.table[s][j] else ZERO for j in range(n)]
                        for i in range(n)]) for s in h.generators()}
-    return HopfAction.from_group_matrices(h, alg, group, mats)
+    return HopfAction.from_group_matrices(h, alg, mats)
 
 
 @pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_marked_group_algebra_closed_forms_match_the_full_paths(group):
-    """On a marked kG the integral and the projectors are read off the
-    table and the action check skips the module law; the same algebra
-    unmarked takes the full paths, which agree on all three."""
+    """On kG the integral and the projectors are read off the table and
+    the action check skips the module law; the unmarked twin takes the
+    full paths, which agree on all three."""
     h = group_algebra(group)
-    chars = group_linear_characters(h, group)
-    action = _regular_action(h, group)
+    chars = group_linear_characters(h)
+    action = _regular_action(h)
     derived = h.integral(), central_idempotents(h, chars), action.verify()
-    plain = _unmarked(h)
-    plain_chars = CharacterGroup(plain, [Character(plain, ch.values, ch.label)
-                                         for ch in chars.chars])
-    plain_action = _regular_action(plain, group)
+    plain, plain_action, plain_chars = unmarked(
+        SimpleNamespace(hopf=h, action=action, chars=chars))
     full = plain.integral(), central_idempotents(plain, plain_chars), plain_action.verify()
     assert derived == full
     assert derived[0] == {g: Cyc.rational(1, group.order) for g in range(group.order)}
@@ -209,10 +204,21 @@ def test_marked_group_algebra_refuses_a_value_list_that_is_no_homomorphism(group
 
 
 def test_only_the_group_constructors_mark_h():
-    kg = group_algebra(dihedral8())
+    """Only group_algebra and dual_group_algebra build the types that hold
+    a group, and the action kinds group and dual_group refuse any other
+    H, the same structure constants included."""
+    d8 = dihedral8()
+    kg = group_algebra(d8)
     rebuilt = HopfAlgebra(kg.labels, kg.unit, kg.mult, kg.comult, kg.counit, kg.antipode)
-    assert rebuilt.group is None and not rebuilt.dual
-    assert kac_palyutkin_hopf().group is None
+    for h in (rebuilt, kac_palyutkin_hopf()):
+        assert type(h) is HopfAlgebra and not hasattr(h, "group")
+    assert not hasattr(kg, "dual") and not hasattr(dual_group_algebra(d8), "dual")
+    alg = GradedAlgebra(["x"], [], max_degree=1)
+    images = [[{0: ONE}] for _ in range(d8.order)]
+    with pytest.raises(ValueError, match="a group action needs a GroupAlgebra"):
+        HopfAction(rebuilt, alg, "group", gen_images=images)
+    with pytest.raises(ValueError, match="a dual_group action needs a DualGroupAlgebra"):
+        HopfAction(kg, alg, "dual_group", grading=[0])
 
 
 def test_kac_palyutkin_axioms_and_integral():
@@ -261,7 +267,7 @@ def test_character_values_on_z():
 def test_dual_group_characters_mirror_the_group():
     g = dihedral8()
     h = dual_group_algebra(g)
-    chars = dual_group_characters(h, g)
+    chars = dual_group_characters(h)
     assert chars.group.labels == g.labels
     assert chars.group.table == g.table
 
@@ -269,10 +275,10 @@ def test_dual_group_characters_mirror_the_group():
 def test_group_linear_characters():
     c2xc3 = direct_product(Group.cyclic(2, "s"), Group.cyclic(3, "t"))
     h = group_algebra(c2xc3)
-    chars = group_linear_characters(h, c2xc3)
+    chars = group_linear_characters(h)
     assert len(chars) == 6  # abelian: all characters are linear
     d8 = dihedral8()
-    chars8 = group_linear_characters(group_algebra(d8), d8)
+    chars8 = group_linear_characters(group_algebra(d8))
     assert len(chars8) == 4  # abelianisation is Klein four
     assert sum(1 for ch in chars8.chars if ch.label == "triv") == 1
 
@@ -304,7 +310,7 @@ def test_linear_characters_are_the_abelianisation(name):
     g = LINEAR_CHARACTER_GROUPS[name]()
     h = group_algebra(g)
     assert h.generators() == greedy_generating_set(g)
-    chars = group_linear_characters(h, g)
+    chars = group_linear_characters(h)
     for ch in chars.chars:
         v = ch.values
         assert all(v[g.table[a][b]] == v[a] * v[b]
@@ -333,11 +339,25 @@ def test_linear_characters_match_the_enumeration(name):
     h = group_algebra(g)
     if name in CYCLIC_MATRIX_GROUPS:
         assert len(h.generators()) >= 3
-    chars = group_linear_characters(h, g)
-    want = linear_characters_by_enumeration(h, g)
+    chars = group_linear_characters(h)
+    want = linear_characters_by_enumeration(h)
     assert [ch.label for ch in chars.chars] == [ch.label for ch in want]
     assert [ch.values for ch in chars.chars] == [ch.values for ch in want]
     assert chars.group.table == keyed_character_table(h, want)
+
+
+@pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
+def test_character_tables_read_off_the_group_match_the_convolution(group, monkeypatch):
+    """The characters of kG and of k^G are built with no convolution: the
+    table of k^G is G's own, and kG's characters multiply pointwise.  The
+    convolution table of the same characters agrees."""
+    for build, characters in ((group_algebra, group_linear_characters),
+                              (dual_group_algebra, dual_group_characters)):
+        h = build(group)
+        with monkeypatch.context() as m:
+            m.setattr(Character, "convolve", None)
+            chars = characters(h)
+        assert chars.group.table == CharacterGroup(h, chars.chars).group.table
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
@@ -443,7 +463,7 @@ def test_winding_composition():
 def test_winding_left_right_agree_on_cocommutative():
     g = Group.cyclic(4)
     h = group_algebra(g)
-    chars = group_linear_characters(h, g)
+    chars = group_linear_characters(h)
     for ch in chars.chars:
         assert winding_left_cols(h, ch) == winding_right_cols(h, ch)
 
@@ -458,7 +478,7 @@ def test_central_idempotents_match_closed_forms():
 def test_dual_group_idempotents_are_point_masses():
     g = dihedral8()
     h = dual_group_algebra(g)
-    chars = dual_group_characters(h, g)
+    chars = dual_group_characters(h)
     ps = central_idempotents(h, chars)
     assert ps == [{i: ONE} for i in range(8)]
 
@@ -527,12 +547,12 @@ def test_central_idempotents_have_the_implied_properties(name, monkeypatch):
         assert total == h.unit
     if h.dim > 1:
         # the winding of the unit is the unit, which no character of a
-        # nontrivial H singles out; a marked kG or k^G reads no integral,
-        # so the full path runs on it unmarked
+        # nontrivial H singles out; kG and k^G read no integral, so the
+        # full path runs on the unmarked twin
+        plain, _, plain_chars = unmarked(preset)
         monkeypatch.setattr(HopfAlgebra, "integral", lambda self: dict(self.unit))
-        monkeypatch.setattr(h, "group", None)
         with pytest.raises(ValueError):
-            central_idempotents(h, chars)
+            central_idempotents(plain, plain_chars)
 
 
 # -- actions ------------------------------------------------------------------
@@ -559,7 +579,9 @@ def test_eigenvectors_of_action_columns_match_dense_kernel():
     for ch in kac_palyutkin_characters(h).chars:
         for d in range(5):
             maps = [(act.columns(hh, d), ch.values[hh]) for hh in range(8)]
-            assert eigenvectors(alg.dim(d), maps) == dense_eigenvectors(alg.dim(d), maps)
+            got, want = kernel(eigen_images(alg.dim(d), maps)), dense_eigenvectors(alg.dim(d), maps)
+            assert len(got) == len(want)
+            assert Subspace.span(alg.dim(d), got) == Subspace.span(alg.dim(d), want)
 
 
 def test_module_algebra_violation_is_reported():
@@ -567,7 +589,7 @@ def test_module_algebra_violation_is_reported():
     alg = skew_plane(max_degree=6)
     c2 = Group.cyclic(2, "s")
     h = group_algebra(c2)
-    act = HopfAction.from_group_matrices(h, alg, c2, {1: Matrix([[0, 1], [1, 0]])})
+    act = HopfAction.from_group_matrices(h, alg, {1: Matrix([[0, 1], [1, 0]])})
     failures = act.verify()
     assert any("relation" in f for f in failures)
 
@@ -576,16 +598,16 @@ def test_group_matrix_consistency_check():
     alg = skew_plane(max_degree=6)
     c2 = Group.cyclic(2, "s")
     h = group_algebra(c2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inconsistent action: two routes to e disagree"):
         # matrix of order 4 assigned to an element of order 2
-        HopfAction.from_group_matrices(h, alg, c2, {1: Matrix([[I, 0], [0, 1]])})
+        HopfAction.from_group_matrices(h, alg, {1: Matrix([[I, 0], [0, 1]])})
 
 
 def test_dual_group_action_fast_path_matches_generic():
     g = Group.cyclic(3)
     alg = GradedAlgebra(["x", "y"], [parse("x*y - y*x", ["x", "y"])], max_degree=6)
     h = dual_group_algebra(g)
-    fast = HopfAction.from_grading(h, alg, g, [1, 2])
+    fast = HopfAction.from_grading(h, alg, [1, 2])
     generic = HopfAction.from_matrices(
         h, alg, [[fast.gen_images[k][i] for i in range(2)] for k in range(3)]
     )
@@ -599,7 +621,7 @@ def test_dual_group_action_rejects_inhomogeneous_relations():
     g = Group.cyclic(2)
     # x*y + y^2 is not homogeneous for deg x = g, deg y = e
     alg = GradedAlgebra(["x", "y"], [parse("x*y + y*y", ["x", "y"])], max_degree=6)
-    act = HopfAction.from_grading(dual_group_algebra(g), alg, g, [1, 0])
+    act = HopfAction.from_grading(dual_group_algebra(g), alg, [1, 0])
     assert act.verify()
 
 

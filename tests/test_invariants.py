@@ -236,14 +236,16 @@ def test_dual_group_characters_must_be_the_evaluations_in_group_order():
 
 @pytest.mark.parametrize("name", catalog.shipped())
 def test_analyze_derives_what_a_group_table_implies(name, monkeypatch):
-    """verify runs only on an H not built from a group table, and the
-    certificate only on an action that is not dual-group; the two checks
-    read pass with no detail either way.  On a dual-group action of k^G
-    neither the module law of the action check nor the projectors ask
-    for the generators of H, whose products they would form; on a group
-    action of kG the module law does not, and the projectors ask once,
-    for the Cayley edges their homomorphism test walks."""
-    calls = {"verify": 0, "certificate": 0, "module-law": 0, "projectors": 0}
+    """analyze calls verify on every H; the base body of verify runs only
+    on an H that is not kG or k^G, and the certificate only on an action
+    that is not dual-group; the two checks read pass with no detail
+    either way.  On a dual-group action of k^G neither the module law of
+    the action check nor the projectors ask for the generators of H,
+    whose products they would form; on a group action of kG the module
+    law does not, and the projectors ask once, for the Cayley edges their
+    homomorphism test walks."""
+    calls = {"verify": 0, "base verify": 0, "certificate": 0, "module-law": 0,
+             "projectors": 0}
     inside = []
 
     def counted(key, fn):
@@ -268,18 +270,22 @@ def test_analyze_derives_what_a_group_table_implies(name, monkeypatch):
             calls[inside[-1]] += 1
         return generators(self)
 
-    monkeypatch.setattr(HopfAlgebra, "verify", counted("verify", HopfAlgebra.verify))
+    p = catalog.build(name, max_degree=6)
+    kind = type(p.hopf)
+    monkeypatch.setattr(HopfAlgebra, "verify", counted("base verify", HopfAlgebra.verify))
+    if kind is not HopfAlgebra:
+        monkeypatch.setattr(kind, "verify", counted("verify", kind.verify))
     monkeypatch.setattr(analysis, "check_component_multiplicativity",
                         counted("certificate", check_component_multiplicativity))
     monkeypatch.setattr(HopfAlgebra, "generators", generators_in_scope)
     monkeypatch.setattr(HopfAction, "verify", scoped("module-law", HopfAction.verify))
     monkeypatch.setattr(analysis, "central_idempotents",
                         scoped("projectors", central_idempotents))
-    p = catalog.build(name, max_degree=6)
     result = analyze(p)
     full = int(p.action.kind != "dual_group")
-    assert calls == {"verify": int(p.hopf.group is None), "certificate": full,
-                     "module-law": int(p.hopf.group is None), "projectors": full}
+    plain = int(p.action.kind == "matrices")
+    assert calls == {"verify": 1 - plain, "base verify": plain, "certificate": full,
+                     "module-law": plain, "projectors": full}
     checks = {c.name: (c.status, c.detail) for c in result.checks}
     assert checks["hopf-axioms"] == checks["component-multiplicativity"] == ("pass", "")
 

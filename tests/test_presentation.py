@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ncreflect import presentation
+from ncreflect.hopf import HopfAlgebra
 from ncreflect.presentation import (
     SpecSchemaError,
     SpecSyntaxError,
@@ -46,7 +47,7 @@ def test_minimal_document_realises():
     preset = realize(spec, max_degree=6)
     assert list(preset.algebra.gen_names) == ["x", "y"]
     assert preset.hopf.dim == 2
-    assert preset.hopf.verify() == []
+    assert preset.hopf.verify() == HopfAlgebra.verify(preset.hopf) == []
     assert preset.action.verify() == []
 
 

@@ -15,6 +15,7 @@ from ncreflect.hopf import (
     CharacterGroup,
     Group,
     central_idempotents,
+    commutator_ideal,
     dual_group_algebra,
     dual_group_characters,
     group_algebra,
@@ -44,12 +45,11 @@ from ncreflect.presets.kac import (
     skew_plane,
 )
 from ncreflect.presets.groups import dihedral8
-from ncreflect import ncalg, scalars, smash
+from ncreflect import hopf as hopf_module, ncalg, scalars, smash
 from ncreflect.scalars import Cyc, I, ONE, ZERO
 from ncreflect.smash import (
     RifeData,
     SmashProduct,
-    commutator_ideal,
     dis_radical,
     dual_group_shortcut,
     integral_span_slices,
@@ -560,7 +560,7 @@ def test_rife_hopf_other_examples():
     # The order-two group algebra, with commutative ideal zero.
     g2 = Group.cyclic(2)
     h2 = group_algebra(g2)
-    ch2 = group_linear_characters(h2, g2)
+    ch2 = group_linear_characters(h2)
     assert rife_hopf_check(h2, ch2, central_idempotents(h2, ch2)) is True
     # Commutator ideal of a noncommutative group algebra: the abelianisation
     # of the dihedral group of order 8 is Klein four, so the ideal has
@@ -585,21 +585,22 @@ def test_block_count_matches_the_residual_test(group):
     for build, characters in ((group_algebra, group_linear_characters),
                               (dual_group_algebra, dual_group_characters)):
         h = build(group)
-        assert _rife_three_ways(h, characters(h, group)) == (True, True, True)
+        assert _rife_three_ways(h, characters(h)) == (True, True, True)
 
 
 @pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_group_table_block_count_matches_the_commutator_ideal(group, monkeypatch):
-    """On a marked kG, |chars|·|[G, G]| = |G| is the block count that
-    commutator_ideal gave, for all the linear characters and for the
-    cyclic subgroup each one generates; no product is formed."""
+    """On kG, dim I_com = |G| − |G/[G, G]| read off the table gives the
+    block count that commutator_ideal gave, for all the linear characters
+    and for the cyclic subgroup each one generates; no product is
+    formed."""
     h = group_algebra(group)
-    full = group_linear_characters(h, group)
+    full = group_linear_characters(h)
     lists = [full] + [CharacterGroup(h, [full.chars[k] for k in sorted(full.group.closure([i]))])
                       for i in range(len(full))]
     want = [block_count_by_ideal(h, chars) for chars in lists]
     assert want[0] is True
-    monkeypatch.setattr(smash, "commutator_ideal", None)
+    monkeypatch.setattr(hopf_module, "commutator_ideal", None)
     assert [rife_hopf_check(h, chars) for chars in lists] == want
 
 
