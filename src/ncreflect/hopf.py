@@ -530,7 +530,9 @@ class CharacterGroup:
     is looked up by those values and the match confirmed on every basis
     element, which keeps the closure check exact on an unverified H
     (docs/component-grading.md, "The character group").  Without the
-    ``table`` that a group gives, every product is convolved."""
+    ``table`` that a group gives, every product is convolved and the
+    characters are checked to be distinct; with it they are distinct by
+    construction (``dual_group_characters``, ``group_linear_characters``)."""
 
     def __init__(self, hopf: HopfAlgebra, chars: Sequence[Character],
                  table: list[list[int]] | None = None):
@@ -538,7 +540,7 @@ class CharacterGroup:
         self._gens = hopf.generators()
         self.chars: list[Character] = []
         for ch in chars:
-            if self._find(ch) is not None:
+            if table is None and self._find(ch) is not None:
                 raise ValueError("duplicate characters")
             self.chars.append(ch)
         if table is None:

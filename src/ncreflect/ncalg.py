@@ -381,13 +381,18 @@ class QuotientModule:
     """The graded left A-module M = A^n / A·G, kept by its quotient.
 
     A vector of A^n_d has coordinates k * n + h: basis word k of A_d in
-    copy h.  ``gens[d]`` spans G_d, and the module is built through
-    ``len(gens) - 1``.  M_0 = k^n / <G_0>; for d > 0, M_d is the carrier
+    copy h.  The d-th entry of ``gens`` spans G_d, and the module is
+    built through the last one; built from no ``gens``, its owner adds
+    one degree at a time (``extend``) and learns whether G_d added
+    anything.  M_0 = k^n / <G_0>; for d > 0, M_d is the carrier
     ⊕_i x_i ⊗ M_{d - w_i} modulo the relation rows ρ·m, over relations ρ
     and m over a basis of M_{d - deg ρ}, and the images of G_d
     (docs/radical-spanning.md, "The pertinency ideal by its quotient
-    module").  A is built by the same code as the case n = 1, G = 0: its
-    ``GradedAlgebra`` calls ``_build`` one degree at a time.
+    module").  The relation rows go into the echelon first, so the images
+    of G_d raise its rank exactly when G_d does not lie in the submodule
+    that G below d generates.  A is built by the same code as the case
+    n = 1, G = 0: its ``GradedAlgebra`` calls ``_build`` one degree at a
+    time.
 
     With a ``grading`` (a ``CopyGrading``, and no generator vectors) the
     module is ⊕_h A/A·A_{g_h}, g_h = ``killed[h]``.  The G-degree of each
@@ -411,7 +416,7 @@ class QuotientModule:
     only for the entries asked for (``image``), and kept.
     """
 
-    def __init__(self, alg: GradedAlgebra, n: int, gens: Sequence[Sequence[Vec]],
+    def __init__(self, alg: GradedAlgebra, n: int, gens: Iterable[Sequence[Vec]],
                  grading: CopyGrading | None = None):
         self.alg = alg
         self.n = n
@@ -424,11 +429,18 @@ class QuotientModule:
             self._gdegs: list[list[int]] = []  # the G-degree of each label
             self._relation_gdegs = [grading.relation_degree(r, rel, alg.gen_names)
                                     for r, rel in enumerate(alg.relations)]
-        alg.build(len(gens) - 1)
-        for d, gd in enumerate(gens):
-            self._build(d, gd)
+        for gd in gens:
+            self.extend(gd)
 
-    def _build(self, d: int, gens: Sequence[Vec]) -> None:
+    def extend(self, gens: Sequence[Vec]) -> bool:
+        """Build the next degree d with ``gens`` spanning G_d; True when
+        their images raise the rank beyond the relation rows, that is when
+        G_d does not lie in the submodule that G below d generates."""
+        d = len(self.dims)
+        self.alg.build(d)
+        return self._build(d, gens)
+
+    def _build(self, d: int, gens: Sequence[Vec]) -> bool:
         alg, n, dims, letters, grading = self.alg, self.n, self.dims, self._letters, self.grading
         # a carrier column is labelled (copy, word) by the basis element of
         # M it came from and its letter; the columns run in descending
@@ -459,7 +471,8 @@ class QuotientModule:
         for c, j in enumerate(order):
             col[j] = c
         if d == 0:
-            rows = [{col[h]: x for h, x in g.items()} for g in gens]
+            rows = []
+            gen_rows = [{col[h]: x for h, x in g.items()} for g in gens]
             cols = {}
         else:
             # the carrier columns of x_i ⊗ M_{d - w_i}
@@ -485,6 +498,7 @@ class QuotientModule:
                             tail = self.act(word[1:-1], tail, e + alg.weights[word[-1]])
                         _add_at(row, cols[word[0]], tail, coeff)
                     rows.append(row)
+            gen_rows = []
             for g in gens:
                 words, index = alg._basis[d], alg._index
                 row = {}
@@ -493,9 +507,12 @@ class QuotientModule:
                     i = words[k][0]
                     e = d - alg.weights[i]
                     _add_at(row, cols[i], self.image(e, index[e][words[k][1:]], h), c)
-                rows.append(row)
+                gen_rows.append(row)
+        # the relation rows first, so that the rank tells what G_d adds
         ech = SparseEch(len(order))
         ech.extend(rows)
+        rank = ech.rank
+        ech.extend(gen_rows)
         # the basis of M_d, in ascending order of its labels
         survivors = [c for c in reversed(range(len(order))) if c not in ech.rows]
         position = {c: j for j, c in enumerate(survivors)}
@@ -508,6 +525,7 @@ class QuotientModule:
         if grading is not None:
             self._gdegs.append([gdegs[order[c]] for c in survivors])
         dims.append(len(survivors))
+        return ech.rank > rank
 
     def letter(self, i: int, degree: int) -> list[Vec]:
         """Columns of X_i: M_degree -> M_{degree + w_i}."""

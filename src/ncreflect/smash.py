@@ -11,6 +11,9 @@ The pertinency ideal P is the left A-submodule of A # H = A^{dim H} that
 the S_d = (1#Λ)(A_d # H) generate.  It is kept by its quotient module
 (A#H)/P (``ncalg.QuotientModule``), whose dimension stays at the
 codimension of P_d while A_d # H grows; P_d itself is never eliminated.
+S_d is formed degree by degree only until W consecutive degrees, W the
+largest generator weight, add nothing to the module: the S_e below them
+then generate P, and the module is built on from its relation rows alone.
 Given the character components of A, S_d is
 spanned through them: on A_ψ the product (1#Λ)(a#1) is a # (ψ⇀Λ), so
 each component costs one product and only a complement of their sum is
@@ -31,7 +34,7 @@ it is the kernel of a ↦ π(a ⊗ Σ_g e_g) on the quotient module
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .hopf import Character, CharacterGroup, HopfAction, HopfAlgebra, commutator_ideal
 from .linalg import Subspace, Vec, apply_cols, kernel, vec_addto, vec_scale
@@ -187,11 +190,11 @@ def _h_parts(vec: Vec, nH: int) -> dict[int, Vec]:
 
 
 def integral_span_slices(sm: SmashProduct, max_degree: int,
-                         components: Sequence[Sequence[Subspace]] = ()) -> list[list[Vec]]:
-    """Vectors spanning S_d = (1#Λ)(A_d # H), degree by degree: the
-    (1#Λ)(a#1) over a basis of A_d span it, since A_d # H = (1#H)(A_d # 1)
-    and Λh = counit(h)Λ (docs/radical-spanning.md, step 1).  No echelon of
-    S_d is built.
+                         components: Sequence[Sequence[Subspace]] = ()) -> Iterator[list[Vec]]:
+    """Vectors spanning S_d = (1#Λ)(A_d # H), yielded degree by degree
+    and formed only when asked for: the (1#Λ)(a#1) over a basis of A_d
+    span it, since A_d # H = (1#H)(A_d # 1) and Λh = counit(h)Λ
+    (docs/radical-spanning.md, step 1).  No echelon of S_d is built.
 
     The basis of A_d runs through the given H-eigenspaces first.  On an
     eigenspace A_ψ, (1#Λ)(a#1) = a # λ with λ = ψ⇀Λ, so each eigenspace
@@ -208,7 +211,6 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
     lam, nH = sm.unit_integral(), sm.nH
     unit = sm.complement if components else sm._unit
     parts: dict[int, Vec] = {}  # λ of each eigenspace, over the adapted basis
-    out = []
     for d in range(max_degree + 1):
         vecs, rows = [], []
         for c, slices in enumerate(components):
@@ -225,8 +227,7 @@ def integral_span_slices(sm: SmashProduct, max_degree: int,
         pivots = {min(a) for a in eigen.basis()}
         vecs.extend(sm.mul(lam, 0, {i * nH + h: y for h, y in unit.items()}, d)
                     for i in range(sm.alg.dim(d)) if i not in pivots)
-        out.append(vecs)
-    return out
+        yield vecs
 
 
 def pertinency_slices(sm: SmashProduct, max_degree: int,
@@ -238,9 +239,21 @@ def pertinency_slices(sm: SmashProduct, max_degree: int,
     left A-submodule of A # H = A^{dim H} that the S_d generate, and
     (A#H)/P is ``ncalg.QuotientModule`` with n = dim H and G_d the
     spanning vectors of S_d (docs/radical-spanning.md, "The pertinency
-    ideal by its quotient module").
+    ideal by its quotient module").  S_d is formed only until the S_e of
+    W consecutive degrees, W the largest generator weight, add nothing to
+    the module: the S_e below them then generate P, and the degrees above
+    are built from the relation rows alone (docs/radical-spanning.md,
+    "Where the generators of P stop").
     """
-    return QuotientModule(sm.alg, sm.nH, integral_span_slices(sm, max_degree, components))
+    module = QuotientModule(sm.alg, sm.nH, ())
+    width, quiet = max(sm.weights), 0
+    for gens in integral_span_slices(sm, max_degree, components):
+        quiet = 0 if module.extend(gens) else quiet + 1
+        if quiet == width:
+            break
+    while len(module.dims) <= max_degree:
+        module.extend(())
+    return module
 
 
 def _trace_on_a(module: QuotientModule, unit: Vec, max_degree: int) -> list[Subspace]:

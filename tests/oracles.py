@@ -41,8 +41,14 @@ P_d from the module as the kernel of π over every basis element, and
 ``residue_trace`` reads the trace off the residues of the a # 1 modulo
 P_d, the reference for ``smash._trace_on_a``.
 ``pertinency_one_at_a_time`` adds one image at a time in generator
-order, the reference for the batches.  ``smash_dim`` is dim A_d # H, and
-``spans`` spans the vectors ``smash.integral_span_slices`` hands over.
+order, the reference for the batches.  ``all_generators_module`` builds
+the quotient module with the images of every S_d up to the bound, the
+reference for ``smash.pertinency_slices``, which stops forming S_d once
+W consecutive degrees add nothing; ``signs_v4_spec`` is k[x, y] with
+weighted generators under the sign changes of the Klein four-group, a
+case where W, the largest generator weight, is above 1.  ``smash_dim``
+is dim A_d # H, and ``spans`` spans the vectors
+``smash.integral_span_slices`` hands over.
 
 ``fixed_ring_all_pairs`` spans (R_+)^2_d from every product R_e R_{d-e},
 the reference for ``invariants.fixed_ring``, which spans it from the
@@ -662,8 +668,15 @@ def pertinency_by_pushes(sm, max_degree: int, components=()) -> list[Subspace]:
     """Slices of the pertinency ideal by the push recursion
     P_d = S_d + Σ_i (x_i # 1) P_{d - w_i} inside A_d # H, the reference for
     ``smash.pertinency_slices``, which keeps the quotient module."""
-    return submodule_by_pushes(sm.alg, sm.nH, integral_span_slices(sm, max_degree, components),
-                               max_degree)
+    return submodule_by_pushes(sm.alg, sm.nH,
+                               list(integral_span_slices(sm, max_degree, components)), max_degree)
+
+
+def all_generators_module(sm, max_degree: int, components=()) -> QuotientModule:
+    """The pertinency module with the images of every S_d up to the
+    bound as generator rows, the reference for ``smash.pertinency_slices``,
+    which stops forming S_d once W consecutive degrees add nothing."""
+    return QuotientModule(sm.alg, sm.nH, integral_span_slices(sm, max_degree, components))
 
 
 def module_kernel(module, max_degree: int) -> list[Subspace]:
@@ -1234,6 +1247,22 @@ def downup_s3_spec() -> dict:
             "action": {"kind": "dual_group",
                        "group": {"labels": s3.labels, "table": s3.table},
                        "generator_degrees": ["102", "021"]}}
+
+
+def signs_v4_spec(weights: tuple[int, int]) -> dict:
+    """k[x, y] with generator weights ``weights`` under the Klein
+    four-group changing the signs of x, of y and of both, as a spec."""
+    return {"format": "ncreflect-spec/1",
+            "name": "signs-v4-weights-{}-{}".format(*weights),
+            "field": {"conductor": 1},
+            "algebra": {"generators": [{"name": "x", "degree": weights[0]},
+                                       {"name": "y", "degree": weights[1]}],
+                        "relations": ["y*x - x*y"]},
+            "action": {"kind": "group",
+                       "group": {"labels": ["e", "a", "b", "c"],
+                                 "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                           [2, 3, 0, 1], [3, 2, 1, 0]]},
+                       "matrices": {"a": ["-x", "y"], "b": ["x", "-y"], "c": ["-x", "-y"]}}}
 
 
 def permutation_group(gens: list[tuple[int, ...]]) -> Group:

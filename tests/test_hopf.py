@@ -348,16 +348,21 @@ def test_linear_characters_match_the_enumeration(name):
 
 @pytest.mark.parametrize("group", group_tables(), ids=group_table_id)
 def test_character_tables_read_off_the_group_match_the_convolution(group, monkeypatch):
-    """The characters of kG and of k^G are built with no convolution: the
-    table of k^G is G's own, and kG's characters multiply pointwise.  The
-    convolution table of the same characters agrees."""
+    """The characters of kG and of k^G are built with no convolution and
+    no duplicate scan: the table of k^G is G's own, kG's characters
+    multiply pointwise, and both lists are distinct by construction.  The
+    convolution table of the same characters agrees, and without a table
+    a repeated character is refused."""
     for build, characters in ((group_algebra, group_linear_characters),
                               (dual_group_algebra, dual_group_characters)):
         h = build(group)
         with monkeypatch.context() as m:
             m.setattr(Character, "convolve", None)
+            m.setattr(CharacterGroup, "_find", None)
             chars = characters(h)
         assert chars.group.table == CharacterGroup(h, chars.chars).group.table
+        with pytest.raises(ValueError, match="duplicate characters"):
+            CharacterGroup(h, chars.chars + chars.chars[-1:])
 
 
 @pytest.mark.parametrize("name", catalog.shipped())

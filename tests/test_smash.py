@@ -62,6 +62,7 @@ from ncreflect.smash import (
 )
 
 from oracles import (
+    all_generators_module,
     block_count_by_ideal,
     constrained_left_ideal,
     downup_s3_spec,
@@ -81,11 +82,13 @@ from oracles import (
     project_by_reduce,
     residue_trace,
     rife_by_tensor_span,
+    signs_v4_spec,
     smash_dim,
     smash_mul_per_entry,
     smash_mul_per_leg,
     spans,
     stacked_module,
+    unmarked,
     zassenhaus_intersect,
 )
 
@@ -400,6 +403,128 @@ def test_quotient_module_matches_the_push_recursion_deep(name):
     p = catalog.build(name, max_degree=D)
     comp = component_report(p.action, p.chars, D)
     _check_module_against_pushes(p, D, central_idempotents(p.hopf, p.chars), comp.slices)
+
+
+def _stopped(sm, D, components=()):
+    """``pertinency_slices`` with the span and everything it multiplies
+    wrapped: the module, the number of S_d formed, and the highest degree
+    that ``SmashProduct.mul``, ``HopfAction.columns`` and
+    ``QuotientModule.image`` were called at (-1 for none)."""
+    formed, degrees = [], {"mul": -1, "columns": -1, "image": -1}
+    span, mul = smash.integral_span_slices, SmashProduct.mul
+    columns, image = type(sm.action).columns, QuotientModule.image
+
+    def counted(*args):
+        for vecs in span(*args):
+            formed.append(vecs)
+            yield vecs
+
+    def seen(name, degree):
+        degrees[name] = max(degrees[name], degree)
+
+    def mul_at(self, v, dv, w, dw):
+        seen("mul", dv + dw)
+        return mul(self, v, dv, w, dw)
+
+    def columns_at(self, h, degree):
+        seen("columns", degree)
+        return columns(self, h, degree)
+
+    def image_at(self, degree, k, h):
+        seen("image", degree)
+        return image(self, degree, k, h)
+
+    with mock.patch.object(smash, "integral_span_slices", counted), \
+            mock.patch.object(SmashProduct, "mul", mul_at), \
+            mock.patch.object(type(sm.action), "columns", columns_at), \
+            mock.patch.object(QuotientModule, "image", image_at):
+        module = pertinency_slices(sm, D, components)
+    return module, len(formed), degrees
+
+
+def _check_stopped_against_all_generators(action, chars, D) -> int:
+    """The module built with S_d up to its stop degree against the one
+    built with every S_d to D, over the basis of H and split along the
+    projectors through the components: dimensions, basis labels, letter
+    maps and trace.  Nothing past the last S_d formed is multiplied or
+    imaged.  Returns the last degree of S_d formed."""
+    comp = component_report(action, chars, D)
+    projectors = central_idempotents(action.hopf, chars)
+    last = set()
+    for sm, components in ((SmashProduct(action), ()),
+                           (SmashProduct(action, projectors, chars.chars), comp.slices)):
+        got, formed, degrees = _stopped(sm, D, components)
+        want = all_generators_module(sm, D, components)
+        assert got.dims == want.dims
+        assert got._labels == want._labels
+        assert got._letters == want._letters
+        assert _trace_on_a(got, sm._unit, D) == _trace_on_a(want, sm._unit, D)
+        top = formed - 1
+        assert degrees["mul"] <= top and degrees["columns"] <= top and degrees["image"] < top
+        last.add(top)
+    assert len(last) == 1  # the stop does not depend on the split
+    return last.pop()
+
+
+def _smash_route(name: str, D: int):
+    """The action and characters of a preset through the smash route: its
+    own, or the ``unmarked`` twin of a dual-group preset."""
+    p = catalog.build(name, max_degree=D)
+    if p.action.kind == "dual_group":
+        _, action, chars = unmarked(p)
+        return action, chars
+    return p.action, p.chars
+
+
+@pytest.mark.parametrize("name", SMASH_PRESETS + DUAL_PRESETS)
+def test_stopped_generators_give_the_all_generators_module(name):
+    """Once W consecutive degrees of S_d add nothing, the S_e below them
+    generate P: stopping there gives the module that every S_d to the
+    bound gives, on every smash-route preset and on the unmarked twins
+    of the dual-group presets."""
+    D = 12
+    action, chars = _smash_route(name, D)
+    assert _check_stopped_against_all_generators(action, chars, D) < D
+
+
+@pytest.mark.parametrize("name", ["l41-mystic(2,4)", "e42-kacpalyutkin"])
+def test_stopped_generators_give_the_all_generators_module_deep(name):
+    """The same at degree 20."""
+    D = 20
+    p = catalog.build(name, max_degree=D)
+    _check_stopped_against_all_generators(p.action, p.chars, D)
+
+
+@pytest.mark.parametrize("name, last", [
+    ("l41-mystic(2,4)", 7),
+    ("e42-kacpalyutkin", 5),
+    ("l41-cyclic-n-m(z3,2,3)", 4),
+    ("l41-mystic(1,2)", 3),
+])
+def test_pertinency_generators_stop_degrees(name, last):
+    """At D = 12 the S_d stop raising the rank one degree below ``last``:
+    with every generator of weight 1, S_d is formed through ``last``."""
+    D = 12
+    p = catalog.build(name, max_degree=D)
+    assert set(p.algebra.weights) == {1}
+    assert _check_stopped_against_all_generators(p.action, p.chars, D) == last
+
+
+@pytest.mark.parametrize("weights, last", [((2, 2), 6), ((1, 2), 5)])
+def test_weighted_generators_stop_after_w_quiet_degrees(weights, last):
+    """With W = 2 the stop waits for two quiet degrees in a row.  With
+    both weights 2 every odd degree is vacuously quiet, yet S_2 and S_4
+    still raise the rank: a rule that stopped after one quiet degree
+    would keep S_0 and S_1 alone and get another module."""
+    D = 10
+    p = realize(loads(json.dumps(signs_v4_spec(weights))), D)
+    assert _check_stopped_against_all_generators(p.action, p.chars, D) == last
+    if weights == (2, 2):
+        sm = SmashProduct(p.action)
+        gens = list(integral_span_slices(sm, D))
+        assert [len(gens[d]) for d in (1, 3, 5)] == [0, 0, 0]
+        early = QuotientModule(p.algebra, sm.nH, gens[:2] + [()] * (D - 1))
+        assert early.dims != all_generators_module(sm, D).dims
 
 
 @pytest.mark.parametrize("name", catalog.shipped())
