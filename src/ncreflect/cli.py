@@ -15,7 +15,9 @@ drift); 4 a hypothesis flag (the input is outside the theorems'
 assumptions); 5 a theorem check failed; 70 an internal error: any other
 exception, reported as one line ``internal error in <module>.<function>: <type>: <message>``
 that names the innermost ncreflect function on the traceback, which is
-not printed.
+not printed; an error that passed through ``analysis.analyze`` adds
+`` (analyze stage <name>)`` after the function, <name> being the
+function analyze called, or analyze itself.
 
 The truncation bound is resolved as: ``--max-degree`` flag, then the
 ``NCREFLECT_MAX_DEGREE`` environment variable, then ``options.max_degree``
@@ -382,18 +384,27 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except Exception as e:
         message = str(e).partition("\n")[0]
-        print(f"internal error in {_innermost_frame(e)}: {type(e).__name__}: {message}",
+        print(f"internal error in {_raised_where(e)}: {type(e).__name__}: {message}",
               file=sys.stderr)
         return EXIT_INTERNAL
 
 
-def _innermost_frame(exc: BaseException) -> str:
-    """<module>.<function> of the innermost ncreflect frame that raised exc;
-    the traceback starts at main, so there is one."""
-    names = [f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
-             for frame, _ in traceback.walk_tb(exc.__traceback__)
-             if frame.f_globals.get("__name__", "").split(".")[0] == "ncreflect"]
-    return names[-1]
+def _raised_where(exc: BaseException) -> str:
+    """<module>.<function> of the innermost ncreflect frame that raised exc
+    (the traceback starts at main, so there is one), followed by
+    `` (analyze stage <name>)`` when the error passed through
+    ``analysis.analyze``: <name> is the function analyze called on the
+    traceback, looking through analyze's own comprehensions, or analyze
+    itself when nothing below it is on the traceback."""
+    frames = [(frame.f_globals.get("__name__", ""), frame.f_code.co_name)
+              for frame, _ in traceback.walk_tb(exc.__traceback__)]
+    where = [f"{m}.{f}" for m, f in frames if m.split(".")[0] == "ncreflect"][-1]
+    top = ("ncreflect.analysis", "analyze")
+    if top not in frames:
+        return where
+    below = frames[frames.index(top) + 1:]
+    stage = next((f for m, f in below if m != top[0] or not f.startswith("<")), "analyze")
+    return f"{where} (analyze stage {stage})"
 
 
 if __name__ == "__main__":

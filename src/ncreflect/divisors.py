@@ -9,7 +9,11 @@ Candidates mode tests a finite family of lines: the degree-one
 generators, the combinations x_i + z x_j over the roots of unity z of
 the working conductor, and any extra candidates supplied by the caller.
 Membership is decided by an exact linear solve, which also produces the
-cofactor.
+cofactor.  The family depends on A_1, the conductor and the extra lines
+alone, so it is formed once per algebra and kept with A's other derived
+tables (``GradedAlgebra.derived``), keyed by the conductor and the extra
+lines: both sides of every element, the Jacobian's and the
+arrangement's in one analysis, read the same list.
 
 Certificate mode (two-generator algebras only) determines the complete
 set of divisor lines.  With v = s x_1 + t x_2 symbolic, f = v c is
@@ -274,7 +278,10 @@ def divisor_report(
         raise ValueError("divisors of the zero element are undefined")
     if f.degree == 0:
         return DivisorReport(side, mode, [], [], None, 0, False)
-    cands = candidate_lines(alg, conductor, extra_candidates)
+    extra_key = tuple(e if isinstance(e, str) else (e.degree, _line_key(e))
+                      for e in extra_candidates)
+    cands = alg.derived(("candidate lines", conductor, extra_key),
+                        lambda: candidate_lines(alg, conductor, extra_candidates))
     if mode == "candidates":
         return _candidates_report(alg, f, side, cands)
     if mode == "certificate":

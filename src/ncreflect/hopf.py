@@ -667,7 +667,14 @@ class HopfAction:
     ``gen_images[h][i]`` is the image of generator x_i under the h-th basis
     element, as a coordinate vector in the slice of degree w_i.  Higher
     slices act through the comultiplication:
-    h . (x_i * u) = sum (h_(1) . x_i) * (h_(2) . u).
+    h . (x_i * u) = sum (h_(1) . x_i) * (h_(2) . u),
+    with the terms of Δ(h) grouped by second leg q, so that each column
+    costs one product per q: the left factor l = sum c (p . x_i) over the
+    terms (p, q, c) is formed once and kept.  A basis element u with
+    Δ(u) = u ⊗ u, ε(u) = 1 and u . x_i = x_i for every i, facts read off
+    the table and the images, acts on every slice as the identity
+    without a product (docs/component-grading.md, "The action on A_d,
+    one product per second leg").
 
     For a dual group algebra the action is the diagonal one determined by
     a G-degree for each generator, and columns are computed directly.
@@ -702,6 +709,8 @@ class HopfAction:
             raise ValueError("action needs generator images")
         self.gen_images = gen_images
         self._cols: dict[tuple[int, int], list[Vec]] = {}
+        self._legs: dict[int, list[list[tuple[int, Vec]]]] = {}  # by _left_factors
+        self._identity = self._acts_as_identity()
         self._word_gdeg: list[list[int]] = []
         self._free_cache: dict[tuple[int, Word], FreePoly] = {}
 
@@ -771,6 +780,31 @@ class HopfAction:
             self._word_gdeg.append(out)
         return self._word_gdeg[degree]
 
+    def _acts_as_identity(self) -> set[int]:
+        """The basis elements u with Δ(u) = u ⊗ u, ε(u) = 1 and u·x_i = x_i
+        for every i, read off the table and the images: u acts on every
+        slice as the identity (docs/component-grading.md, "The action on
+        A_d, one product per second leg")."""
+        hopf, alg = self.hopf, self.alg
+        letters = [alg.nf_word((i,)) for i in range(alg.ngens)]
+        return {u for u in range(hopf.dim)
+                if hopf._delta[u] == {(u, u): ONE} and hopf.counit[u] == ONE
+                and self.gen_images[u] == letters}
+
+    def _left_factors(self, h: int) -> list[list[tuple[int, Vec]]]:
+        """For each generator x_i, Δ(h)'s terms grouped by second leg q, in
+        order of first appearance, each as (q, Σ_p c·(p·x_i)); a sum that
+        cancels to 0 is dropped."""
+        got = self._legs.get(h)
+        if got is None:
+            got = self._legs[h] = []
+            for i in range(self.alg.ngens):
+                by_leg: dict[int, Vec] = {}
+                for p, q, c in self.hopf.comult[h]:
+                    vec_addto(by_leg.setdefault(q, {}), self.gen_images[p][i], c)
+                got.append([(q, left) for q, left in by_leg.items() if left])
+        return got
+
     def columns(self, h: int, degree: int) -> list[Vec]:
         """Columns of the action of basis element h on the degree-d slice."""
         key = (h, degree)
@@ -780,10 +814,13 @@ class HopfAction:
         if self.kind == "dual_group":
             gdeg = self.word_gdeg(degree)
             cols = [{k: ONE} if gdeg[k] == h else {} for k in range(self.alg.dim(degree))]
+        elif h in self._identity:
+            cols = [{k: ONE} for k in range(self.alg.dim(degree))]
         elif degree == 0:
             cols = [{0: self.hopf.counit[h]} if not self.hopf.counit[h].is_zero() else {}]
         else:
             alg = self.alg
+            legs = self._left_factors(h)
             cols = []
             for w in alg.basis_words(degree):
                 i = w[0]
@@ -791,14 +828,10 @@ class HopfAction:
                 rest_deg = degree - alg.weights[i]
                 rest_idx = alg.word_index(rest_deg, rest)
                 out: Vec = {}
-                for p, q, c in self.hopf.comult[h]:
-                    left = self.gen_images[p][i]
-                    if not left:
-                        continue
+                for q, left in legs[i]:
                     right = self.columns(q, rest_deg)[rest_idx]
-                    if not right:
-                        continue
-                    vec_addto(out, alg.mul(left, alg.weights[i], right, rest_deg), c)
+                    if right:
+                        vec_addto(out, alg.mul(left, alg.weights[i], right, rest_deg))
                 cols.append(out)
         self._cols[key] = cols
         return cols

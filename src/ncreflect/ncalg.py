@@ -52,11 +52,13 @@ degree, decided in the generator degrees of S).
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .exprs import FreePoly, Word, p_degree, parse, show
 from .linalg import SparseEch, Subspace, Vec, apply_cols, express, vec_addto
 from .scalars import ONE, addmul, coerce
+
+T = TypeVar("T")
 
 
 class DegreeOverflow(RuntimeError):
@@ -148,6 +150,7 @@ class GradedAlgebra:
         self._index: list[dict[Word, int]] = []
         self._right: dict[tuple[int, int], list[Vec]] = {}
         self._work = 0  # the sum of the squared carrier sizes of the built slices
+        self._derived: dict[Hashable, object] = {}
         # A = A^1 / A·0: its slices and left letter maps are the module's.
         # The module sees A through a weak proxy, so that no reference
         # cycle keeps a dropped algebra alive until the next collection.
@@ -273,6 +276,13 @@ class GradedAlgebra:
             for k, c in w.items():
                 vec_addto(out, self._right_word(words[k], v, dv), c)
         return out
+
+    def derived(self, key: Hashable, make: Callable[[], T]) -> T:
+        """The table ``make()`` derives from A, formed on the first call
+        with this key: the key names the table and what else it reads."""
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key]
 
     # -- elements -----------------------------------------------------------
 

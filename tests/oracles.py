@@ -118,6 +118,12 @@ which looks a character up by its values on the generators of H.
 ``action_verify_all_pairs`` checks the module law (ab)·x_j = a·(b·x_j)
 on every pair of basis elements, the reference for
 ``HopfAction.verify``, which runs b over the generators of H.
+``columns_by_terms`` forms the action on A_d with one product per term
+of Δ(h) and no rule for the unit, the reference for
+``HopfAction.columns``, which forms one product per second leg; ``change_of_basis``
+writes an action in a seeded random basis of H, where coproducts have
+many terms, and ``S3_PERMUTING_XYZ`` is S3 permuting x, y, z of
+k[x, y, z], a group no preset ships.
 ``central_idempotents_all_basis`` also checks χ'(p_χ) = δ, which
 ``hopf.central_idempotents`` derives.
 
@@ -195,6 +201,8 @@ rest on it too.
 
 from __future__ import annotations
 
+import random
+import weakref
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -1033,6 +1041,40 @@ def action_verify_all_pairs(action) -> list[str]:
     return bad
 
 
+_BY_TERMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def columns_by_terms(action, h: int, d: int) -> list[Vec]:
+    """Columns of basis element h on A_d by the module-algebra law with
+    one product per term of Δ(h), h·(x_i w) = Σ c·(p·x_i)(q·w), and no
+    rule for the unit: the reference for ``HopfAction.columns``, which
+    forms one product per second leg q and lets a grouplike that fixes
+    every letter act as the identity.  Kept per action and (h, d)."""
+    memo = _BY_TERMS.setdefault(action, {})
+    got = memo.get((h, d))
+    if got is not None:
+        return got
+    alg, hopf = action.alg, action.hopf
+    if d == 0:
+        c = hopf.counit[h]
+        memo[h, d] = [{} if c.is_zero() else {0: c}]
+        return memo[h, d]
+    cols = []
+    for w in alg.basis_words(d):
+        i = w[0]
+        rest_deg = d - alg.weights[i]
+        rest_idx = alg.word_index(rest_deg, w[1:])
+        out: Vec = {}
+        for p, q, c in hopf.comult[h]:
+            left = action.gen_images[p][i]
+            right = columns_by_terms(action, q, rest_deg)[rest_idx]
+            if left and right:
+                vec_addto(out, alg.mul(left, alg.weights[i], right, rest_deg), c)
+        cols.append(out)
+    memo[h, d] = cols
+    return cols
+
+
 def components_all_probes(action, chars, max_degree: int) -> list[list[Subspace]]:
     """slices[i][d]: the common eigenspace in A_d of every basis element h
     of H with eigenvalue chars[i](h)."""
@@ -1318,6 +1360,79 @@ def unmarked(preset) -> tuple:
     chars = CharacterGroup(plain, [Character(plain, ch.values, ch.label)
                                    for ch in preset.chars.chars])
     return plain, action, chars
+
+
+def change_of_basis(action, seed: int, fix_unit: bool) -> HopfAction:
+    """The action of H on A written in a seeded random basis of H, every
+    b'_j = Σ_k P[k][j] b_k with small integer entries, as a plain
+    ``HopfAlgebra`` and a ``from_matrices`` action.  With ``fix_unit`` b'_0
+    is b_0, the unit of the H given; otherwise every b'_j mixes.  Δ(b'_j)
+    then has many terms whose left factors share second legs and can
+    cancel."""
+    h, rng = action.hopf, random.Random(seed)
+    n = h.dim
+    while True:
+        P = [[coerce(rng.choice((-1, 0, 0, 1, 2))) for _ in range(n)] for _ in range(n)]
+        if fix_unit:
+            for k in range(n):
+                P[k][0] = ONE if k == 0 else ZERO
+        m, pivots = dense_rref([row + [ONE if k == j else ZERO for k in range(n)]
+                                for j, row in enumerate(P)])
+        if pivots == list(range(n)):
+            break
+    inv = [row[n:] for row in m]
+
+    def new_coords(v: Vec) -> Vec:
+        out: Vec = {}
+        for k, c in v.items():
+            vec_addto(out, {a: inv[a][k] for a in range(n) if not inv[a][k].is_zero()}, c)
+        return out
+
+    cols = [{k: P[k][j] for k in range(n) if not P[k][j].is_zero()} for j in range(n)]
+    mult = [[new_coords(h.mul_vec(cols[a], cols[b])) for b in range(n)] for a in range(n)]
+    comult = []
+    for j in range(n):
+        tensor: dict = {}
+        for (k, l), c in h.comult_vec(cols[j]).items():
+            for a, x in new_coords({k: ONE}).items():
+                vec_addto(tensor, {(a, b): x * y for b, y in new_coords({l: ONE}).items()}, c)
+        comult.append([(a, b, c) for (a, b), c in sorted(tensor.items())])
+    counit = [h.counit_vec(cols[j]) for j in range(n)]
+    antipode = []
+    for j in range(n):
+        image: Vec = {}
+        for k, c in cols[j].items():
+            vec_addto(image, h.antipode[k], c)
+        antipode.append(new_coords(image))
+    plain = HopfAlgebra([f"b{j}" for j in range(n)], new_coords(h.unit), mult, comult,
+                        counit, antipode)
+    images = []
+    for j in range(n):
+        row = []
+        for i in range(action.alg.ngens):
+            out: Vec = {}
+            for k, c in cols[j].items():
+                vec_addto(out, action.gen_images[k][i], c)
+            row.append(out)
+        images.append(row)
+    return HopfAction.from_matrices(plain, action.alg, images)
+
+
+S3_PERMUTING_XYZ = """{
+ "format": "ncreflect-spec/1",
+ "name": "s3-permuting-xyz",
+ "field": {"conductor": 1},
+ "algebra": {
+   "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1},
+                  {"name": "z", "degree": 1}],
+   "relations": ["y*x - x*y", "z*x - x*z", "z*y - y*z"]},
+ "action": {"kind": "group",
+            "group": {"labels": ["e", "a", "b", "c", "r", "rr"],
+                      "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
+                                [2, 5, 0, 4, 3, 1], [3, 4, 5, 0, 1, 2],
+                                [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]]},
+            "matrices": {"a": ["y", "x", "z"], "r": ["y", "z", "x"]}}}
+"""
 
 
 def in_square_by_span(space: Subspace, x: dict, dim: int) -> bool:

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import ncreflect
-from ncreflect import analysis, presentation, smash
-from ncreflect.hopf import commutator_ideal
+from ncreflect import analysis, divisors, presentation, smash
+from ncreflect.hopf import HopfAction, commutator_ideal
 from ncreflect.analysis import SECTIONS, report_json
 from ncreflect.cli import EXIT_INTERNAL, MAX_DEGREE, main
 from ncreflect.exprs import (
@@ -29,7 +29,7 @@ from ncreflect.presets import catalog
 from ncreflect.presets.groups import CLOSURE_CAP
 from ncreflect.scalars import MAX_CONDUCTOR
 
-from oracles import unmarked
+from oracles import S3_PERMUTING_XYZ, unmarked
 
 
 def spec_file(name: str):
@@ -243,9 +243,44 @@ def test_internal_error_is_one_line_naming_the_innermost_function(capsys, monkey
     monkeypatch.setattr(smash, "pertinency_slices", broken)
     assert main(["analyze", spec_file("trivial")]) == EXIT_INTERNAL
     captured = capsys.readouterr()
-    assert captured.err == ("internal error in ncreflect.smash.radical_slices: "
-                            "RuntimeError: injected\n")
+    assert captured.err == ("internal error in ncreflect.smash.radical_slices "
+                            "(analyze stage radical_slices): RuntimeError: injected\n")
     assert "Traceback" not in captured.out
+
+
+def test_internal_error_in_analyze_itself_names_analyze_as_the_stage(capsys, monkeypatch):
+    # a stage that hands back nothing fails in analyze's own body
+    monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "6")
+    monkeypatch.setattr(analysis, "jacobian_data", lambda *args: None)
+    assert main(["analyze", spec_file("trivial")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error in ncreflect.analysis.analyze (analyze stage analyze): "
+        "AttributeError: 'NoneType' object has no attribute 'j'\n")
+
+
+def test_internal_error_outside_analyze_names_no_stage(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "6")
+    monkeypatch.setattr(HopfAction, "verify", broken)
+    assert main(["validate", spec_file("trivial")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error in ncreflect.cli._cmd_validate: RuntimeError: injected\n")
+
+
+def test_a_unit_that_moves_a_letter_fails_module_algebra(tmp_path, capsys):
+    """The unit acts as the identity by a rule read off the table and the
+    images, so an image of 1 that is not the letter still fails the check."""
+    def scale_u(doc):
+        doc["action"]["matrices"]["1"] = ["2*u", "v"]
+
+    path = mutate_shipped(tmp_path, "e42-kacpalyutkin", scale_u)
+    assert main(["analyze", path, "--max-degree", "6", "--format", "machine"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    check = next(c for c in doc["checks"] if c["name"] == "module-algebra")
+    assert check["status"] == "fail"
+    assert "unit does not act as identity on u" in check["detail"]
 
 
 def _relations(*texts):
@@ -459,23 +494,6 @@ def test_radical_inside_jacobian_ideal_is_skipped_when_h_is_not_hopf_rife(tmp_pa
         ("theorem", "skip", "H is not Hopf-rife")
     assert sorted(n for n, c in checks.items() if c["status"] == "fail") == \
         ["isotypic-idempotents-match", "radical-eq-jacobian-ideal"]
-
-
-S3_PERMUTING_XYZ = """{
- "format": "ncreflect-spec/1",
- "name": "s3-permuting-xyz",
- "field": {"conductor": 1},
- "algebra": {
-   "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1},
-                  {"name": "z", "degree": 1}],
-   "relations": ["y*x - x*y", "z*x - x*z", "z*y - y*z"]},
- "action": {"kind": "group",
-            "group": {"labels": ["e", "a", "b", "c", "r", "rr"],
-                      "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
-                                [2, 5, 0, 4, 3, 1], [3, 4, 5, 0, 1, 2],
-                                [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]]},
-            "matrices": {"a": ["y", "x", "z"], "r": ["y", "z", "x"]}}}
-"""
 
 
 def test_non_abelian_group_reports_alike_marked_and_unmarked():
@@ -722,6 +740,17 @@ def test_divisors_both_sides_differ(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "u - z8^3*v" in out  # left line
     assert "u - z8*v" in out    # right line
+
+
+def test_divisors_forms_the_candidate_lines_once(capsys, monkeypatch):
+    calls = []
+    lines = divisors.candidate_lines
+    monkeypatch.setattr(divisors, "candidate_lines", lambda *args: calls.append(args) or lines(*args))
+    monkeypatch.setenv("NCREFLECT_MAX_DEGREE", "8")
+    assert main(["divisors", spec_file("l41-cyclic-n-m(z3,2,3)"),
+                 "--element", "x^2*y", "--side", "both"]) == 0
+    assert "left:" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_divisors_rejects_bad_elements(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ncreflect import analysis, divisors
 from ncreflect.divisors import (
     candidate_lines,
     divisor_report,
@@ -178,3 +179,34 @@ def test_candidate_family_is_deduplicated():
     assert len(fam) == 6  # x, y, x+y, x+iy, x-y, x-iy
     fam2 = candidate_lines(alg, 4, (alg.element("x + y"), alg.element("3*x + 3*y")))
     assert len(fam2) == 6
+
+
+def _count_candidate_lines(monkeypatch) -> list:
+    calls: list = []
+
+    def counted(*args):
+        calls.append(args)
+        return candidate_lines(*args)
+
+    monkeypatch.setattr(divisors, "candidate_lines", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["e22-dualD8", "l41-cyclic-n-m(z3,2,3)"])
+def test_candidate_lines_formed_once_per_analysis(name, monkeypatch):
+    """Both sides of the Jacobian and of the arrangement read one family:
+    the lines depend on A_1, the conductor and the extra lines alone."""
+    calls = _count_candidate_lines(monkeypatch)
+    analysis.analyze(catalog.build(name, 8), 8)
+    assert len(calls) == 1
+
+
+def test_candidate_lines_kept_per_conductor_and_extra_lines(monkeypatch):
+    alg = catalog.build("trivial", 6).algebra
+    calls = _count_candidate_lines(monkeypatch)
+    f = alg.element("x^2*y")
+    extra = (alg.element("x + 2*y"),)
+    for conductor, more in ((4, ()), (4, ()), (3, ()), (4, extra), (4, ("x + 2*y",)), (4, extra)):
+        divisor_report(alg, f, "left", conductor=conductor, extra_candidates=more)
+    assert [(c, tuple(map(str, e))) for _, c, e in calls] == \
+        [(4, ()), (3, ()), (4, ("Elem(x + 2*y)",)), (4, ("x + 2*y",))]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ from ncreflect.hopf import (
 )
 from ncreflect.linalg import Matrix, Subspace, apply_cols, eigen_images, kernel, vec_addto
 from ncreflect.ncalg import GradedAlgebra
+from ncreflect.presentation import loads, realize
 from ncreflect.presets import catalog
 from ncreflect.presets.groups import cyclic_scaling_group, dihedral8, mystic_group
 from ncreflect.presets.kac import (
@@ -30,10 +32,13 @@ from ncreflect.presets.kac import (
     kac_palyutkin_hopf,
     skew_plane,
 )
-from ncreflect import scalars
+from ncreflect import analysis, ncalg, scalars
 from ncreflect.scalars import Cyc, I, MINUS_ONE, ONE, ZERO, zeta
 
 from oracles import (
+    S3_PERMUTING_XYZ,
+    change_of_basis,
+    columns_by_terms,
     commutator_subgroup,
     dense_eigenvectors,
     direct_product,
@@ -46,6 +51,7 @@ from oracles import (
     keyed_character_table,
     linear_characters_by_enumeration,
     normal_forms,
+    signs_v4_spec,
     small_permutation_groups,
     symmetric3,
     tensor_mul_per_pair,
@@ -640,3 +646,124 @@ def test_act_free_matches_slice_action():
         _, direct = alg.nf(free_img)
         _, vec = alg.nf(poly)
         assert act.act(hh, vec, 2) == direct
+
+
+# -- the action on A_d, one product per second leg -----------------------------
+
+ACTION_D = 12
+
+
+def _shipped_non_dual(name):
+    return lambda: catalog.build(name, ACTION_D).action
+
+
+def _unmarked_twin(name):
+    return lambda: unmarked(catalog.build(name, ACTION_D))[1]
+
+
+def _from_spec(doc):
+    return lambda: realize(loads(doc), ACTION_D).action
+
+
+def _e42_rebased(seed, fix_unit):
+    return lambda: change_of_basis(catalog.build("e42-kacpalyutkin", ACTION_D).action,
+                                   seed, fix_unit)
+
+
+# seeds 0 and 6 are ones where some grouped left factor cancels to 0
+ACTION_CASES = {
+    **{name: _shipped_non_dual(name) for name in catalog.shipped()
+       if catalog.build(name, 4).action.kind != "dual_group"},
+    "unmarked-e22": _unmarked_twin("e22-dualD8"),
+    "unmarked-e23": _unmarked_twin("e23-downup-dualD8"),
+    "s3-permuting-xyz": _from_spec(S3_PERMUTING_XYZ),
+    "signs-v4-weights-2-2": _from_spec(json.dumps(signs_v4_spec((2, 2)))),
+    "e42-rebased-unit-fixed": _e42_rebased(0, True),
+    "e42-rebased-unit-mixed": _e42_rebased(6, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_CASES))
+def test_columns_match_one_product_per_term(case):
+    """Grouping Δ(h) by second leg and letting the unit act as the identity
+    give the columns of the plain recursion, for every basis element of
+    H on every slice through D = 12."""
+    action = ACTION_CASES[case]()
+    for d in range(ACTION_D + 1):
+        for h in range(action.hopf.dim):
+            assert action.columns(h, d) == columns_by_terms(action, h, d), (h, d)
+    if case.startswith("e42-rebased"):
+        assert action.verify() == []
+        legs = {(h, i): {q for _, q, _ in action.hopf.comult[h]}
+                for h in range(action.hopf.dim) for i in range(action.alg.ngens)}
+        assert any(len(action._left_factors(h)[i]) < len(qs) for (h, i), qs in legs.items())
+        assert action._identity == ({0} if case.endswith("fixed") else set())
+
+
+# products ``HopfAction.columns`` forms in one ``analyze`` at D = 12
+COLUMN_PRODUCTS = {
+    "trivial": 0,
+    "e22-dualD8": 0,
+    "e23-downup-dualD8": 0,
+    "e42-kacpalyutkin": 477,
+    "l41-cyclic-n-m(z3,2,3)": 207,
+    "l41-mystic(1,2)": 185,
+    "l41-mystic(2,4)": 745,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_PRODUCTS))
+def test_column_products_per_analysis(name, monkeypatch):
+    depth, count = [0], [0]
+    columns, mul = HopfAction.columns, ncalg.GradedAlgebra.mul
+
+    def counted_columns(self, h, degree):
+        depth[0] += 1
+        try:
+            return columns(self, h, degree)
+        finally:
+            depth[0] -= 1
+
+    def counted_mul(self, *args):
+        count[0] += depth[0] > 0
+        return mul(self, *args)
+
+    monkeypatch.setattr(HopfAction, "columns", counted_columns)
+    monkeypatch.setattr(ncalg.GradedAlgebra, "mul", counted_mul)
+    analysis.analyze(catalog.build(name, ACTION_D), ACTION_D)
+    assert count[0] == COLUMN_PRODUCTS[name]
+
+
+def _two_element_h(delta_unit, counit_unit):
+    """H on the basis 1, g, with Δ(1) and ε(1) as given, 1 fixing x and y
+    and g negating them: a table no verified H has, for the unit rule."""
+    h = HopfAlgebra(["1", "g"], {0: ONE}, [[{0: ONE}, {1: ONE}], [{1: ONE}, {0: ONE}]],
+                    [delta_unit, [(1, 1, ONE)]], [counit_unit, ONE], [{0: ONE}, {1: ONE}])
+    alg = GradedAlgebra(["x", "y"], [parse("y*x - x*y", ["x", "y"])], max_degree=6)
+    x, y = alg.nf_word((0,)), alg.nf_word((1,))
+    minus = {k: -c for k, c in x.items()}, {k: -c for k, c in y.items()}
+    return HopfAction.from_matrices(h, alg, [[x, y], list(minus)])
+
+
+@pytest.mark.parametrize("delta_unit, counit_unit", [
+    ([(0, 0, ONE), (1, 1, ONE)], ONE),  # Δ(1) = 1 ⊗ 1 + g ⊗ g
+    ([(0, 0, ONE), (0, 0, ONE)], ONE),  # Δ(1) = 2 · 1 ⊗ 1, in two rows
+    ([(0, 0, ONE)], ZERO),              # ε(1) = 0
+])
+def test_unit_rule_needs_all_three_facts(delta_unit, counit_unit):
+    """A basis element that fixes every letter acts as the identity only
+    with Δ(u) = u ⊗ u and ε(u) = 1; otherwise its columns come from the
+    recursion and are not the identity."""
+    action = _two_element_h(delta_unit, counit_unit)
+    assert action._identity == set()
+    for d in range(5):
+        assert action.columns(0, d) == columns_by_terms(action, 0, d)
+    assert action.columns(0, 1) != [{0: ONE}, {1: ONE}]
+
+
+def test_unit_rule_fires_on_a_grouplike_that_fixes_the_letters():
+    action = _two_element_h([(0, 0, ONE)], ONE)
+    assert action._identity == {0}
+    for d in range(5):
+        assert action.columns(0, d) == [{k: ONE} for k in range(action.alg.dim(d))]
+        assert action.columns(0, d) == columns_by_terms(action, 0, d)
